@@ -32,7 +32,6 @@ from .graph import (
 from .maintenance import (
     ClusterHealth,
     MaintenanceAction,
-    MobilityEvent,
     baseline_health,
     classify_change,
     handle_departure,

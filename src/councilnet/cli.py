@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .errors import CouncilNetError, ParseError, ValidationError
 from .phase2 import verify_partition
@@ -26,14 +27,7 @@ from .shamir import (
     reconstruct,
     split_secret,
 )
-from .sim import (
-    audit_dump,
-    dump_state,
-    initialize,
-    load_scenario,
-    step,
-    write_metrics,
-)
+from .sim import _is_prime, audit_dump, initialize, load_scenario, run
 
 
 def _apply_overrides(scenario, args):
@@ -67,23 +61,18 @@ def _cmd_form(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    state = initialize(scenario)
-    while state.round < scenario.rounds and not state.halted:
-        step(state)
-    write_metrics(state.metrics, args.out)
-    if args.state_out:
-        dump_state(state, args.state_out)
-    print(f"simulated {state.round} rounds, wrote {args.out}")
-    for violation in state.violations:
+    report = run(scenario, args.out, args.state_out)
+    print(f"simulated {report.rounds} rounds, wrote {args.out}")
+    for violation in report.violations:
         print(f"violation: {violation}", file=sys.stderr)
-    if state.halted:
+    if report.halted:
         print("run halted early; metrics are partial", file=sys.stderr)
-    return 1 if (state.violations or state.halted) else 0
+    return 0 if report.ok else 1
 
 
 def _cmd_audit(args) -> int:
     try:
-        payload = json.loads(open(args.state).read())
+        payload = json.loads(Path(args.state).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{args.state}: {exc}") from exc
     result = audit_dump(payload)
@@ -113,7 +102,11 @@ def _parse_share(text: str) -> tuple[int, int]:
 
 def _cmd_shares(args) -> int:
     prime = args.prime
+    if not _is_prime(prime):
+        raise ValidationError(f"--prime must be a prime number, got {prime}")
     if args.shares_cmd == "split":
+        if not 0 <= args.secret < prime:
+            raise ValidationError(f"--secret must lie in [0, {prime}), got {args.secret}")
         k = args.k if args.k is not None else choose_threshold(args.n).k
         shares = split_secret(
             args.secret, ThresholdPolicy(args.n, k), list(range(1, args.n + 1)), args.seed, prime
@@ -176,9 +169,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CouncilNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

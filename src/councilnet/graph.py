@@ -93,13 +93,8 @@ def topology_from_edges(
         raise DuplicateNid("node list contains repeated ids")
     if any(n < 1 for n in node_set):
         raise ValueError("node ids must be >= 1")
-    normalized = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop on node {u}")
-        if u not in node_set or v not in node_set:
-            raise UnknownNode(f"edge ({u}, {v}) references an unknown node")
-        normalized.add((min(u, v), max(u, v)))
+    # Self-loops and unknown endpoints are rejected by Topology itself.
+    normalized = {(min(u, v), max(u, v)) for u, v in edges}
     return Topology(frozenset(node_set), frozenset(normalized), positions, radius)
 
 

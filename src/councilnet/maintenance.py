@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Literal, Optional
+from typing import Optional
 
 from .errors import UnknownCluster, UnknownNode, ValidationError
-from .graph import NodeId, Position, Topology, neighbors
+from .graph import NodeId, Topology, neighbors
 from .phase1 import (
     ClusterId,
     Role,
@@ -31,18 +31,6 @@ class MaintenanceAction(str, Enum):
     NONE = "none"
     LOCAL_UPDATE = "local_update"
     REFORM = "reform"
-
-
-EventKind = Literal["link_up", "link_down", "position_update"]
-
-
-@dataclass(frozen=True)
-class MobilityEvent:
-    round: int
-    node: NodeId
-    kind: EventKind
-    peer: Optional[NodeId] = None
-    position: Optional[Position] = None
 
 
 @dataclass(frozen=True)
@@ -92,14 +80,6 @@ def classify_change(health: ClusterHealth, gateway_threshold: float = 0.5) -> Ma
     return MaintenanceAction.NONE
 
 
-def _role_in(cluster: Cluster, node: NodeId) -> Role:
-    if node in cluster.council.heads:
-        return Role.HEAD
-    if node in cluster.gateways:
-        return Role.GATEWAY
-    return Role.MEMBER
-
-
 def _without_node(cluster: Cluster, node: NodeId) -> Cluster:
     heads = cluster.council.heads - {node}
     return Cluster(
@@ -131,7 +111,7 @@ def handle_departure(
     if cid is None:
         raise UnknownNode(f"node {node} is not assigned to any cluster")
     cluster = partition.cluster(cid)
-    role = _role_in(cluster, node)
+    role = cluster.role_of(node)
     if health is None:
         health = baseline_health(cluster)
     if role is Role.HEAD:
@@ -164,7 +144,7 @@ def handle_visitor(
     current = partition.node_index.get(node)
     if current is not None:
         if prior_role is None:
-            prior_role = _role_in(partition.cluster(current), node)
+            prior_role = partition.cluster(current).role_of(node)
         partition = _swap_cluster(partition, _without_node(partition.cluster(current), node))
         cluster = partition.cluster(visiting)
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidDominatingSet, UnknownNode
 from .graph import NodeId, Topology, is_clique, is_dominating_set, neighbors
-from .phase1 import ClusterId, DominatingSet
+from .phase1 import ClusterId, DominatingSet, Role
 from .shamir import choose_threshold
 
 
@@ -44,6 +44,13 @@ class Cluster:
     @property
     def all_nodes(self) -> frozenset[NodeId]:
         return self.council.heads | self.members | self.gateways
+
+    def role_of(self, node: NodeId) -> Role:
+        if node in self.council.heads:
+            return Role.HEAD
+        if node in self.gateways:
+            return Role.GATEWAY
+        return Role.MEMBER
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .errors import (
     InsufficientShares,
     InvalidCouncilSize,
     MixedEpoch,
+    ValidationError,
     ZeroX,
 )
 
@@ -27,10 +28,17 @@ DEFAULT_PRIME = 2**61 - 1
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Council size n and reconstruction threshold k, with k a strict majority."""
+    """Council size n and reconstruction threshold 1 <= k <= n.
+
+    ``choose_threshold`` picks k as a strict majority.
+    """
 
     n: int
     k: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.k <= self.n:
+            raise ValidationError(f"threshold k={self.k} must lie in 1..n={self.n}")
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,13 @@ from .graph import (
 from .maintenance import (
     ClusterHealth,
     MaintenanceAction,
-    MobilityEvent,
     baseline_health,
     classify_change,
     handle_departure,
     handle_visitor,
     reform,
 )
-from .phase1 import ClusterId, Role, RoleAssignment, build_hello, node_states
+from .phase1 import ClusterId
 from .phase2 import Partition, verify_partition
 from .shamir import (
     DEFAULT_PRIME,
@@ -153,6 +152,8 @@ class MetricsReport:
     rows: tuple[MetricsRow, ...]
     violations: tuple[str, ...]
     halted: bool
+    # Rounds stepped; a halted round counts but records no row.
+    rounds: int
 
     @property
     def ok(self) -> bool:
@@ -192,8 +193,6 @@ class SimState:
     compromised: set[NodeId] = field(default_factory=set)
     adversary_shares: dict[ClusterId, dict[NodeId, Share]] = field(default_factory=dict)
     miss_counts: dict[NodeId, int] = field(default_factory=dict)
-    last_seen_edges: frozenset = frozenset()
-    events: list[MobilityEvent] = field(default_factory=list)
     decision_log: list[tuple[int, ClusterId, str, int, float]] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
@@ -223,13 +222,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value) -> Optional[float]:
+    """The value as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _position(value, where: str) -> Position:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValidationError(f"{where}: a position must be a pair of numbers")
-    x, y = value
-    if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
+    x, y = _real(value[0]), _real(value[1])
+    if x is None or y is None:
         raise ValidationError(f"{where}: a position must be a pair of numbers")
-    return (float(x), float(y))
+    return (x, y)
 
 
 def load_scenario(path) -> Scenario:
@@ -265,7 +279,7 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         if not isinstance(entry, dict) or "nid" not in entry:
             fail(f"nodes[{i}] must be an object with a 'nid'")
         nid = entry["nid"]
-        if not isinstance(nid, int) or nid < 1:
+        if not _is_int(nid) or nid < 1:
             fail(f"nodes[{i}]: nid must be a positive integer")
         if nid in seen:
             fail(f"node id {nid} appears more than once")
@@ -274,27 +288,29 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         if pos is None and not static:
             fail(f"node {nid}: 'pos' is required unless an explicit edge list is given")
         position = _position(pos, f"node {nid}") if pos is not None else None
+        waypoints_raw = entry.get("waypoints", [])
+        if not isinstance(waypoints_raw, list):
+            fail(f"node {nid}: 'waypoints' must be a list of positions")
         waypoints = tuple(
-            _position(wp, f"node {nid} waypoint {j}")
-            for j, wp in enumerate(entry.get("waypoints", ()))
+            _position(wp, f"node {nid} waypoint {j}") for j, wp in enumerate(waypoints_raw)
         )
-        speed = float(entry.get("speed", 0.0))
-        if speed < 0:
-            fail(f"node {nid}: speed must be >= 0")
+        speed = _real(entry.get("speed", 0.0))
+        if speed is None or speed < 0:
+            fail(f"node {nid}: speed must be a number >= 0")
         specs.append(NodeSpec(nid, position, waypoints, speed))
 
     rounds = data.get("rounds", 0)
-    if not isinstance(rounds, int) or rounds < 0:
+    if not _is_int(rounds) or rounds < 0:
         fail("'rounds' must be a non-negative integer")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         fail("'seed' must be an integer")
 
     radius = data.get("radius")
     if radius is not None:
-        radius = float(radius)
-        if radius <= 0:
-            fail("'radius' must be positive")
+        radius = _real(radius)
+        if radius is None or radius <= 0:
+            fail("'radius' must be a positive number")
     if not static and radius is None:
         fail("'radius' is required for position-based scenarios")
 
@@ -304,29 +320,29 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
             fail("'edges' must be a list of pairs")
         edges = []
         for j, pair in enumerate(edges_raw):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
                 fail(f"edges[{j}] must be a pair of node ids")
             u, v = pair
             if u not in seen or v not in seen:
                 fail(f"edges[{j}] references an unknown node")
             if u == v:
                 fail(f"edges[{j}] is a self-loop")
-            edges.append((int(u), int(v)))
+            edges.append((u, v))
         edges = tuple(edges)
 
     hello = data.get("hello_interval_rounds", 1)
-    if not isinstance(hello, int) or hello < 1:
+    if not _is_int(hello) or hello < 1:
         fail("'hello_interval_rounds' must be a positive integer")
     refresh = data.get("refresh_interval_rounds", 0)
-    if not isinstance(refresh, int) or refresh < 0:
+    if not _is_int(refresh) or refresh < 0:
         fail("'refresh_interval_rounds' must be a non-negative integer")
 
-    threshold = float(data.get("gateway_threshold", 0.5))
-    if not 0.0 <= threshold <= 1.0:
+    threshold = _real(data.get("gateway_threshold", 0.5))
+    if threshold is None or not 0.0 <= threshold <= 1.0:
         fail("'gateway_threshold' must lie in [0, 1]")
 
     prime = data.get("field_prime", DEFAULT_PRIME)
-    if not isinstance(prime, int) or not _is_prime(prime):
+    if not _is_int(prime) or not _is_prime(prime):
         fail("'field_prime' must be a prime number")
     if prime <= max(seen):
         fail("'field_prime' must exceed every node id")
@@ -337,9 +353,11 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         if not isinstance(adv_raw, dict):
             fail("'adversary' must be an object")
         comp_round = adv_raw.get("compromise_round")
-        if not isinstance(comp_round, int) or comp_round < 0:
+        if not _is_int(comp_round) or comp_round < 0:
             fail("adversary 'compromise_round' must be a non-negative integer")
         adv_nodes = adv_raw.get("nodes", [])
+        if not isinstance(adv_nodes, list) or not all(_is_int(n) for n in adv_nodes):
+            fail("adversary 'nodes' must be a list of node ids")
         unknown = [n for n in adv_nodes if n not in seen]
         if unknown:
             fail(f"adversary nodes {unknown} are not in the scenario")
@@ -357,19 +375,6 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         field_prime=prime,
         adversary=adversary,
     )
-
-
-def roles_from_partition(p: Partition) -> RoleAssignment:
-    """Synthesise a per-node role map from a formed partition."""
-    entries = {}
-    for c in p.clusters:
-        for n in c.council.heads:
-            entries[n] = (Role.HEAD, c.cluster_id)
-        for n in c.members:
-            entries[n] = (Role.MEMBER, c.cluster_id)
-        for n in c.gateways:
-            entries[n] = (Role.GATEWAY, c.cluster_id)
-    return RoleAssignment(entries, gateways_identified=True)
 
 
 def _build_topology(sc: Scenario, positions: Mapping[NodeId, Position]) -> Topology:
@@ -418,7 +423,6 @@ def initialize(sc: Scenario) -> SimState:
         share_ledger={},
         healths={},
         rng=random.Random(sc.seed),
-        last_seen_edges=topology.edges,
     )
     _split_all(state)
     state.healths = {c.cluster_id: baseline_health(c) for c in partition.clusters}
@@ -451,17 +455,6 @@ def _move_nodes(state: SimState) -> bool:
                 moved = True
         state.positions[spec.nid] = (x, y)
     return moved
-
-
-def _link_events(state: SimState, round_no: int) -> list[MobilityEvent]:
-    old, new = state.last_seen_edges, state.topology.edges
-    events = []
-    for u, v in sorted(new - old):
-        events.append(MobilityEvent(round_no, u, "link_up", peer=v))
-    for u, v in sorted(old - new):
-        events.append(MobilityEvent(round_no, u, "link_down", peer=v))
-    state.last_seen_edges = new
-    return events
 
 
 def _issue_for(state: SimState, cid: ClusterId, nid: NodeId) -> None:
@@ -525,12 +518,7 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     stranded = False
     for nid in departed:
         cid = p.node_index[nid]
-        cluster = p.cluster(cid)
-        prior_role = (
-            Role.HEAD if nid in cluster.council.heads
-            else Role.GATEWAY if nid in cluster.gateways
-            else Role.MEMBER
-        )
+        prior_role = p.cluster(cid).role_of(nid)
         p, health = handle_departure(p, nid, state.healths.get(cid))
         state.healths[cid] = health
         ledger = state.share_ledger.get(cid)
@@ -579,6 +567,8 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     if not needs_reform and verify_partition(t, p):
         # Structural damage not expressible as departures (e.g. heads drifting
         # into each other's range).  Re-form unless detection is still pending.
+        # This is the round's only partition check: a stale partition is
+        # tolerated while misses are pending and between HELLO exchanges.
         if not any(v > 0 for v in state.miss_counts.values()):
             needs_reform = True
     if needs_reform:
@@ -707,14 +697,9 @@ def step(state: SimState) -> SimState:
     hellos = 0
     updated = False
     reformed = False
-    was_hello = state.round % sc.hello_interval_rounds == 0
-    if was_hello:
-        hellos = len(
-            [build_hello(s, round_no) for s in node_states(
-                state.topology, roles_from_partition(state.partition)
-            ).values()]
-        )
-        state.events.extend(_link_events(state, round_no))
+    if state.round % sc.hello_interval_rounds == 0:
+        # One HELLO broadcast per node; the tables themselves feed no output.
+        hellos = len(state.topology.nodes)
         try:
             updated, reformed = _maintenance_pass(state, round_no)
         except DisconnectedTopology as exc:
@@ -728,14 +713,6 @@ def step(state: SimState) -> SimState:
 
     if sc.adversary is not None and round_no == sc.adversary.compromise_round:
         compromise(state, sc.adversary.nodes)
-
-    problems = verify_partition(state.topology, state.partition)
-    if problems and not reformed:
-        # A stale partition is tolerated while departure detection is still
-        # counting misses or between HELLO exchanges; anything else is real.
-        pending = not was_hello or any(v > 0 for v in state.miss_counts.values())
-        if not pending:
-            state.violations.extend(f"round {round_no}: {p}" for p in problems)
 
     audit = audit_secrecy(state)
     sizes = [c.n for c in state.partition.clusters]
@@ -796,31 +773,40 @@ def dump_state(state: SimState, path) -> None:
 
 
 def audit_dump(payload: Mapping) -> AuditResult:
-    """Run the secrecy audit over a previously dumped state."""
+    """Run the secrecy audit over a previously dumped state.
+
+    A dump that lacks a field or holds a value of the wrong shape raises
+    ``ValidationError``.
+    """
     entries = []
     anomalies: list[str] = []
-    for cluster in payload.get("clusters", []):
-        held = [Share(x, y, k, epoch) for x, y, k, epoch, _prime in cluster["adversary_shares"]]
-        entry, extra = _audit_cluster(
-            cluster["cluster_id"],
-            cluster["k"],
-            payload["prime"],
-            cluster["epoch"],
-            cluster.get("secret"),
-            held,
-        )
-        entries.append(entry)
-        anomalies.extend(extra)
+    try:
+        for cluster in payload.get("clusters", []):
+            held = [Share(x, y, k, epoch) for x, y, k, epoch, _prime in cluster["adversary_shares"]]
+            entry, extra = _audit_cluster(
+                cluster["cluster_id"],
+                cluster["k"],
+                payload["prime"],
+                cluster["epoch"],
+                cluster.get("secret"),
+                held,
+            )
+            entries.append(entry)
+            anomalies.extend(extra)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed state dump: {type(exc).__name__}: {exc}") from None
     return AuditResult(tuple(entries), tuple(anomalies))
 
 
-def run(scenario_path, out_path, state_out=None) -> MetricsReport:
-    """Load, simulate, and write the metrics CSV (partial on early halt)."""
-    scenario = load_scenario(scenario_path)
+def run(scenario, out_path, state_out=None) -> MetricsReport:
+    """Simulate a scenario (a loaded ``Scenario`` or a path to one) and write
+    the metrics CSV, partial on early halt."""
+    if not isinstance(scenario, Scenario):
+        scenario = load_scenario(scenario)
     state = initialize(scenario)
     while state.round < scenario.rounds and not state.halted:
         step(state)
     write_metrics(state.metrics, out_path)
-    if state_out is not None:
+    if state_out:
         dump_state(state, state_out)
-    return MetricsReport(tuple(state.metrics), tuple(state.violations), state.halted)
+    return MetricsReport(tuple(state.metrics), tuple(state.violations), state.halted, state.round)

@@ -1,7 +1,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from councilnet.cli import main
+from councilnet.errors import ValidationError
+from councilnet.sim import scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -112,3 +116,76 @@ def test_seed_override_applies(tmp_path):
     assert main(base + ["--out", str(out_a), "--seed", "123"]) == 0
     assert main(base + ["--out", str(out_b), "--seed", "123"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+MOBILE_PAIR = {
+    "radius": 1.0,
+    "nodes": [{"nid": 1, "pos": [0.0, 0.0]}, {"nid": 2, "pos": [0.5, 0.0]}],
+}
+STATIC_PAIR = {"nodes": [{"nid": 1}, {"nid": 2}], "edges": [[1, 2]]}
+
+
+def with_node_field(base, **field):
+    nodes = [dict(base["nodes"][0], **field)] + base["nodes"][1:]
+    return dict(base, nodes=nodes)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        dict(STATIC_PAIR, adversary={"compromise_round": 1, "nodes": 5}),
+        with_node_field(MOBILE_PAIR, speed="fast"),
+        dict(MOBILE_PAIR, radius="x"),
+        dict(MOBILE_PAIR, radius=float("nan")),
+        dict(MOBILE_PAIR, gateway_threshold="x"),
+        with_node_field(MOBILE_PAIR, waypoints=3),
+        dict(STATIC_PAIR, edges=[[[1], [2]]]),
+        with_node_field(STATIC_PAIR, nid=True),
+    ],
+    ids=[
+        "adversary-nodes-int",
+        "speed-string",
+        "radius-string",
+        "radius-nan",
+        "gateway-threshold-string",
+        "waypoints-int",
+        "edge-ids-lists",
+        "nid-bool",
+    ],
+)
+def test_malformed_scenario_field_is_an_input_error(scenario, tmp_path, capsys):
+    with pytest.raises(ValidationError):
+        scenario_from_dict(scenario)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["form", "--scenario", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "5"])
+def test_split_threshold_outside_one_to_n_is_an_input_error(k, capsys):
+    assert main(["shares", "split", "--secret", "6", "--n", "3", "--k", k, "--prime", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_split_secret_outside_the_field_is_an_input_error(capsys):
+    assert main(["shares", "split", "--secret", "20", "--n", "3", "--prime", "13"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_reconstruct_rejects_a_composite_modulus(capsys):
+    args = ["shares", "reconstruct", "--share", "1:2", "--share", "2:3", "--k", "2", "--prime", "15"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prime" in captured.err
+
+
+@pytest.mark.parametrize("payload", [{"clusters": [{"cluster_id": 1}]}, [1, 2]])
+def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(payload))
+    assert main(["audit", "--state", str(state)]) == 2
+    assert "malformed state dump" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from councilnet.errors import (
     InsufficientShares,
     InvalidCouncilSize,
     MixedEpoch,
+    ValidationError,
     ZeroX,
 )
 from councilnet.shamir import (
@@ -46,6 +47,11 @@ class TestChooseThreshold:
 
     def test_degenerate_single_head(self):
         assert choose_threshold(1) == ThresholdPolicy(1, 1)
+
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 0), (2, -1)])
+    def test_policy_requires_k_within_one_to_n(self, n, k):
+        with pytest.raises(ValidationError):
+            ThresholdPolicy(n, k)
 
     def test_rejects_empty_council(self):
         with pytest.raises(InvalidCouncilSize):

@@ -49,6 +49,19 @@ def mobile_scenario(walkers=("2",), rounds=4):
     return scenario_from_dict({"seed": 3, "rounds": rounds, "radius": 1.0, "nodes": nodes})
 
 
+def drifting_head_scenario(**extra):
+    # clusters 1 (heads 1, 3; member 2; gateway 4) and 5 (head 5 alone);
+    # node 5 reaches (0.9, 0.9), in range of head 3, in round 2
+    nodes = [
+        {"nid": 1, "pos": [0.0, 0.0]},
+        {"nid": 2, "pos": [0.0, 0.9]},
+        {"nid": 3, "pos": [0.9, 0.0]},
+        {"nid": 4, "pos": [1.6, 0.0]},
+        {"nid": 5, "pos": [1.8, 0.9], "waypoints": [[0.9, 0.9]], "speed": 0.45},
+    ]
+    return scenario_from_dict(dict({"seed": 1, "rounds": 3, "radius": 1.0, "nodes": nodes}, **extra))
+
+
 class TestLoadScenario:
     def test_minimal_single_node(self, tmp_path):
         path = tmp_path / "one.json"
@@ -182,6 +195,31 @@ class TestStep:
         for _ in range(6):
             step(state)
         assert [r.hellos for r in state.metrics] == [7, 0, 0, 7, 0, 0]
+
+    def test_heads_drifting_into_range_force_reform(self):
+        # head 5 walks into range of head 3 while every node stays in touch
+        # with its own cluster: no misses are pending, only the partition
+        # check can see the damage
+        state = initialize(drifting_head_scenario())
+        step(state)
+        before = state.partition
+        step(state)
+        assert verify_partition(state.topology, before)
+        assert [r.reforms for r in state.metrics] == [0, 1]
+        assert [e for e in state.decision_log if e[0] == 2] == [(2, -1, "reform", 0, 0.0)]
+        assert verify_partition(state.topology, state.partition) == []
+        assert state.violations == []
+
+    def test_stale_partition_between_hello_rounds_is_no_violation(self):
+        state = initialize(drifting_head_scenario(hello_interval_rounds=2))
+        step(state)
+        step(state)  # not a HELLO round: the partition goes stale unnoticed
+        assert verify_partition(state.topology, state.partition)
+        assert state.violations == []
+        step(state)  # the next HELLO round repairs it
+        assert [r.reforms for r in state.metrics] == [0, 0, 1]
+        assert verify_partition(state.topology, state.partition) == []
+        assert state.violations == []
 
     def test_refresh_interval_bumps_epochs(self):
         sc = scenario_from_dict(dict(STATIC_SEVEN, refresh_interval_rounds=4))
