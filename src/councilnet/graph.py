@@ -11,6 +11,7 @@ concurrent runs.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -61,23 +62,56 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     """Build a topology from (nid, position) pairs under the closed-disk rule.
 
     The boundary is inclusive: two nodes exactly ``radius`` apart are linked.
+    Nodes are bucketed into square cells a hair wider than the radius, and
+    each node is tested only against its own cell and the eight around it
+    (fixed-radius near neighbours; Bentley, Stanat & Williams 1977).  Every
+    pair the distance test accepts is less than a cell apart on each axis,
+    so it lands in the same or adjacent cells and the edge set is exactly
+    the all-pairs one.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be a finite number > 0, got {radius!r}")
     positions: dict[NodeId, Position] = {}
     for nid, pos in node_specs:
         if nid in positions:
             raise DuplicateNid(f"node id {nid} appears more than once")
         if nid < 1:
             raise ValueError(f"node ids must be >= 1, got {nid}")
-        positions[nid] = (float(pos[0]), float(pos[1]))
-    r2 = float(radius) * float(radius)
+        x, y = float(pos[0]), float(pos[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"node {nid} has a non-finite position {pos!r}")
+        positions[nid] = (x, y)
+    r = float(radius)
+    r2 = r * r
+    # The two floors matter only at extreme scales: span * 2**-52 keeps every
+    # coordinate / cell quotient below 2**52 (a tiny radius could overflow it
+    # to infinity), and 1e-150 covers radii whose square underflows, where
+    # the test accepts pairs up to ~1e-162 apart.
+    span = max((abs(c) for xy in positions.values() for c in xy), default=0.0)
+    cell = max(r, span * 2**-52, 1e-150) * (1 + 1e-9)
+    grid: dict[tuple[int, int], list[tuple[NodeId, float, float]]] = {}
+    for nid, (x, y) in positions.items():
+        grid.setdefault((math.floor(x / cell), math.floor(y / cell)), []).append((nid, x, y))
     edges = set()
-    for u, v in itertools.combinations(sorted(positions), 2):
-        (ux, uy), (vx, vy) = positions[u], positions[v]
-        if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
-            edges.add((u, v))
-    return Topology(frozenset(positions), frozenset(edges), positions, float(radius))
+    for (cx, cy), bucket in grid.items():
+        for i, (u, ux, uy) in enumerate(bucket):
+            for v, vx, vy in bucket[i + 1:]:
+                if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
+                    edges.add((u, v) if u < v else (v, u))
+        # Forward half of the eight neighbours: each cell pair is visited once.
+        for other in (
+            grid.get((cx + 1, cy - 1)),
+            grid.get((cx + 1, cy)),
+            grid.get((cx + 1, cy + 1)),
+            grid.get((cx, cy + 1)),
+        ):
+            if other is None:
+                continue
+            for u, ux, uy in bucket:
+                for v, vx, vy in other:
+                    if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
+                        edges.add((u, v) if u < v else (v, u))
+    return Topology(frozenset(positions), frozenset(edges), positions, r)
 
 
 def topology_from_edges(

@@ -58,11 +58,13 @@ class Partition:
     clusters: tuple[Cluster, ...]
     node_index: Mapping[NodeId, ClusterId]
 
+    def __post_init__(self) -> None:
+        # Reversed so that the first cluster listing an id wins.
+        by_id = {c.cluster_id: c for c in reversed(self.clusters)}
+        object.__setattr__(self, "_by_id", by_id)
+
     def cluster(self, cid: ClusterId) -> Cluster:
-        for c in self.clusters:
-            if c.cluster_id == cid:
-                return c
-        raise KeyError(cid)
+        return self._by_id[cid]  # type: ignore[attr-defined]
 
 
 def make_partition(clusters: Iterable[Cluster]) -> Partition:
@@ -258,14 +260,24 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
             except UnknownNode:
                 violations.append(f"cluster {c.cluster_id}: member {m} is not in the topology")
 
+    # Heads of different clusters must not be adjacent.  Index every head by
+    # the clusters listing it, then scan each head's neighbours once; report
+    # by earlier cluster, later cluster, then head id.
+    listed_in: dict[NodeId, list[int]] = {}
+    for j, c in enumerate(p.clusters):
+        for h in c.council.heads:
+            listed_in.setdefault(h, []).append(j)
+    adjacent: dict[tuple[int, int, NodeId], set[NodeId]] = {}
     for i, a in enumerate(p.clusters):
-        for b in p.clusters[i + 1:]:
-            for ha in sorted(a.council.heads & t.nodes):
-                touching = neighbors(t, ha) & b.council.heads
-                if touching:
-                    violations.append(
-                        f"heads {ha} (cluster {a.cluster_id}) and {sorted(touching)} "
-                        f"(cluster {b.cluster_id}) are adjacent"
-                    )
+        for ha in a.council.heads & t.nodes:
+            for w in neighbors(t, ha):
+                for j in listed_in.get(w, ()):
+                    if j > i:
+                        adjacent.setdefault((i, j, ha), set()).add(w)
+    for (i, j, ha), touching in sorted(adjacent.items()):
+        violations.append(
+            f"heads {ha} (cluster {p.clusters[i].cluster_id}) and {sorted(touching)} "
+            f"(cluster {p.clusters[j].cluster_id}) are adjacent"
+        )
 
     return violations

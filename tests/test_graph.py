@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from councilnet.errors import DuplicateNid, UnknownNode
@@ -15,7 +16,7 @@ from councilnet.graph import (
     triangles,
     two_hop_view,
 )
-from councilnet.topologies import star, triangle
+from councilnet.topologies import random_connected, star, triangle
 
 
 def path3():
@@ -26,6 +27,33 @@ def random_edge_topology(n, edge_mask):
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     edges = [pair for i, pair in enumerate(pairs) if edge_mask & (1 << i)]
     return topology_from_edges(range(1, n + 1), edges), set(edges)
+
+
+def pairwise_edges(specs, radius):
+    """The all-pairs closed-disk test that the grid build must reproduce."""
+    positions = {nid: (float(x), float(y)) for nid, (x, y) in specs}
+    r2 = float(radius) * float(radius)
+    edges = set()
+    for u, v in itertools.combinations(sorted(positions), 2):
+        (ux, uy), (vx, vy) = positions[u], positions[v]
+        if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
+            edges.add((u, v))
+    return frozenset(edges)
+
+
+@st.composite
+def disk_layouts(draw):
+    radius = draw(st.sampled_from([0.25, 1.0, 3.0, 5.0, 7.5]))
+    coord = st.one_of(
+        # multiples of the radius: points on cell lines, axis pairs exactly r apart
+        st.integers(-6, 6).map(lambda k: k * radius),
+        # integer lattice: 3-4-5 diagonals exactly r apart when r = 5
+        st.integers(-30, 30).map(float),
+        st.floats(-6 * radius, 6 * radius, allow_nan=False),
+    )
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    nids = draw(st.permutations(range(1, len(points) + 1)))
+    return list(zip(nids, points)), radius
 
 
 class TestBuildTopology:
@@ -49,6 +77,50 @@ class TestBuildTopology:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             build_topology([(1, (0.0, 0.0))], radius=0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], radius=radius)
+
+    @pytest.mark.parametrize("pos", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_coordinate_rejected(self, pos):
+        with pytest.raises(ValueError, match="node 2"):
+            build_topology([(1, (0.0, 0.0)), (2, pos)], radius=1.0)
+
+    @given(disk_layouts())
+    @example(([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (0.0, -5.0)), (4, (3.0, 4.0))], 5.0))
+    @example(([(3, (-3.0, -4.0)), (1, (0.0, 0.0)), (2, (0.0, 0.0)), (4, (-10.0, -5.0))], 5.0))
+    # accepted at r + 1e-16 by rounding, from cell -1 to cell 1 of width exactly r
+    @example(([(1, (-1e-16, 0.0)), (2, (5.0, 0.0))], 5.0))
+    @settings(max_examples=300, deadline=None)
+    def test_grid_build_matches_pairwise_oracle(self, layout):
+        specs, radius = layout
+        assert build_topology(specs, radius).edges == pairwise_edges(specs, radius)
+
+    @given(
+        st.integers(-200, 140),
+        st.floats(-1e12, 1e12),
+        st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=2, max_size=12),
+    )
+    # squares underflow to 0: the test accepts a pair 1e5 radii apart
+    @example(-170, 0.0, [(0.0, 0.0), (1e5, 0.0)])
+    # coordinate / radius quotients overflow a float
+    @example(-300, 1e200, [(0.0, 0.0), (1.0, 0.0), (1e290, 0.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_grid_build_is_exact_at_extreme_scales(self, exponent, offset, unit_points):
+        # Points sit near ``offset`` within a few radii of one another.  Drawn
+        # coordinates stay below ~1e153, where squared differences are finite.
+        radius = 10.0 ** exponent
+        specs = [
+            (nid, (offset + x * radius, offset + y * radius))
+            for nid, (x, y) in enumerate(unit_points, start=1)
+        ]
+        assert build_topology(specs, radius).edges == pairwise_edges(specs, radius)
+
+    def test_random_connected_matches_pairwise_oracle(self):
+        t = random_connected(1500, seed=11)
+        assert t.edges == pairwise_edges(t.positions.items(), t.radius)
 
     def test_edge_list_constructor_normalises(self):
         t = topology_from_edges([1, 2, 3], [(3, 1)])

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from councilnet.errors import InvalidDominatingSet, UnknownNode
 from councilnet.graph import is_clique, neighbors, topology_from_edges
@@ -15,12 +17,38 @@ from councilnet.phase2 import (
     verify_partition,
 )
 from councilnet.topologies import (
+    complete_graph,
     random_connected,
     size_ladder,
     star,
     triangle,
     two_cluster_seven,
 )
+
+
+def pairwise_head_adjacency(t, p):
+    """The all-cluster-pairs cross-cluster head check, as an oracle."""
+    found = []
+    for i, a in enumerate(p.clusters):
+        for b in p.clusters[i + 1:]:
+            for ha in sorted(a.council.heads & t.nodes):
+                touching = neighbors(t, ha) & b.council.heads
+                if touching:
+                    found.append(
+                        f"heads {ha} (cluster {a.cluster_id}) and {sorted(touching)} "
+                        f"(cluster {b.cluster_id}) are adjacent"
+                    )
+    return found
+
+
+def head_adjacency_messages(t, p):
+    return [v for v in verify_partition(t, p) if v.endswith("are adjacent")]
+
+
+def council_only(heads, cid=None):
+    heads = frozenset(heads)
+    council = Council(heads, min(heads) if cid is None else cid)
+    return Cluster(council, frozenset(), frozenset(), len(heads), 1)
 
 
 class TestFindCouncilClique:
@@ -146,6 +174,22 @@ class TestPartitionProperties:
             assert set(p.node_index) == set(t.nodes)
 
 
+class TestPartitionLookup:
+    def test_cluster_by_id(self):
+        p = reform(two_cluster_seven())
+        for c in p.clusters:
+            assert p.cluster(c.cluster_id) is c
+
+    def test_unknown_cluster_id_raises_key_error(self):
+        p = reform(two_cluster_seven())
+        with pytest.raises(KeyError):
+            p.cluster(2)
+
+    def test_first_cluster_wins_on_a_repeated_id(self):
+        first, second = council_only({1}, cid=1), council_only({2}, cid=1)
+        assert make_partition([first, second]).cluster(1) is first
+
+
 class TestVerifyPartition:
     def test_formed_partition_is_clean(self):
         t = two_cluster_seven()
@@ -205,3 +249,32 @@ class TestVerifyPartition:
         )
         found = verify_partition(t, bad)
         assert any("threshold" in v for v in found)
+
+    def test_adjacent_heads_across_three_clusters_match_oracle(self):
+        # every head touches every other; clusters are listed out of id order
+        t = complete_graph(7)
+        bad = make_partition(
+            [council_only({5, 6}), council_only({1, 2}), council_only({3, 4, 7}, cid=3)]
+        )
+        found = head_adjacency_messages(t, bad)
+        assert len(found) == 6
+        assert found == pairwise_head_adjacency(t, bad)
+
+    def test_head_shared_by_two_councils_matches_oracle(self):
+        t = two_cluster_seven()
+        bad = make_partition([council_only({1, 3, 5}), council_only({4, 5}), council_only({6, 7})])
+        found = head_adjacency_messages(t, bad)
+        assert found
+        assert found == pairwise_head_adjacency(t, bad)
+
+    @given(
+        st.integers(0, 2**28 - 1),
+        st.lists(st.frozensets(st.integers(1, 8), min_size=1, max_size=4), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_head_adjacency_matches_oracle_on_arbitrary_councils(self, mask, councils):
+        # councils may overlap and need not be cliques
+        pairs = list(itertools.combinations(range(1, 9), 2))
+        t = topology_from_edges(range(1, 9), [e for i, e in enumerate(pairs) if mask & (1 << i)])
+        p = make_partition(council_only(heads) for heads in councils)
+        assert head_adjacency_messages(t, p) == pairwise_head_adjacency(t, p)
