@@ -1,5 +1,6 @@
 """Council-based clustering and threshold secret sharing for modeled ad hoc networks."""
 
+from .audit import AuditResult, audit_secrecy
 from .errors import (
     CouncilNetError,
     DisconnectedTopology,
@@ -62,6 +63,7 @@ from .phase2 import (
     make_partition,
     verify_partition,
 )
+from .scenario import Scenario, load_scenario
 from .shamir import (
     DEFAULT_PRIME,
     Share,
@@ -73,15 +75,11 @@ from .shamir import (
     split_secret,
 )
 from .sim import (
-    AuditResult,
     MetricsReport,
     MetricsRow,
-    Scenario,
     SimState,
-    audit_secrecy,
     compromise,
     initialize,
-    load_scenario,
     run,
     step,
 )

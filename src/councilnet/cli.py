@@ -27,7 +27,9 @@ from .shamir import (
     reconstruct,
     split_secret,
 )
-from .sim import _is_prime, audit_dump, initialize, load_scenario, run
+from .audit import audit_dump
+from .scenario import is_prime, load_scenario
+from .sim import initialize, run
 
 
 def _apply_overrides(scenario, args):
@@ -102,7 +104,7 @@ def _parse_share(text: str) -> tuple[int, int]:
 
 def _cmd_shares(args) -> int:
     prime = args.prime
-    if not _is_prime(prime):
+    if not is_prime(prime):
         raise ValidationError(f"--prime must be a prime number, got {prime}")
     if args.shares_cmd == "split":
         if not 0 <= args.secret < prime:
@@ -116,7 +118,7 @@ def _cmd_shares(args) -> int:
             print(f"{share.x}:{share.y}")
         return 0
     points = [_parse_share(s) for s in args.share]
-    shares = [Share(x, y, args.k, 0) for x, y in points]
+    shares = [Share(x, y) for x, y in points]
     print(reconstruct(shares, args.k, prime))
     return 0
 

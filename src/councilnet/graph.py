@@ -21,6 +21,10 @@ from .errors import DuplicateNid, UnknownNode
 NodeId = int
 Position = tuple[float, float]
 
+# Largest radius and |coordinate| the disk build accepts.  Within it every
+# coordinate difference stays under 2e150, so its square cannot overflow.
+MAX_COORDINATE = 1e150
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -69,8 +73,8 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     so it lands in the same or adjacent cells and the edge set is exactly
     the all-pairs one.
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be a finite number > 0, got {radius!r}")
+    if not 0 < radius <= MAX_COORDINATE:
+        raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
     positions: dict[NodeId, Position] = {}
     for nid, pos in node_specs:
         if nid in positions:
@@ -78,8 +82,8 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
         if nid < 1:
             raise ValueError(f"node ids must be >= 1, got {nid}")
         x, y = float(pos[0]), float(pos[1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"node {nid} has a non-finite position {pos!r}")
+        if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
+            raise ValueError(f"node {nid} has a position {pos!r} outside ±{MAX_COORDINATE:g}")
         positions[nid] = (x, y)
     r = float(radius)
     r2 = r * r

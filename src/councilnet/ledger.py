@@ -1,0 +1,89 @@
+"""Share ledger: one cluster's (k, n) sharing and the adversary's copies of it.
+
+The ledger holds the cluster's secret, its shares by holder, the holders
+revoked since the last refresh, and what leaked.  One rule decides what
+leaks: the adversary holds the current share of every compromised holder
+whose share is live.  Splitting, issuing, refreshing and compromising all
+apply it through ``leak``; a revoked share stops leaking, but a copy the
+adversary already took is kept.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from typing import AbstractSet, Optional
+
+from .graph import NodeId
+from .phase1 import ClusterId
+from .phase2 import Cluster
+from .shamir import Share, ThresholdPolicy, issue_share, refresh_shares, split_secret
+
+
+@dataclass
+class ClusterLedger:
+    """Secret-sharing state of one cluster: the split secret and live shares."""
+
+    cluster_id: ClusterId
+    secret: int
+    k: int
+    prime: int
+    epoch: int = 0
+    shares: dict[NodeId, Share] = field(default_factory=dict)
+    revoked: set[NodeId] = field(default_factory=set)
+    leaked: dict[NodeId, Share] = field(default_factory=dict)
+
+    @classmethod
+    def split(
+        cls, cluster: Cluster, prime: int, rng: random.Random, compromised: AbstractSet[NodeId]
+    ) -> ClusterLedger:
+        """Draw a fresh secret and split it across the council at the cluster's k."""
+        heads = sorted(cluster.council.heads)
+        secret = rng.randrange(prime)
+        shares = split_secret(
+            secret, ThresholdPolicy(cluster.n, cluster.k), heads, rng.randrange(2**62), prime
+        )
+        ledger = cls(cluster.cluster_id, secret, cluster.k, prime, shares=dict(zip(heads, shares)))
+        ledger.leak(compromised)
+        return ledger
+
+    def live_shares(self) -> list[tuple[NodeId, Share]]:
+        return [(nid, s) for nid, s in sorted(self.shares.items()) if nid not in self.revoked]
+
+    def leak(self, compromised: AbstractSet[NodeId]) -> None:
+        """Hand the adversary the current share of each compromised live holder."""
+        for nid, share in self.live_shares():
+            if nid in compromised:
+                self.leaked[nid] = share
+
+    def issue(self, nid: NodeId, compromised: AbstractSet[NodeId]) -> Optional[str]:
+        """Derive a share for a new head from a live quorum; returns why it
+        cannot, else None."""
+        where = f"cluster {self.cluster_id}"
+        live = [s for _, s in self.live_shares()]
+        if len(live) < self.k:
+            return f"{where}: no quorum of {self.k} live shares to issue for node {nid}"
+        new_x = nid % self.prime
+        if new_x == 0 or any(s.x == new_x for s in self.shares.values()):
+            return f"{where}: cannot map node {nid} to a fresh share coordinate"
+        self.shares[nid] = issue_share(live[: self.k], new_x, self.k, self.prime)
+        self.revoked.discard(nid)
+        self.leak(compromised)
+        return None
+
+    def revoke(self, nid: NodeId) -> None:
+        """Exclude a departed holder's share from quorums until the next refresh."""
+        if nid in self.shares:
+            self.revoked.add(nid)
+
+    def refresh(self, rng: random.Random, compromised: AbstractSet[NodeId]) -> None:
+        """Re-randomise the live shares into the next epoch; revoked ones die."""
+        live = self.live_shares()
+        if not live:
+            return
+        refreshed = refresh_shares([s for _, s in live], self.k, rng.randrange(2**62), self.prime)
+        by_x = {s.x: s for s in refreshed}
+        self.shares = {nid: by_x[s.x] for nid, s in live}
+        self.revoked = set()
+        self.epoch += 1
+        self.leak(compromised)

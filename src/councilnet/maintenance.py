@@ -24,7 +24,6 @@ from .phase1 import (
     identify_gateways,
 )
 from .phase2 import Cluster, Council, Partition, cluster_form, make_partition
-from .shamir import choose_threshold
 
 
 class MaintenanceAction(str, Enum):
@@ -132,7 +131,8 @@ def handle_visitor(
 
     It joins the council only when adjacent to every sitting head, was not a
     gateway, and is adjacent to no head of any other cluster; the council
-    then grows to n + 1 and the threshold is re-balanced.  Returns the tag
+    then grows to n + 1 and keeps its threshold k, since the new head's
+    share lies on the existing degree-(k-1) polynomial.  Returns the tag
     ``issue_new_share`` when the caller must derive a share for the new
     head, else ``member_only``.
     """
@@ -167,7 +167,7 @@ def handle_visitor(
             members=cluster.members,
             gateways=cluster.gateways,
             n=len(new_heads),
-            k=choose_threshold(len(new_heads)).k,
+            k=cluster.k,
         )
         return _swap_cluster(partition, updated), "issue_new_share"
 

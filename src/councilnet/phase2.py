@@ -243,7 +243,10 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
             continue
         if c.council.cluster_id not in t.nodes:
             violations.append(f"cluster id {c.cluster_id} is not a topology node")
-        if not is_clique(t, c.council.heads):
+        unknown = c.council.heads - t.nodes
+        if unknown:
+            violations.append(f"cluster {c.cluster_id}: heads {sorted(unknown)} are not in the topology")
+        if not is_clique(t, c.council.heads - unknown):
             violations.append(
                 f"cluster {c.cluster_id}: council {sorted(c.council.heads)} is not a clique"
             )

@@ -1,0 +1,231 @@
+"""Scenario files: the node specs, adversary and run settings of a simulation.
+
+``load_scenario`` reads a JSON file and ``scenario_from_dict`` validates the
+decoded object, applying the documented defaults; any malformed field raises
+``ValidationError``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Mapping, Optional
+
+from .errors import ParseError, ValidationError
+from .graph import MAX_COORDINATE, NodeId, Position
+from .shamir import DEFAULT_PRIME
+
+
+@dataclass(frozen=True)
+class NodeSpec:
+    nid: NodeId
+    pos: Optional[Position] = None
+    waypoints: tuple[Position, ...] = ()
+    speed: float = 0.0
+
+
+@dataclass(frozen=True)
+class Adversary:
+    compromise_round: int
+    nodes: frozenset[NodeId]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    seed: int
+    rounds: int
+    nodes: tuple[NodeSpec, ...]
+    radius: Optional[float] = None
+    edges: Optional[tuple[tuple[NodeId, NodeId], ...]] = None
+    hello_interval_rounds: int = 1
+    refresh_interval_rounds: int = 0
+    gateway_threshold: float = 0.5
+    field_prime: int = DEFAULT_PRIME
+    adversary: Optional[Adversary] = None
+
+    @property
+    def static(self) -> bool:
+        return self.edges is not None
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value) -> Optional[float]:
+    """The value as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _position(value, where: str) -> Position:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValidationError(f"{where}: a position must be a pair of numbers")
+    x, y = _real(value[0]), _real(value[1])
+    if x is None or y is None:
+        raise ValidationError(f"{where}: a position must be a pair of numbers")
+    if max(abs(x), abs(y)) > MAX_COORDINATE:
+        raise ValidationError(f"{where}: coordinates must lie within ±{MAX_COORDINATE:g}")
+    return (x, y)
+
+
+def load_scenario(path) -> Scenario:
+    """Read and validate a scenario file, applying documented defaults."""
+    path = Path(path)
+    try:
+        raw = path.read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: scenario must be a JSON object")
+    return scenario_from_dict(data, source=str(path))
+
+
+def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
+    def fail(msg: str) -> None:
+        raise ValidationError(f"{source}: {msg}")
+
+    nodes_raw = data.get("nodes")
+    if not isinstance(nodes_raw, list) or not nodes_raw:
+        fail("'nodes' must be a non-empty list")
+
+    edges_raw = data.get("edges")
+    static = edges_raw is not None
+
+    specs: list[NodeSpec] = []
+    seen: set[int] = set()
+    for i, entry in enumerate(nodes_raw):
+        if not isinstance(entry, dict) or "nid" not in entry:
+            fail(f"nodes[{i}] must be an object with a 'nid'")
+        nid = entry["nid"]
+        if not _is_int(nid) or nid < 1:
+            fail(f"nodes[{i}]: nid must be a positive integer")
+        if nid in seen:
+            fail(f"node id {nid} appears more than once")
+        seen.add(nid)
+        pos = entry.get("pos")
+        if pos is None and not static:
+            fail(f"node {nid}: 'pos' is required unless an explicit edge list is given")
+        position = _position(pos, f"node {nid}") if pos is not None else None
+        waypoints_raw = entry.get("waypoints", [])
+        if not isinstance(waypoints_raw, list):
+            fail(f"node {nid}: 'waypoints' must be a list of positions")
+        waypoints = tuple(
+            _position(wp, f"node {nid} waypoint {j}") for j, wp in enumerate(waypoints_raw)
+        )
+        speed = _real(entry.get("speed", 0.0))
+        if speed is None or speed < 0:
+            fail(f"node {nid}: speed must be a number >= 0")
+        specs.append(NodeSpec(nid, position, waypoints, speed))
+
+    rounds = data.get("rounds", 0)
+    if not _is_int(rounds) or rounds < 0:
+        fail("'rounds' must be a non-negative integer")
+    seed = data.get("seed", 0)
+    if not _is_int(seed):
+        fail("'seed' must be an integer")
+
+    radius = data.get("radius")
+    if radius is not None:
+        radius = _real(radius)
+        if radius is None or not 0 < radius <= MAX_COORDINATE:
+            fail(f"'radius' must be a positive number up to {MAX_COORDINATE:g}")
+    if not static and radius is None:
+        fail("'radius' is required for position-based scenarios")
+
+    edges = None
+    if static:
+        if not isinstance(edges_raw, list):
+            fail("'edges' must be a list of pairs")
+        edges = []
+        for j, pair in enumerate(edges_raw):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
+                fail(f"edges[{j}] must be a pair of node ids")
+            u, v = pair
+            if u not in seen or v not in seen:
+                fail(f"edges[{j}] references an unknown node")
+            if u == v:
+                fail(f"edges[{j}] is a self-loop")
+            edges.append((u, v))
+        edges = tuple(edges)
+
+    hello = data.get("hello_interval_rounds", 1)
+    if not _is_int(hello) or hello < 1:
+        fail("'hello_interval_rounds' must be a positive integer")
+    refresh = data.get("refresh_interval_rounds", 0)
+    if not _is_int(refresh) or refresh < 0:
+        fail("'refresh_interval_rounds' must be a non-negative integer")
+
+    threshold = _real(data.get("gateway_threshold", 0.5))
+    if threshold is None or not 0.0 <= threshold <= 1.0:
+        fail("'gateway_threshold' must lie in [0, 1]")
+
+    prime = data.get("field_prime", DEFAULT_PRIME)
+    if not _is_int(prime) or not is_prime(prime):
+        fail("'field_prime' must be a prime number")
+    if prime <= max(seen):
+        fail("'field_prime' must exceed every node id")
+
+    adversary = None
+    adv_raw = data.get("adversary")
+    if adv_raw is not None:
+        if not isinstance(adv_raw, dict):
+            fail("'adversary' must be an object")
+        comp_round = adv_raw.get("compromise_round")
+        if not _is_int(comp_round) or comp_round < 0:
+            fail("adversary 'compromise_round' must be a non-negative integer")
+        adv_nodes = adv_raw.get("nodes", [])
+        if not isinstance(adv_nodes, list) or not all(_is_int(n) for n in adv_nodes):
+            fail("adversary 'nodes' must be a list of node ids")
+        unknown = [n for n in adv_nodes if n not in seen]
+        if unknown:
+            fail(f"adversary nodes {unknown} are not in the scenario")
+        adversary = Adversary(comp_round, frozenset(adv_nodes))
+
+    return Scenario(
+        seed=seed,
+        rounds=rounds,
+        nodes=tuple(specs),
+        radius=radius,
+        edges=edges,
+        hello_interval_rounds=hello,
+        refresh_interval_rounds=refresh,
+        gateway_threshold=threshold,
+        field_prime=prime,
+        adversary=adversary,
+    )
+

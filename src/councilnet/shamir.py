@@ -45,7 +45,6 @@ class ThresholdPolicy:
 class Share:
     x: int
     y: int
-    k: int
     epoch: int = 0
 
 
@@ -90,7 +89,7 @@ def split_secret(
     _check_xs(xs, prime)
     rng = random.Random(seed)
     coeffs = [secret] + [rng.randrange(prime) for _ in range(policy.k - 1)]
-    return tuple(Share(x % prime, _eval_poly(coeffs, x % prime, prime), policy.k, 0) for x in xs)
+    return tuple(Share(x % prime, _eval_poly(coeffs, x % prime, prime), 0) for x in xs)
 
 
 def _common_epoch(shares: Sequence[Share]) -> int:
@@ -144,7 +143,7 @@ def issue_share(
     if new_x == 0:
         raise ZeroX("new share coordinate must be nonzero")
     _check_xs([s.x for s in quorum_list] + [new_x], prime)
-    return Share(new_x, _lagrange_at(quorum_list, new_x, prime), k, epoch)
+    return Share(new_x, _lagrange_at(quorum_list, new_x, prime), epoch)
 
 
 def refresh_shares(
@@ -171,6 +170,6 @@ def refresh_shares(
     rng = random.Random(seed)
     blind = [0] + [rng.randrange(prime) for _ in range(k - 1)]
     return tuple(
-        Share(s.x, (s.y + _eval_poly(blind, s.x, prime)) % prime, s.k, epoch + 1)
+        Share(s.x, (s.y + _eval_poly(blind, s.x, prime)) % prime, epoch + 1)
         for s in share_list
     )

@@ -208,7 +208,7 @@ def test_criterion_8_share_lifecycle():
             n = rng.randrange(k, 9)
             coeffs = [rng.randrange(p) for _ in range(k)]
             xs = rng.sample(range(1, p), min(n + 1, p - 1))
-            quorum = [Share(x, _poly(coeffs, x, p), k) for x in xs[:-1]][:k]
+            quorum = [Share(x, _poly(coeffs, x, p)) for x in xs[:-1]][:k]
             if len(quorum) < k:
                 continue
             issued = issue_share(quorum, xs[-1], k, p)

@@ -141,6 +141,9 @@ def with_node_field(base, **field):
         with_node_field(MOBILE_PAIR, waypoints=3),
         dict(STATIC_PAIR, edges=[[[1], [2]]]),
         with_node_field(STATIC_PAIR, nid=True),
+        with_node_field(MOBILE_PAIR, pos=[1e200, 0.0]),
+        with_node_field(MOBILE_PAIR, waypoints=[[0.0, -1e151]], speed=1.0),
+        dict(MOBILE_PAIR, radius=1e300),
     ],
     ids=[
         "adversary-nodes-int",
@@ -151,6 +154,9 @@ def with_node_field(base, **field):
         "waypoints-int",
         "edge-ids-lists",
         "nid-bool",
+        "pos-beyond-1e150",
+        "waypoint-beyond-1e150",
+        "radius-beyond-1e150",
     ],
 )
 def test_malformed_scenario_field_is_an_input_error(scenario, tmp_path, capsys):
@@ -183,7 +189,14 @@ def test_reconstruct_rejects_a_composite_modulus(capsys):
     assert "prime" in captured.err
 
 
-@pytest.mark.parametrize("payload", [{"clusters": [{"cluster_id": 1}]}, [1, 2]])
+# the last dump gives an adversary share row k = 3 in a k = 2 cluster
+K_MISMATCH = {
+    "prime": 13,
+    "clusters": [{"cluster_id": 1, "k": 2, "epoch": 0, "adversary_shares": [[1, 5, 3, 0, 13]]}],
+}
+
+
+@pytest.mark.parametrize("payload", [{"clusters": [{"cluster_id": 1}]}, [1, 2], K_MISMATCH])
 def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(payload))

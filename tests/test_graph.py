@@ -78,15 +78,23 @@ class TestBuildTopology:
         with pytest.raises(ValueError):
             build_topology([(1, (0.0, 0.0))], radius=0.0)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 1.1e150, 1e300])
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="radius"):
             build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], radius=radius)
 
-    @pytest.mark.parametrize("pos", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    @pytest.mark.parametrize(
+        "pos",
+        [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1e200, 0.0), (0.0, -1.1e150)],
+    )
     def test_non_finite_coordinate_rejected(self, pos):
         with pytest.raises(ValueError, match="node 2"):
             build_topology([(1, (0.0, 0.0)), (2, pos)], radius=1.0)
+
+    def test_radius_and_coordinates_at_the_bound_are_accepted(self):
+        # squared differences up to (2e150)**2 stay finite
+        t = build_topology([(1, (0.0, 0.0)), (2, (1e150, 0.0)), (3, (-1e150, 0.0))], radius=1e150)
+        assert t.edges == frozenset({(1, 2), (1, 3)})
 
     @given(disk_layouts())
     @example(([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (0.0, -5.0)), (4, (3.0, 4.0))], 5.0))
@@ -105,12 +113,12 @@ class TestBuildTopology:
     )
     # squares underflow to 0: the test accepts a pair 1e5 radii apart
     @example(-170, 0.0, [(0.0, 0.0), (1e5, 0.0)])
-    # coordinate / radius quotients overflow a float
-    @example(-300, 1e200, [(0.0, 0.0), (1.0, 0.0), (1e290, 0.0)])
+    # coordinate / radius quotients overflow a float at the coordinate bound
+    @example(-300, 1e150, [(0.0, 0.0), (1.0, 0.0), (1e290, 0.0)])
     @settings(max_examples=300, deadline=None)
     def test_grid_build_is_exact_at_extreme_scales(self, exponent, offset, unit_points):
         # Points sit near ``offset`` within a few radii of one another.  Drawn
-        # coordinates stay below ~1e153, where squared differences are finite.
+        # coordinates stay below ~1e141, inside the 1e150 coordinate bound.
         radius = 10.0 ** exponent
         specs = [
             (nid, (offset + x * radius, offset + y * radius))

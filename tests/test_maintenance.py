@@ -122,7 +122,8 @@ class TestHandleVisitor:
         assert tag == "issue_new_share"
         cluster = p2.cluster(1)
         assert cluster.council.heads == frozenset({1, 3, 5, 8})
-        assert (cluster.n, cluster.k) == (4, 3)
+        # the new head's share lies on the existing degree-1 polynomial
+        assert (cluster.n, cluster.k) == (4, 2)
 
     def test_partially_connected_visitor_stays_member(self):
         t = self.make_topology_with_visitor({1})

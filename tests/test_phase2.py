@@ -269,12 +269,20 @@ class TestVerifyPartition:
 
     @given(
         st.integers(0, 2**28 - 1),
-        st.lists(st.frozensets(st.integers(1, 8), min_size=1, max_size=4), min_size=1, max_size=5),
+        st.lists(st.frozensets(st.integers(1, 10), min_size=1, max_size=4), min_size=1, max_size=5),
     )
     @settings(max_examples=200, deadline=None)
     def test_head_adjacency_matches_oracle_on_arbitrary_councils(self, mask, councils):
-        # councils may overlap and need not be cliques
+        # councils may overlap, need not be cliques, and may list heads 9
+        # and 10, which the topology lacks: those are reported, not raised
         pairs = list(itertools.combinations(range(1, 9), 2))
         t = topology_from_edges(range(1, 9), [e for i, e in enumerate(pairs) if mask & (1 << i)])
         p = make_partition(council_only(heads) for heads in councils)
         assert head_adjacency_messages(t, p) == pairwise_head_adjacency(t, p)
+        unknown = [
+            f"cluster {c.cluster_id}: heads {sorted(c.council.heads - t.nodes)} are not in the topology"
+            for c in p.clusters
+            if c.council.heads - t.nodes
+        ]
+        found = verify_partition(t, p)
+        assert [v for v in found if ": heads " in v and v.endswith("not in the topology")] == unknown

@@ -85,7 +85,7 @@ class TestSplitSecret:
 
     def test_share_metadata(self):
         shares = split_secret(6, ThresholdPolicy(2, 2), (1, 2), 0, P)
-        assert all(s.k == 2 and s.epoch == 0 for s in shares)
+        assert all(s.epoch == 0 and not hasattr(s, "k") for s in shares)
 
     def test_deterministic_per_seed(self):
         a = split_secret(11, ThresholdPolicy(4, 3), (1, 2, 3, 4), 42, P)
@@ -105,22 +105,22 @@ class TestSplitSecret:
 
 class TestReconstruct:
     def test_two_of_three(self):
-        assert reconstruct([Share(1, 0, 2), Share(2, 7, 2)], 2, P) == 6
+        assert reconstruct([Share(1, 0), Share(2, 7)], 2, P) == 6
 
     def test_all_three(self):
-        assert reconstruct([Share(1, 0, 2), Share(2, 7, 2), Share(3, 1, 2)], 2, P) == 6
+        assert reconstruct([Share(1, 0), Share(2, 7), Share(3, 1)], 2, P) == 6
 
     def test_insufficient(self):
         with pytest.raises(InsufficientShares):
-            reconstruct([Share(1, 0, 2)], 2, P)
+            reconstruct([Share(1, 0)], 2, P)
 
     def test_mixed_epoch(self):
         with pytest.raises(MixedEpoch):
-            reconstruct([Share(1, 0, 2, epoch=0), Share(2, 7, 2, epoch=1)], 2, P)
+            reconstruct([Share(1, 0, epoch=0), Share(2, 7, epoch=1)], 2, P)
 
     def test_duplicate_x(self):
         with pytest.raises(DuplicateX):
-            reconstruct([Share(1, 0, 2), Share(1, 7, 2)], 2, P)
+            reconstruct([Share(1, 0), Share(1, 7)], 2, P)
 
     def test_every_k_subset_reconstructs(self):
         rng = random.Random(77)
@@ -135,24 +135,24 @@ class TestReconstruct:
 class TestIssueShare:
     def test_matches_polynomial_evaluation(self):
         # quorum comes from f(x) = 6 + 7x; the issued point must sit on f
-        issued = issue_share([Share(1, 0, 2), Share(2, 7, 2)], 4, 2, P)
+        issued = issue_share([Share(1, 0), Share(2, 7)], 4, 2, P)
         assert (issued.x, issued.y) == (4, poly_eval((6, 7), 4))
 
     def test_existing_coordinate_rejected(self):
         with pytest.raises(DuplicateX):
-            issue_share([Share(1, 0, 2), Share(2, 7, 2)], 2, 2, P)
+            issue_share([Share(1, 0), Share(2, 7)], 2, 2, P)
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ZeroX):
-            issue_share([Share(1, 0, 2), Share(2, 7, 2)], 13, 2, P)
+            issue_share([Share(1, 0), Share(2, 7)], 13, 2, P)
 
     def test_issued_share_reconstructs_with_others(self):
-        issued = issue_share([Share(1, 0, 2), Share(2, 7, 2)], 4, 2, P)
-        assert reconstruct([Share(3, 1, 2), issued], 2, P) == 6
+        issued = issue_share([Share(1, 0), Share(2, 7)], 4, 2, P)
+        assert reconstruct([Share(3, 1), issued], 2, P) == 6
 
     def test_quorum_too_small(self):
         with pytest.raises(InsufficientShares):
-            issue_share([Share(1, 0, 2)], 4, 2, P)
+            issue_share([Share(1, 0)], 4, 2, P)
 
     def test_oracle_equivalence_over_seeded_cases(self):
         rng = random.Random(123)
@@ -161,7 +161,7 @@ class TestIssueShare:
             n = rng.randrange(k, 7)
             coeffs = [rng.randrange(P) for _ in range(k)]
             xs = rng.sample(range(1, P), n + 1)
-            quorum = [Share(x, poly_eval(coeffs, x), k) for x in xs[:n]][:k]
+            quorum = [Share(x, poly_eval(coeffs, x)) for x in xs[:n]][:k]
             issued = issue_share(quorum, xs[n], k, P)
             assert issued.y == poly_eval(coeffs, xs[n])
 

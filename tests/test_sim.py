@@ -1,8 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from councilnet.audit import audit_dump, audit_secrecy
 from councilnet.errors import (
     DisconnectedTopology,
     ParseError,
@@ -10,16 +12,9 @@ from councilnet.errors import (
     ValidationError,
 )
 from councilnet.phase2 import verify_partition
-from councilnet.sim import (
-    audit_dump,
-    audit_secrecy,
-    compromise,
-    initialize,
-    load_scenario,
-    run,
-    scenario_from_dict,
-    step,
-)
+from councilnet.scenario import load_scenario, scenario_from_dict
+from councilnet.shamir import issue_share, reconstruct
+from councilnet.sim import compromise, initialize, run, step
 from councilnet.topologies import random_connected
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -60,6 +55,50 @@ def drifting_head_scenario(**extra):
         {"nid": 5, "pos": [1.8, 0.9], "waypoints": [[0.9, 0.9]], "speed": 0.45},
     ]
     return scenario_from_dict(dict({"seed": 1, "rounds": 3, "radius": 1.0, "nodes": nodes}, **extra))
+
+
+def head_swap_scenario():
+    # cluster 1: heads 1 and 5 (n = k = 2), gateway 3; cluster 2: heads 2, 4
+    # and 6.  In round 1 head 1 walks over to cluster 2 and head 2 to where
+    # it hears only head 5; both depart in round 2, node 1 first.
+    nodes = [
+        {"nid": 1, "pos": [0.1, 0.9], "waypoints": [[2.5, 0.0]], "speed": 5.0},
+        {"nid": 2, "pos": [1.7, 0.7], "waypoints": [[0.5, 1.4]], "speed": 5.0},
+        {"nid": 3, "pos": [0.9, 0.2]},
+        {"nid": 4, "pos": [2.4, 0.0]},
+        {"nid": 5, "pos": [0.0, 0.6]},
+        {"nid": 6, "pos": [1.7, 0.1]},
+    ]
+    return scenario_from_dict({"seed": 1, "rounds": 2, "radius": 1.0, "nodes": nodes})
+
+
+def small_mobile_scenario(seed, n=100, rounds=40):
+    """random_connected placement at 1.3x its radius, 30% movers on 8
+    waypoints at a quarter radius per round, refresh every 4 rounds, and an
+    adversary holding 5% of the nodes from round 2."""
+    t = random_connected(n, seed=seed)
+    radius = 1.3 * t.radius
+    rng = random.Random(seed)
+    movers = set(rng.sample(sorted(t.nodes), n * 3 // 10))
+    nodes = []
+    for nid in sorted(t.nodes):
+        node = {"nid": nid, "pos": list(t.positions[nid])}
+        if nid in movers:
+            node["waypoints"] = [[rng.random(), rng.random()] for _ in range(8)]
+            node["speed"] = radius / 4
+        nodes.append(node)
+    adversary = {"compromise_round": 2, "nodes": rng.sample(sorted(t.nodes), n // 20)}
+    return scenario_from_dict(
+        {
+            "seed": seed,
+            "rounds": rounds,
+            "radius": radius,
+            "refresh_interval_rounds": 4,
+            "field_prime": 1009,
+            "adversary": adversary,
+            "nodes": nodes,
+        }
+    )
 
 
 class TestLoadScenario:
@@ -221,6 +260,37 @@ class TestStep:
         assert verify_partition(state.topology, state.partition) == []
         assert state.violations == []
 
+    def test_joiner_is_not_issued_a_share_in_a_reforming_pass(self):
+        # node 1's departure leaves council {1, 5} below k, so the pass
+        # re-forms; node 2, joining that council next to head 5 in the same
+        # pass, must not be issued a share from the single live one
+        state = initialize(head_swap_scenario())
+        step(state)
+        step(state)
+        assert [r.reforms for r in state.metrics] == [0, 1]
+        assert state.violations == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_council_and_ledger_agree_every_round(self, seed):
+        state = initialize(small_mobile_scenario(seed))
+        while state.round < state.scenario.rounds and not state.halted:
+            step(state)
+            for c in state.partition.clusters:
+                ledger = state.share_ledger[c.cluster_id]
+                where = f"round {state.round}, cluster {c.cluster_id}"
+                assert c.k == ledger.k, where
+                # Every live share lies on the polynomial through the first k,
+                # which opens to the secret; so every k-subset of them does.
+                # (Enumerating the subsets directly reaches C(19, 10) a round.)
+                k, prime = ledger.k, ledger.prime
+                live = [s for _, s in ledger.live_shares()]
+                base = live[:k]
+                assert reconstruct(base, k, prime) == ledger.secret, where
+                for share in live[k:]:
+                    assert issue_share(base, share.x, k, prime) == share, where
+        assert not state.halted
+        assert state.violations == []
+
     def test_refresh_interval_bumps_epochs(self):
         sc = scenario_from_dict(dict(STATIC_SEVEN, refresh_interval_rounds=4))
         state = initialize(sc)
@@ -271,9 +341,8 @@ class TestStep:
 class TestCompromiseAndAudit:
     def test_empty_compromise_changes_nothing(self):
         state = initialize(scenario_from_dict(STATIC_SEVEN))
-        before = dict(state.adversary_shares)
         compromise(state, set())
-        assert state.adversary_shares == before
+        assert all(not ledger.leaked for ledger in state.share_ledger.values())
         assert state.compromised == set()
 
     def test_single_head_below_threshold(self):
@@ -302,6 +371,17 @@ class TestCompromiseAndAudit:
         entry = {e.cluster_id: e for e in audit_secrecy(state).entries}[1]
         assert entry.compromised_head_count == 1
         assert not entry.breached
+
+    def test_revoked_share_stops_leaking(self):
+        state = initialize(scenario_from_dict(STATIC_SEVEN))
+        ledger = state.share_ledger[1]
+        ledger.revoke(3)
+        compromise(state, {1, 3})
+        assert set(ledger.leaked) == {1}
+        ledger.refresh(state.rng, state.compromised)
+        assert 3 not in ledger.shares
+        assert ledger.leaked == {1: ledger.shares[1]}
+        assert ledger.leaked[1].epoch == 1
 
     def test_unknown_node_rejected(self):
         state = initialize(scenario_from_dict(STATIC_SEVEN))
