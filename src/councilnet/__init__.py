@@ -60,7 +60,6 @@ from .phase2 import (
     Partition,
     cluster_form,
     find_council_clique,
-    make_partition,
     verify_partition,
 )
 from .scenario import Scenario, load_scenario

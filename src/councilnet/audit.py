@@ -121,22 +121,25 @@ def audit_dump(payload: Mapping) -> AuditResult:
     """Run the secrecy audit over a previously dumped state.
 
     A dump that lacks a field, holds a value of the wrong shape, or gives an
-    adversary share row a k other than its cluster's raises
-    ``ValidationError``.
+    adversary share row a k or a prime other than its cluster's and the
+    dump's raises ``ValidationError``.
     """
     entries = []
     anomalies: list[str] = []
     try:
-        for cluster in payload.get("clusters", []):
+        prime = payload["prime"]
+        for cluster in payload["clusters"]:
             cid, k = cluster["cluster_id"], cluster["k"]
             held = []
-            for x, y, row_k, epoch, _prime in cluster["adversary_shares"]:
+            for x, y, row_k, epoch, row_prime in cluster["adversary_shares"]:
                 if row_k != k:
                     raise ValidationError(f"malformed state dump: cluster {cid}: row k={row_k} != {k}")
+                if row_prime != prime:
+                    raise ValidationError(
+                        f"malformed state dump: cluster {cid}: row prime={row_prime} != {prime}"
+                    )
                 held.append(Share(x, y, epoch))
-            entry, extra = _audit_cluster(
-                cid, k, payload["prime"], cluster["epoch"], cluster.get("secret"), held
-            )
+            entry, extra = _audit_cluster(cid, k, prime, cluster["epoch"], cluster.get("secret"), held)
             entries.append(entry)
             anomalies.extend(extra)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

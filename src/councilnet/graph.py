@@ -44,9 +44,6 @@ class Topology:
             adj[v].add(u)
         object.__setattr__(self, "_adj", {u: frozenset(vs) for u, vs in adj.items()})
 
-    def degree(self, u: NodeId) -> int:
-        return len(neighbors(self, u))
-
 
 @dataclass(frozen=True)
 class TwoHopView:

@@ -23,7 +23,7 @@ from .phase1 import (
     elect_heads,
     identify_gateways,
 )
-from .phase2 import Cluster, Council, Partition, cluster_form, make_partition
+from .phase2 import Cluster, Partition, cluster_form
 
 
 class MaintenanceAction(str, Enum):
@@ -36,9 +36,7 @@ class MaintenanceAction(str, Enum):
 class ClusterHealth:
     """Change bookkeeping for one cluster since its formation."""
 
-    cluster_id: ClusterId
     n0: int
-    k: int
     gateways0: int = 0
     heads_departed: int = 0
     gateways_lost: int = 0
@@ -56,21 +54,18 @@ class ClusterHealth:
 
 
 def baseline_health(cluster: Cluster) -> ClusterHealth:
-    return ClusterHealth(
-        cluster_id=cluster.cluster_id,
-        n0=cluster.n,
-        k=cluster.k,
-        gateways0=len(cluster.gateways),
-    )
+    return ClusterHealth(n0=cluster.n, gateways0=len(cluster.gateways))
 
 
-def classify_change(health: ClusterHealth, gateway_threshold: float = 0.5) -> MaintenanceAction:
+def classify_change(
+    health: ClusterHealth, k: int, gateway_threshold: float = 0.5
+) -> MaintenanceAction:
     """Re-form when strictly more than n - k heads left, or too many gateways.
 
-    Exactly n - k departures still leave k heads standing, so the boundary
-    stays a local update.
+    ``k`` is the cluster's threshold.  Exactly n - k departures still leave
+    k heads standing, so the boundary stays a local update.
     """
-    if health.heads_departed > health.n0 - health.k:
+    if health.heads_departed > health.n0 - k:
         return MaintenanceAction.REFORM
     if health.gateways_lost_fraction > gateway_threshold:
         return MaintenanceAction.REFORM
@@ -80,19 +75,17 @@ def classify_change(health: ClusterHealth, gateway_threshold: float = 0.5) -> Ma
 
 
 def _without_node(cluster: Cluster, node: NodeId) -> Cluster:
-    heads = cluster.council.heads - {node}
-    return Cluster(
-        council=Council(heads=heads, cluster_id=cluster.cluster_id),
+    return replace(
+        cluster,
+        council=replace(cluster.council, heads=cluster.council.heads - {node}),
         members=cluster.members - {node},
         gateways=cluster.gateways - {node},
-        n=len(heads),
-        k=cluster.k,
     )
 
 
 def _swap_cluster(p: Partition, new_cluster: Cluster) -> Partition:
     clusters = [new_cluster if c.cluster_id == new_cluster.cluster_id else c for c in p.clusters]
-    return make_partition(c for c in clusters if c.all_nodes)
+    return Partition(c for c in clusters if c.all_nodes)
 
 
 def handle_departure(
@@ -148,36 +141,21 @@ def handle_visitor(
         partition = _swap_cluster(partition, _without_node(partition.cluster(current), node))
         cluster = partition.cluster(visiting)
 
-    heads = cluster.council.heads
-    if not heads or not neighbors(t, node) & heads:
+    heads, near = cluster.council.heads, neighbors(t, node)
+    if not near & heads:
         raise ValidationError(f"node {node} has no link to a head of cluster {visiting}")
 
-    other_heads = frozenset().union(
-        *(c.council.heads for c in partition.clusters if c.cluster_id != visiting)
-    ) if len(partition.clusters) > 1 else frozenset()
-    fully_connected = heads <= neighbors(t, node)
-    joins = fully_connected and prior_role is not Role.GATEWAY and not (
-        neighbors(t, node) & other_heads
+    joins = (
+        heads <= near
+        and prior_role is not Role.GATEWAY
+        and not partition.head_clusters(near) - {visiting}
     )
 
     if joins:
-        new_heads = heads | {node}
-        updated = Cluster(
-            council=Council(heads=new_heads, cluster_id=cluster.cluster_id),
-            members=cluster.members,
-            gateways=cluster.gateways,
-            n=len(new_heads),
-            k=cluster.k,
-        )
+        updated = replace(cluster, council=replace(cluster.council, heads=heads | {node}))
         return _swap_cluster(partition, updated), "issue_new_share"
 
-    updated = Cluster(
-        council=cluster.council,
-        members=cluster.members | {node},
-        gateways=cluster.gateways,
-        n=cluster.n,
-        k=cluster.k,
-    )
+    updated = replace(cluster, members=cluster.members | {node})
     return _swap_cluster(partition, updated), "member_only"
 
 

@@ -12,7 +12,7 @@ neighbour; failing that it serves alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidDominatingSet, UnknownNode
@@ -34,12 +34,15 @@ class Cluster:
     council: Council
     members: frozenset[NodeId]
     gateways: frozenset[NodeId]
-    n: int
     k: int
 
     @property
     def cluster_id(self) -> ClusterId:
         return self.council.cluster_id
+
+    @property
+    def n(self) -> int:
+        return len(self.council.heads)
 
     @property
     def all_nodes(self) -> frozenset[NodeId]:
@@ -55,26 +58,35 @@ class Cluster:
 
 @dataclass(frozen=True)
 class Partition:
+    """Clusters indexed by id and every node by its cluster's id.
+
+    Where a malformed partition lists an id or a node twice, the first
+    cluster listing it wins.
+    """
+
     clusters: tuple[Cluster, ...]
-    node_index: Mapping[NodeId, ClusterId]
+    node_index: Mapping[NodeId, ClusterId] = field(init=False, repr=False, compare=False)
+    _by_id: Mapping[ClusterId, Cluster] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Reversed so that the first cluster listing an id wins.
-        by_id = {c.cluster_id: c for c in reversed(self.clusters)}
+        clusters = tuple(self.clusters)
+        by_id: dict[ClusterId, Cluster] = {}
+        index: dict[NodeId, ClusterId] = {}
+        # Reversed so that the first cluster listing an id or a node wins.
+        for c in reversed(clusters):
+            by_id[c.cluster_id] = c
+            index.update(dict.fromkeys(c.all_nodes, c.cluster_id))
+        object.__setattr__(self, "clusters", clusters)
+        object.__setattr__(self, "node_index", index)
         object.__setattr__(self, "_by_id", by_id)
 
     def cluster(self, cid: ClusterId) -> Cluster:
-        return self._by_id[cid]  # type: ignore[attr-defined]
+        return self._by_id[cid]
 
-
-def make_partition(clusters: Iterable[Cluster]) -> Partition:
-    """Assemble a partition, indexing every node by its cluster id."""
-    clusters = tuple(clusters)
-    index: dict[NodeId, ClusterId] = {}
-    for c in clusters:
-        for n in c.all_nodes:
-            index[n] = c.cluster_id
-    return Partition(clusters, index)
+    def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
+        """Ids of the clusters whose council lists one of ``nodes``."""
+        index, by_id = self.node_index, self._by_id
+        return {index[u] for u in nodes if u in index and u in by_id[index[u]].council.heads}
 
 
 def find_council_clique(
@@ -197,12 +209,11 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
                 council=Council(heads=heads, cluster_id=cid),
                 members=frozenset(members),
                 gateways=frozenset() if gateway is None else frozenset({gateway}),
-                n=len(heads),
                 k=choose_threshold(len(heads)).k,
             )
         )
 
-    return make_partition(clusters)
+    return Partition(clusters)
 
 
 def verify_partition(t: Topology, p: Partition) -> list[str]:
@@ -233,10 +244,6 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
     if extra:
         violations.append(f"assigned nodes {sorted(extra)} are not in the topology")
 
-    for n, cid in p.node_index.items():
-        if seen.get(n) != cid:
-            violations.append(f"node index maps {n} to {cid} but cluster sets disagree")
-
     for c in p.clusters:
         if not c.council.heads:
             violations.append(f"cluster {c.cluster_id} has an empty council")
@@ -250,8 +257,6 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
             violations.append(
                 f"cluster {c.cluster_id}: council {sorted(c.council.heads)} is not a clique"
             )
-        if c.n != len(c.council.heads):
-            violations.append(f"cluster {c.cluster_id}: n={c.n} but council has {len(c.council.heads)} heads")
         if not 1 <= c.k <= c.n:
             violations.append(f"cluster {c.cluster_id}: threshold k={c.k} outside 1..{c.n}")
         for m in sorted(c.members):

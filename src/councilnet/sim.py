@@ -228,11 +228,7 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         state.miss_counts[nid] = 0
         changed = True
 
-        dest = None
-        for c in sorted(p.clusters, key=lambda c: c.cluster_id):
-            if c.cluster_id != cid and neighbors(t, nid) & c.council.heads:
-                dest = c.cluster_id
-                break
+        dest = min(p.head_clusters(neighbors(t, nid)) - {cid}, default=None)
         if dest is None:
             stranded = True
             continue
@@ -245,7 +241,7 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     state.partition = p
 
     decisions = {
-        c.cluster_id: classify_change(state.healths[c.cluster_id], sc.gateway_threshold)
+        c.cluster_id: classify_change(state.healths[c.cluster_id], c.k, sc.gateway_threshold)
         for c in p.clusters
     }
     for cid in sorted(decisions):

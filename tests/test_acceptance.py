@@ -181,22 +181,24 @@ def test_criterion_7_maintenance_trigger_boundaries():
     with criterion(7, "exactly n-k departures update locally, n-k+1 re-form, for (3,2) and (5,3)"):
         # (n, k) = (3, 2): the two-cluster fixture's three-head council
         p = reform(two_cluster_seven())
+        k = p.cluster(1).k
         health = baseline_health(p.cluster(1))
-        assert (health.n0, health.k) == (3, 2)
+        assert (health.n0, k) == (3, 2)
         p, health = handle_departure(p, 3, health)
-        assert classify_change(health) is MaintenanceAction.LOCAL_UPDATE
+        assert classify_change(health, k) is MaintenanceAction.LOCAL_UPDATE
         p, health = handle_departure(p, 5, health)
-        assert classify_change(health) is MaintenanceAction.REFORM
+        assert classify_change(health, k) is MaintenanceAction.REFORM
 
         # (n, k) = (5, 3): the ladder fixture's five-head council
         p = reform(size_ladder())
+        k = p.cluster(13).k
         health = baseline_health(p.cluster(13))
-        assert (health.n0, health.k) == (5, 3)
+        assert (health.n0, k) == (5, 3)
         for nid in (14, 15):
             p, health = handle_departure(p, nid, health)
-        assert classify_change(health) is MaintenanceAction.LOCAL_UPDATE
+        assert classify_change(health, k) is MaintenanceAction.LOCAL_UPDATE
         p, health = handle_departure(p, 16, health)
-        assert classify_change(health) is MaintenanceAction.REFORM
+        assert classify_change(health, k) is MaintenanceAction.REFORM
 
 
 def test_criterion_8_share_lifecycle():

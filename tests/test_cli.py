@@ -189,14 +189,30 @@ def test_reconstruct_rejects_a_composite_modulus(capsys):
     assert "prime" in captured.err
 
 
-# the last dump gives an adversary share row k = 3 in a k = 2 cluster
+# an adversary share row with k = 3 in a k = 2 cluster, and one over GF(11)
+# in a GF(13) dump
 K_MISMATCH = {
     "prime": 13,
     "clusters": [{"cluster_id": 1, "k": 2, "epoch": 0, "adversary_shares": [[1, 5, 3, 0, 13]]}],
 }
+PRIME_MISMATCH = {
+    "prime": 13,
+    "clusters": [{"cluster_id": 1, "k": 2, "epoch": 0, "adversary_shares": [[1, 5, 2, 0, 11]]}],
+}
 
 
-@pytest.mark.parametrize("payload", [{"clusters": [{"cluster_id": 1}]}, [1, 2], K_MISMATCH])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"clusters": [{"cluster_id": 1}]},
+        [1, 2],
+        K_MISMATCH,
+        {},
+        {"prime": 13},
+        {"clusters": []},
+        PRIME_MISMATCH,
+    ],
+)
 def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(payload))

@@ -10,7 +10,7 @@ from councilnet.errors import (
     UnknownNode,
     ValidationError,
 )
-from councilnet.graph import topology_from_edges
+from councilnet.graph import neighbors, topology_from_edges
 from councilnet.maintenance import (
     ClusterHealth,
     MaintenanceAction,
@@ -23,14 +23,12 @@ from councilnet.maintenance import (
 from councilnet.phase1 import Role
 from councilnet.phase2 import verify_partition
 from councilnet.shamir import ThresholdPolicy, issue_share, reconstruct, split_secret
-from councilnet.topologies import size_ladder, two_cluster_seven
+from councilnet.topologies import random_connected, size_ladder, two_cluster_seven
 
 
-def health(n0, k, departed=0, gateways0=0, lost=0, arrivals=0):
+def health(n0, departed=0, gateways0=0, lost=0, arrivals=0):
     return ClusterHealth(
-        cluster_id=1,
         n0=n0,
-        k=k,
         gateways0=gateways0,
         heads_departed=departed,
         gateways_lost=lost,
@@ -40,34 +38,34 @@ def health(n0, k, departed=0, gateways0=0, lost=0, arrivals=0):
 
 class TestClassifyChange:
     def test_boundary_is_strict_for_3_2(self):
-        assert classify_change(health(3, 2, departed=1)) is MaintenanceAction.LOCAL_UPDATE
-        assert classify_change(health(3, 2, departed=2)) is MaintenanceAction.REFORM
+        assert classify_change(health(3, departed=1), 2) is MaintenanceAction.LOCAL_UPDATE
+        assert classify_change(health(3, departed=2), 2) is MaintenanceAction.REFORM
 
     def test_boundary_is_strict_for_5_3(self):
-        assert classify_change(health(5, 3, departed=2)) is MaintenanceAction.LOCAL_UPDATE
-        assert classify_change(health(5, 3, departed=3)) is MaintenanceAction.REFORM
+        assert classify_change(health(5, departed=2), 3) is MaintenanceAction.LOCAL_UPDATE
+        assert classify_change(health(5, departed=3), 3) is MaintenanceAction.REFORM
 
     def test_no_change_is_none(self):
-        assert classify_change(health(3, 2)) is MaintenanceAction.NONE
+        assert classify_change(health(3), 2) is MaintenanceAction.NONE
 
     def test_arrival_alone_is_local_update(self):
-        assert classify_change(health(3, 2, arrivals=1)) is MaintenanceAction.LOCAL_UPDATE
+        assert classify_change(health(3, arrivals=1), 2) is MaintenanceAction.LOCAL_UPDATE
 
     def test_gateway_fraction_trigger(self):
-        ok = health(3, 2, gateways0=4, lost=2)
-        assert classify_change(ok, gateway_threshold=0.5) is MaintenanceAction.LOCAL_UPDATE
-        bad = health(3, 2, gateways0=4, lost=3)
-        assert classify_change(bad, gateway_threshold=0.5) is MaintenanceAction.REFORM
+        ok = health(3, gateways0=4, lost=2)
+        assert classify_change(ok, 2, gateway_threshold=0.5) is MaintenanceAction.LOCAL_UPDATE
+        bad = health(3, gateways0=4, lost=3)
+        assert classify_change(bad, 2, gateway_threshold=0.5) is MaintenanceAction.REFORM
 
     def test_singleton_cluster_reforms_on_any_head_loss(self):
-        assert classify_change(health(1, 1, departed=1)) is MaintenanceAction.REFORM
+        assert classify_change(health(1, departed=1), 1) is MaintenanceAction.REFORM
 
     @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=120, deadline=None)
     def test_monotone_in_departures(self, n, low, extra):
         k = n // 2 + 1
-        lo = classify_change(health(n, k, departed=min(low, n)))
-        hi = classify_change(health(n, k, departed=min(low + extra, n)))
+        lo = classify_change(health(n, departed=min(low, n)), k)
+        hi = classify_change(health(n, departed=min(low + extra, n)), k)
         order = {
             MaintenanceAction.NONE: 0,
             MaintenanceAction.LOCAL_UPDATE: 1,
@@ -107,7 +105,7 @@ class TestHandleDeparture:
         p2, h1 = handle_departure(self.p, 3)
         _, h2 = handle_departure(p2, 5, h1)
         assert h2.heads_departed == 2
-        assert classify_change(h2) is MaintenanceAction.REFORM
+        assert classify_change(h2, self.p.cluster(1).k) is MaintenanceAction.REFORM
 
 
 class TestHandleVisitor:
@@ -180,6 +178,66 @@ class TestHandleVisitor:
             assert reconstruct(subset, k, prime) == secret
 
 
+def scanned_destination(t, p, node, left):
+    """The old all-cluster scan for a departed node's new cluster."""
+    for c in sorted(p.clusters, key=lambda c: c.cluster_id):
+        if c.cluster_id != left and neighbors(t, node) & c.council.heads:
+            return c.cluster_id
+    return None
+
+
+def scanned_join(t, p, node, visiting, prior_role):
+    """handle_visitor's old join decision, over a partition without node."""
+    other_heads = frozenset().union(
+        *(c.council.heads for c in p.clusters if c.cluster_id != visiting)
+    )
+    return (
+        p.cluster(visiting).council.heads <= neighbors(t, node)
+        and prior_role is not Role.GATEWAY
+        and not neighbors(t, node) & other_heads
+    )
+
+
+class TestLookupsMatchScans:
+    @given(st.integers(8, 40), st.integers(0, 2**16), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_destination_and_join_match_old_scans(self, n, seed, data):
+        # a formed partition on a topology whose links then change, as if
+        # nodes had moved; nodes depart one by one, each placed as a visitor
+        # the way _maintenance_pass places it, or wander directly
+        t0 = random_connected(n, seed=seed)
+        p = reform(t0)
+        ids = sorted(t0.nodes)
+        toggled = data.draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=n))
+        edges = set(t0.edges) ^ {(min(e), max(e)) for e in toggled if e[0] != e[1]}
+        # some nodes move next to every head of one council and away from
+        # all other heads, so that joins are common; they go first
+        movers = data.draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(p.clusters), max_size=n))
+        for u, c in movers.items():
+            heads = {h for d in p.clusters for h in d.council.heads if h != u}
+            edges -= {(min(u, h), max(u, h)) for h in heads - c.council.heads}
+            edges |= {(min(u, h), max(u, h)) for h in heads & c.council.heads}
+        t = topology_from_edges(ids, edges)
+        for node in list(movers) + data.draw(st.lists(st.sampled_from(ids), max_size=n)):
+            if node not in p.node_index:
+                continue
+            cid = p.node_index[node]
+            prior = p.cluster(cid).role_of(node)
+            without, _ = handle_departure(p, node)
+            dest = min(without.head_clusters(neighbors(t, node)) - {cid}, default=None)
+            assert dest == scanned_destination(t, without, node, cid)
+            if dest is None:
+                p = without
+                continue
+            expected = scanned_join(t, without, node, dest, prior)
+            if data.draw(st.booleans()):
+                p, tag = handle_visitor(t, without, node, dest, prior_role=prior)
+            else:  # still assigned: handle_visitor moves it and finds its role
+                p, tag = handle_visitor(t, p, node, dest)
+            assert tag == ("issue_new_share" if expected else "member_only")
+            assert p.node_index[node] == dest
+
+
 class TestReform:
     def test_idempotent_on_static_topology(self):
         t = size_ladder()
@@ -203,5 +261,5 @@ class TestReform:
     def test_baseline_health_snapshot(self):
         p = reform(two_cluster_seven())
         h = baseline_health(p.cluster(1))
-        assert (h.n0, h.k, h.gateways0) == (3, 2, 1)
+        assert (h.n0, p.cluster(1).k, h.gateways0) == (3, 2, 1)
         assert not h.changed

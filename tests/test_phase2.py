@@ -11,9 +11,9 @@ from councilnet.phase1 import DominatingSet
 from councilnet.phase2 import (
     Cluster,
     Council,
+    Partition,
     cluster_form,
     find_council_clique,
-    make_partition,
     verify_partition,
 )
 from councilnet.topologies import (
@@ -48,7 +48,7 @@ def head_adjacency_messages(t, p):
 def council_only(heads, cid=None):
     heads = frozenset(heads)
     council = Council(heads, min(heads) if cid is None else cid)
-    return Cluster(council, frozenset(), frozenset(), len(heads), 1)
+    return Cluster(council, frozenset(), frozenset(), k=1)
 
 
 class TestFindCouncilClique:
@@ -187,7 +187,15 @@ class TestPartitionLookup:
 
     def test_first_cluster_wins_on_a_repeated_id(self):
         first, second = council_only({1}, cid=1), council_only({2}, cid=1)
-        assert make_partition([first, second]).cluster(1) is first
+        assert Partition([first, second]).cluster(1) is first
+
+    def test_first_cluster_wins_on_a_repeated_node(self):
+        p = Partition(council_only(heads) for heads in ({1, 2}, {2, 3}))
+        assert p.node_index == {1: 1, 2: 1, 3: 2}
+
+    def test_council_size_is_n(self):
+        c = Cluster(Council(frozenset({4, 6}), 4), frozenset({5}), frozenset({7}), k=2)
+        assert c.n == 2
 
 
 class TestVerifyPartition:
@@ -198,10 +206,10 @@ class TestVerifyPartition:
 
     def test_adjacent_cross_cluster_heads_flagged(self):
         t = two_cluster_seven()
-        bad = make_partition(
+        bad = Partition(
             [
-                Cluster(Council(frozenset({1, 3, 5}), 1), frozenset({2}), frozenset(), 3, 2),
-                Cluster(Council(frozenset({4}), 4), frozenset({6, 7}), frozenset(), 1, 1),
+                Cluster(Council(frozenset({1, 3, 5}), 1), frozenset({2}), frozenset(), k=2),
+                Cluster(Council(frozenset({4}), 4), frozenset({6, 7}), frozenset(), k=1),
             ]
         )
         found = verify_partition(t, bad)
@@ -209,22 +217,21 @@ class TestVerifyPartition:
 
     def test_missing_node_flagged(self):
         t = two_cluster_seven()
-        bad = make_partition(
-            [Cluster(Council(frozenset({1, 3, 5}), 1), frozenset({2, 4, 6}), frozenset(), 3, 2)]
+        bad = Partition(
+            [Cluster(Council(frozenset({1, 3, 5}), 1), frozenset({2, 4, 6}), frozenset(), k=2)]
         )
         found = verify_partition(t, bad)
         assert any("not assigned" in v for v in found)
 
     def test_non_clique_council_flagged(self):
         t = two_cluster_seven()
-        bad = make_partition(
+        bad = Partition(
             [
                 Cluster(
                     Council(frozenset({1, 2, 4}), 1),
                     frozenset({3, 5, 6, 7}),
                     frozenset(),
-                    3,
-                    2,
+                    k=2,
                 )
             ]
         )
@@ -233,10 +240,10 @@ class TestVerifyPartition:
 
     def test_member_without_head_link_flagged(self):
         t = two_cluster_seven()
-        bad = make_partition(
+        bad = Partition(
             [
-                Cluster(Council(frozenset({1, 3, 5}), 1), frozenset({2, 6}), frozenset({4}), 3, 2),
-                Cluster(Council(frozenset({7}), 7), frozenset(), frozenset(), 1, 1),
+                Cluster(Council(frozenset({1, 3, 5}), 1), frozenset({2, 6}), frozenset({4}), k=2),
+                Cluster(Council(frozenset({7}), 7), frozenset(), frozenset(), k=1),
             ]
         )
         found = verify_partition(t, bad)
@@ -244,8 +251,8 @@ class TestVerifyPartition:
 
     def test_bad_threshold_flagged(self):
         t = triangle()
-        bad = make_partition(
-            [Cluster(Council(frozenset({1, 2, 3}), 1), frozenset(), frozenset(), 3, 4)]
+        bad = Partition(
+            [Cluster(Council(frozenset({1, 2, 3}), 1), frozenset(), frozenset(), k=4)]
         )
         found = verify_partition(t, bad)
         assert any("threshold" in v for v in found)
@@ -253,7 +260,7 @@ class TestVerifyPartition:
     def test_adjacent_heads_across_three_clusters_match_oracle(self):
         # every head touches every other; clusters are listed out of id order
         t = complete_graph(7)
-        bad = make_partition(
+        bad = Partition(
             [council_only({5, 6}), council_only({1, 2}), council_only({3, 4, 7}, cid=3)]
         )
         found = head_adjacency_messages(t, bad)
@@ -262,7 +269,7 @@ class TestVerifyPartition:
 
     def test_head_shared_by_two_councils_matches_oracle(self):
         t = two_cluster_seven()
-        bad = make_partition([council_only({1, 3, 5}), council_only({4, 5}), council_only({6, 7})])
+        bad = Partition([council_only({1, 3, 5}), council_only({4, 5}), council_only({6, 7})])
         found = head_adjacency_messages(t, bad)
         assert found
         assert found == pairwise_head_adjacency(t, bad)
@@ -277,7 +284,7 @@ class TestVerifyPartition:
         # and 10, which the topology lacks: those are reported, not raised
         pairs = list(itertools.combinations(range(1, 9), 2))
         t = topology_from_edges(range(1, 9), [e for i, e in enumerate(pairs) if mask & (1 << i)])
-        p = make_partition(council_only(heads) for heads in councils)
+        p = Partition(council_only(heads) for heads in councils)
         assert head_adjacency_messages(t, p) == pairwise_head_adjacency(t, p)
         unknown = [
             f"cluster {c.cluster_id}: heads {sorted(c.council.heads - t.nodes)} are not in the topology"

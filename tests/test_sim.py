@@ -72,6 +72,21 @@ def head_swap_scenario():
     return scenario_from_dict({"seed": 1, "rounds": 2, "radius": 1.0, "nodes": nodes})
 
 
+def vanishing_cluster_scenario():
+    # cluster 1: heads 1 and 5, member 2, gateway 6; cluster 3: head 3 and
+    # member 4.  In round 1 node 3 walks next to head 5 and node 4 next to
+    # head 1, out of each other's range, so both depart in round 2.
+    nodes = [
+        {"nid": 1, "pos": [0.2, 0.8]},
+        {"nid": 2, "pos": [0.3, 1.4]},
+        {"nid": 3, "pos": [2.1, 1.5], "waypoints": [[1.4, 0.2]], "speed": 5.0},
+        {"nid": 4, "pos": [2.2, 1.0], "waypoints": [[0.9, 1.5]], "speed": 5.0},
+        {"nid": 5, "pos": [1.1, 0.7]},
+        {"nid": 6, "pos": [1.8, 0.7]},
+    ]
+    return scenario_from_dict({"seed": 1, "rounds": 2, "radius": 1.0, "nodes": nodes})
+
+
 def small_mobile_scenario(seed, n=100, rounds=40):
     """random_connected placement at 1.3x its radius, 30% movers on 8
     waypoints at a quarter radius per round, refresh every 4 rounds, and an
@@ -269,6 +284,21 @@ class TestStep:
         step(state)
         assert [r.reforms for r in state.metrics] == [0, 1]
         assert state.violations == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: a cluster whose every node departs in one pass is dropped "
+        "before classification, so its re-form-level head loss is ignored and its ledger "
+        "lingers in share_ledger; classifying every cluster in state.healths fixes it, but "
+        "changes waypoint-1k's stored digests in perfbench/digests.json",
+    )
+    def test_cluster_whose_nodes_all_depart_forces_reform(self):
+        # cluster 3 loses its only head, 1 > n0 - k = 0 departures
+        state = initialize(vanishing_cluster_scenario())
+        step(state)
+        step(state)
+        assert [r.reforms for r in state.metrics] == [0, 1]
+        assert set(state.share_ledger) == {c.cluster_id for c in state.partition.clusters}
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_council_and_ledger_agree_every_round(self, seed):
