@@ -80,14 +80,10 @@ def _cmd_audit(args) -> int:
     result = audit_dump(payload)
     for entry in result.entries:
         status = "BREACHED" if entry.breached else "safe"
-        extra = (
-            f" consistent_secrets={entry.consistent_secrets}"
-            if entry.consistent_secrets is not None
-            else ""
-        )
         print(
             f"cluster {entry.cluster_id}: adversary holds "
-            f"{entry.compromised_head_count} of k={entry.k} shares -> {status}{extra}"
+            f"{entry.compromised_head_count} of k={entry.k} shares -> {status} "
+            f"consistent_secrets={entry.consistent_secrets}"
         )
     for anomaly in result.anomalies:
         print(f"anomaly: {anomaly}", file=sys.stderr)

@@ -39,6 +39,7 @@ from councilnet.topologies import (
     triangle,
     two_cluster_seven,
 )
+from secrecy_oracle import consistent_secrets, poly_eval
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -132,10 +133,6 @@ def _interpolate_coeffs(points, k, p):
     return [rows[i][k] for i in range(k)]
 
 
-def _poly(coeffs, x, p):
-    return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
-
-
 def test_criterion_5_exhaustive_threshold_scheme():
     with criterion(5, "GF(13), all k <= n <= 6: quorums reconstruct, sub-quorums hide, < 5 s"):
         started = time.monotonic()
@@ -151,18 +148,14 @@ def test_criterion_5_exhaustive_threshold_scheme():
                     held = [(s.x, s.y) for s in sub]
                     if k <= 3:
                         # raw enumeration over every polynomial of degree < k
-                        consistent = {
-                            coeffs[0]
-                            for coeffs in itertools.product(range(p), repeat=k)
-                            if all(_poly(coeffs, x, p) == y for x, y in held)
-                        }
+                        consistent = consistent_secrets(held, k, p)
                     else:
                         # constructive: for each candidate secret, build the
                         # unique interpolating polynomial and check it
                         consistent = set()
                         for candidate in range(p):
                             coeffs = _interpolate_coeffs(held + [(0, candidate)], k, p)
-                            if all(_poly(coeffs, x, p) == y for x, y in held) and coeffs[0] == candidate:
+                            if all(poly_eval(coeffs, x, p) == y for x, y in held) and coeffs[0] == candidate:
                                 consistent.add(candidate)
                     assert consistent == set(range(p))
         assert time.monotonic() - started < 5.0
@@ -210,11 +203,11 @@ def test_criterion_8_share_lifecycle():
             n = rng.randrange(k, 9)
             coeffs = [rng.randrange(p) for _ in range(k)]
             xs = rng.sample(range(1, p), min(n + 1, p - 1))
-            quorum = [Share(x, _poly(coeffs, x, p)) for x in xs[:-1]][:k]
+            quorum = [Share(x, poly_eval(coeffs, x, p)) for x in xs[:-1]][:k]
             if len(quorum) < k:
                 continue
             issued = issue_share(quorum, xs[-1], k, p)
-            assert issued.y == _poly(coeffs, xs[-1], p)
+            assert issued.y == poly_eval(coeffs, xs[-1], p)
 
         shares = split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), 9, p)
         refreshed = refresh_shares(shares, 2, seed=4, prime=p)

@@ -5,6 +5,7 @@ import pytest
 
 from councilnet.cli import main
 from councilnet.errors import ValidationError
+from councilnet.shamir import DEFAULT_PRIME
 from councilnet.sim import scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -201,6 +202,12 @@ PRIME_MISMATCH = {
 }
 
 
+def gf13_dump(k=2, rows=(), prime=13):
+    """One cluster with the given adversary (x, y) rows at epoch 0."""
+    held = [[x, y, k, 0, prime] for x, y in rows]
+    return {"prime": prime, "clusters": [{"cluster_id": 1, "k": k, "epoch": 0, "adversary_shares": held}]}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -211,6 +218,14 @@ PRIME_MISMATCH = {
         {"prime": 13},
         {"clusters": []},
         PRIME_MISMATCH,
+        gf13_dump(k=0),
+        gf13_dump(k=True),
+        gf13_dump(prime=12),
+        gf13_dump(rows=[(0, 5)]),
+        gf13_dump(rows=[(14, 5)]),
+        gf13_dump(rows=[(1, 13)]),
+        gf13_dump(k=3, rows=[(1, 5), (1, 5)]),
+        gf13_dump(k=3, rows=[(1, 5), (1, 6)]),
     ],
 )
 def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):
@@ -218,3 +233,16 @@ def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):
     state.write_text(json.dumps(payload))
     assert main(["audit", "--state", str(state)]) == 2
     assert "malformed state dump" in capsys.readouterr().err
+
+
+def test_audit_prints_the_candidate_count_at_the_default_prime(tmp_path, capsys):
+    # size_ladder runs over the default prime with no adversary: every secret
+    # stays possible
+    metrics, state = tmp_path / "m.csv", tmp_path / "s.json"
+    args = ["--scenario", str(SCENARIOS / "size_ladder.json"), "--out", str(metrics)]
+    assert main(["simulate", *args, "--state-out", str(state)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--state", str(state)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"cluster {c}" for c in (1, 5, 8, 13)]
+    assert all(line.endswith(f"-> safe consistent_secrets={DEFAULT_PRIME}") for line in lines)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from councilnet.audit import BRUTE_FORCE_LIMIT, _consistent_secret_count
 from councilnet.errors import (
     DuplicateX,
     IncompleteShareSet,
@@ -24,17 +25,13 @@ from councilnet.shamir import (
     refresh_shares,
     split_secret,
 )
+from secrecy_oracle import consistent_secrets, poly_eval
 
 P = 13
 
 # seeds pinned so the internal coefficient draws are known (see the asserts)
 SEED_A1_IS_7 = 9
 SEED_ZERO_BLIND = 2
-
-
-def poly_eval(coeffs, x, p=P):
-    """Independent oracle: plain power-sum evaluation, no Horner, no library."""
-    return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
 
 
 class TestChooseThreshold:
@@ -69,7 +66,7 @@ class TestSplitSecret:
         # seed forces f(x) = 6 + 7x over GF(13)
         shares = split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), SEED_A1_IS_7, P)
         assert [(s.x, s.y) for s in shares] == [(1, 0), (2, 7), (3, 1)]
-        oracle = [poly_eval((6, 7), x) for x in (1, 2, 3)]
+        oracle = [poly_eval((6, 7), x, P) for x in (1, 2, 3)]
         assert [s.y for s in shares] == oracle
 
     def test_k1_shares_equal_secret(self):
@@ -136,7 +133,7 @@ class TestIssueShare:
     def test_matches_polynomial_evaluation(self):
         # quorum comes from f(x) = 6 + 7x; the issued point must sit on f
         issued = issue_share([Share(1, 0), Share(2, 7)], 4, 2, P)
-        assert (issued.x, issued.y) == (4, poly_eval((6, 7), 4))
+        assert (issued.x, issued.y) == (4, poly_eval((6, 7), 4, P))
 
     def test_existing_coordinate_rejected(self):
         with pytest.raises(DuplicateX):
@@ -161,9 +158,9 @@ class TestIssueShare:
             n = rng.randrange(k, 7)
             coeffs = [rng.randrange(P) for _ in range(k)]
             xs = rng.sample(range(1, P), n + 1)
-            quorum = [Share(x, poly_eval(coeffs, x)) for x in xs[:n]][:k]
+            quorum = [Share(x, poly_eval(coeffs, x, P)) for x in xs[:n]][:k]
             issued = issue_share(quorum, xs[n], k, P)
-            assert issued.y == poly_eval(coeffs, xs[n])
+            assert issued.y == poly_eval(coeffs, xs[n], P)
 
 
 class TestRefreshShares:
@@ -198,30 +195,84 @@ class TestRefreshShares:
             refresh_shares([old[0], new[1], new[2]], 2, 0, P)
 
 
-class TestSecrecy:
-    def consistent_secrets(self, held, k, p=P):
-        """Enumeration oracle: all constant terms of degree-(k-1) polynomials
-        passing through every held point."""
-        secrets = set()
-        for coeffs in itertools.product(range(p), repeat=k):
-            if all(poly_eval(coeffs, x, p) == y for x, y in held):
-                secrets.add(coeffs[0])
-        return secrets
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
+
+@st.composite
+def held_points(draw):
+    """A small field, a threshold k (k > p included) whose polynomial space
+    the oracle can enumerate, and points with x drawn from 0..2p, each on a
+    random degree-(k-1) polynomial or given another y from 0..2p."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    k = draw(st.integers(1, max(j for j in range(1, 18) if p**j <= BRUTE_FORCE_LIMIT)))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    points = []
+    for x in draw(st.lists(st.integers(0, 2 * p), max_size=k + 2)):
+        off = draw(st.one_of(st.none(), st.integers(0, 2 * p)))
+        points.append((x, poly_eval(coeffs, x, p) if off is None else off))
+    return points, k, p
+
+
+class TestSecrecy:
     def test_single_share_reveals_nothing(self):
         shares = split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), SEED_A1_IS_7, P)
         for s in shares:
-            assert self.consistent_secrets([(s.x, s.y)], 2) == set(range(P))
+            assert consistent_secrets([(s.x, s.y)], 2, P) == set(range(P))
 
     def test_below_threshold_pairs_reveal_nothing_k3(self):
         shares = split_secret(9, ThresholdPolicy(4, 3), (1, 2, 3, 4), 31, P)
         for a, b in itertools.combinations(shares, 2):
-            assert self.consistent_secrets([(a.x, a.y), (b.x, b.y)], 3) == set(range(P))
+            assert consistent_secrets([(a.x, a.y), (b.x, b.y)], 3, P) == set(range(P))
 
     def test_threshold_quorum_pins_the_secret(self):
         shares = split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), SEED_A1_IS_7, P)
         held = [(s.x, s.y) for s in shares[:2]]
-        assert self.consistent_secrets(held, 2) == {6}
+        assert consistent_secrets(held, 2, P) == {6}
+
+    @pytest.mark.parametrize(
+        "points, k, p, expected",
+        [
+            ([], 2, P, P),
+            ([(1, 0)], 2, P, P),
+            ([(0, 6)], 2, P, 1),
+            ([(13, 6), (1, 0)], 3, P, 1),  # 13 is x = 0 in GF(13)
+            ([(1, 0), (1, 0)], 2, P, P),  # a repeated point counts once
+            ([(1, 0), (1, 5)], 2, P, 0),
+            ([(1, 0), (14, 5)], 3, P, 0),  # 14 is x = 1 in GF(13)
+            ([(1, 0), (2, 7)], 2, P, 1),  # f(x) = 6 + 7x
+            ([(1, 0), (2, 7), (3, 1)], 2, P, 1),
+            ([(1, 0), (2, 7), (3, 2)], 2, P, 0),
+            ([(0, 6), (1, 0), (2, 7)], 2, P, 1),
+            ([(1, 1), (2, 0)], 4, 3, 3),  # k > p, x = 0 not held
+            ([(1, 1), (3, 2)], 4, 3, 1),  # k > p, 3 is x = 0 in GF(3)
+        ],
+        ids=[
+            "none-held",
+            "one-below-k",
+            "x-zero",
+            "x-equal-p",
+            "repeated-x-equal-y",
+            "repeated-x-unequal-y",
+            "x-above-p-unequal-y",
+            "k-on-polynomial",
+            "beyond-k-on-polynomial",
+            "beyond-k-off-polynomial",
+            "beyond-k-with-x-zero",
+            "k-above-p",
+            "k-above-p-with-x-zero",
+        ],
+    )
+    def test_closed_form_count_per_branch(self, points, k, p, expected):
+        held = [Share(x, y) for x, y in points]
+        assert _consistent_secret_count(held, k, p) == expected
+        assert len(consistent_secrets(points, k, p)) == expected
+
+    @given(held_points())
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_count_matches_enumeration(self, case):
+        points, k, p = case
+        held = [Share(x, y) for x, y in points]
+        assert _consistent_secret_count(held, k, p) == len(consistent_secrets(points, k, p))
 
 
 @given(

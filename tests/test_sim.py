@@ -13,7 +13,7 @@ from councilnet.errors import (
 )
 from councilnet.phase2 import verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
-from councilnet.shamir import issue_share, reconstruct
+from councilnet.shamir import DEFAULT_PRIME, issue_share, reconstruct
 from councilnet.sim import compromise, initialize, run, step
 from councilnet.topologies import random_connected
 
@@ -87,7 +87,7 @@ def vanishing_cluster_scenario():
     return scenario_from_dict({"seed": 1, "rounds": 2, "radius": 1.0, "nodes": nodes})
 
 
-def small_mobile_scenario(seed, n=100, rounds=40):
+def small_mobile_scenario(seed, n=100, rounds=40, prime=1009):
     """random_connected placement at 1.3x its radius, 30% movers on 8
     waypoints at a quarter radius per round, refresh every 4 rounds, and an
     adversary holding 5% of the nodes from round 2."""
@@ -109,7 +109,7 @@ def small_mobile_scenario(seed, n=100, rounds=40):
             "rounds": rounds,
             "radius": radius,
             "refresh_interval_rounds": 4,
-            "field_prime": 1009,
+            "field_prime": prime,
             "adversary": adversary,
             "nodes": nodes,
         }
@@ -300,11 +300,20 @@ class TestStep:
         assert [r.reforms for r in state.metrics] == [0, 1]
         assert set(state.share_ledger) == {c.cluster_id for c in state.partition.clusters}
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_council_and_ledger_agree_every_round(self, seed):
-        state = initialize(small_mobile_scenario(seed))
+    @pytest.mark.parametrize(
+        "seed, prime",
+        [(1, 1009), (2, 1009), (3, 1009), (4, 1009), (5, 1009), (1, DEFAULT_PRIME)],
+        ids=["1", "2", "3", "4", "5", "default-prime"],
+    )
+    def test_council_and_ledger_agree_every_round(self, seed, prime):
+        state = initialize(small_mobile_scenario(seed, prime=prime))
         while state.round < state.scenario.rounds and not state.halted:
             step(state)
+            # below k every secret stays possible, at k exactly one does
+            for entry in audit_secrecy(state).entries:
+                expected = prime if entry.compromised_head_count < entry.k else 1
+                where = f"round {state.round}, cluster {entry.cluster_id}"
+                assert entry.consistent_secrets == expected, where
             for c in state.partition.clusters:
                 ledger = state.share_ledger[c.cluster_id]
                 where = f"round {state.round}, cluster {c.cluster_id}"
@@ -391,6 +400,25 @@ class TestCompromiseAndAudit:
         entry = {e.cluster_id: e for e in audit_secrecy(state).entries}[1]
         assert entry.breached
         assert entry.consistent_secrets == 1
+
+    def test_default_prime_audit_counts_candidates(self):
+        # size_ladder's largest council: heads 13..17, k = 3, over 2^61 - 1
+        state = initialize(load_scenario(SCENARIOS / "size_ladder.json"))
+        cluster = state.partition.cluster(13)
+        heads = sorted(cluster.council.heads)
+        assert state.share_ledger[13].prime == DEFAULT_PRIME and cluster.k == 3
+        compromise(state, heads[:2])
+        audit = audit_secrecy(state)
+        entry = {e.cluster_id: e for e in audit.entries}[13]
+        assert not entry.breached
+        assert entry.consistent_secrets == DEFAULT_PRIME
+        assert audit.ok
+        compromise(state, heads[2:3])
+        audit = audit_secrecy(state)
+        entry = {e.cluster_id: e for e in audit.entries}[13]
+        assert entry.breached
+        assert entry.consistent_secrets == 1
+        assert audit.ok
 
     def test_refresh_outruns_a_stale_share(self):
         sc = scenario_from_dict(dict(STATIC_SEVEN, refresh_interval_rounds=2, rounds=2))
