@@ -10,10 +10,10 @@ concurrent runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateNid, UnknownNode
@@ -28,21 +28,20 @@ MAX_COORDINATE = 1e150
 
 @dataclass(frozen=True)
 class Topology:
-    nodes: frozenset[NodeId]
-    edges: frozenset[tuple[NodeId, NodeId]]
+    """A graph stored as its adjacency map, symmetric and loop-free.  ``nodes``
+    and ``edges`` (each link once, as ``(min, max)``) are derived from it."""
+
+    adj: Mapping[NodeId, frozenset[NodeId]]
     positions: Optional[Mapping[NodeId, Position]] = None
     radius: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        adj: dict[NodeId, set[NodeId]] = {u: set() for u in self.nodes}
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if u not in adj or v not in adj:
-                raise UnknownNode(f"edge ({u}, {v}) references an unknown node")
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", {u: frozenset(vs) for u, vs in adj.items()})
+    @cached_property
+    def nodes(self) -> frozenset[NodeId]:
+        return frozenset(self.adj)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
+        return frozenset((u, v) for u, vs in self.adj.items() for v in vs if u < v)
 
 
 @dataclass(frozen=True)
@@ -93,12 +92,13 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     grid: dict[tuple[int, int], list[tuple[NodeId, float, float]]] = {}
     for nid, (x, y) in positions.items():
         grid.setdefault((math.floor(x / cell), math.floor(y / cell)), []).append((nid, x, y))
-    edges = set()
+    adj: dict[NodeId, set[NodeId]] = {nid: set() for nid in positions}
     for (cx, cy), bucket in grid.items():
         for i, (u, ux, uy) in enumerate(bucket):
             for v, vx, vy in bucket[i + 1:]:
                 if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
-                    edges.add((u, v) if u < v else (v, u))
+                    adj[u].add(v)
+                    adj[v].add(u)
         # Forward half of the eight neighbours: each cell pair is visited once.
         for other in (
             grid.get((cx + 1, cy - 1)),
@@ -111,8 +111,9 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
             for u, ux, uy in bucket:
                 for v, vx, vy in other:
                     if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
-                        edges.add((u, v) if u < v else (v, u))
-    return Topology(frozenset(positions), frozenset(edges), positions, r)
+                        adj[u].add(v)
+                        adj[v].add(u)
+    return Topology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
 
 
 def topology_from_edges(
@@ -123,29 +124,30 @@ def topology_from_edges(
 ) -> Topology:
     """Build a topology from an explicit node and edge list (positions optional)."""
     node_list = list(nodes)
-    node_set = set(node_list)
-    if len(node_set) != len(node_list):
+    adj: dict[NodeId, set[NodeId]] = {u: set() for u in node_list}
+    if len(adj) != len(node_list):
         raise DuplicateNid("node list contains repeated ids")
-    if any(n < 1 for n in node_set):
+    if any(n < 1 for n in adj):
         raise ValueError("node ids must be >= 1")
-    # Self-loops and unknown endpoints are rejected by Topology itself.
-    normalized = {(min(u, v), max(u, v)) for u, v in edges}
-    return Topology(frozenset(node_set), frozenset(normalized), positions, radius)
-
-
-def _require(t: Topology, u: NodeId) -> None:
-    if u not in t.nodes:
-        raise UnknownNode(f"node {u} is not in the topology")
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop on node {u}")
+        if u not in adj or v not in adj:
+            raise UnknownNode(f"edge ({u}, {v}) references an unknown node")
+        adj[u].add(v)
+        adj[v].add(u)
+    return Topology({u: frozenset(vs) for u, vs in adj.items()}, positions, radius)
 
 
 def neighbors(t: Topology, u: NodeId) -> frozenset[NodeId]:
     """Nodes adjacent to u; never contains u itself."""
-    _require(t, u)
-    return t._adj[u]  # type: ignore[attr-defined]
+    try:
+        return t.adj[u]
+    except KeyError:
+        raise UnknownNode(f"node {u} is not in the topology") from None
 
 
 def two_hop_view(t: Topology, u: NodeId) -> TwoHopView:
-    _require(t, u)
     direct = neighbors(t, u)
     via: dict[NodeId, set[NodeId]] = {}
     for relay in direct:
@@ -172,20 +174,14 @@ def triangles(view: TwoHopView) -> frozenset[frozenset[NodeId]]:
 def is_clique(t: Topology, s: Iterable[NodeId]) -> bool:
     """True iff every unordered pair in s is an edge; true for |s| <= 1."""
     members = set(s)
-    for u in members:
-        _require(t, u)
-    return all(v in neighbors(t, u) for u, v in itertools.combinations(members, 2))
+    adjacent = {u: neighbors(t, u) for u in members}  # raises for any unknown member
+    return all(members - {u} <= vs for u, vs in adjacent.items())
 
 
 def is_dominating_set(t: Topology, d: Iterable[NodeId]) -> bool:
     """True iff every node is in d or adjacent to a member of d."""
     dom = set(d)
-    for u in dom:
-        _require(t, u)
-    covered = set(dom)
-    for u in dom:
-        covered |= neighbors(t, u)
-    return covered >= t.nodes
+    return dom.union(*(neighbors(t, u) for u in dom)) >= t.nodes
 
 
 def is_connected(t: Topology) -> bool:

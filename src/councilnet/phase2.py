@@ -13,6 +13,7 @@ neighbour; failing that it serves alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import InvalidDominatingSet, UnknownNode
@@ -44,7 +45,7 @@ class Cluster:
     def n(self) -> int:
         return len(self.council.heads)
 
-    @property
+    @cached_property
     def all_nodes(self) -> frozenset[NodeId]:
         return self.council.heads | self.members | self.gateways
 

@@ -92,6 +92,11 @@ def split_secret(
     return tuple(Share(x % prime, _eval_poly(coeffs, x % prime, prime), 0) for x in xs)
 
 
+def _check_threshold(k: int) -> None:
+    if k < 1:
+        raise ValidationError(f"threshold k must be >= 1, got {k}")
+
+
 def _common_epoch(shares: Sequence[Share]) -> int:
     epochs = {s.epoch for s in shares}
     if len(epochs) > 1:
@@ -115,6 +120,7 @@ def _lagrange_at(shares: Sequence[Share], x0: int, prime: int) -> int:
 
 def reconstruct(shares: Iterable[Share], k: int, prime: int = DEFAULT_PRIME) -> int:
     """Interpolate the secret at x = 0 from at least k same-epoch shares."""
+    _check_threshold(k)
     share_list = sorted(shares, key=lambda s: s.x)
     if len(share_list) < k:
         raise InsufficientShares(f"need at least {k} shares, got {len(share_list)}")
@@ -135,6 +141,7 @@ def issue_share(
     single contribution equals the secret; the underlying polynomial never
     materialises in one place.
     """
+    _check_threshold(k)
     quorum_list = sorted(quorum, key=lambda s: s.x)
     if len(quorum_list) < k:
         raise InsufficientShares(f"need at least {k} shares, got {len(quorum_list)}")
@@ -158,6 +165,7 @@ def refresh_shares(
     Adds a random degree-(k-1) polynomial with zero constant term and bumps
     the epoch, so old and new shares can no longer be mixed.
     """
+    _check_threshold(k)
     share_list = sorted(shares, key=lambda s: s.x)
     if expected_n is not None and len(share_list) != expected_n:
         raise IncompleteShareSet(

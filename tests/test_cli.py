@@ -169,9 +169,22 @@ def test_malformed_scenario_field_is_an_input_error(scenario, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", ["0", "5"])
-def test_split_threshold_outside_one_to_n_is_an_input_error(k, capsys):
-    assert main(["shares", "split", "--secret", "6", "--n", "3", "--k", k, "--prime", "13"]) == 2
+SPLIT = ["shares", "split", "--secret", "6", "--n", "3", "--prime", "13"]
+RECONSTRUCT = ["shares", "reconstruct", "--share", "1:5", "--prime", "13"]
+
+
+# split's k must lie in 1..n, and either command's k must be at least 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([*SPLIT, "--k", "0"], id="0"),
+        pytest.param([*SPLIT, "--k", "5"], id="5"),
+        pytest.param([*RECONSTRUCT, "--k", "0"], id="reconstruct-0"),
+        pytest.param([*RECONSTRUCT, "--k", "-1"], id="reconstruct--1"),
+    ],
+)
+def test_split_threshold_outside_one_to_n_is_an_input_error(argv, capsys):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err

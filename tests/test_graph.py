@@ -104,7 +104,13 @@ class TestBuildTopology:
     @settings(max_examples=300, deadline=None)
     def test_grid_build_matches_pairwise_oracle(self, layout):
         specs, radius = layout
-        assert build_topology(specs, radius).edges == pairwise_edges(specs, radius)
+        t = build_topology(specs, radius)
+        oracle = pairwise_edges(specs, radius)
+        assert t.edges == oracle
+        assert t.adj == topology_from_edges([nid for nid, _ in specs], oracle).adj
+        for u, vs in t.adj.items():
+            assert u not in vs
+            assert all(u in t.adj[v] for v in vs)
 
     @given(
         st.integers(-200, 140),
@@ -137,6 +143,10 @@ class TestBuildTopology:
     def test_edge_list_rejects_unknown_endpoint(self):
         with pytest.raises(UnknownNode):
             topology_from_edges([1, 2], [(1, 9)])
+
+    def test_edge_list_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            topology_from_edges([1, 2], [(1, 1)])
 
 
 class TestNeighbors:
@@ -190,6 +200,10 @@ class TestTwoHopView:
         view = two_hop_view(path3(), 1)
         assert view.via == {3: frozenset({2})}
 
+    def test_unknown_node(self):
+        with pytest.raises(UnknownNode):
+            two_hop_view(path3(), 9)
+
 
 class TestTriangleDetection:
     def test_triangle_found_from_view_alone(self):
@@ -218,6 +232,10 @@ class TestIsClique:
         with pytest.raises(UnknownNode):
             is_clique(path3(), {1, 9})
 
+    def test_lone_unknown_member(self):
+        with pytest.raises(UnknownNode):
+            is_clique(path3(), {9})
+
     @given(st.integers(2, 8), st.integers(0, 2**28 - 1))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_pairwise_oracle_on_all_subsets(self, n, mask):
@@ -240,6 +258,10 @@ class TestIsDominatingSet:
     def test_all_nodes_dominate(self):
         t = path3()
         assert is_dominating_set(t, t.nodes)
+
+    def test_lone_unknown_member(self):
+        with pytest.raises(UnknownNode):
+            is_dominating_set(path3(), [9])
 
     @given(st.integers(1, 12), st.integers(0, 2**66 - 1), st.integers(0, 2**12 - 1))
     @settings(max_examples=120, deadline=None)

@@ -119,6 +119,14 @@ class TestReconstruct:
         with pytest.raises(DuplicateX):
             reconstruct([Share(1, 0), Share(1, 7)], 2, P)
 
+    @pytest.mark.parametrize("shares", [[], [Share(1, 5)]])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_threshold_below_one_rejected(self, shares, k):
+        # k < 1 passes the length check, so without its own check one share
+        # would "reconstruct" to its own y and no shares to a KeyError
+        with pytest.raises(ValidationError):
+            reconstruct(shares, k, P)
+
     def test_every_k_subset_reconstructs(self):
         rng = random.Random(77)
         for n in range(1, 7):
@@ -150,6 +158,11 @@ class TestIssueShare:
     def test_quorum_too_small(self):
         with pytest.raises(InsufficientShares):
             issue_share([Share(1, 0)], 4, 2, P)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_threshold_below_one_rejected(self, k):
+        with pytest.raises(ValidationError):
+            issue_share([Share(1, 0), Share(2, 7)], 4, k, P)
 
     def test_oracle_equivalence_over_seeded_cases(self):
         rng = random.Random(123)
@@ -183,6 +196,12 @@ class TestRefreshShares:
         new = refresh_shares(old, 2, 5, P)
         with pytest.raises(MixedEpoch):
             reconstruct([old[0], new[1]], 2, P)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_threshold_below_one_rejected(self, k):
+        # k = 0 would bump the epoch without re-randomising any share
+        with pytest.raises(ValidationError):
+            refresh_shares(self.make_shares(), k, 5, P)
 
     def test_incomplete_set_rejected(self):
         with pytest.raises(IncompleteShareSet):
