@@ -33,6 +33,7 @@ from .graph import (
 from .maintenance import (
     ClusterHealth,
     MaintenanceAction,
+    apply_departures,
     baseline_health,
     classify_change,
     handle_departure,

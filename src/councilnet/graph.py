@@ -58,7 +58,11 @@ class TwoHopView:
     via: Mapping[NodeId, frozenset[NodeId]]
 
 
-def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float) -> Topology:
+def build_topology(
+    node_specs: Sequence[tuple[NodeId, Position]],
+    radius: float,
+    previous: Optional[Topology] = None,
+) -> Topology:
     """Build a topology from (nid, position) pairs under the closed-disk rule.
 
     The boundary is inclusive: two nodes exactly ``radius`` apart are linked.
@@ -68,6 +72,15 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     pair the distance test accepts is less than a cell apart on each axis,
     so it lands in the same or adjacent cells and the edge set is exactly
     the all-pairs one.
+
+    ``previous``, a topology this function built, makes the build
+    incremental.  A node has moved when its position is absent from
+    ``previous.positions`` or differs from it; a different radius moves
+    every node.  Only pairs with a moved endpoint are tested.  A pair of
+    unmoved nodes keeps its link or its absence from ``previous``, which the
+    same test decided on the same coordinates, so the result equals a full
+    build.  ``previous`` is not modified, and unmoved nodes whose links did
+    not change share its neighbour sets.
     """
     if not 0 < radius <= MAX_COORDINATE:
         raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
@@ -83,37 +96,63 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
         positions[nid] = (x, y)
     r = float(radius)
     r2 = r * r
+    base = previous if previous is not None and previous.radius == r else None
+    old_positions = base.positions if base is not None else {}
     # The two floors matter only at extreme scales: span * 2**-52 keeps every
     # coordinate / cell quotient below 2**52 (a tiny radius could overflow it
     # to infinity), and 1e-150 covers radii whose square underflows, where
     # the test accepts pairs up to ~1e-162 apart.
     span = max((abs(c) for xy in positions.values() for c in xy), default=0.0)
     cell = max(r, span * 2**-52, 1e-150) * (1 + 1e-9)
-    grid: dict[tuple[int, int], list[tuple[NodeId, float, float]]] = {}
-    for nid, (x, y) in positions.items():
-        grid.setdefault((math.floor(x / cell), math.floor(y / cell)), []).append((nid, x, y))
+    # Each cell holds its movers, then its unmoved nodes: a list index is
+    # whether the node stayed.
+    grid: dict[tuple[int, int], tuple[list, list]] = {}
+    for nid, pos in positions.items():
+        x, y = pos
+        key = (math.floor(x / cell), math.floor(y / cell))
+        lists = grid.get(key)
+        if lists is None:
+            lists = grid[key] = ([], [])
+        lists[old_positions.get(nid) == pos].append((nid, x, y))
     adj: dict[NodeId, set[NodeId]] = {nid: set() for nid in positions}
-    for (cx, cy), bucket in grid.items():
-        for i, (u, ux, uy) in enumerate(bucket):
-            for v, vx, vy in bucket[i + 1:]:
+    for us, vs in _pairs_with_a_mover(grid):
+        for i, (u, ux, uy) in enumerate(us):
+            for v, vx, vy in us[i + 1:] if vs is None else vs:
                 if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
                     adj[u].add(v)
                     adj[v].add(u)
+    if base is None:
+        return Topology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
+    # An unmoved node keeps its links to unmoved nodes and gains the movers
+    # it now hears.
+    moved = {u for movers, _ in grid.values() for u, _, _ in movers}
+    stale = moved.union(base.adj.keys() - positions.keys())
+    merged: dict[NodeId, frozenset[NodeId]] = {}
+    for u, vs in adj.items():
+        if u in moved:
+            merged[u] = frozenset(vs)
+            continue
+        old = base.adj[u]
+        kept = old - stale
+        merged[u] = old if not vs and len(kept) == len(old) else kept.union(vs)
+    return Topology(merged, positions, r)
+
+
+def _pairs_with_a_mover(
+    grid: Mapping[tuple[int, int], tuple[list, list]],
+) -> list[tuple[list, Optional[list]]]:
+    """Blocks ``(us, vs)`` that cover, once each, every pair of nodes in the
+    same or adjacent cells with at least one mover: the pairs of ``us`` with
+    ``vs``, or with ``vs`` None the pairs within ``us``."""
+    blocks: list[tuple[list, Optional[list]]] = []
+    for (cx, cy), (movers, stayers) in grid.items():
+        blocks += [(movers, None), (stayers, movers)]
         # Forward half of the eight neighbours: each cell pair is visited once.
-        for other in (
-            grid.get((cx + 1, cy - 1)),
-            grid.get((cx + 1, cy)),
-            grid.get((cx + 1, cy + 1)),
-            grid.get((cx, cy + 1)),
-        ):
-            if other is None:
-                continue
-            for u, ux, uy in bucket:
-                for v, vx, vy in other:
-                    if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
-                        adj[u].add(v)
-                        adj[v].add(u)
-    return Topology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
+        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+            other = grid.get(key)
+            if other is not None:
+                blocks += [(movers, other[0]), (other[1], movers), (stayers, other[0])]
+    return blocks
 
 
 def topology_from_edges(

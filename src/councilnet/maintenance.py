@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import UnknownCluster, UnknownNode, ValidationError
 from .graph import NodeId, Topology, neighbors
@@ -23,7 +23,7 @@ from .phase1 import (
     elect_heads,
     identify_gateways,
 )
-from .phase2 import Cluster, Partition, cluster_form
+from .phase2 import Cluster, Council, Partition, cluster_form
 
 
 class MaintenanceAction(str, Enum):
@@ -74,18 +74,89 @@ def classify_change(
     return MaintenanceAction.NONE
 
 
-def _without_node(cluster: Cluster, node: NodeId) -> Cluster:
-    return replace(
-        cluster,
-        council=replace(cluster.council, heads=cluster.council.heads - {node}),
-        members=cluster.members - {node},
-        gateways=cluster.gateways - {node},
-    )
+class _WorkingPartition:
+    """A partition under change, edited in place and built once by ``freeze``.
+
+    A cluster's heads, members and gateways become mutable sets on its first
+    change, and the node index follows every move, so lookups see the edits
+    made so far.  Clusters keep their order; untouched ones keep their
+    ``Cluster`` objects, and a cluster left without nodes is dropped.
+    Without edits, ``freeze`` returns the partition it started from.
+    """
+
+    def __init__(self, partition: Partition) -> None:
+        self.partition = partition
+        self.clusters = {c.cluster_id: c for c in partition.clusters}
+        self.node_index = dict(partition.node_index)
+        self.edits: dict[ClusterId, tuple[set[NodeId], set[NodeId], set[NodeId]]] = {}
+
+    def _groups(self, cid: ClusterId) -> tuple[set[NodeId], set[NodeId], set[NodeId]]:
+        if cid not in self.edits:
+            c = self.clusters[cid]
+            self.edits[cid] = (set(c.council.heads), set(c.members), set(c.gateways))
+        return self.edits[cid]
+
+    def heads(self, cid: ClusterId) -> AbstractSet[NodeId]:
+        edited = self.edits.get(cid)
+        return self.clusters[cid].council.heads if edited is None else edited[0]
+
+    def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
+        """Ids of the clusters whose council lists one of ``nodes``."""
+        index = self.node_index
+        return {index[u] for u in nodes if u in index and u in self.heads(index[u])}
+
+    def depart(self, node: NodeId) -> tuple[ClusterId, Role]:
+        """Drop a node from its cluster; returns the cluster's id and the
+        node's role in it."""
+        cid = self.node_index.pop(node, None)
+        if cid is None:
+            raise UnknownNode(f"node {node} is not assigned to any cluster")
+        heads, members, gateways = self._groups(cid)
+        role = Role.HEAD if node in heads else Role.GATEWAY if node in gateways else Role.MEMBER
+        heads.discard(node)
+        members.discard(node)
+        gateways.discard(node)
+        return cid, role
+
+    def visit(
+        self, t: Topology, node: NodeId, visiting: ClusterId, prior_role: Optional[Role]
+    ) -> str:
+        if visiting not in self.clusters:
+            raise UnknownCluster(f"no cluster with id {visiting}")
+        if node in self.node_index:
+            _, role = self.depart(node)
+            prior_role = role if prior_role is None else prior_role
+        heads, near = self.heads(visiting), neighbors(t, node)
+        if near.isdisjoint(heads):
+            raise ValidationError(f"node {node} has no link to a head of cluster {visiting}")
+        joins = (
+            heads <= near
+            and prior_role is not Role.GATEWAY
+            and not self.head_clusters(near) - {visiting}
+        )
+        self._groups(visiting)[0 if joins else 1].add(node)
+        self.node_index[node] = visiting
+        return "issue_new_share" if joins else "member_only"
+
+    def freeze(self) -> Partition:
+        if not self.edits:
+            return self.partition
+        clusters = []
+        for cid, c in self.clusters.items():
+            if cid in self.edits:
+                heads, members, gateways = map(frozenset, self.edits[cid])
+                c = Cluster(Council(heads, cid), members, gateways, c.k)
+            if c.all_nodes:
+                clusters.append(c)
+        return Partition(clusters)
 
 
-def _swap_cluster(p: Partition, new_cluster: Cluster) -> Partition:
-    clusters = [new_cluster if c.cluster_id == new_cluster.cluster_id else c for c in p.clusters]
-    return Partition(c for c in clusters if c.all_nodes)
+def _count_departure(health: ClusterHealth, role: Role) -> ClusterHealth:
+    if role is Role.HEAD:
+        return replace(health, heads_departed=health.heads_departed + 1)
+    if role is Role.GATEWAY:
+        return replace(health, gateways_lost=health.gateways_lost + 1)
+    return health
 
 
 def handle_departure(
@@ -99,18 +170,11 @@ def handle_departure(
     only the live head set shrinks.  The departed node's share must be
     excluded from future quorums by the caller and dies at the next refresh.
     """
-    cid = partition.node_index.get(node)
-    if cid is None:
-        raise UnknownNode(f"node {node} is not assigned to any cluster")
-    cluster = partition.cluster(cid)
-    role = cluster.role_of(node)
+    work = _WorkingPartition(partition)
+    cid, role = work.depart(node)
     if health is None:
-        health = baseline_health(cluster)
-    if role is Role.HEAD:
-        health = replace(health, heads_departed=health.heads_departed + 1)
-    elif role is Role.GATEWAY:
-        health = replace(health, gateways_lost=health.gateways_lost + 1)
-    return _swap_cluster(partition, _without_node(cluster, node)), health
+        health = baseline_health(partition.cluster(cid))
+    return work.freeze(), _count_departure(health, role)
 
 
 def handle_visitor(
@@ -129,34 +193,41 @@ def handle_visitor(
     ``issue_new_share`` when the caller must derive a share for the new
     head, else ``member_only``.
     """
-    try:
-        cluster = partition.cluster(visiting)
-    except KeyError:
-        raise UnknownCluster(f"no cluster with id {visiting}") from None
+    work = _WorkingPartition(partition)
+    tag = work.visit(t, node, visiting, prior_role)
+    return work.freeze(), tag
 
-    current = partition.node_index.get(node)
-    if current is not None:
-        if prior_role is None:
-            prior_role = partition.cluster(current).role_of(node)
-        partition = _swap_cluster(partition, _without_node(partition.cluster(current), node))
-        cluster = partition.cluster(visiting)
 
-    heads, near = cluster.council.heads, neighbors(t, node)
-    if not near & heads:
-        raise ValidationError(f"node {node} has no link to a head of cluster {visiting}")
+def apply_departures(
+    t: Topology,
+    partition: Partition,
+    departed: Sequence[NodeId],
+    healths: Mapping[ClusterId, ClusterHealth],
+) -> tuple[Partition, dict[ClusterId, ClusterHealth], bool, list[tuple[ClusterId, NodeId]]]:
+    """Apply one maintenance pass's departures, in order, to one working copy.
 
-    joins = (
-        heads <= near
-        and prior_role is not Role.GATEWAY
-        and not partition.head_clusters(near) - {visiting}
-    )
-
-    if joins:
-        updated = replace(cluster, council=replace(cluster.council, heads=heads | {node}))
-        return _swap_cluster(partition, updated), "issue_new_share"
-
-    updated = replace(cluster, members=cluster.members | {node})
-    return _swap_cluster(partition, updated), "member_only"
+    Each node leaves its cluster as in ``handle_departure``, and then visits
+    the lowest-id other cluster with a head it hears, as in
+    ``handle_visitor``, which counts an arrival there.  A later departure
+    sees the heads that joined earlier.  Returns the new partition, the
+    updated healths, whether a node heard no other cluster's head, and the
+    ``(cluster, node)`` joins whose new heads need shares.
+    """
+    work = _WorkingPartition(partition)
+    healths = dict(healths)
+    stranded = False
+    joined: list[tuple[ClusterId, NodeId]] = []
+    for nid in departed:
+        cid, role = work.depart(nid)
+        healths[cid] = _count_departure(healths[cid], role)
+        dest = min(work.head_clusters(neighbors(t, nid)) - {cid}, default=None)
+        if dest is None:
+            stranded = True
+            continue
+        if work.visit(t, nid, dest, role) == "issue_new_share":
+            joined.append((dest, nid))
+        healths[dest] = replace(healths[dest], arrivals=healths[dest].arrivals + 1)
+    return work.freeze(), healths, stranded, joined
 
 
 def reform(t: Topology) -> Partition:

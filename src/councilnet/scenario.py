@@ -206,8 +206,10 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         if not isinstance(adv_raw, dict):
             fail("'adversary' must be an object")
         comp_round = adv_raw.get("compromise_round")
-        if not _is_int(comp_round) or comp_round < 0:
-            fail("adversary 'compromise_round' must be a non-negative integer")
+        # Rounds are numbered from 1 and initialize never compromises, so an
+        # adversary at round 0 would never act.
+        if not _is_int(comp_round) or comp_round < 1:
+            fail("adversary 'compromise_round' must be an integer >= 1")
         adv_nodes = adv_raw.get("nodes", [])
         if not isinstance(adv_nodes, list) or not all(_is_int(n) for n in adv_nodes):
             fail("adversary 'nodes' must be a list of node ids")

@@ -14,9 +14,9 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .audit import audit_secrecy
 from .errors import DisconnectedTopology, UnknownNode
@@ -33,10 +33,9 @@ from .ledger import ClusterLedger
 from .maintenance import (
     ClusterHealth,
     MaintenanceAction,
+    apply_departures,
     baseline_health,
     classify_change,
-    handle_departure,
-    handle_visitor,
     reform,
 )
 from .phase1 import ClusterId
@@ -115,11 +114,13 @@ class SimState:
     halted: bool = False
 
 
-def _build_topology(sc: Scenario, positions: Mapping[NodeId, Position]) -> Topology:
+def _build_topology(
+    sc: Scenario, positions: Mapping[NodeId, Position], previous: Optional[Topology] = None
+) -> Topology:
     if sc.static:
         pos = positions if positions else None
         return topology_from_edges([s.nid for s in sc.nodes], sc.edges, pos, sc.radius)
-    return build_topology(sorted(positions.items()), sc.radius)
+    return build_topology(sorted(positions.items()), sc.radius, previous)
 
 
 def _split_all(state: SimState) -> None:
@@ -206,10 +207,11 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
             continue
         cluster = p.cluster(cid)
         if nid in cluster.council.heads:
-            others = cluster.all_nodes - {nid}
-            in_touch = not others or bool(neighbors(t, nid) & others)
+            # A topology has no self-loops, so nid never hears itself.
+            nodes = cluster.all_nodes
+            in_touch = len(nodes) == 1 or not neighbors(t, nid).isdisjoint(nodes)
         else:
-            in_touch = bool(neighbors(t, nid) & cluster.council.heads)
+            in_touch = not neighbors(t, nid).isdisjoint(cluster.council.heads)
         if in_touch:
             state.miss_counts[nid] = 0
         else:
@@ -217,27 +219,11 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
             if state.miss_counts[nid] >= 2:
                 departed.append(nid)
 
-    changed = False
-    stranded = False
-    joined: list[tuple[ClusterId, NodeId]] = []
+    p, state.healths, stranded, joined = apply_departures(t, p, departed, state.healths)
     for nid in departed:
-        cid = p.node_index[nid]
-        prior_role = p.cluster(cid).role_of(nid)
-        p, state.healths[cid] = handle_departure(p, nid, state.healths[cid])
-        state.share_ledger[cid].revoke(nid)
+        # Its share, if any, is in the ledger of its cluster before the pass.
+        state.share_ledger[state.partition.node_index[nid]].revoke(nid)
         state.miss_counts[nid] = 0
-        changed = True
-
-        dest = min(p.head_clusters(neighbors(t, nid)) - {cid}, default=None)
-        if dest is None:
-            stranded = True
-            continue
-        p, tag = handle_visitor(t, p, nid, dest, prior_role=prior_role)
-        dest_health = state.healths[dest]
-        state.healths[dest] = replace(dest_health, arrivals=dest_health.arrivals + 1)
-        if tag == "issue_new_share":
-            joined.append((dest, nid))
-
     state.partition = p
 
     decisions = {
@@ -269,7 +255,7 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         problem = state.share_ledger[dest].issue(nid, state.compromised)
         if problem:
             state.violations.append(problem)
-    return changed, False
+    return bool(departed), False
 
 
 def compromise(state: SimState, nodes) -> SimState:
@@ -296,7 +282,7 @@ def step(state: SimState) -> SimState:
     round_no = state.round + 1
 
     if _move_nodes(state):
-        state.topology = _build_topology(sc, state.positions)
+        state.topology = _build_topology(sc, state.positions, state.topology)
 
     hellos = 0
     updated = False

@@ -135,6 +135,7 @@ def with_node_field(base, **field):
     "scenario",
     [
         dict(STATIC_PAIR, adversary={"compromise_round": 1, "nodes": 5}),
+        dict(STATIC_PAIR, adversary={"compromise_round": 0, "nodes": [1]}),
         with_node_field(MOBILE_PAIR, speed="fast"),
         dict(MOBILE_PAIR, radius="x"),
         dict(MOBILE_PAIR, radius=float("nan")),
@@ -148,6 +149,7 @@ def with_node_field(base, **field):
     ],
     ids=[
         "adversary-nodes-int",
+        "compromise-round-0",
         "speed-string",
         "radius-string",
         "radius-nan",

@@ -41,19 +41,69 @@ def pairwise_edges(specs, radius):
     return frozenset(edges)
 
 
-@st.composite
-def disk_layouts(draw):
-    radius = draw(st.sampled_from([0.25, 1.0, 3.0, 5.0, 7.5]))
-    coord = st.one_of(
+RADII = [0.25, 1.0, 3.0, 5.0, 7.5]
+
+
+def coordinates(radius):
+    return st.one_of(
         # multiples of the radius: points on cell lines, axis pairs exactly r apart
         st.integers(-6, 6).map(lambda k: k * radius),
         # integer lattice: 3-4-5 diagonals exactly r apart when r = 5
         st.integers(-30, 30).map(float),
         st.floats(-6 * radius, 6 * radius, allow_nan=False),
     )
+
+
+@st.composite
+def disk_layouts(draw):
+    radius = draw(st.sampled_from(RADII))
+    coord = coordinates(radius)
     points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
     nids = draw(st.permutations(range(1, len(points) + 1)))
     return list(zip(nids, points)), radius
+
+
+@st.composite
+def move_sequences(draw):
+    """A disk layout followed by one to four later layouts of it, as
+    ``(specs, radius)`` pairs.
+
+    Each node stays, moves onto a cell line or the lattice, onto another
+    node, back to where it started, or to exactly r from another node on an
+    axis or on a 3-4-5 diagonal; or it leaves.  New nodes arrive, and the
+    radius may change between layouts.
+    """
+    specs, radius = draw(disk_layouts())
+    layouts = [(specs, radius)]
+    start = dict(specs)
+    layout = dict(start)
+    next_id = len(start) + 1
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            radius = draw(st.sampled_from(RADII))
+        coord = coordinates(radius)
+        others = sorted(layout.values())
+        moved = {}
+        for nid, (x, y) in layout.items():
+            how = draw(st.sampled_from(["stay", "stay", "coord", "onto", "back", "apart", "leave"]))
+            if how == "stay":
+                moved[nid] = (x, y)
+            elif how == "coord":
+                moved[nid] = draw(st.tuples(coord, coord))
+            elif how == "onto":
+                moved[nid] = draw(st.sampled_from(others))
+            elif how == "back":
+                moved[nid] = start.get(nid, (x, y))
+            elif how == "apart":
+                ox, oy = draw(st.sampled_from(others))
+                dx, dy = draw(st.sampled_from([(1, 0), (0, -1), (0.6, 0.8), (-0.8, 0.6)]))
+                moved[nid] = (ox + dx * radius, oy + dy * radius)
+        for point in draw(st.lists(st.tuples(coord, coord), max_size=3)):
+            moved[next_id] = point
+            next_id += 1
+        layout = moved
+        layouts.append((sorted(layout.items()), radius))
+    return layouts
 
 
 class TestBuildTopology:
@@ -131,6 +181,38 @@ class TestBuildTopology:
             for nid, (x, y) in enumerate(unit_points, start=1)
         ]
         assert build_topology(specs, radius).edges == pairwise_edges(specs, radius)
+
+    @given(move_sequences())
+    @example(
+        [
+            ([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (20.0, 0.0))], 5.0),
+            # 2 leaves 1's range, 3 moves to a 3-4-5 diagonal exactly r from 1
+            ([(1, (0.0, 0.0)), (2, (10.0, 0.0)), (3, (3.0, 4.0))], 5.0),
+            # the radius shrinks: every node counts as moved
+            ([(1, (0.0, 0.0)), (2, (10.0, 0.0)), (3, (3.0, 4.0))], 3.0),
+        ]
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_incremental_build_matches_full_build(self, layouts):
+        specs, radius = layouts[0]
+        previous = build_topology(specs, radius)
+        for specs, radius in layouts[1:]:
+            snapshot = dict(previous.adj), dict(previous.positions)
+            t = build_topology(specs, radius, previous=previous)
+            assert (dict(previous.adj), dict(previous.positions)) == snapshot
+            assert t.adj == build_topology(specs, radius).adj
+            assert t.edges == pairwise_edges(specs, radius)
+            previous = t
+
+    def test_incremental_build_keeps_untouched_neighbour_sets(self):
+        previous = build_topology(
+            [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (10.0, 0.0)), (4, (11.0, 0.0))], 2.0
+        )
+        t = build_topology(
+            [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (10.0, 0.0)), (4, (10.5, 1.5))], 2.0, previous
+        )
+        assert t.adj[1] is previous.adj[1] and t.adj[2] is previous.adj[2]
+        assert t.adj == {1: {2}, 2: {1}, 3: {4}, 4: {3}}
 
     def test_random_connected_matches_pairwise_oracle(self):
         t = random_connected(1500, seed=11)

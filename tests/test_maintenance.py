@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from councilnet.graph import neighbors, topology_from_edges
 from councilnet.maintenance import (
     ClusterHealth,
     MaintenanceAction,
+    apply_departures,
     baseline_health,
     classify_change,
     handle_departure,
@@ -21,7 +23,7 @@ from councilnet.maintenance import (
     reform,
 )
 from councilnet.phase1 import Role
-from councilnet.phase2 import verify_partition
+from councilnet.phase2 import Cluster, Council, Partition, verify_partition
 from councilnet.shamir import ThresholdPolicy, issue_share, reconstruct, split_secret
 from councilnet.topologies import random_connected, size_ladder, two_cluster_seven
 
@@ -236,6 +238,137 @@ class TestLookupsMatchScans:
                 p, tag = handle_visitor(t, p, node, dest)
             assert tag == ("issue_new_share" if expected else "member_only")
             assert p.node_index[node] == dest
+
+
+def fold_without_node(cluster, node):
+    return replace(
+        cluster,
+        council=replace(cluster.council, heads=cluster.council.heads - {node}),
+        members=cluster.members - {node},
+        gateways=cluster.gateways - {node},
+    )
+
+
+def fold_swap_cluster(p, new_cluster):
+    clusters = [new_cluster if c.cluster_id == new_cluster.cluster_id else c for c in p.clusters]
+    return Partition(c for c in clusters if c.all_nodes)
+
+
+def fold_departure(p, node, health):
+    """handle_departure as it was before the working copy: one partition
+    rebuild per event."""
+    cluster = p.cluster(p.node_index[node])
+    role = cluster.role_of(node)
+    if role is Role.HEAD:
+        health = replace(health, heads_departed=health.heads_departed + 1)
+    elif role is Role.GATEWAY:
+        health = replace(health, gateways_lost=health.gateways_lost + 1)
+    return fold_swap_cluster(p, fold_without_node(cluster, node)), health
+
+
+def fold_visitor(t, p, node, visiting, prior_role):
+    """handle_visitor as it was before the working copy, for a node that
+    has already left its cluster."""
+    cluster = p.cluster(visiting)
+    heads, near = cluster.council.heads, neighbors(t, node)
+    joins = (
+        heads <= near
+        and prior_role is not Role.GATEWAY
+        and not p.head_clusters(near) - {visiting}
+    )
+    if joins:
+        updated = replace(cluster, council=replace(cluster.council, heads=heads | {node}))
+        return fold_swap_cluster(p, updated), "issue_new_share"
+    return fold_swap_cluster(p, replace(cluster, members=cluster.members | {node})), "member_only"
+
+
+def sequential_fold(t, p, departed, healths):
+    """The maintenance pass's departure loop as it was: one event at a time."""
+    healths = dict(healths)
+    stranded = False
+    joined = []
+    for nid in departed:
+        cid = p.node_index[nid]
+        prior_role = p.cluster(cid).role_of(nid)
+        p, healths[cid] = fold_departure(p, nid, healths[cid])
+        dest = min(p.head_clusters(neighbors(t, nid)) - {cid}, default=None)
+        if dest is None:
+            stranded = True
+            continue
+        p, tag = fold_visitor(t, p, nid, dest, prior_role)
+        healths[dest] = replace(healths[dest], arrivals=healths[dest].arrivals + 1)
+        if tag == "issue_new_share":
+            joined.append((dest, nid))
+    return p, healths, stranded, joined
+
+
+def hand_partition():
+    """Clusters 1 (heads 1, 3, 5; member 8; gateway 4), 6 (heads 6, 7;
+    member 9) and 10 (head 10; members 11, 12), and a topology in which
+    nodes 4, 8, 9, 10, 11 and 12 have moved."""
+    def cluster(heads, members=(), gateways=()):
+        heads = frozenset(heads)
+        k = len(heads) // 2 + 1
+        return Cluster(Council(heads, min(heads)), frozenset(members), frozenset(gateways), k)
+
+    p = Partition([cluster({1, 3, 5}, {2, 8}, {4}), cluster({6, 7}, {9}), cluster({10}, {11, 12})])
+    edges = [(1, 2), (1, 3), (1, 5), (3, 5), (4, 5), (6, 7), (4, 6)]
+    edges += [(8, 6), (8, 7)]  # 8 hears only cluster 6's council: it joins
+    edges += [(9, 1), (9, 3), (9, 5), (9, 8)]  # 9 hears cluster 1's council and 8
+    edges += [(10, 5), (11, 1), (11, 3), (11, 5), (11, 10)]  # 12 hears no one
+    return topology_from_edges(range(1, 13), edges), p
+
+
+class TestBatchMatchesSequentialFold:
+    def test_joins_gateways_blocked_join_and_emptied_cluster(self):
+        t, p = hand_partition()
+        healths = {c.cluster_id: baseline_health(c) for c in p.clusters}
+        departed = [4, 8, 9, 10, 11, 12]
+        batch = apply_departures(t, p, departed, healths)
+        assert batch == sequential_fold(t, p, departed, healths)
+        p2, healths2, stranded, joined = batch
+        # 8 joins cluster 6; 9 then hears its new head 8, so it may not join
+        # cluster 1; 11 joins cluster 1; 12 is stranded
+        assert joined == [(6, 8), (1, 11)]
+        assert stranded
+        assert p2.cluster(1).council.heads == {1, 3, 5, 11}
+        assert p2.cluster(1).members == {2, 9, 10}
+        # gateway 4 visits cluster 6 and, having been a gateway, stays a member
+        assert p2.cluster(6).council.heads == {6, 7, 8}
+        assert p2.cluster(6).members == {4}
+        # every node of cluster 10 departed: it is dropped
+        assert [c.cluster_id for c in p2.clusters] == [1, 6]
+        assert healths2[1] == replace(healths[1], gateways_lost=1, arrivals=3)
+        assert healths2[10].heads_departed == 1
+        # the input is untouched, and unchanged clusters are carried over
+        assert p == hand_partition()[1]
+
+    def test_unchanged_clusters_keep_their_objects(self):
+        t, p = hand_partition()
+        healths = {c.cluster_id: baseline_health(c) for c in p.clusters}
+        p2, *_ = apply_departures(t, p, [12], healths)
+        assert p2.cluster(1) is p.cluster(1) and p2.cluster(6) is p.cluster(6)
+
+    @given(st.integers(8, 40), st.integers(0, 2**16), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_sequential_fold(self, n, seed, data):
+        # as in TestLookupsMatchScans: a formed partition on a topology whose
+        # links then change, some nodes steered next to one council's heads
+        t0 = random_connected(n, seed=seed)
+        p = reform(t0)
+        ids = sorted(t0.nodes)
+        toggled = data.draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=n))
+        edges = set(t0.edges) ^ {(min(e), max(e)) for e in toggled if e[0] != e[1]}
+        movers = data.draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(p.clusters), max_size=n))
+        for u, c in movers.items():
+            heads = {h for d in p.clusters for h in d.council.heads if h != u}
+            edges -= {(min(u, h), max(u, h)) for h in heads - c.council.heads}
+            edges |= {(min(u, h), max(u, h)) for h in heads & c.council.heads}
+        t = topology_from_edges(ids, edges)
+        rest = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=n))
+        departed = list(dict.fromkeys(list(movers) + rest))
+        healths = {c.cluster_id: baseline_health(c) for c in p.clusters}
+        assert apply_departures(t, p, departed, healths) == sequential_fold(t, p, departed, healths)
 
 
 class TestReform:

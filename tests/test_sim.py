@@ -11,6 +11,7 @@ from councilnet.errors import (
     UnknownNode,
     ValidationError,
 )
+from councilnet.graph import build_topology
 from councilnet.phase2 import verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
 from councilnet.shamir import DEFAULT_PRIME, issue_share, reconstruct
@@ -329,6 +330,16 @@ class TestStep:
                     assert issue_share(base, share.x, k, prime) == share, where
         assert not state.halted
         assert state.violations == []
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_incremental_topology_equals_a_fresh_build_every_round(self, seed):
+        state = initialize(small_mobile_scenario(seed, rounds=25))
+        while state.round < state.scenario.rounds and not state.halted:
+            step(state)
+            fresh = build_topology(sorted(state.positions.items()), state.scenario.radius)
+            assert state.topology.adj == fresh.adj, f"round {state.round}"
+            assert state.topology.positions == state.positions, f"round {state.round}"
+        assert state.round == state.scenario.rounds
 
     def test_refresh_interval_bumps_epochs(self):
         sc = scenario_from_dict(dict(STATIC_SEVEN, refresh_interval_rounds=4))
