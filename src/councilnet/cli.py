@@ -28,7 +28,7 @@ from .shamir import (
     split_secret,
 )
 from .audit import audit_dump
-from .scenario import is_prime, load_scenario
+from .scenario import check_field_prime, is_prime, load_scenario
 from .sim import initialize, run
 
 
@@ -36,6 +36,7 @@ def _apply_overrides(scenario, args):
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     if getattr(args, "prime", None) is not None:
+        check_field_prime(args.prime, max(s.nid for s in scenario.nodes), "--prime")
         scenario = replace(scenario, field_prime=args.prime)
     return scenario
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .errors import InvalidDominatingSet, UnknownNode
 from .graph import NodeId, Topology, is_clique, is_dominating_set, neighbors
@@ -93,8 +93,8 @@ class Partition:
 def find_council_clique(
     t: Topology,
     h: NodeId,
-    forbidden: frozenset[NodeId] = frozenset(),
-    core: frozenset[NodeId] = frozenset(),
+    forbidden: AbstractSet[NodeId] = frozenset(),
+    core: AbstractSet[NodeId] = frozenset(),
 ) -> frozenset[NodeId]:
     """Grow a clique of heads around h from its non-forbidden neighbours.
 
@@ -103,10 +103,13 @@ def find_council_clique(
     node.  Without a triangle, h pairs with its lowest candidate drawn from
     ``core`` (the dominating backbone) when a core is given, or from all
     candidates otherwise.  Always returns a clique containing h.
+
+    ``forbidden`` and ``core`` may be any read-only sets (a dict's keys view
+    included); they are only tested for membership, never copied.
     """
     if h in forbidden:
         raise ValueError(f"head {h} may not be in the forbidden set")
-    candidates = sorted(neighbors(t, h) - set(forbidden))
+    candidates = sorted([v for v in neighbors(t, h) if v not in forbidden])
     council = {h}
     seed: Optional[tuple[NodeId, NodeId]] = None
     for i, u in enumerate(candidates):
@@ -134,46 +137,42 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
     """Walk the dominating backbone and carve the network into clusters.
 
     Each iteration founds one cluster: pick the next head (preferring the
-    gateway handoff, then the lowest unconsumed backbone node, then the
+    gateway handoff, then the lowest unassigned backbone node, then the
     lowest unassigned node), grow its council, absorb unassigned neighbours
     as members, and pick at most one backbone gateway to continue from.
     Candidate heads must avoid marked gateways and anything adjacent to an
     existing council, which keeps heads of different clusters non-adjacent.
+    A council absorbs every unassigned neighbour of its heads, and its
+    gateway is one of those, so every node the walk has marked or placed
+    next to a council is already assigned: the assigned nodes are the whole
+    forbidden set, and "unassigned" is the whole test for a next head.
+
+    Cost: O(Σdeg + n log n) plus the council searches.  Each fallback is a
+    cursor that only moves forward over one sorted list (the backbone, then
+    all nodes), skipping assigned nodes.  The cursors are exact because a
+    node never leaves ``assigned``: a node a cursor has passed can never
+    again be the lowest unassigned one.
     """
-    backbone = set(dominating.members)
+    backbone = frozenset(dominating.members)
     if not is_dominating_set(t, backbone):
         raise InvalidDominatingSet(f"{sorted(backbone)} does not dominate the topology")
 
-    remaining = set(backbone)
-    marked: set[NodeId] = set()
-    marked_gateways: set[NodeId] = set()
     assigned: dict[NodeId, ClusterId] = {}
-    head_adjacency: set[NodeId] = set()
+    # Lazy filters: each membership test runs when the walk asks for a head.
+    backbone_heads = (v for v in sorted(backbone) if v not in assigned)
+    fallback_heads = (v for v in sorted(t.nodes) if v not in assigned)
     clusters: list[Cluster] = []
     next_head: Optional[NodeId] = None
 
     while len(assigned) < len(t.nodes):
-        h: Optional[NodeId] = None
-        if next_head is not None and next_head not in assigned and next_head not in marked:
-            h = next_head
+        h = next_head if next_head is not None else next(backbone_heads, None)
         if h is None:
-            for cand in sorted(remaining):
-                if cand not in assigned and cand not in marked:
-                    h = cand
-                    break
-        if h is None:
-            h = min(u for u in t.nodes if u not in assigned)
-        next_head = None
-        marked.add(h)
+            h = next(fallback_heads)
 
-        forbidden = frozenset(marked_gateways | set(assigned) | head_adjacency)
-        heads = find_council_clique(t, h, forbidden=forbidden, core=frozenset(backbone))
+        heads = find_council_clique(t, h, forbidden=assigned.keys(), core=backbone)
         cid = min(heads)
         for n in heads:
             assigned[n] = cid
-        marked |= heads & backbone
-        for n in heads:
-            head_adjacency |= neighbors(t, n)
 
         members = set()
         for n in heads:
@@ -181,29 +180,23 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
         for m in sorted(members):
             assigned[m] = cid
 
-        gateway: Optional[NodeId] = None
-        eligible = set()
-        for s in sorted(heads & remaining):
-            for g in sorted(neighbors(t, s) & remaining):
-                if g in heads or g in marked:
-                    continue
-                if assigned.get(g, cid) != cid:
-                    continue
-                eligible.add(g)
-        if eligible:
-            gateway = min(eligible)
-            marked.add(gateway)
-            marked_gateways.add(gateway)
-            members.discard(gateway)
-
-        remaining -= heads
+        # A backbone neighbour of a backbone head, absorbed by this cluster.
+        gateway = min(
+            (
+                g
+                for s in heads & backbone
+                for g in neighbors(t, s) & backbone
+                if g not in heads and assigned[g] == cid
+            ),
+            default=None,
+        )
+        next_head = None
         if gateway is not None:
-            remaining.discard(gateway)
-            handoff = sorted(
-                v for v in neighbors(t, gateway)
-                if v in remaining and v not in assigned and v not in marked
+            members.discard(gateway)
+            next_head = min(
+                (v for v in neighbors(t, gateway) if v in backbone and v not in assigned),
+                default=None,
             )
-            next_head = handoff[0] if handoff else None
 
         clusters.append(
             Cluster(

@@ -73,6 +73,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_field_prime(prime, max_nid: NodeId, name: str) -> None:
+    """Raise ``ValidationError`` unless ``prime`` is a prime above every node id.
+
+    A share's x coordinate is its holder's id, so an id at or above the
+    prime would alias another holder or the secret itself at x = 0.
+    ``name`` labels the setting in the message.
+    """
+    if not _is_int(prime) or not is_prime(prime):
+        raise ValidationError(f"{name} must be a prime number, got {prime!r}")
+    if prime <= max_nid:
+        raise ValidationError(f"{name} must exceed every node id, but {prime} <= node id {max_nid}")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -195,10 +208,7 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         fail("'gateway_threshold' must lie in [0, 1]")
 
     prime = data.get("field_prime", DEFAULT_PRIME)
-    if not _is_int(prime) or not is_prime(prime):
-        fail("'field_prime' must be a prime number")
-    if prime <= max(seen):
-        fail("'field_prime' must exceed every node id")
+    check_field_prime(prime, max(seen), f"{source}: 'field_prime'")
 
     adversary = None
     adv_raw = data.get("adversary")

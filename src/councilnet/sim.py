@@ -25,7 +25,6 @@ from .graph import (
     Position,
     Topology,
     build_topology,
-    is_connected,
     neighbors,
     topology_from_edges,
 )
@@ -135,9 +134,10 @@ def initialize(sc: Scenario) -> SimState:
     """Build the initial topology, form clusters, and split the secrets."""
     positions = {s.nid: s.pos for s in sc.nodes if s.pos is not None}
     topology = _build_topology(sc, positions)
-    if not is_connected(topology):
-        raise DisconnectedTopology("initial topology must be connected")
-    partition = reform(topology)
+    try:
+        partition = reform(topology)
+    except DisconnectedTopology:
+        raise DisconnectedTopology("initial topology must be connected") from None
     state = SimState(
         scenario=sc,
         round=0,

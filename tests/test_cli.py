@@ -119,6 +119,28 @@ def test_seed_override_applies(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+# two_cluster_seven.json numbers its nodes 1..7, so 7 is a prime the ids reach.
+@pytest.mark.parametrize("prime", [9, 15, 7, 1, -13])
+@pytest.mark.parametrize("verb", ["form", "simulate"])
+def test_prime_override_is_checked_like_field_prime(verb, prime, tmp_path, capsys):
+    args = [verb, "--scenario", str(SCENARIOS / "two_cluster_seven.json"), "--prime", str(prime)]
+    if verb == "simulate":
+        args += ["--out", str(tmp_path / "m.csv"), "--state-out", str(tmp_path / "s.json")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--prime must" in captured.err
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "s.json").exists()
+
+
+def test_prime_override_above_every_node_id_applies(tmp_path):
+    state = tmp_path / "s.json"
+    args = ["simulate", "--scenario", str(SCENARIOS / "two_cluster_seven.json"), "--prime", "11"]
+    assert main(args + ["--out", str(tmp_path / "m.csv"), "--state-out", str(state)]) == 0
+    assert json.loads(state.read_text())["prime"] == 11
+    assert main(["audit", "--state", str(state)]) == 0
+
+
 MOBILE_PAIR = {
     "radius": 1.0,
     "nodes": [{"nid": 1, "pos": [0.0, 0.0]}, {"nid": 2, "pos": [0.5, 0.0]}],

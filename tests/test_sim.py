@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from councilnet.errors import (
     UnknownNode,
     ValidationError,
 )
+from councilnet import graph
 from councilnet.graph import build_topology
 from councilnet.phase2 import verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
@@ -207,8 +209,24 @@ class TestInitialize:
                 "nodes": [{"nid": 1, "pos": [0, 0]}, {"nid": 2, "pos": [9, 9]}],
             }
         )
-        with pytest.raises(DisconnectedTopology):
+        with pytest.raises(DisconnectedTopology, match="^initial topology must be connected$"):
             initialize(sc)
+
+    def test_connectivity_is_checked_once(self, monkeypatch):
+        sc = scenario_from_dict(STATIC_SEVEN)
+        calls = []
+        is_connected = graph.is_connected
+
+        def counted(t):
+            calls.append(len(t.nodes))
+            return is_connected(t)
+
+        # Every module attribute bound to the function, however it was imported.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "councilnet" and vars(module).get("is_connected") is is_connected:
+                monkeypatch.setattr(module, "is_connected", counted)
+        initialize(sc)
+        assert calls == [7]
 
 
 class TestStep:
