@@ -66,6 +66,9 @@ def build_topology(
     """Build a topology from (nid, position) pairs under the closed-disk rule.
 
     The boundary is inclusive: two nodes exactly ``radius`` apart are linked.
+    The test is ``dx * dx + dy * dy <= r * r``: each product is correctly
+    rounded under IEEE 754, where ``** 2`` goes through the platform's
+    ``pow`` and can round differently.
     Nodes are bucketed into square cells a hair wider than the radius, and
     each node is tested only against its own cell and the eight around it
     (fixed-radius near neighbours; Bentley, Stanat & Williams 1977).  Every
@@ -118,7 +121,9 @@ def build_topology(
     for us, vs in _pairs_with_a_mover(grid):
         for i, (u, ux, uy) in enumerate(us):
             for v, vx, vy in us[i + 1:] if vs is None else vs:
-                if (ux - vx) ** 2 + (uy - vy) ** 2 <= r2:
+                dx = ux - vx
+                dy = uy - vy
+                if dx * dx + dy * dy <= r2:
                     adj[u].add(v)
                     adj[v].add(u)
     if base is None:

@@ -163,6 +163,8 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         speed = _real(entry.get("speed", 0.0))
         if speed is None or speed < 0:
             fail(f"node {nid}: speed must be a number >= 0")
+        if static and (waypoints or speed > 0):
+            fail(f"node {nid}: an edge-list topology is static; drop waypoints and speed")
         specs.append(NodeSpec(nid, position, waypoints, speed))
 
     rounds = data.get("rounds", 0)

@@ -111,6 +111,9 @@ class SimState:
     metrics: list[MetricsRow] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     halted: bool = False
+    # The topology and partition of the last maintenance pass that found
+    # every node in touch, departed nobody and verified the partition clean.
+    last_clean: Optional[tuple[Topology, Partition]] = None
 
 
 def _build_topology(
@@ -195,13 +198,27 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     departed once it has been out of touch with its cluster for two
     consecutive HELLO exchanges.  A visitor that joins a council gets its
     share only once the pass has decided not to re-form.
+
+    A quiet pass, over the very topology and partition objects of the last
+    clean pass and with no miss pending, skips the in-touch scan and the
+    partition check: both are pure functions of those frozen objects, so
+    they would find everyone in touch and the partition valid again.
     """
     sc = state.scenario
     t = state.topology
     p = state.partition
+    last = state.last_clean
+    quiet = (
+        last is not None
+        and last[0] is t
+        and last[1] is p
+        and not any(state.miss_counts.values())
+    )
+    state.last_clean = None
 
     departed: list[NodeId] = []
-    for nid in sorted(t.nodes):
+    everyone_in_touch = True
+    for nid in () if quiet else sorted(t.nodes):
         cid = p.node_index.get(nid)
         if cid is None:
             continue
@@ -215,6 +232,7 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         if in_touch:
             state.miss_counts[nid] = 0
         else:
+            everyone_in_touch = False
             state.miss_counts[nid] = state.miss_counts.get(nid, 0) + 1
             if state.miss_counts[nid] >= 2:
                 departed.append(nid)
@@ -239,12 +257,17 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
             )
 
     needs_reform = stranded or MaintenanceAction.REFORM in decisions.values()
-    if not needs_reform and verify_partition(t, p):
-        # Structural damage not expressible as departures (e.g. heads drifting
-        # into each other's range).  Re-form unless detection is still pending.
-        # This is the round's only partition check: a stale partition is
-        # tolerated while misses are pending and between HELLO exchanges.
-        if not any(v > 0 for v in state.miss_counts.values()):
+    if not needs_reform:
+        # This is the round's only partition check; a quiet pass reuses the
+        # clean verdict on the same objects.  Structural damage not
+        # expressible as departures (e.g. heads drifting into each other's
+        # range) forces a re-form unless detection is still pending: a stale
+        # partition is tolerated while misses are pending and between HELLO
+        # exchanges.
+        if quiet or not verify_partition(t, p):
+            if everyone_in_touch:
+                state.last_clean = (t, p)
+        elif not any(v > 0 for v in state.miss_counts.values()):
             needs_reform = True
     if needs_reform:
         if stranded or MaintenanceAction.REFORM not in decisions.values():

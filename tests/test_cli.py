@@ -168,6 +168,9 @@ def with_node_field(base, **field):
         with_node_field(MOBILE_PAIR, pos=[1e200, 0.0]),
         with_node_field(MOBILE_PAIR, waypoints=[[0.0, -1e151]], speed=1.0),
         dict(MOBILE_PAIR, radius=1e300),
+        dict(STATIC_PAIR, nodes=[{"nid": 1}, {"nid": 2, "waypoints": [[5, 5]], "speed": 1.0}]),
+        with_node_field(STATIC_PAIR, speed=1.0),
+        with_node_field(STATIC_PAIR, waypoints=[[5, 5]]),
     ],
     ids=[
         "adversary-nodes-int",
@@ -182,6 +185,9 @@ def with_node_field(base, **field):
         "pos-beyond-1e150",
         "waypoint-beyond-1e150",
         "radius-beyond-1e150",
+        "edge-list-mover",
+        "edge-list-speed",
+        "edge-list-waypoints",
     ],
 )
 def test_malformed_scenario_field_is_an_input_error(scenario, tmp_path, capsys):

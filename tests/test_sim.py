@@ -1,9 +1,12 @@
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from councilnet.audit import audit_dump, audit_secrecy
 from councilnet.errors import (
@@ -12,12 +15,12 @@ from councilnet.errors import (
     UnknownNode,
     ValidationError,
 )
-from councilnet import graph
-from councilnet.graph import build_topology
+from councilnet import graph, phase2
+from councilnet.graph import build_topology, topology_from_edges
 from councilnet.phase2 import verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
 from councilnet.shamir import DEFAULT_PRIME, issue_share, reconstruct
-from councilnet.sim import compromise, initialize, run, step
+from councilnet.sim import compromise, dump_state, initialize, run, step
 from councilnet.topologies import random_connected
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -117,6 +120,65 @@ def small_mobile_scenario(seed, n=100, rounds=40, prime=1009):
             "nodes": nodes,
         }
     )
+
+
+def toggled(t, u, v):
+    """``t`` with the link between u and v added or removed."""
+    return topology_from_edges(sorted(t.nodes), t.edges ^ {(min(u, v), max(u, v))})
+
+
+def count_verify_calls(monkeypatch):
+    """Route every module attribute bound to ``verify_partition``, however
+    it was imported, through a counter; returns the list of calls."""
+    calls = []
+    verify = phase2.verify_partition
+
+    def counted(t, p):
+        calls.append(len(t.nodes))
+        return verify(t, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "councilnet" and vars(module).get("verify_partition") is verify:
+            monkeypatch.setattr(module, "verify_partition", counted)
+    return calls
+
+
+@st.composite
+def quiet_pass_runs(draw):
+    """A small scenario, edge-list or mobile, and for each round either None
+    or a pair of nodes whose link is toggled before that round is stepped."""
+    n = draw(st.integers(2, 12))
+    t = random_connected(n, seed=draw(st.integers(0, 2**16)))
+    nids = sorted(t.nodes)
+    rounds = draw(st.integers(1, 10))
+    data = {
+        "seed": draw(st.integers(0, 3)),
+        "rounds": rounds,
+        "field_prime": 1009,
+        "hello_interval_rounds": draw(st.integers(1, 3)),
+    }
+    if draw(st.booleans()):
+        data["edges"] = sorted(t.edges)
+        data["nodes"] = [{"nid": nid} for nid in nids]
+    else:
+        data["radius"] = t.radius
+        movers = draw(st.sets(st.sampled_from(nids), max_size=n // 3))
+        points = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)
+        data["nodes"] = [{"nid": nid, "pos": list(t.positions[nid])} for nid in nids]
+        for node in data["nodes"]:
+            if node["nid"] in movers:
+                node["waypoints"] = draw(st.lists(points, min_size=1, max_size=3))
+                node["speed"] = t.radius * draw(st.sampled_from([0.25, 0.5, 1.0]))
+    if draw(st.booleans()):
+        data["adversary"] = {
+            "compromise_round": draw(st.integers(1, rounds)),
+            "nodes": draw(st.lists(st.sampled_from(nids), max_size=3)),
+        }
+    pairs = st.tuples(st.sampled_from(nids), st.sampled_from(nids)).filter(lambda uv: uv[0] != uv[1])
+    # At most two toggles, so that most runs also hold still for a while.
+    toggle_rounds = draw(st.sets(st.integers(0, rounds - 1), max_size=2))
+    toggles = [draw(pairs) if r in toggle_rounds else None for r in range(rounds)]
+    return scenario_from_dict(data), toggles
 
 
 class TestLoadScenario:
@@ -318,6 +380,84 @@ class TestStep:
         step(state)
         assert [r.reforms for r in state.metrics] == [0, 1]
         assert set(state.share_ledger) == {c.cluster_id for c in state.partition.clusters}
+
+    def test_unchanged_network_is_verified_once(self, monkeypatch):
+        calls = count_verify_calls(monkeypatch)
+        state = initialize(scenario_from_dict(STATIC_SEVEN))
+        for _ in range(10):
+            step(state)
+        assert calls == [7]
+        assert sum(r.hellos for r in state.metrics) == 70
+
+    def test_swapped_topology_is_verified_on_the_next_hello_round(self, monkeypatch):
+        state = initialize(scenario_from_dict(dict(STATIC_SEVEN, hello_interval_rounds=2)))
+        step(state)
+        calls = count_verify_calls(monkeypatch)
+        step(state)
+        step(state)
+        assert calls == []  # round 2 has no HELLO, round 3 is quiet
+        state.topology = toggled(state.topology, 2, 3)
+        step(state)
+        assert calls == []  # round 4 has no HELLO either
+        step(state)
+        assert calls == [7]
+        assert state.violations == []
+
+    @pytest.mark.parametrize("change", ["partition", "miss"])
+    def test_rebuilt_partition_or_pending_miss_is_verified(self, monkeypatch, change):
+        state = initialize(scenario_from_dict(STATIC_SEVEN))
+        step(state)
+        calls = count_verify_calls(monkeypatch)
+        if change == "partition":
+            state.partition = phase2.Partition(state.partition.clusters)  # equal, not the same
+        else:
+            state.miss_counts[2] = 1
+        step(state)
+        step(state)
+        assert calls == [7]
+        assert state.miss_counts[2] == 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(quiet_pass_runs())
+    @example((scenario_from_dict(STATIC_SEVEN), [None, None, (2, 3), None, (6, 7), None, None]))
+    @example((drifting_head_scenario(rounds=6), [None] * 6))
+    @example((mobile_scenario(walkers=("2",), rounds=6), [None, None, None, (1, 2), None, None]))
+    def test_quiet_passes_change_nothing(self, run_spec):
+        # One copy runs as is; the other forgets its last clean pass before
+        # every step, so each of its HELLO rounds runs the full pass.
+        sc, toggles = run_spec
+        quiet, full = initialize(sc), initialize(sc)
+        with tempfile.TemporaryDirectory() as tmp:
+            dumps = Path(tmp) / "quiet.json", Path(tmp) / "full.json"
+            for toggle in toggles:
+                if quiet.halted:
+                    break
+                if toggle is not None:
+                    quiet.topology = toggled(quiet.topology, *toggle)
+                    full.topology = toggled(full.topology, *toggle)
+                last = quiet.last_clean
+                can_be_quiet = (
+                    quiet.round % sc.hello_interval_rounds == 0
+                    and last is not None
+                    and not any(quiet.miss_counts.values())
+                )
+                full.last_clean = None
+                step(quiet)
+                step(full)
+                where = f"round {quiet.round}"
+                assert quiet.metrics == full.metrics, where
+                assert quiet.decision_log == full.decision_log, where
+                assert quiet.miss_counts == full.miss_counts, where
+                assert quiet.violations == full.violations, where
+                assert quiet.halted == full.halted, where
+                assert quiet.partition == full.partition, where
+                dump_state(quiet, dumps[0])
+                dump_state(full, dumps[1])
+                assert dumps[0].read_bytes() == dumps[1].read_bytes(), where
+                # A pass is quiet iff it met the very objects of the last
+                # clean pass; being quiet, it leaves both in place.
+                if can_be_quiet and last[0] is quiet.topology and last[1] is quiet.partition:
+                    assert verify_partition(quiet.topology, quiet.partition) == [], where
 
     @pytest.mark.parametrize(
         "seed, prime",
