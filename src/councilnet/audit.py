@@ -101,9 +101,9 @@ def audit_secrecy(state: SimState) -> AuditResult:
     """Per-cluster breach report for the adversary's current holdings."""
     entries = []
     anomalies: list[str] = []
-    for cid in sorted(state.share_ledger):
-        ledger = state.share_ledger[cid]
-        held = [s for _, s in sorted(ledger.leaked.items())]
+    for cid, ledger in sorted(state.share_ledger.items()):
+        leaked = ledger.leaked
+        held = [leaked[nid] for nid in sorted(leaked)]
         entry, extra = _audit_cluster(cid, ledger.k, ledger.prime, ledger.epoch, ledger.secret, held)
         entries.append(entry)
         anomalies.extend(extra)

@@ -3,9 +3,9 @@
 The ledger holds the cluster's secret, its shares by holder, the holders
 revoked since the last refresh, and what leaked.  One rule decides what
 leaks: the adversary holds the current share of every compromised holder
-whose share is live.  Splitting, issuing, refreshing and compromising all
-apply it through ``leak``; a revoked share stops leaking, but a copy the
-adversary already took is kept.
+whose share is live.  Splitting, issuing and compromising apply it through
+``leak``, and a refresh in its one pass over the live holders; a revoked
+share stops leaking, but a copy the adversary already took is kept.
 """
 
 from __future__ import annotations
@@ -77,13 +77,22 @@ class ClusterLedger:
             self.revoked.add(nid)
 
     def refresh(self, rng: random.Random, compromised: AbstractSet[NodeId]) -> None:
-        """Re-randomise the live shares into the next epoch; revoked ones die."""
+        """Re-randomise the live shares into the next epoch; revoked ones die.
+
+        One pass over the live holders, sorted once, maps each new share back
+        by x and applies the leak rule: a compromised holder's new share
+        leaks, a revoked holder's old copy stays with the adversary.
+        """
         live = self.live_shares()
         if not live:
             return
         refreshed = refresh_shares([s for _, s in live], self.k, rng.randrange(2**62), self.prime)
         by_x = {s.x: s for s in refreshed}
-        self.shares = {nid: by_x[s.x] for nid, s in live}
+        shares = {}
+        for nid, old in live:
+            shares[nid] = new = by_x[old.x]
+            if nid in compromised:
+                self.leaked[nid] = new
+        self.shares = shares
         self.revoked = set()
         self.epoch += 1
-        self.leak(compromised)

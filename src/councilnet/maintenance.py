@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import UnknownCluster, UnknownNode, ValidationError
 from .graph import NodeId, Topology, neighbors
@@ -202,7 +202,7 @@ def apply_departures(
     t: Topology,
     partition: Partition,
     departed: Sequence[NodeId],
-    healths: Mapping[ClusterId, ClusterHealth],
+    healths: dict[ClusterId, ClusterHealth],
 ) -> tuple[Partition, dict[ClusterId, ClusterHealth], bool, list[tuple[ClusterId, NodeId]]]:
     """Apply one maintenance pass's departures, in order, to one working copy.
 
@@ -211,8 +211,11 @@ def apply_departures(
     ``handle_visitor``, which counts an arrival there.  A later departure
     sees the heads that joined earlier.  Returns the new partition, the
     updated healths, whether a node heard no other cluster's head, and the
-    ``(cluster, node)`` joins whose new heads need shares.
+    ``(cluster, node)`` joins whose new heads need shares.  Without
+    departures it returns ``partition`` and ``healths`` themselves, uncopied.
     """
+    if not departed:
+        return partition, healths, False, []
     work = _WorkingPartition(partition)
     healths = dict(healths)
     stranded = False

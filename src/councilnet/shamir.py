@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateX,
@@ -41,8 +41,9 @@ class ThresholdPolicy:
             raise ValidationError(f"threshold k={self.k} must lie in 1..n={self.n}")
 
 
-@dataclass(frozen=True)
-class Share:
+class Share(NamedTuple):
+    """One point (x, y) of a sharing polynomial, tagged with its refresh epoch."""
+
     x: int
     y: int
     epoch: int = 0
@@ -58,11 +59,13 @@ def choose_threshold(n: int) -> ThresholdPolicy:
     return ThresholdPolicy(n=n, k=n // 2 + 1)
 
 
-def _eval_poly(coeffs: Sequence[int], x: int, prime: int) -> int:
-    # Horner's rule; coeffs[0] is the constant term.
+def _eval_poly(coeffs: Sequence[int], x: int) -> int:
+    # Horner's rule over exact integers; coeffs[0] is the constant term.
+    # Callers reduce the result once: its residue mod p is the one that
+    # reducing at every step would give.
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * x + c) % prime
+        acc = acc * x + c
     return acc
 
 
@@ -89,7 +92,7 @@ def split_secret(
     _check_xs(xs, prime)
     rng = random.Random(seed)
     coeffs = [secret] + [rng.randrange(prime) for _ in range(policy.k - 1)]
-    return tuple(Share(x % prime, _eval_poly(coeffs, x % prime, prime), 0) for x in xs)
+    return tuple(Share(x % prime, _eval_poly(coeffs, x % prime) % prime, 0) for x in xs)
 
 
 def _check_threshold(k: int) -> None:
@@ -163,7 +166,10 @@ def refresh_shares(
     """Proactively re-randomise the complete share set without moving the secret.
 
     Adds a random degree-(k-1) polynomial with zero constant term and bumps
-    the epoch, so old and new shares can no longer be mixed.
+    the epoch, so old and new shares can no longer be mixed.  The new shares
+    come in ascending x, and each y is reduced mod p once: the blind is
+    evaluated as x * h(x) over exact integers, h holding its k - 1 random
+    coefficients without the zero constant.
     """
     _check_threshold(k)
     share_list = sorted(shares, key=lambda s: s.x)
@@ -173,11 +179,10 @@ def refresh_shares(
         )
     if not share_list:
         raise IncompleteShareSet("refresh needs at least one share")
-    epoch = _common_epoch(share_list)
+    epoch = _common_epoch(share_list) + 1
     _check_xs([s.x for s in share_list], prime)
     rng = random.Random(seed)
-    blind = [0] + [rng.randrange(prime) for _ in range(k - 1)]
+    blind = [rng.randrange(prime) for _ in range(k - 1)]
     return tuple(
-        Share(s.x, (s.y + _eval_poly(blind, s.x, prime)) % prime, epoch + 1)
-        for s in share_list
+        Share(s.x, (s.y + s.x * _eval_poly(blind, s.x)) % prime, epoch) for s in share_list
     )

@@ -349,6 +349,13 @@ class TestBatchMatchesSequentialFold:
         p2, *_ = apply_departures(t, p, [12], healths)
         assert p2.cluster(1) is p.cluster(1) and p2.cluster(6) is p.cluster(6)
 
+    def test_no_departures_return_the_inputs_themselves(self):
+        t, p = hand_partition()
+        healths = {c.cluster_id: baseline_health(c) for c in p.clusters}
+        p2, healths2, stranded, joined = apply_departures(t, p, [], healths)
+        assert p2 is p and healths2 is healths
+        assert not stranded and joined == []
+
     @given(st.integers(8, 40), st.integers(0, 2**16), st.data())
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_sequential_fold(self, n, seed, data):

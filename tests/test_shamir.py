@@ -25,6 +25,7 @@ from councilnet.shamir import (
     refresh_shares,
     split_secret,
 )
+import shamir_oracle
 from secrecy_oracle import consistent_secrets, poly_eval
 
 P = 13
@@ -174,6 +175,57 @@ class TestIssueShare:
             quorum = [Share(x, poly_eval(coeffs, x, P)) for x in xs[:n]][:k]
             issued = issue_share(quorum, xs[n], k, P)
             assert issued.y == poly_eval(coeffs, xs[n], P)
+
+
+class TestShare:
+    def test_assignment_raises(self):
+        share = Share(1, 2)
+        with pytest.raises(AttributeError):
+            share.y = 3
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        assert Share(1, 2, 3) == Share(1, 2, 3)
+        assert hash(Share(1, 2, 3)) == hash(Share(1, 2, 3))
+        assert Share(1, 2, 3) != Share(1, 2, 4)
+
+    def test_epoch_defaults_to_zero(self):
+        assert Share(1, 2).epoch == 0
+
+    def test_repr(self):
+        assert repr(Share(1, 2)) == "Share(x=1, y=2, epoch=0)"
+
+
+ORACLE_PRIMES = (2, 3, 5, 17, DEFAULT_PRIME)
+
+
+@st.composite
+def sharings(draw):
+    """A prime, a secret, up to 7 x coordinates distinct and nonzero mod p
+    (in any order, some given above p), and a split and a refresh seed."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    residues = draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=min(p - 1, 7), unique=True))
+    xs = [x + p * draw(st.integers(0, 2)) for x in residues]
+    seeds = st.integers(0, 2**62)
+    return p, draw(st.integers(0, p - 1)), xs, draw(seeds), draw(seeds)
+
+
+class TestArithmeticMatchesOracle:
+    @given(sharings())
+    @settings(max_examples=150, deadline=None)
+    def test_split_and_refresh_match_per_step_reduction(self, case):
+        p, secret, xs, split_seed, refresh_seed = case
+        n = len(xs)
+        for k in range(1, n + 1):
+            shares = split_secret(secret, ThresholdPolicy(n, k), xs, split_seed, p)
+            assert list(shares) == shamir_oracle.split_secret(secret, k, xs, split_seed, p)
+            refreshed = refresh_shares(shares, k, refresh_seed, p, expected_n=n)
+            assert list(refreshed) == shamir_oracle.refresh_shares(shares, k, refresh_seed, p)
+            again = refresh_shares(refreshed, k, split_seed, p)
+            assert list(again) == shamir_oracle.refresh_shares(refreshed, k, split_seed, p)
+            if k == 1:
+                # a degree-0 blind is the zero polynomial
+                assert [(s.x, s.y) for s in refreshed] == sorted((s.x, s.y) for s in shares)
+                assert [s.epoch for s in refreshed] == [1] * n
 
 
 class TestRefreshShares:

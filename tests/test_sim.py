@@ -389,6 +389,17 @@ class TestStep:
         assert calls == [7]
         assert sum(r.hellos for r in state.metrics) == 70
 
+    def test_quiet_passes_keep_the_partition_and_healths_objects(self):
+        # The next pass can be quiet only if it meets the very partition
+        # object of the last clean one, so a pass without departures must
+        # hand back the objects it was given.
+        state = initialize(scenario_from_dict(STATIC_SEVEN))
+        partition, healths = state.partition, state.healths
+        for _ in range(3):
+            step(state)
+            assert state.partition is partition and state.healths is healths
+            assert state.last_clean[0] is state.topology and state.last_clean[1] is partition
+
     def test_swapped_topology_is_verified_on_the_next_hello_round(self, monkeypatch):
         state = initialize(scenario_from_dict(dict(STATIC_SEVEN, hello_interval_rounds=2)))
         step(state)
@@ -481,7 +492,14 @@ class TestStep:
                 # which opens to the secret; so every k-subset of them does.
                 # (Enumerating the subsets directly reaches C(19, 10) a round.)
                 k, prime = ledger.k, ledger.prime
-                live = [s for _, s in ledger.live_shares()]
+                live_holders = ledger.live_shares()
+                # the leak rule: the adversary holds the current share of each
+                # compromised live holder, and nothing of anyone else
+                assert set(ledger.leaked) <= state.compromised, where
+                for nid, share in live_holders:
+                    if nid in state.compromised:
+                        assert ledger.leaked[nid] == share, where
+                live = [s for _, s in live_holders]
                 base = live[:k]
                 assert reconstruct(base, k, prime) == ledger.secret, where
                 for share in live[k:]:
