@@ -41,16 +41,10 @@ from .maintenance import (
     reform,
 )
 from .phase1 import (
-    ClusterAdjacencyTable,
     DominatingSet,
-    HelloMessage,
-    NeighborTable,
-    NodeState,
     Role,
     RoleAssignment,
     build_dominating_set,
-    build_hello,
-    cluster_adjacency_tables,
     elect_heads,
     identify_gateways,
     node_states,

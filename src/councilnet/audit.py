@@ -114,10 +114,13 @@ def audit_dump(payload: Mapping) -> AuditResult:
     """Run the secrecy audit over a previously dumped state.
 
     A dump raises ``ValidationError`` when it lacks a field or holds a value
-    of the wrong shape, when its prime is not prime or a cluster's k is not
-    an integer >= 1, or when an adversary share row gives a k or a prime
-    other than its cluster's and the dump's, an x outside 1..p-1, a y
-    outside 0..p-1, or an x that another row of the cluster already has.
+    of the wrong shape, when its prime is not prime, a cluster's k is not
+    an integer >= 1 or its epoch not an integer >= 0, or when an adversary
+    share row gives a k or a prime other than its cluster's and the dump's,
+    an epoch that is not an integer >= 0, an x outside 1..p-1, a y outside
+    0..p-1, or an x that another row of the cluster already has.  A row
+    counts only at its cluster's epoch, so an epoch of another type would
+    hide it from the audit.
     """
     entries = []
     anomalies: list[str] = []
@@ -130,18 +133,23 @@ def audit_dump(payload: Mapping) -> AuditResult:
             where = f"malformed state dump: cluster {cid}"
             if not _is_int(k) or k < 1:
                 raise ValidationError(f"{where}: k={k!r} is not an integer >= 1")
+            epoch = cluster["epoch"]
+            if not _is_int(epoch) or epoch < 0:
+                raise ValidationError(f"{where}: epoch={epoch!r} is not an integer >= 0")
             held = []
-            for x, y, row_k, epoch, row_prime in cluster["adversary_shares"]:
+            for x, y, row_k, row_epoch, row_prime in cluster["adversary_shares"]:
                 if row_k != k:
                     raise ValidationError(f"{where}: row k={row_k} != {k}")
                 if row_prime != prime:
                     raise ValidationError(f"{where}: row prime={row_prime} != {prime}")
+                if not _is_int(row_epoch) or row_epoch < 0:
+                    raise ValidationError(f"{where}: row epoch={row_epoch!r} is not an integer >= 0")
                 if not (_is_int(x) and 1 <= x < prime and _is_int(y) and 0 <= y < prime):
                     raise ValidationError(f"{where}: row ({x!r}, {y!r}) lies outside GF({prime})")
                 if any(s.x == x for s in held):
                     raise ValidationError(f"{where}: two rows share x={x}")
-                held.append(Share(x, y, epoch))
-            entry, extra = _audit_cluster(cid, k, prime, cluster["epoch"], cluster.get("secret"), held)
+                held.append(Share(x, y, row_epoch))
+            entry, extra = _audit_cluster(cid, k, prime, epoch, cluster.get("secret"), held)
             entries.append(entry)
             anomalies.extend(extra)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -63,8 +63,10 @@ class ClusterLedger:
         live = [s for _, s in self.live_shares()]
         if len(live) < self.k:
             return f"{where}: no quorum of {self.k} live shares to issue for node {nid}"
+        # A revoked holder keeps its entry until the next refresh; its own x is
+        # free when it rejoins, and the re-issued share equals the revoked one.
         new_x = nid % self.prime
-        if new_x == 0 or any(s.x == new_x for s in self.shares.values()):
+        if new_x == 0 or any(s.x == new_x for h, s in self.shares.items() if h != nid):
             return f"{where}: cannot map node {nid} to a fresh share coordinate"
         self.shares[nid] = issue_share(live[: self.k], new_x, self.k, self.prime)
         self.revoked.discard(nid)

@@ -1,11 +1,15 @@
-"""First clustering phase: HELLO-table bookkeeping, lowest-id head election,
-gateway identification, and assembly of the head/gateway backbone.
+"""First clustering phase: lowest-id head election, gateway identification,
+and assembly of the head/gateway backbone.
 
 The election is the classic iterative lowest-id rule: repeatedly, the
 undecided node with the lowest id in its closed undecided neighbourhood
 becomes a head and claims its undecided neighbours as members.  Members that
 can hear another cluster are then re-tagged as gateways, and heads plus
 gateways together form a dominating backbone of the network.
+
+``node_states`` gives each node's neighbour-role map, the table a CBRP HELLO
+broadcast carries.  The simulator never builds it: a HELLO round only counts
+one broadcast per node.
 """
 
 from __future__ import annotations
@@ -25,48 +29,6 @@ class Role(str, Enum):
     MEMBER = "member"
     GATEWAY = "gateway"
     UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
-class NeighborTable:
-    """One node's record of its direct neighbours and their advertised roles."""
-
-    owner: NodeId
-    entries: Mapping[NodeId, Role]
-
-
-@dataclass(frozen=True)
-class ClusterAdjacencyTable:
-    """Which neighbouring cluster the owner can reach, and through which gateway.
-
-    The listed gateway is always a neighbour of the owner or the owner itself.
-    """
-
-    owner: NodeId
-    entries: Mapping[ClusterId, NodeId]
-
-
-@dataclass(frozen=True)
-class HelloMessage:
-    sender: NodeId
-    neighbor_table: NeighborTable
-    cluster_adjacency: ClusterAdjacencyTable
-    round: int
-
-    def __post_init__(self) -> None:
-        if self.neighbor_table.owner != self.sender:
-            raise ValidationError("hello message must carry its sender's own table")
-        if self.round < 0:
-            raise ValidationError("round must be non-negative")
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Per-node protocol state that gets snapshotted into HELLO broadcasts."""
-
-    nid: NodeId
-    neighbor_table: NeighborTable
-    cluster_adjacency: ClusterAdjacencyTable
 
 
 @dataclass(frozen=True)
@@ -105,27 +67,13 @@ class DominatingSet:
         return len(self.members)
 
 
-def neighbor_table(t: Topology, u: NodeId, ra: Optional[RoleAssignment] = None) -> NeighborTable:
-    """Table of u's neighbours with their roles (undecided before election)."""
-    entries = {}
-    for v in sorted(neighbors(t, u)):
-        entries[v] = ra.role_of(v) if ra is not None else Role.UNDECIDED
-    return NeighborTable(u, entries)
-
-
-def node_states(t: Topology, ra: Optional[RoleAssignment] = None) -> dict[NodeId, NodeState]:
-    """Protocol state for every node, with adjacency tables once roles exist."""
-    adjacency = cluster_adjacency_tables(t, ra) if ra is not None and ra.gateways_identified else {}
-    states = {}
-    for u in sorted(t.nodes):
-        adj = adjacency.get(u, ClusterAdjacencyTable(u, {}))
-        states[u] = NodeState(u, neighbor_table(t, u, ra), adj)
-    return states
-
-
-def build_hello(state: NodeState, round: int) -> HelloMessage:
-    """Snapshot a node's tables into one periodic broadcast."""
-    return HelloMessage(state.nid, state.neighbor_table, state.cluster_adjacency, round)
+def node_states(t: Topology, ra: Optional[RoleAssignment] = None) -> dict[NodeId, dict[NodeId, Role]]:
+    """Each node's neighbour-role map, ``{node: {neighbour: role}}``, in id
+    order; roles are ``Role.UNDECIDED`` before election."""
+    return {
+        u: {v: ra.role_of(v) if ra is not None else Role.UNDECIDED for v in sorted(neighbors(t, u))}
+        for u in sorted(t.nodes)
+    }
 
 
 def elect_heads(t: Topology) -> RoleAssignment:
@@ -164,32 +112,6 @@ def identify_gateways(t: Topology, ra: RoleAssignment) -> RoleAssignment:
         if any(ra.cid_of(v) != cid for v in neighbors(t, nid)):
             entries[nid] = (Role.GATEWAY, cid)
     return RoleAssignment(entries, gateways_identified=True)
-
-
-def cluster_adjacency_tables(t: Topology, ra: RoleAssignment) -> dict[NodeId, ClusterAdjacencyTable]:
-    """Per-node routes to neighbouring clusters.
-
-    When several gateways of one cluster reach the same neighbour cluster,
-    the lowest-id gateway within reach is recorded as the route.
-    """
-    if not ra.gateways_identified:
-        raise ValidationError("cluster adjacency needs gateways identified first")
-    tables = {}
-    for u in sorted(t.nodes):
-        own = ra.cid_of(u)
-        entries: dict[ClusterId, NodeId] = {}
-        for g in sorted({u} | set(neighbors(t, u))):
-            if ra.role_of(g) is not Role.GATEWAY:
-                continue
-            g_cid = ra.cid_of(g)
-            if g_cid == own:
-                targets = {ra.cid_of(w) for w in neighbors(t, g)} - {own}
-            else:
-                targets = {g_cid}
-            for target in sorted(targets):
-                entries.setdefault(target, g)
-        tables[u] = ClusterAdjacencyTable(u, entries)
-    return tables
 
 
 def build_dominating_set(t: Topology, ra: RoleAssignment) -> DominatingSet:

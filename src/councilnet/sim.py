@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -42,19 +42,6 @@ from .phase2 import Partition, verify_partition
 # scenario_from_dict is re-exported for callers that build scenarios via sim.
 from .scenario import Scenario, load_scenario, scenario_from_dict
 
-METRICS_COLUMNS = (
-    "round",
-    "cluster_count",
-    "mean_council",
-    "min_council",
-    "max_council",
-    "updates",
-    "reforms",
-    "hellos",
-    "secrecy_ok",
-)
-
-
 @dataclass(frozen=True)
 class MetricsRow:
     round: int
@@ -79,6 +66,10 @@ class MetricsRow:
             self.hellos,
             1 if self.secrecy_ok else 0,
         )
+
+
+# The CSV header: MetricsRow's fields, in order.
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 @dataclass(frozen=True)
@@ -106,6 +97,8 @@ class SimState:
     healths: dict[ClusterId, ClusterHealth]
     rng: random.Random
     compromised: set[NodeId] = field(default_factory=set)
+    # Consecutive missed HELLO exchanges, kept only for nodes with a miss
+    # pending; a node back in touch or departed is removed.
     miss_counts: dict[NodeId, int] = field(default_factory=dict)
     decision_log: list[tuple[int, ClusterId, str, int, float]] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
@@ -212,12 +205,11 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         last is not None
         and last[0] is t
         and last[1] is p
-        and not any(state.miss_counts.values())
+        and not state.miss_counts
     )
     state.last_clean = None
 
     departed: list[NodeId] = []
-    everyone_in_touch = True
     for nid in () if quiet else sorted(t.nodes):
         cid = p.node_index.get(nid)
         if cid is None:
@@ -230,18 +222,18 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         else:
             in_touch = not neighbors(t, nid).isdisjoint(cluster.council.heads)
         if in_touch:
-            state.miss_counts[nid] = 0
+            state.miss_counts.pop(nid, None)
         else:
-            everyone_in_touch = False
-            state.miss_counts[nid] = state.miss_counts.get(nid, 0) + 1
-            if state.miss_counts[nid] >= 2:
+            misses = state.miss_counts[nid] = state.miss_counts.get(nid, 0) + 1
+            if misses >= 2:
                 departed.append(nid)
+    everyone_in_touch = not state.miss_counts
 
     p, state.healths, stranded, joined = apply_departures(t, p, departed, state.healths)
     for nid in departed:
         # Its share, if any, is in the ledger of its cluster before the pass.
         state.share_ledger[state.partition.node_index[nid]].revoke(nid)
-        state.miss_counts[nid] = 0
+        del state.miss_counts[nid]
     state.partition = p
 
     decisions = {
@@ -267,7 +259,7 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         if quiet or not verify_partition(t, p):
             if everyone_in_touch:
                 state.last_clean = (t, p)
-        elif not any(v > 0 for v in state.miss_counts.values()):
+        elif not state.miss_counts:
             needs_reform = True
     if needs_reform:
         if stranded or MaintenanceAction.REFORM not in decisions.values():

@@ -245,10 +245,14 @@ PRIME_MISMATCH = {
 }
 
 
-def gf13_dump(k=2, rows=(), prime=13):
-    """One cluster with the given adversary (x, y) rows at epoch 0."""
-    held = [[x, y, k, 0, prime] for x, y in rows]
-    return {"prime": prime, "clusters": [{"cluster_id": 1, "k": k, "epoch": 0, "adversary_shares": held}]}
+def gf13_dump(k=2, rows=(), prime=13, epoch=0, row_epoch=0):
+    """One cluster with the given adversary (x, y) rows."""
+    held = [[x, y, k, row_epoch, prime] for x, y in rows]
+    return {"prime": prime, "clusters": [{"cluster_id": 1, "k": k, "epoch": epoch, "adversary_shares": held}]}
+
+
+# Two rows at k = 2: a breach at epoch 0, which a mistyped epoch would hide.
+BREACH_ROWS = [(1, 5), (2, 7)]
 
 
 @pytest.mark.parametrize(
@@ -269,6 +273,12 @@ def gf13_dump(k=2, rows=(), prime=13):
         gf13_dump(rows=[(1, 13)]),
         gf13_dump(k=3, rows=[(1, 5), (1, 5)]),
         gf13_dump(k=3, rows=[(1, 5), (1, 6)]),
+        gf13_dump(rows=BREACH_ROWS, epoch="0"),
+        gf13_dump(rows=BREACH_ROWS, row_epoch="0"),
+        gf13_dump(rows=BREACH_ROWS, epoch=-1, row_epoch=-1),
+        gf13_dump(rows=BREACH_ROWS, row_epoch=-1),
+        gf13_dump(rows=BREACH_ROWS, epoch=0.0),
+        gf13_dump(rows=BREACH_ROWS, epoch=True, row_epoch=True),
     ],
 )
 def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):
@@ -276,6 +286,14 @@ def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):
     state.write_text(json.dumps(payload))
     assert main(["audit", "--state", str(state)]) == 2
     assert "malformed state dump" in capsys.readouterr().err
+
+
+def test_audit_reports_the_breach_that_a_mistyped_epoch_would_hide(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(gf13_dump(rows=BREACH_ROWS)))
+    assert main(["audit", "--state", str(state)]) == 0
+    out = capsys.readouterr().out
+    assert out == "cluster 1: adversary holds 2 of k=2 shares -> BREACHED consistent_secrets=1\n"
 
 
 def test_audit_prints_the_candidate_count_at_the_default_prime(tmp_path, capsys):

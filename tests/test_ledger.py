@@ -14,6 +14,25 @@ def council_of(n):
     return Cluster(Council(heads, 1), frozenset(), frozenset(), n // 2 + 1)
 
 
+class TestIssue:
+    def test_returning_holder_gets_its_revoked_share_back(self):
+        # A revoked holder keeps its entry in ``shares`` until the next
+        # refresh; rejoining the same council must not clash with it.
+        ledger = ClusterLedger.split(council_of(3), 13, random.Random(5), set())
+        old = ledger.shares[2]
+        ledger.revoke(2)
+        assert ledger.issue(2, set()) is None
+        assert ledger.shares[2] == old
+        assert not ledger.revoked
+
+    def test_another_holders_coordinate_is_still_refused(self):
+        # Node 15 maps to x = 2 at p = 13, which holder 2 already has.
+        ledger = ClusterLedger.split(council_of(3), 13, random.Random(5), set())
+        problem = ledger.issue(15, set())
+        assert problem == "cluster 1: cannot map node 15 to a fresh share coordinate"
+        assert 15 not in ledger.shares
+
+
 class TestLeakRuleUnderRefresh:
     def test_live_holder_leaks_anew_and_revoked_holder_keeps_its_copy(self):
         ledger = ClusterLedger.split(council_of(5), P, random.Random(3), {1, 2})

@@ -8,8 +8,6 @@ from councilnet.phase1 import (
     Role,
     RoleAssignment,
     build_dominating_set,
-    build_hello,
-    cluster_adjacency_tables,
     elect_heads,
     identify_gateways,
     node_states,
@@ -139,51 +137,17 @@ class TestDominatingSet:
 class TestHello:
     def test_isolated_node_sends_empty_tables(self):
         t = topology_from_edges([1], [])
-        state = node_states(t)[1]
-        msg = build_hello(state, 0)
-        assert msg.sender == 1
-        assert msg.neighbor_table.entries == {}
-        assert msg.cluster_adjacency.entries == {}
+        assert node_states(t) == {1: {}}
 
     def test_triangle_node_two_lists_both_neighbors(self):
-        state = node_states(triangle())[2]
-        msg = build_hello(state, 0)
-        assert set(msg.neighbor_table.entries) == {1, 3}
-
-    def test_round_is_carried_through(self):
-        state = node_states(triangle())[1]
-        rounds = [build_hello(state, r).round for r in range(3)]
-        assert rounds == [0, 1, 2]
-
-    def test_negative_round_rejected(self):
-        state = node_states(triangle())[1]
-        with pytest.raises(ValidationError):
-            build_hello(state, -1)
+        assert node_states(triangle())[2] == {1: Role.UNDECIDED, 3: Role.UNDECIDED}
 
     def test_roles_appear_in_tables_after_election(self):
         t = two_cluster_seven()
         ra = full_roles(t)
         states = node_states(t, ra)
-        assert states[1].neighbor_table.entries[5] is Role.GATEWAY
-        assert states[6].neighbor_table.entries[4] is Role.HEAD
-
-
-class TestClusterAdjacency:
-    def test_two_cluster_routes(self):
-        t = two_cluster_seven()
-        tables = cluster_adjacency_tables(t, full_roles(t))
-        assert tables[1].entries == {4: 5}
-        assert tables[3].entries == {4: 5}
-        assert tables[5].entries == {4: 5}
-        assert tables[4].entries == {1: 5}
-        assert tables[2].entries == {}
-        assert tables[7].entries == {}
-
-    def test_listed_gateway_within_reach(self):
-        for seed in range(8):
-            t = random_connected(20, seed=seed)
-            ra = full_roles(t)
-            for owner, table in cluster_adjacency_tables(t, ra).items():
-                for cid, gw in table.entries.items():
-                    assert cid != ra.cid_of(owner)
-                    assert gw == owner or gw in neighbors(t, owner)
+        assert list(states) == sorted(t.nodes)
+        assert states[1][5] is Role.GATEWAY
+        assert states[6][4] is Role.HEAD
+        for u, table in states.items():
+            assert list(table) == sorted(neighbors(t, u))
