@@ -115,12 +115,14 @@ def audit_dump(payload: Mapping) -> AuditResult:
 
     A dump raises ``ValidationError`` when it lacks a field or holds a value
     of the wrong shape, when its prime is not prime, a cluster's k is not
-    an integer >= 1 or its epoch not an integer >= 0, or when an adversary
+    an integer >= 1, its epoch not an integer >= 0 or its secret (optional,
+    null counts as absent) not an integer in 0..p-1, or when an adversary
     share row gives a k or a prime other than its cluster's and the dump's,
     an epoch that is not an integer >= 0, an x outside 1..p-1, a y outside
     0..p-1, or an x that another row of the cluster already has.  A row
     counts only at its cluster's epoch, so an epoch of another type would
-    hide it from the audit.
+    hide it from the audit, and a secret of another type would fail to
+    match a breached reconstruction.
     """
     entries = []
     anomalies: list[str] = []
@@ -136,6 +138,9 @@ def audit_dump(payload: Mapping) -> AuditResult:
             epoch = cluster["epoch"]
             if not _is_int(epoch) or epoch < 0:
                 raise ValidationError(f"{where}: epoch={epoch!r} is not an integer >= 0")
+            secret = cluster.get("secret")
+            if secret is not None and not (_is_int(secret) and 0 <= secret < prime):
+                raise ValidationError(f"{where}: secret={secret!r} lies outside GF({prime})")
             held = []
             for x, y, row_k, row_epoch, row_prime in cluster["adversary_shares"]:
                 if row_k != k:
@@ -149,7 +154,7 @@ def audit_dump(payload: Mapping) -> AuditResult:
                 if any(s.x == x for s in held):
                     raise ValidationError(f"{where}: two rows share x={x}")
                 held.append(Share(x, y, row_epoch))
-            entry, extra = _audit_cluster(cid, k, prime, epoch, cluster.get("secret"), held)
+            entry, extra = _audit_cluster(cid, k, prime, epoch, secret, held)
             entries.append(entry)
             anomalies.extend(extra)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

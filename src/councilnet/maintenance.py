@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import UnknownCluster, UnknownNode, ValidationError
 from .graph import NodeId, Topology, neighbors
@@ -23,7 +23,7 @@ from .phase1 import (
     elect_heads,
     identify_gateways,
 )
-from .phase2 import Cluster, Council, Partition, cluster_form
+from .phase2 import Cluster, Council, Partition, _head_clusters, cluster_form
 
 
 class MaintenanceAction(str, Enum):
@@ -75,35 +75,21 @@ def classify_change(
 
 
 class _WorkingPartition:
-    """A partition under change, edited in place and built once by ``freeze``.
+    """A partition under change: its ``Cluster`` values by id, in partition
+    order, and the node index, turned back into a ``Partition`` by ``freeze``.
 
-    A cluster's heads, members and gateways become mutable sets on its first
-    change, and the node index follows every move, so lookups see the edits
-    made so far.  Clusters keep their order; untouched ones keep their
-    ``Cluster`` objects, and a cluster left without nodes is dropped.
-    Without edits, ``freeze`` returns the partition it started from.
+    Each edit replaces one cluster with a new ``Cluster`` at O(cluster size),
+    and the node index follows every move, so lookups see the edits made so
+    far.  Untouched clusters keep their objects, and ``freeze`` drops a
+    cluster left without nodes.
     """
 
     def __init__(self, partition: Partition) -> None:
-        self.partition = partition
         self.clusters = {c.cluster_id: c for c in partition.clusters}
         self.node_index = dict(partition.node_index)
-        self.edits: dict[ClusterId, tuple[set[NodeId], set[NodeId], set[NodeId]]] = {}
-
-    def _groups(self, cid: ClusterId) -> tuple[set[NodeId], set[NodeId], set[NodeId]]:
-        if cid not in self.edits:
-            c = self.clusters[cid]
-            self.edits[cid] = (set(c.council.heads), set(c.members), set(c.gateways))
-        return self.edits[cid]
-
-    def heads(self, cid: ClusterId) -> AbstractSet[NodeId]:
-        edited = self.edits.get(cid)
-        return self.clusters[cid].council.heads if edited is None else edited[0]
 
     def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
-        """Ids of the clusters whose council lists one of ``nodes``."""
-        index = self.node_index
-        return {index[u] for u in nodes if u in index and u in self.heads(index[u])}
+        return _head_clusters(self.node_index, self.clusters, nodes)
 
     def depart(self, node: NodeId) -> tuple[ClusterId, Role]:
         """Drop a node from its cluster; returns the cluster's id and the
@@ -111,12 +97,11 @@ class _WorkingPartition:
         cid = self.node_index.pop(node, None)
         if cid is None:
             raise UnknownNode(f"node {node} is not assigned to any cluster")
-        heads, members, gateways = self._groups(cid)
-        role = Role.HEAD if node in heads else Role.GATEWAY if node in gateways else Role.MEMBER
-        heads.discard(node)
-        members.discard(node)
-        gateways.discard(node)
-        return cid, role
+        c, gone = self.clusters[cid], {node}
+        self.clusters[cid] = Cluster(
+            Council(c.council.heads - gone, cid), c.members - gone, c.gateways - gone, c.k
+        )
+        return cid, c.role_of(node)
 
     def visit(
         self, t: Topology, node: NodeId, visiting: ClusterId, prior_role: Optional[Role]
@@ -126,7 +111,9 @@ class _WorkingPartition:
         if node in self.node_index:
             _, role = self.depart(node)
             prior_role = role if prior_role is None else prior_role
-        heads, near = self.heads(visiting), neighbors(t, node)
+        # Read after the departure, which may have edited this very cluster.
+        c = self.clusters[visiting]
+        heads, near = c.council.heads, neighbors(t, node)
         if near.isdisjoint(heads):
             raise ValidationError(f"node {node} has no link to a head of cluster {visiting}")
         joins = (
@@ -134,21 +121,15 @@ class _WorkingPartition:
             and prior_role is not Role.GATEWAY
             and not self.head_clusters(near) - {visiting}
         )
-        self._groups(visiting)[0 if joins else 1].add(node)
+        if joins:
+            self.clusters[visiting] = replace(c, council=Council(heads | {node}, visiting))
+        else:
+            self.clusters[visiting] = replace(c, members=c.members | {node})
         self.node_index[node] = visiting
         return "issue_new_share" if joins else "member_only"
 
     def freeze(self) -> Partition:
-        if not self.edits:
-            return self.partition
-        clusters = []
-        for cid, c in self.clusters.items():
-            if cid in self.edits:
-                heads, members, gateways = map(frozenset, self.edits[cid])
-                c = Cluster(Council(heads, cid), members, gateways, c.k)
-            if c.all_nodes:
-                clusters.append(c)
-        return Partition(clusters)
+        return Partition([c for c in self.clusters.values() if c.all_nodes])
 
 
 def _count_departure(health: ClusterHealth, role: Role) -> ClusterHealth:

@@ -105,8 +105,7 @@ def identify_gateways(t: Topology, ra: RoleAssignment) -> RoleAssignment:
     Heads are never re-tagged; gateways keep the cluster that elected them.
     """
     entries = dict(ra.entries)
-    for nid in sorted(ra.entries):
-        role, cid = ra.entries[nid]
+    for nid, (role, cid) in ra.entries.items():
         if role is not Role.MEMBER:
             continue
         if any(ra.cid_of(v) != cid for v in neighbors(t, nid)):

@@ -85,9 +85,14 @@ class Partition:
         return self._by_id[cid]
 
     def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
-        """Ids of the clusters whose council lists one of ``nodes``."""
-        index, by_id = self.node_index, self._by_id
-        return {index[u] for u in nodes if u in index and u in by_id[index[u]].council.heads}
+        return _head_clusters(self.node_index, self._by_id, nodes)
+
+
+def _head_clusters(
+    index: Mapping[NodeId, ClusterId], by_id: Mapping[ClusterId, Cluster], nodes: Iterable[NodeId]
+) -> set[ClusterId]:
+    """Ids of the clusters whose council lists one of ``nodes``."""
+    return {index[u] for u in nodes if u in index and u in by_id[index[u]].council.heads}
 
 
 def find_council_clique(
@@ -177,8 +182,7 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
         members = set()
         for n in heads:
             members |= {v for v in neighbors(t, n) if v not in assigned}
-        for m in sorted(members):
-            assigned[m] = cid
+        assigned.update(dict.fromkeys(members, cid))
 
         # A backbone neighbour of a backbone head, absorbed by this cluster.
         gateway = min(

@@ -118,11 +118,14 @@ def _build_topology(
     return build_topology(sorted(positions.items()), sc.radius, previous)
 
 
-def _split_all(state: SimState) -> None:
-    """Draw a fresh secret per cluster and split it across the council."""
+def _install(state: SimState, partition: Partition) -> None:
+    """Install a freshly formed partition: baseline healths, and a fresh
+    secret per cluster split across its council."""
+    state.partition = partition
+    state.healths = {c.cluster_id: baseline_health(c) for c in partition.clusters}
     state.share_ledger = {
         c.cluster_id: ClusterLedger.split(c, state.scenario.field_prime, state.rng, state.compromised)
-        for c in state.partition.clusters
+        for c in partition.clusters
     }
 
 
@@ -142,10 +145,10 @@ def initialize(sc: Scenario) -> SimState:
         topology=topology,
         partition=partition,
         share_ledger={},
-        healths={c.cluster_id: baseline_health(c) for c in partition.clusters},
+        healths={},
         rng=random.Random(sc.seed),
     )
-    _split_all(state)
+    _install(state, partition)
     return state
 
 
@@ -178,9 +181,7 @@ def _move_nodes(state: SimState) -> bool:
 
 
 def _do_reform(state: SimState) -> None:
-    state.partition = reform(state.topology)
-    _split_all(state)
-    state.healths = {c.cluster_id: baseline_health(c) for c in state.partition.clusters}
+    _install(state, reform(state.topology))
     state.miss_counts = {}
 
 

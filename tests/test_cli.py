@@ -245,13 +245,18 @@ PRIME_MISMATCH = {
 }
 
 
-def gf13_dump(k=2, rows=(), prime=13, epoch=0, row_epoch=0):
-    """One cluster with the given adversary (x, y) rows."""
+def gf13_dump(k=2, rows=(), prime=13, epoch=0, row_epoch=0, secret=None):
+    """One cluster with the given adversary (x, y) rows, and the given
+    secret unless it is None."""
     held = [[x, y, k, row_epoch, prime] for x, y in rows]
-    return {"prime": prime, "clusters": [{"cluster_id": 1, "k": k, "epoch": epoch, "adversary_shares": held}]}
+    cluster = {"cluster_id": 1, "k": k, "epoch": epoch, "adversary_shares": held}
+    if secret is not None:
+        cluster["secret"] = secret
+    return {"prime": prime, "clusters": [cluster]}
 
 
 # Two rows at k = 2: a breach at epoch 0, which a mistyped epoch would hide.
+# They lie on f(x) = 3 + 2x, so they reconstruct the secret 3.
 BREACH_ROWS = [(1, 5), (2, 7)]
 
 
@@ -279,6 +284,14 @@ BREACH_ROWS = [(1, 5), (2, 7)]
         gf13_dump(rows=BREACH_ROWS, row_epoch=-1),
         gf13_dump(rows=BREACH_ROWS, epoch=0.0),
         gf13_dump(rows=BREACH_ROWS, epoch=True, row_epoch=True),
+        # a secret that is not an integer in 0..p-1 would read as a breach
+        # that reconstructs the wrong secret
+        gf13_dump(rows=BREACH_ROWS, secret="6"),
+        gf13_dump(rows=BREACH_ROWS, secret=19),
+        gf13_dump(rows=BREACH_ROWS, secret=-7),
+        gf13_dump(rows=BREACH_ROWS, secret=True),
+        gf13_dump(rows=BREACH_ROWS, secret=6.0),
+        gf13_dump(rows=BREACH_ROWS, secret=13),
     ],
 )
 def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):
@@ -294,6 +307,21 @@ def test_audit_reports_the_breach_that_a_mistyped_epoch_would_hide(tmp_path, cap
     assert main(["audit", "--state", str(state)]) == 0
     out = capsys.readouterr().out
     assert out == "cluster 1: adversary holds 2 of k=2 shares -> BREACHED consistent_secrets=1\n"
+
+
+def test_audit_of_a_breach_that_reconstructs_its_secret_is_clean(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(gf13_dump(rows=BREACH_ROWS, secret=3)))
+    assert main(["audit", "--state", str(state)]) == 0
+    out = capsys.readouterr().out
+    assert out == "cluster 1: adversary holds 2 of k=2 shares -> BREACHED consistent_secrets=1\n"
+
+
+def test_audit_flags_a_breach_that_disagrees_with_a_valid_secret(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(gf13_dump(rows=BREACH_ROWS, secret=6)))
+    assert main(["audit", "--state", str(state)]) == 1
+    assert "breached reconstruction disagrees with the secret" in capsys.readouterr().err
 
 
 def test_audit_prints_the_candidate_count_at_the_default_prime(tmp_path, capsys):

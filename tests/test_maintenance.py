@@ -159,6 +159,27 @@ class TestHandleVisitor:
         assert p2.node_index[7] == 1
         assert 7 not in p2.cluster(6).all_nodes
 
+    @pytest.mark.parametrize(
+        "node, tag, heads, members, gateways",
+        [
+            (3, "issue_new_share", {1, 3, 5}, {2}, {4}),  # a head rejoins its council
+            (2, "member_only", {1, 3, 5}, {2}, {4}),
+            (4, "member_only", {1, 3, 5}, {2, 4}, set()),  # a gateway returns a member
+        ],
+        ids=["head", "member", "gateway"],
+    )
+    def test_visit_to_its_own_cluster(self, node, tag, heads, members, gateways):
+        # the node leaves cluster 1 first, so the visit sees the cluster
+        # without it and places it exactly once
+        t = two_cluster_seven()
+        p = reform(t)
+        p2, got = handle_visitor(t, p, node, 1)
+        assert got == tag
+        cluster = p2.cluster(1)
+        assert (cluster.council.heads, cluster.members, cluster.gateways) == (heads, members, gateways)
+        assert p2.clusters[1] is p.clusters[1]
+        assert verify_partition(t, p2) == []
+
     def test_unknown_cluster(self):
         t = two_cluster_seven()
         p = reform(t)
