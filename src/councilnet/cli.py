@@ -12,12 +12,10 @@ Exit codes: 0 success, 1 invariant violation or secrecy anomaly, 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from .errors import CouncilNetError, ParseError, ValidationError
+from .errors import CouncilNetError, ValidationError
 from .phase2 import verify_partition
 from .shamir import (
     DEFAULT_PRIME,
@@ -28,7 +26,7 @@ from .shamir import (
     split_secret,
 )
 from .audit import audit_dump
-from .scenario import check_field_prime, is_prime, load_scenario
+from .scenario import check_field_prime, is_prime, load_scenario, read_json
 from .sim import initialize, run
 
 
@@ -74,11 +72,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        payload = json.loads(Path(args.state).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{args.state}: {exc}") from exc
-    result = audit_dump(payload)
+    result = audit_dump(read_json(args.state))
     for entry in result.entries:
         status = "BREACHED" if entry.breached else "safe"
         print(

@@ -93,7 +93,10 @@ def build_topology(
             raise DuplicateNid(f"node id {nid} appears more than once")
         if nid < 1:
             raise ValueError(f"node ids must be >= 1, got {nid}")
-        x, y = float(pos[0]), float(pos[1])
+        try:
+            x, y = float(pos[0]), float(pos[1])
+        except OverflowError:  # an int beyond float range
+            x = y = math.inf
         if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
             raise ValueError(f"node {nid} has a position {pos!r} outside ±{MAX_COORDINATE:g}")
         positions[nid] = (x, y)
@@ -163,10 +166,8 @@ def _pairs_with_a_mover(
 def topology_from_edges(
     nodes: Iterable[NodeId],
     edges: Iterable[tuple[NodeId, NodeId]],
-    positions: Optional[Mapping[NodeId, Position]] = None,
-    radius: Optional[float] = None,
 ) -> Topology:
-    """Build a topology from an explicit node and edge list (positions optional)."""
+    """Build a topology from an explicit node and edge list."""
     node_list = list(nodes)
     adj: dict[NodeId, set[NodeId]] = {u: set() for u in node_list}
     if len(adj) != len(node_list):
@@ -180,7 +181,7 @@ def topology_from_edges(
             raise UnknownNode(f"edge ({u}, {v}) references an unknown node")
         adj[u].add(v)
         adj[v].add(u)
-    return Topology({u: frozenset(vs) for u, vs in adj.items()}, positions, radius)
+    return Topology({u: frozenset(vs) for u, vs in adj.items()})
 
 
 def neighbors(t: Topology, u: NodeId) -> frozenset[NodeId]:

@@ -1,8 +1,9 @@
 """Scenario files: the node specs, adversary and run settings of a simulation.
 
-``load_scenario`` reads a JSON file and ``scenario_from_dict`` validates the
-decoded object, applying the documented defaults; any malformed field raises
-``ValidationError``.
+``load_scenario`` reads a JSON file through ``read_json``, which raises
+``ParseError`` on any file it cannot read or decode, and ``scenario_from_dict``
+validates the decoded object, applying the documented defaults; any malformed
+field raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -112,17 +113,27 @@ def _position(value, where: str) -> Position:
     return (x, y)
 
 
+def read_json(path):
+    """Decode a UTF-8 JSON file; any failure to read or decode it raises
+    ``ParseError``."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer over the digit limit
+        raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file, applying documented defaults."""
     path = Path(path)
-    try:
-        raw = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: scenario must be a JSON object")
     return scenario_from_dict(data, source=str(path))

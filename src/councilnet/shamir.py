@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateX,
@@ -161,7 +161,6 @@ def refresh_shares(
     k: int,
     seed: int,
     prime: int = DEFAULT_PRIME,
-    expected_n: Optional[int] = None,
 ) -> tuple[Share, ...]:
     """Proactively re-randomise the complete share set without moving the secret.
 
@@ -173,10 +172,6 @@ def refresh_shares(
     """
     _check_threshold(k)
     share_list = sorted(shares, key=lambda s: s.x)
-    if expected_n is not None and len(share_list) != expected_n:
-        raise IncompleteShareSet(
-            f"refresh needs all {expected_n} outstanding shares, got {len(share_list)}"
-        )
     if not share_list:
         raise IncompleteShareSet("refresh needs at least one share")
     epoch = _common_epoch(share_list) + 1

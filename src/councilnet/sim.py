@@ -113,8 +113,7 @@ def _build_topology(
     sc: Scenario, positions: Mapping[NodeId, Position], previous: Optional[Topology] = None
 ) -> Topology:
     if sc.static:
-        pos = positions if positions else None
-        return topology_from_edges([s.nid for s in sc.nodes], sc.edges, pos, sc.radius)
+        return topology_from_edges([s.nid for s in sc.nodes], sc.edges)
     return build_topology(sorted(positions.items()), sc.radius, previous)
 
 
@@ -193,6 +192,12 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     consecutive HELLO exchanges.  A visitor that joins a council gets its
     share only once the pass has decided not to re-form.
 
+    The pass is settled when nothing strands, no cluster must re-form and no
+    miss is left pending after departures.  Only a settled pass checks the
+    partition, and damage that departures do not explain (e.g. heads
+    drifting into each other's range) then forces a re-form; a stale
+    partition is tolerated while a miss is pending.
+
     A quiet pass, over the very topology and partition objects of the last
     clean pass and with no miss pending, skips the in-touch scan and the
     partition check: both are pure functions of those frozen objects, so
@@ -228,7 +233,6 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
             misses = state.miss_counts[nid] = state.miss_counts.get(nid, 0) + 1
             if misses >= 2:
                 departed.append(nid)
-    everyone_in_touch = not state.miss_counts
 
     p, state.healths, stranded, joined = apply_departures(t, p, departed, state.healths)
     for nid in departed:
@@ -249,24 +253,18 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
                 (round_no, cid, action.value, health.heads_departed, health.gateways_lost_fraction)
             )
 
-    needs_reform = stranded or MaintenanceAction.REFORM in decisions.values()
-    if not needs_reform:
-        # This is the round's only partition check; a quiet pass reuses the
-        # clean verdict on the same objects.  Structural damage not
-        # expressible as departures (e.g. heads drifting into each other's
-        # range) forces a re-form unless detection is still pending: a stale
-        # partition is tolerated while misses are pending and between HELLO
-        # exchanges.
-        if quiet or not verify_partition(t, p):
-            if everyone_in_touch:
-                state.last_clean = (t, p)
-        elif not state.miss_counts:
-            needs_reform = True
-    if needs_reform:
-        if stranded or MaintenanceAction.REFORM not in decisions.values():
+    cluster_reform = MaintenanceAction.REFORM in decisions.values()
+    settled = not (stranded or cluster_reform or state.miss_counts)
+    # The round's only partition check; a quiet pass reuses the last clean verdict.
+    damaged = settled and not quiet and bool(verify_partition(t, p))
+    if stranded or cluster_reform or damaged:
+        if stranded or not cluster_reform:
             state.decision_log.append((round_no, -1, "reform", 0, 0.0))
         _do_reform(state)
         return False, True
+    # Every node a settled pass missed has departed: with none, all were in touch.
+    if settled and not departed:
+        state.last_clean = (t, p)
     for dest, nid in joined:
         problem = state.share_ledger[dest].issue(nid, state.compromised)
         if problem:

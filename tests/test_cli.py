@@ -81,6 +81,26 @@ def test_missing_scenario_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Files the JSON reader cannot decode: not UTF-8, nested deeper than the
+# decoder recurses, and an integer over the int-to-str digit limit.
+UNDECODABLE = [b'\xff\xfe{"nodes": []}', b"[" * 200000, b"1" * 5000]
+
+
+@pytest.mark.parametrize("raw", UNDECODABLE, ids=["not-utf8", "too-deep", "too-many-digits"])
+@pytest.mark.parametrize("verb", ["form", "simulate", "audit"])
+def test_undecodable_input_file_is_an_input_error(verb, raw, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    if verb == "audit":
+        argv = ["audit", "--state", str(path)]
+    else:
+        argv = [verb, "--scenario", str(path)]
+        if verb == "simulate":
+            argv += ["--out", str(tmp_path / "m.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_invalid_scenario_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"radius": 1.0, "nodes": []}))

@@ -140,7 +140,7 @@ class TestBuildTopology:
 
     @pytest.mark.parametrize(
         "pos",
-        [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1e200, 0.0), (0.0, -1.1e150)],
+        [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1e200, 0.0), (0.0, -1.1e150), (10**400, 0)],
     )
     def test_non_finite_coordinate_rejected(self, pos):
         with pytest.raises(ValueError, match="node 2"):

@@ -218,7 +218,7 @@ class TestArithmeticMatchesOracle:
         for k in range(1, n + 1):
             shares = split_secret(secret, ThresholdPolicy(n, k), xs, split_seed, p)
             assert list(shares) == shamir_oracle.split_secret(secret, k, xs, split_seed, p)
-            refreshed = refresh_shares(shares, k, refresh_seed, p, expected_n=n)
+            refreshed = refresh_shares(shares, k, refresh_seed, p)
             assert list(refreshed) == shamir_oracle.refresh_shares(shares, k, refresh_seed, p)
             again = refresh_shares(refreshed, k, split_seed, p)
             assert list(again) == shamir_oracle.refresh_shares(refreshed, k, split_seed, p)
@@ -255,9 +255,9 @@ class TestRefreshShares:
         with pytest.raises(ValidationError):
             refresh_shares(self.make_shares(), k, 5, P)
 
-    def test_incomplete_set_rejected(self):
+    def test_empty_set_rejected(self):
         with pytest.raises(IncompleteShareSet):
-            refresh_shares(self.make_shares()[:2], 2, 0, P, expected_n=3)
+            refresh_shares([], 1, 0, P)
 
     def test_mixed_epoch_input_rejected(self):
         old = self.make_shares()

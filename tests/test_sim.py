@@ -428,6 +428,28 @@ class TestStep:
         assert calls == [7]
         assert 2 not in state.miss_counts
 
+    def test_pass_with_a_pending_miss_skips_the_partition_check(self, monkeypatch):
+        # node 2 walks out of its cluster's reach: one miss, not yet departed
+        state = initialize(mobile_scenario(walkers=("2",)))
+        calls = count_verify_calls(monkeypatch)
+        step(state)
+        assert state.miss_counts == {2: 1}
+        assert calls == []
+        assert state.last_clean is None
+
+    def test_pass_whose_pending_misses_all_depart_checks_the_partition(self, monkeypatch):
+        # node 2, the only node with a miss pending, departs in round 2 and
+        # joins cluster 5: nothing is left pending, so the partition is checked
+        state = initialize(mobile_scenario(walkers=("2",)))
+        step(state)
+        calls = count_verify_calls(monkeypatch)
+        step(state)
+        assert state.miss_counts == {}
+        assert calls == [6]
+        assert [(r.updates, r.reforms) for r in state.metrics] == [(0, 0), (1, 0)]
+        # a pass that departed a node is not a clean one
+        assert state.last_clean is None
+
     @settings(max_examples=120, deadline=None)
     @given(quiet_pass_runs())
     @example((scenario_from_dict(STATIC_SEVEN), [None, None, (2, 3), None, (6, 7), None, None]))
