@@ -6,6 +6,11 @@ leaks: the adversary holds the current share of every compromised holder
 whose share is live.  Splitting, issuing and compromising apply it through
 ``leak``, and a refresh in its one pass over the live holders; a revoked
 share stops leaking, but a copy the adversary already took is kept.
+
+A refresh checks the threshold and the holders' x coordinates once per
+membership: the verdicts are kept with the live holders until ``issue`` or
+``revoke`` changes who holds a share, since a pure check over unchanged
+inputs keeps its verdict.  The epochs are checked on every refresh.
 """
 
 from __future__ import annotations
@@ -17,7 +22,16 @@ from typing import AbstractSet, Optional
 from .graph import NodeId
 from .phase1 import ClusterId
 from .phase2 import Cluster
-from .shamir import Share, ThresholdPolicy, issue_share, refresh_shares, split_secret
+from .shamir import (
+    Share,
+    ThresholdPolicy,
+    _blind,
+    _check_threshold,
+    _check_xs,
+    _common_epoch,
+    issue_share,
+    split_secret,
+)
 
 
 @dataclass
@@ -32,6 +46,11 @@ class ClusterLedger:
     shares: dict[NodeId, Share] = field(default_factory=dict)
     revoked: set[NodeId] = field(default_factory=set)
     leaked: dict[NodeId, Share] = field(default_factory=dict)
+    # The live holders in id order and their x's, as ``refresh`` last checked
+    # them; ``issue`` and ``revoke`` drop it.
+    _checked: Optional[tuple[list[NodeId], list[int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def split(
@@ -70,6 +89,7 @@ class ClusterLedger:
             return f"{where}: cannot map node {nid} to a fresh share coordinate"
         self.shares[nid] = issue_share(live[: self.k], new_x, self.k, self.prime)
         self.revoked.discard(nid)
+        self._checked = None
         self.leak(compromised)
         return None
 
@@ -77,22 +97,34 @@ class ClusterLedger:
         """Exclude a departed holder's share from quorums until the next refresh."""
         if nid in self.shares:
             self.revoked.add(nid)
+            self._checked = None
 
     def refresh(self, rng: random.Random, compromised: AbstractSet[NodeId]) -> None:
         """Re-randomise the live shares into the next epoch; revoked ones die.
 
-        One pass over the live holders, sorted once, maps each new share back
-        by x and applies the leak rule: a compromised holder's new share
+        The live holders, sorted by id, and the checks of k and of their x
+        coordinates are kept from the last refresh unless a holder was
+        revoked or issued since, or the keys of ``shares`` changed; the
+        epoch check runs every time.  One blinding pass then writes each new
+        share and applies the leak rule: a compromised holder's new share
         leaks, a revoked holder's old copy stays with the adversary.
         """
-        live = self.live_shares()
-        if not live:
-            return
-        refreshed = refresh_shares([s for _, s in live], self.k, rng.randrange(2**62), self.prime)
-        by_x = {s.x: s for s in refreshed}
+        checked = self._checked
+        if checked is None or self.revoked or list(self.shares) != checked[0]:
+            holders = sorted(self.shares.keys() - self.revoked)
+            if not holders:
+                return
+            xs = [self.shares[nid].x for nid in holders]
+            _check_threshold(self.k)
+            _check_xs(xs, self.prime)
+            checked = self._checked = (holders, xs)
+        holders, xs = checked
+        live = [self.shares[nid] for nid in holders]
+        epoch = _common_epoch(live) + 1
+        ys = _blind(xs, [s.y for s in live], self.k, rng.randrange(2**62), self.prime)
         shares = {}
-        for nid, old in live:
-            shares[nid] = new = by_x[old.x]
+        for nid, x, y in zip(holders, xs, ys):
+            shares[nid] = new = Share(x, y, epoch)
             if nid in compromised:
                 self.leaked[nid] = new
         self.shares = shares

@@ -156,6 +156,16 @@ def issue_share(
     return Share(new_x, _lagrange_at(quorum_list, new_x, prime), epoch)
 
 
+def _blind(xs: Sequence[int], ys: Sequence[int], k: int, seed: int, prime: int) -> list[int]:
+    # The refresh arithmetic, for checked shares of one epoch: each y plus
+    # x * h(x), where h holds the k - 1 coefficients drawn from the seed and
+    # the blind polynomial x * h(x) has a zero constant term.  Evaluated by
+    # Horner's rule over exact integers and reduced once per share.
+    rng = random.Random(seed)
+    blind = [rng.randrange(prime) for _ in range(k - 1)]
+    return [(y + x * _eval_poly(blind, x)) % prime for x, y in zip(xs, ys)]
+
+
 def refresh_shares(
     shares: Iterable[Share],
     k: int,
@@ -165,19 +175,18 @@ def refresh_shares(
     """Proactively re-randomise the complete share set without moving the secret.
 
     Adds a random degree-(k-1) polynomial with zero constant term and bumps
-    the epoch, so old and new shares can no longer be mixed.  The new shares
-    come in ascending x, and each y is reduced mod p once: the blind is
-    evaluated as x * h(x) over exact integers, h holding its k - 1 random
-    coefficients without the zero constant.
+    the epoch, so old and new shares can no longer be mixed.  Every call
+    checks k, the epochs and the x coordinates, then blinds the shares
+    through the one kernel that ``ClusterLedger.refresh`` also calls; each
+    new y depends only on its own x and the seed.  The new shares come in
+    ascending x.
     """
     _check_threshold(k)
     share_list = sorted(shares, key=lambda s: s.x)
     if not share_list:
         raise IncompleteShareSet("refresh needs at least one share")
     epoch = _common_epoch(share_list) + 1
-    _check_xs([s.x for s in share_list], prime)
-    rng = random.Random(seed)
-    blind = [rng.randrange(prime) for _ in range(k - 1)]
-    return tuple(
-        Share(s.x, (s.y + s.x * _eval_poly(blind, s.x)) % prime, epoch) for s in share_list
-    )
+    xs = [s.x for s in share_list]
+    _check_xs(xs, prime)
+    ys = _blind(xs, [s.y for s in share_list], k, seed, prime)
+    return tuple(Share(x, y, epoch) for x, y in zip(xs, ys))

@@ -104,9 +104,12 @@ class SimState:
     metrics: list[MetricsRow] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     halted: bool = False
-    # The topology and partition of the last maintenance pass that found
-    # every node in touch, departed nobody and verified the partition clean.
-    last_clean: Optional[tuple[Topology, Partition]] = None
+    # The topology, partition and healths of the last maintenance pass that
+    # found every node in touch, departed nobody and verified the partition
+    # clean, and the decisions it classified from those healths.
+    last_clean: Optional[
+        tuple[Topology, Partition, dict[ClusterId, ClusterHealth], dict[ClusterId, MaintenanceAction]]
+    ] = None
 
 
 def _build_topology(
@@ -201,7 +204,9 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     A quiet pass, over the very topology and partition objects of the last
     clean pass and with no miss pending, skips the in-touch scan and the
     partition check: both are pure functions of those frozen objects, so
-    they would find everyone in touch and the partition valid again.
+    they would find everyone in touch and the partition valid again.  It
+    also reuses that pass's decisions while the healths are the very object
+    it classified, since classification is a pure function of them.
     """
     sc = state.scenario
     t = state.topology
@@ -241,10 +246,13 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         del state.miss_counts[nid]
     state.partition = p
 
-    decisions = {
-        c.cluster_id: classify_change(state.healths[c.cluster_id], c.k, sc.gateway_threshold)
-        for c in p.clusters
-    }
+    if quiet and last[2] is state.healths:
+        decisions = last[3]
+    else:
+        decisions = {
+            c.cluster_id: classify_change(state.healths[c.cluster_id], c.k, sc.gateway_threshold)
+            for c in p.clusters
+        }
     for cid in sorted(decisions):
         action = decisions[cid]
         if action is not MaintenanceAction.NONE:
@@ -264,7 +272,7 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         return False, True
     # Every node a settled pass missed has departed: with none, all were in touch.
     if settled and not departed:
-        state.last_clean = (t, p)
+        state.last_clean = (t, p, state.healths, decisions)
     for dest, nid in joined:
         problem = state.share_ledger[dest].issue(nid, state.compromised)
         if problem:

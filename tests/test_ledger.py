@@ -1,12 +1,30 @@
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from councilnet.errors import DuplicateX, MixedEpoch
 from councilnet.ledger import ClusterLedger
 from councilnet.phase2 import Cluster, Council
+from councilnet.shamir import Share
+from ledger_oracle import OracleLedger
 
 P = 17
+
+# Node ids past P map onto the coordinates of lower ones, and P itself onto
+# x = 0, so issuing to them is refused.
+NIDS = st.integers(1, P + 3)
+LEDGER_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("issue"), NIDS),
+        st.tuples(st.just("revoke"), NIDS),
+        st.tuples(st.just("compromise"), st.frozensets(NIDS, max_size=3)),
+        st.tuples(st.just("refresh"), st.none()),
+    ),
+    max_size=14,
+)
+REFRESH = ("refresh", None)
 
 
 def council_of(n):
@@ -83,3 +101,64 @@ class TestLeakRuleUnderRefresh:
             assert ledger.leaked == expected
             # no uncompromised holder ever leaks
             assert set(ledger.leaked) <= compromised
+
+
+def issued(ledger, nid, compromised):
+    """What ``issue`` gives: its problem, or the type of what it raised (a
+    live holder's own x is in the quorum it would derive from)."""
+    try:
+        return ledger.issue(nid, compromised)
+    except DuplicateX as exc:
+        return type(exc)
+
+
+class TestRefreshAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32), st.frozensets(NIDS, max_size=3), LEDGER_STEPS)
+    @example(n=3, seed=1, compromised=frozenset({2}), steps=[REFRESH, ("revoke", 2), ("issue", 2), REFRESH, REFRESH])
+    @example(n=3, seed=2, compromised=frozenset({1}), steps=[REFRESH, ("revoke", 1), ("revoke", 2), ("revoke", 3), REFRESH, ("issue", 1), REFRESH])
+    @example(n=4, seed=3, compromised=frozenset({4}), steps=[REFRESH, ("revoke", 4), REFRESH, ("issue", 4), REFRESH, REFRESH])
+    def test_refresh_matches_the_oracle_ledger(self, n, seed, compromised, steps):
+        # The same splits, issues, revocations, leaks and refreshes on the
+        # ledger and on the oracle, whose refresh lists and checks the live
+        # holders anew every time; both draw from equally seeded rngs.
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        compromised = set(compromised)
+        ledger = ClusterLedger.split(council_of(n), P, rng, compromised)
+        oracle = OracleLedger.split(council_of(n), P, oracle_rng, compromised)
+        for i, (op, arg) in enumerate(steps):
+            if op == "issue":
+                assert issued(ledger, arg, compromised) == issued(oracle, arg, compromised)
+            elif op == "revoke":
+                ledger.revoke(arg)
+                oracle.revoke(arg)
+            elif op == "compromise":
+                compromised |= arg
+                ledger.leak(arg)
+                oracle.leak(arg)
+            else:
+                ledger.refresh(rng, compromised)
+                oracle.refresh(oracle_rng, compromised)
+            where = f"step {i}: {op} {arg}"
+            assert ledger.shares == oracle.shares, where
+            assert ledger.leaked == oracle.leaked, where
+            assert ledger.revoked == oracle.revoked, where
+            assert ledger.epoch == oracle.epoch, where
+            assert rng.getstate() == oracle_rng.getstate(), where
+
+
+class TestRefreshChecksAfterTheFirst:
+    def test_planted_share_of_another_epoch_is_refused(self):
+        ledger = ClusterLedger.split(council_of(3), P, random.Random(6), set())
+        ledger.refresh(random.Random(7), set())
+        ledger.shares[2] = ledger.shares[2]._replace(epoch=0)
+        with pytest.raises(MixedEpoch):
+            ledger.refresh(random.Random(8), set())
+
+    def test_planted_holder_on_a_taken_coordinate_is_refused(self):
+        # Node 18's x is 1 mod 17, holder 1's coordinate.
+        ledger = ClusterLedger.split(council_of(3), P, random.Random(6), set())
+        ledger.refresh(random.Random(7), set())
+        ledger.shares[18] = Share(18, 5, ledger.epoch)
+        with pytest.raises(DuplicateX):
+            ledger.refresh(random.Random(8), set())

@@ -15,7 +15,7 @@ from councilnet.errors import (
     UnknownNode,
     ValidationError,
 )
-from councilnet import graph, phase2
+from councilnet import graph, phase2, sim
 from councilnet.graph import build_topology, topology_from_edges
 from councilnet.phase2 import verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
@@ -388,6 +388,34 @@ class TestStep:
             step(state)
         assert calls == [7]
         assert sum(r.hellos for r in state.metrics) == 70
+
+    def test_quiet_pass_reuses_the_clean_pass_decisions(self, monkeypatch):
+        calls = []
+        classify = sim.classify_change
+
+        def counted(health, k, gateway_threshold):
+            calls.append(k)
+            return classify(health, k, gateway_threshold)
+
+        monkeypatch.setattr(sim, "classify_change", counted)
+        state = initialize(scenario_from_dict(STATIC_SEVEN))
+        clusters = len(state.partition.clusters)
+        step(state)  # no clean pass yet: every cluster is classified
+        assert len(calls) == clusters
+        step(state)
+        step(state)
+        assert len(calls) == clusters  # both passes were quiet
+        # Equal healths in a new object: the pass is quiet but classifies again.
+        state.healths = dict(state.healths)
+        step(state)
+        assert len(calls) == 2 * clusters
+        # Equal partition in a new object: not quiet, one call per cluster.
+        state.partition = phase2.Partition(state.partition.clusters)
+        step(state)
+        assert len(calls) == 3 * clusters
+        step(state)
+        assert len(calls) == 3 * clusters
+        assert [r.updates + r.reforms for r in state.metrics] == [0] * 6
 
     def test_quiet_passes_keep_the_partition_and_healths_objects(self):
         # The next pass can be quiet only if it meets the very partition
