@@ -11,7 +11,6 @@ concurrent runs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -224,22 +223,36 @@ def is_clique(t: Topology, s: Iterable[NodeId]) -> bool:
 
 
 def is_dominating_set(t: Topology, d: Iterable[NodeId]) -> bool:
-    """True iff every node is in d or adjacent to a member of d."""
+    """True iff every node is in d or adjacent to a member of d.
+
+    Tested from the other side, which the symmetric adjacency makes equal:
+    every node outside d has a neighbour in d.  Each test is one C-level
+    ``isdisjoint`` that stops at its first hit, so the cost is O(n + Σdeg)
+    with no Python-level step per neighbour.  A member of d outside the
+    topology raises ``UnknownNode``, the first one in ``set(d)``'s order.
+    """
     dom = set(d)
-    return dom.union(*(neighbors(t, u) for u in dom)) >= t.nodes
+    adj = t.adj
+    if not dom <= adj.keys():
+        neighbors(t, next(u for u in dom if u not in adj))  # raises UnknownNode
+    return not any(dom.isdisjoint(vs) for u, vs in adj.items() if u not in dom)
 
 
 def is_connected(t: Topology) -> bool:
-    """True iff the graph has one component; an empty graph counts connected."""
-    if not t.nodes:
+    """True iff the graph has one component; an empty graph counts connected.
+
+    A depth-first walk that adds each visited node's unseen neighbours with
+    one C-level set difference: O(n + Σdeg), no Python-level step per
+    neighbour.
+    """
+    adj = t.adj
+    if not adj:
         return True
-    start = next(iter(t.nodes))
+    start = next(iter(adj))
     seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in neighbors(t, u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(t.nodes)
+    stack = [start]
+    while stack:
+        fresh = adj[stack.pop()] - seen
+        seen |= fresh
+        stack += fresh
+    return len(seen) == len(adj)

@@ -77,8 +77,11 @@ class ClusterLedger:
 
     def issue(self, nid: NodeId, compromised: AbstractSet[NodeId]) -> Optional[str]:
         """Derive a share for a new head from a live quorum; returns why it
-        cannot, else None."""
+        cannot, else None.  A holder whose share is live is refused, wherever
+        it sits among the holders: it has a share already."""
         where = f"cluster {self.cluster_id}"
+        if nid in self.shares and nid not in self.revoked:
+            return f"{where}: node {nid} already holds a live share"
         live = [s for _, s in self.live_shares()]
         if len(live) < self.k:
             return f"{where}: no quorum of {self.k} live shares to issue for node {nid}"

@@ -86,16 +86,23 @@ def elect_heads(t: Topology) -> RoleAssignment:
     O(Σdeg + n log n).  It elects the same heads as taking the lowest
     undecided node once per head, because a node never becomes undecided
     again: the lowest undecided node is the first undecided one in the pass.
+    A head's members are one C-level intersection of its adjacency with the
+    undecided set, with no Python-level step per neighbour.
     """
     if not is_connected(t):
         raise DisconnectedTopology("head election requires a connected topology")
+    adj = t.adj
+    head_role, member_role = Role.HEAD, Role.MEMBER
+    undecided = set(adj)
     entries: dict[NodeId, tuple[Role, ClusterId]] = {}
-    for head in sorted(t.nodes):
-        if head in entries:
+    for head in sorted(adj):
+        if head not in undecided:
             continue
-        entries[head] = (Role.HEAD, head)
-        for member in sorted([v for v in neighbors(t, head) if v not in entries]):
-            entries[member] = (Role.MEMBER, head)
+        members = adj[head] & undecided
+        undecided -= members
+        undecided.discard(head)
+        entries[head] = (head_role, head)
+        entries.update(dict.fromkeys(sorted(members), (member_role, head)))
     return RoleAssignment(entries)
 
 
@@ -103,21 +110,35 @@ def identify_gateways(t: Topology, ra: RoleAssignment) -> RoleAssignment:
     """Re-tag every member that can hear a node of a different cluster.
 
     Heads are never re-tagged; gateways keep the cluster that elected them.
+    ``ra`` tags every node of ``t``, as an election does, so a member hears
+    another cluster exactly when its adjacency is not a subset of its own
+    cluster's nodes: one C-level subset test per member after one pass that
+    groups the nodes by cluster, O(n + Σdeg) in all, with no Python-level
+    step per neighbour.  A member outside ``t`` raises ``UnknownNode``.
     """
+    clusters: dict[ClusterId, set[NodeId]] = {}
+    for nid, (_, cid) in ra.entries.items():
+        nodes = clusters.get(cid)
+        if nodes is None:
+            nodes = clusters[cid] = set()
+        nodes.add(nid)
+    member_role, gateway_role = Role.MEMBER, Role.GATEWAY
     entries = dict(ra.entries)
     for nid, (role, cid) in ra.entries.items():
-        if role is not Role.MEMBER:
-            continue
-        if any(ra.cid_of(v) != cid for v in neighbors(t, nid)):
-            entries[nid] = (Role.GATEWAY, cid)
+        if role is member_role and not neighbors(t, nid) <= clusters[cid]:
+            entries[nid] = (gateway_role, cid)
     return RoleAssignment(entries, gateways_identified=True)
 
 
 def build_dominating_set(t: Topology, ra: RoleAssignment) -> DominatingSet:
-    """Union of heads and gateways, checked against the domination property."""
+    """Heads and gateways, found in one pass over the entries and checked
+    against the domination property."""
     if not ra.gateways_identified:
         raise ValidationError("dominating set needs gateways identified first")
-    members = tuple(sorted(ra.heads | ra.gateways))
+    head_role, gateway_role = Role.HEAD, Role.GATEWAY
+    members = tuple(
+        sorted([nid for nid, (role, _) in ra.entries.items() if role is head_role or role is gateway_role])
+    )
     if not is_dominating_set(t, members):
         raise DominationViolated(f"heads and gateways {members} do not dominate the topology")
     return DominatingSet(members)

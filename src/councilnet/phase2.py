@@ -109,32 +109,33 @@ def find_council_clique(
     ``core`` (the dominating backbone) when a core is given, or from all
     candidates otherwise.  Always returns a clique containing h.
 
-    ``forbidden`` and ``core`` may be any read-only sets (a dict's keys view
-    included); they are only tested for membership, never copied.
+    ``forbidden`` and ``core`` may be any read-only sets; neither is copied,
+    and subtracting ``forbidden`` costs O(deg h) when it is a ``set`` or
+    ``frozenset``.  Every adjacency test is a C-level set operation on
+    ``t.adj``: the seed is the first candidate whose adjacency meets the
+    candidates, paired with the lowest candidate in it (a lower one adjacent
+    to it would have seeded the triangle first), and a candidate adjacent to
+    both seeds joins when the council is a subset of its adjacency.
     """
     if h in forbidden:
         raise ValueError(f"head {h} may not be in the forbidden set")
-    candidates = sorted([v for v in neighbors(t, h) if v not in forbidden])
+    adj = t.adj
+    candidates = sorted(neighbors(t, h) - forbidden)
+    candidate_set = frozenset(candidates)
     council = {h}
-    seed: Optional[tuple[NodeId, NodeId]] = None
-    for i, u in enumerate(candidates):
-        for v in candidates[i + 1:]:
-            if v in neighbors(t, u):
-                seed = (u, v)
-                break
-        if seed:
-            break
-    if seed:
-        council.update(seed)
-        for w in candidates:
-            if w in council:
-                continue
-            if all(w in neighbors(t, c) for c in council):
-                council.add(w)
-    else:
-        pool = [c for c in candidates if c in core] if core else candidates
-        if pool:
-            council.add(pool[0])
+    for u in candidates:
+        hits = adj[u] & candidate_set
+        if hits:
+            v = min(hits)
+            council.update((u, v))
+            # A later joiner is adjacent to the whole seed triangle.
+            for w in sorted(candidate_set & adj[u] & adj[v]):
+                if council <= adj[w]:
+                    council.add(w)
+            return frozenset(council)
+    pool = [c for c in candidates if c in core] if core else candidates
+    if pool:
+        council.add(pool[0])
     return frozenset(council)
 
 
@@ -152,55 +153,47 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
     next to a council is already assigned: the assigned nodes are the whole
     forbidden set, and "unassigned" is the whole test for a next head.
 
-    Cost: O(Σdeg + n log n) plus the council searches.  Each fallback is a
-    cursor that only moves forward over one sorted list (the backbone, then
-    all nodes), skipping assigned nodes.  The cursors are exact because a
-    node never leaves ``assigned``: a node a cursor has passed can never
-    again be the lowest unassigned one.
+    Cost: O(Σdeg + n log n) plus the council searches; outside them no
+    Python-level step runs per neighbour.  A cluster's members are the union
+    of its heads' adjacency less the assigned nodes; its gateway is the
+    lowest member on the backbone next to a backbone head, and the handoff
+    the lowest unassigned backbone neighbour of the gateway, each a few
+    C-level set operations.  Each fallback is a cursor that only moves
+    forward over one sorted list (the backbone, then all nodes), skipping
+    assigned nodes.  The cursors are exact because a node never leaves
+    ``assigned``: a node a cursor has passed can never again be the lowest
+    unassigned one.
     """
     backbone = frozenset(dominating.members)
     if not is_dominating_set(t, backbone):
         raise InvalidDominatingSet(f"{sorted(backbone)} does not dominate the topology")
 
-    assigned: dict[NodeId, ClusterId] = {}
+    adj = t.adj
+    assigned: set[NodeId] = set()
     # Lazy filters: each membership test runs when the walk asks for a head.
     backbone_heads = (v for v in sorted(backbone) if v not in assigned)
-    fallback_heads = (v for v in sorted(t.nodes) if v not in assigned)
+    fallback_heads = (v for v in sorted(adj) if v not in assigned)
     clusters: list[Cluster] = []
     next_head: Optional[NodeId] = None
 
-    while len(assigned) < len(t.nodes):
+    while len(assigned) < len(adj):
         h = next_head if next_head is not None else next(backbone_heads, None)
         if h is None:
             h = next(fallback_heads)
 
-        heads = find_council_clique(t, h, forbidden=assigned.keys(), core=backbone)
+        heads = find_council_clique(t, h, forbidden=assigned, core=backbone)
         cid = min(heads)
-        for n in heads:
-            assigned[n] = cid
-
-        members = set()
-        for n in heads:
-            members |= {v for v in neighbors(t, n) if v not in assigned}
-        assigned.update(dict.fromkeys(members, cid))
+        assigned |= heads
+        members = set().union(*[adj[n] for n in heads]) - assigned
+        assigned |= members
 
         # A backbone neighbour of a backbone head, absorbed by this cluster.
-        gateway = min(
-            (
-                g
-                for s in heads & backbone
-                for g in neighbors(t, s) & backbone
-                if g not in heads and assigned[g] == cid
-            ),
-            default=None,
-        )
+        reach = set().union(*[adj[s] for s in heads & backbone])
+        gateway = min(members & backbone & reach, default=None)
         next_head = None
         if gateway is not None:
             members.discard(gateway)
-            next_head = min(
-                (v for v in neighbors(t, gateway) if v in backbone and v not in assigned),
-                default=None,
-            )
+            next_head = min((adj[gateway] & backbone) - assigned, default=None)
 
         clusters.append(
             Cluster(

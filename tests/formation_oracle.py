@@ -6,15 +6,50 @@ sweep.  They take ``min`` over the undecided nodes once per head, re-sort the
 remaining backbone once per cluster and rebuild the forbidden set per
 cluster, which makes them slow but plainly the rule as stated; the property
 tests in ``test_formation.py`` compare the library against them.
+
+``is_connected``, ``is_dominating_set``, ``identify_gateways`` and
+``build_dominating_set`` are verbatim copies of the library's as they stood
+before the formation chain read the adjacency map directly: a deque BFS, a
+union over the set's neighbourhoods, a ``cid_of`` lookup per neighbour and
+the ``heads``/``gateways`` rescans.  The oracle's chain calls only these
+copies, so it never checks the library against itself.
 """
 
-from typing import Optional
+from collections import deque
+from typing import Iterable, Optional
 
-from councilnet.errors import DisconnectedTopology, InvalidDominatingSet
-from councilnet.graph import NodeId, Topology, is_connected, is_dominating_set, neighbors
+from councilnet.errors import (
+    DisconnectedTopology,
+    DominationViolated,
+    InvalidDominatingSet,
+    ValidationError,
+)
+from councilnet.graph import NodeId, Topology, neighbors
 from councilnet.phase1 import ClusterId, DominatingSet, Role, RoleAssignment
 from councilnet.phase2 import Cluster, Council, Partition
 from councilnet.shamir import choose_threshold
+
+
+def is_dominating_set(t: Topology, d: Iterable[NodeId]) -> bool:
+    """True iff every node is in d or adjacent to a member of d."""
+    dom = set(d)
+    return dom.union(*(neighbors(t, u) for u in dom)) >= t.nodes
+
+
+def is_connected(t: Topology) -> bool:
+    """True iff the graph has one component; an empty graph counts connected."""
+    if not t.nodes:
+        return True
+    start = next(iter(t.nodes))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors(t, u):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(t.nodes)
 
 
 def elect_heads(t: Topology) -> RoleAssignment:
@@ -35,6 +70,30 @@ def elect_heads(t: Topology) -> RoleAssignment:
             undecided.discard(member)
             entries[member] = (Role.MEMBER, head)
     return RoleAssignment(entries)
+
+
+def identify_gateways(t: Topology, ra: RoleAssignment) -> RoleAssignment:
+    """Re-tag every member that can hear a node of a different cluster.
+
+    Heads are never re-tagged; gateways keep the cluster that elected them.
+    """
+    entries = dict(ra.entries)
+    for nid, (role, cid) in ra.entries.items():
+        if role is not Role.MEMBER:
+            continue
+        if any(ra.cid_of(v) != cid for v in neighbors(t, nid)):
+            entries[nid] = (Role.GATEWAY, cid)
+    return RoleAssignment(entries, gateways_identified=True)
+
+
+def build_dominating_set(t: Topology, ra: RoleAssignment) -> DominatingSet:
+    """Union of heads and gateways, checked against the domination property."""
+    if not ra.gateways_identified:
+        raise ValidationError("dominating set needs gateways identified first")
+    members = tuple(sorted(ra.heads | ra.gateways))
+    if not is_dominating_set(t, members):
+        raise DominationViolated(f"heads and gateways {members} do not dominate the topology")
+    return DominatingSet(members)
 
 
 def find_council_clique(

@@ -9,10 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import formation_oracle as oracle
-from councilnet.errors import DisconnectedTopology, InvalidDominatingSet
-from councilnet.graph import is_connected, neighbors, topology_from_edges
-from councilnet.phase1 import DominatingSet, build_dominating_set, elect_heads, identify_gateways
-from councilnet.phase2 import cluster_form
+from councilnet.errors import CouncilNetError, DisconnectedTopology
+from councilnet.graph import is_connected, is_dominating_set, neighbors, topology_from_edges
+from councilnet.maintenance import reform
+from councilnet.phase1 import (
+    DominatingSet,
+    Role,
+    RoleAssignment,
+    build_dominating_set,
+    elect_heads,
+    identify_gateways,
+)
+from councilnet.phase2 import cluster_form, find_council_clique
+from councilnet.topologies import random_connected
 
 # Path 2-11-6-9-7: the walk's gateway 6 hands off to 9, although 7 is the
 # lowest unassigned backbone node.
@@ -22,6 +31,12 @@ HANDOFF = ([2, 6, 7, 9, 11], [(2, 11), (6, 9), (6, 11), (7, 9)], set())
 # node for 6 and 7, so the walk falls back to the lowest unassigned node, 6
 # before 7.
 FALLBACK = ([1, 2, 3, 5, 6, 7], [(1, 2), (1, 3), (2, 3), (1, 5), (5, 6), (5, 7)], {1, 5})
+EMPTY = ([], [], set())
+# The smallest disconnected scenario: node 3 hears no one.
+SPLIT = ([1, 2, 3], [(1, 2)], {3})
+# Ids above 60, which ``formation_inputs`` never draws, lie outside every
+# topology it builds.
+OUTSIDE = st.sets(st.integers(61, 64), max_size=2)
 
 
 @st.composite
@@ -48,7 +63,89 @@ def dominating_sets(t, extra):
     return [DominatingSet(members) for members in found]
 
 
+def outcome(f, *args, **kwargs):
+    """What ``f`` gives: its result, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (CouncilNetError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def role_assignments(t, demoted):
+    """Role maps over every node of ``t``, connected or not: each node joins
+    the cluster of the lowest id in its closed neighbourhood, heading it when
+    that is itself; the same map with the ``demoted`` heads tagged members;
+    and on a connected graph the election and its demoted form."""
+    lowest = {u: min(vs | {u}) for u, vs in t.adj.items()}
+    found = [{u: (Role.HEAD if c == u else Role.MEMBER, c) for u, c in lowest.items()}]
+    if is_connected(t):
+        found.append(dict(oracle.elect_heads(t).entries))
+    found += [{u: (Role.MEMBER, c) if u in demoted else (r, c) for u, (r, c) in e.items()} for e in found]
+    return [RoleAssignment(entries) for entries in found]
+
+
 @given(formation_inputs())
+@example(EMPTY)
+@example(SPLIT)
+@settings(max_examples=300, deadline=None)
+def test_is_connected_matches_the_oracle(inputs):
+    ids, edges, _ = inputs
+    t = topology_from_edges(ids, edges)
+    assert is_connected(t) == oracle.is_connected(t)
+
+
+@given(formation_inputs(), OUTSIDE)
+@example(EMPTY, set())
+@example(EMPTY, {61})
+@example(SPLIT, {61, 62})
+@settings(max_examples=300, deadline=None)
+def test_is_dominating_set_matches_the_oracle(inputs, outside):
+    # A member outside the topology raises ``UnknownNode`` on both sides,
+    # naming the same node.
+    ids, edges, extra = inputs
+    t = topology_from_edges(ids, edges)
+    for d in [tuple(extra) + tuple(outside), *(d.members for d in dominating_sets(t, extra))]:
+        assert outcome(is_dominating_set, t, d) == outcome(oracle.is_dominating_set, t, d)
+
+
+@given(formation_inputs())
+@example(EMPTY)
+@example(SPLIT)
+@example(HANDOFF)
+@settings(max_examples=300, deadline=None)
+def test_identify_gateways_and_backbone_match_the_oracle(inputs):
+    ids, edges, extra = inputs
+    t = topology_from_edges(ids, edges)
+    for ra in role_assignments(t, extra):
+        got, expected = identify_gateways(t, ra), oracle.identify_gateways(t, ra)
+        assert got == expected
+        assert list(got.entries.items()) == list(expected.entries.items())
+        # Without gateways identified ``ra`` is refused (ValidationError),
+        # and demoted heads can leave nodes undominated (DominationViolated):
+        # the same error and message on both sides.
+        assert outcome(build_dominating_set, t, expected) == outcome(oracle.build_dominating_set, t, expected)
+        assert outcome(build_dominating_set, t, ra) == outcome(oracle.build_dominating_set, t, ra)
+
+
+@given(formation_inputs(), OUTSIDE)
+@example(HANDOFF, set())
+@example(FALLBACK, set())
+@example(SPLIT, {61})
+@settings(max_examples=300, deadline=None)
+def test_find_council_clique_matches_the_oracle(inputs, outside):
+    # Heads inside ``extra`` are forbidden (ValueError), heads outside the
+    # topology unknown (UnknownNode), on both sides.
+    ids, edges, extra = inputs
+    t = topology_from_edges(ids, edges)
+    for h in [*ids, *outside]:
+        choices = ((frozenset(extra) - {h}, frozenset()), (frozenset(extra), frozenset(ids[::2])))
+        for forbidden, core in choices:
+            got = outcome(find_council_clique, t, h, forbidden=forbidden, core=core)
+            assert got == outcome(oracle.find_council_clique, t, h, forbidden=forbidden, core=core)
+
+
+@given(formation_inputs())
+@example(EMPTY)
 @example(HANDOFF)
 @example(FALLBACK)
 @settings(max_examples=300, deadline=None)
@@ -66,19 +163,31 @@ def test_elect_heads_matches_the_oracle(inputs):
     assert list(got.entries.items()) == list(expected.entries.items())
 
 
-@given(formation_inputs())
-@example(HANDOFF)
-@example(FALLBACK)
+@given(formation_inputs(), OUTSIDE)
+@example(HANDOFF, set())
+@example(FALLBACK, set())
+@example(EMPTY, set())
+@example(SPLIT, {61})
 @settings(max_examples=300, deadline=None)
-def test_cluster_form_matches_the_oracle(inputs):
+def test_cluster_form_matches_the_oracle(inputs, outside):
+    # ``extra`` alone may not dominate (InvalidDominatingSet), and with
+    # ``outside`` it names unknown nodes (UnknownNode): the same error and
+    # message on both sides.
     ids, edges, extra = inputs
     t = topology_from_edges(ids, edges)
     for dominating in dominating_sets(t, extra):
         assert cluster_form(t, dominating) == oracle.cluster_form(t, dominating)
-    if extra and not oracle.is_dominating_set(t, extra):
-        for form in (cluster_form, oracle.cluster_form):
-            with pytest.raises(InvalidDominatingSet):
-                form(t, DominatingSet(tuple(extra)))
+    for members in (tuple(extra), tuple(extra) + tuple(outside)):
+        dominating = DominatingSet(members)
+        assert outcome(cluster_form, t, dominating) == outcome(oracle.cluster_form, t, dominating)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reform_matches_the_oracle_chain_at_benchmark_scale(seed):
+    # The Hypothesis graphs stop at 18 nodes; this is the benchmark's 1k.
+    t = random_connected(1000, seed)
+    roles = oracle.identify_gateways(t, oracle.elect_heads(t))
+    assert reform(t) == oracle.cluster_form(t, oracle.build_dominating_set(t, roles))
 
 
 def oracle_head_choices(inputs):

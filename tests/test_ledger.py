@@ -43,6 +43,17 @@ class TestIssue:
         assert ledger.shares[2] == old
         assert not ledger.revoked
 
+    @pytest.mark.parametrize("nid", [1, 3])
+    def test_live_holder_is_refused_inside_or_outside_the_quorum(self, nid):
+        # At k = 2, holder 1's share is among the first k live shares that a
+        # quorum is drawn from, and holder 3's is not; both are refused alike
+        # and keep their share.
+        ledger = ClusterLedger.split(council_of(3), 13, random.Random(5), set())
+        before = dict(ledger.shares)
+        problem = ledger.issue(nid, set())
+        assert problem == f"cluster 1: node {nid} already holds a live share"
+        assert ledger.shares == before
+
     def test_another_holders_coordinate_is_still_refused(self):
         # Node 15 maps to x = 2 at p = 13, which holder 2 already has.
         ledger = ClusterLedger.split(council_of(3), 13, random.Random(5), set())
@@ -103,15 +114,6 @@ class TestLeakRuleUnderRefresh:
             assert set(ledger.leaked) <= compromised
 
 
-def issued(ledger, nid, compromised):
-    """What ``issue`` gives: its problem, or the type of what it raised (a
-    live holder's own x is in the quorum it would derive from)."""
-    try:
-        return ledger.issue(nid, compromised)
-    except DuplicateX as exc:
-        return type(exc)
-
-
 class TestRefreshAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2**32), st.frozensets(NIDS, max_size=3), LEDGER_STEPS)
@@ -128,7 +130,7 @@ class TestRefreshAgainstOracle:
         oracle = OracleLedger.split(council_of(n), P, oracle_rng, compromised)
         for i, (op, arg) in enumerate(steps):
             if op == "issue":
-                assert issued(ledger, arg, compromised) == issued(oracle, arg, compromised)
+                assert ledger.issue(arg, compromised) == oracle.issue(arg, compromised)
             elif op == "revoke":
                 ledger.revoke(arg)
                 oracle.revoke(arg)
