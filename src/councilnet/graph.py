@@ -75,14 +75,21 @@ def build_topology(
     so it lands in the same or adjacent cells and the edge set is exactly
     the all-pairs one.
 
+    Each pair in range is appended to both endpoints' neighbour lists, and
+    each list is frozen once at the end: O(n + m) beyond the pair tests for
+    m links, with no per-link set insert.  The blocks cover each unordered
+    pair once, so no list holds a repeat.
+
     ``previous``, a topology this function built, makes the build
     incremental.  A node has moved when its position is absent from
     ``previous.positions`` or differs from it; a different radius moves
     every node.  Only pairs with a moved endpoint are tested.  A pair of
     unmoved nodes keeps its link or its absence from ``previous``, which the
     same test decided on the same coordinates, so the result equals a full
-    build.  ``previous`` is not modified, and unmoved nodes whose links did
-    not change share its neighbour sets.
+    build.  ``previous`` is not modified.  An unmoved node shares its
+    neighbour set with ``previous`` exactly when it has no moved or removed
+    neighbour, before or after; otherwise its kept links are united with
+    its list of movers in range.
     """
     if not 0 < radius <= MAX_COORDINATE:
         raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
@@ -119,15 +126,15 @@ def build_topology(
         if lists is None:
             lists = grid[key] = ([], [])
         lists[old_positions.get(nid) == pos].append((nid, x, y))
-    adj: dict[NodeId, set[NodeId]] = {nid: set() for nid in positions}
+    adj: dict[NodeId, list[NodeId]] = {nid: [] for nid in positions}
     for us, vs in _pairs_with_a_mover(grid):
         for i, (u, ux, uy) in enumerate(us):
             for v, vx, vy in us[i + 1:] if vs is None else vs:
                 dx = ux - vx
                 dy = uy - vy
                 if dx * dx + dy * dy <= r2:
-                    adj[u].add(v)
-                    adj[v].add(u)
+                    adj[u].append(v)
+                    adj[v].append(u)
     if base is None:
         return Topology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
     # An unmoved node keeps its links to unmoved nodes and gains the movers
@@ -166,9 +173,16 @@ def topology_from_edges(
     nodes: Iterable[NodeId],
     edges: Iterable[tuple[NodeId, NodeId]],
 ) -> Topology:
-    """Build a topology from an explicit node and edge list."""
+    """Build a topology from an explicit node and edge list.
+
+    Each edge is appended to both endpoints' neighbour lists, and each list
+    is frozen once at the end: O(n + m) for n nodes and m listed edges, with
+    no per-edge set insert.  Repeated and reversed edges collapse when the
+    lists are frozen.  The first bad edge in list order raises: a self-loop
+    ``ValueError`` or an ``UnknownNode``.
+    """
     node_list = list(nodes)
-    adj: dict[NodeId, set[NodeId]] = {u: set() for u in node_list}
+    adj: dict[NodeId, list[NodeId]] = {u: [] for u in node_list}
     if len(adj) != len(node_list):
         raise DuplicateNid("node list contains repeated ids")
     if any(n < 1 for n in adj):
@@ -178,8 +192,8 @@ def topology_from_edges(
             raise ValueError(f"self-loop on node {u}")
         if u not in adj or v not in adj:
             raise UnknownNode(f"edge ({u}, {v}) references an unknown node")
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
     return Topology({u: frozenset(vs) for u, vs in adj.items()})
 
 

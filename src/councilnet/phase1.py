@@ -41,20 +41,6 @@ class RoleAssignment:
     def role_of(self, nid: NodeId) -> Role:
         return self.entries[nid][0]
 
-    def cid_of(self, nid: NodeId) -> ClusterId:
-        return self.entries[nid][1]
-
-    @property
-    def heads(self) -> frozenset[NodeId]:
-        return frozenset(n for n, (role, _) in self.entries.items() if role is Role.HEAD)
-
-    @property
-    def gateways(self) -> frozenset[NodeId]:
-        return frozenset(n for n, (role, _) in self.entries.items() if role is Role.GATEWAY)
-
-    def cluster_nodes(self, cid: ClusterId) -> frozenset[NodeId]:
-        return frozenset(n for n, (_, c) in self.entries.items() if c == cid)
-
 
 @dataclass(frozen=True)
 class DominatingSet:

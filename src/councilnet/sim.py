@@ -90,6 +90,7 @@ class SimState:
     scenario: Scenario
     round: int
     positions: dict[NodeId, Position]
+    # Waypoint queues, kept only for nodes that have waypoints.
     pending_waypoints: dict[NodeId, list[Position]]
     topology: Topology
     partition: Partition
@@ -143,7 +144,7 @@ def initialize(sc: Scenario) -> SimState:
         scenario=sc,
         round=0,
         positions=positions,
-        pending_waypoints={s.nid: list(s.waypoints) for s in sc.nodes},
+        pending_waypoints={s.nid: list(s.waypoints) for s in sc.nodes if s.waypoints},
         topology=topology,
         partition=partition,
         share_ledger={},
@@ -160,11 +161,11 @@ def _move_nodes(state: SimState) -> bool:
         return False
     moved = False
     for spec in sc.nodes:
-        if spec.speed <= 0:
+        queue = state.pending_waypoints.get(spec.nid)
+        if not queue or spec.speed <= 0:
             continue
         x, y = state.positions[spec.nid]
         budget = spec.speed
-        queue = state.pending_waypoints[spec.nid]
         while queue and budget > 0:
             tx, ty = queue[0]
             dist = math.hypot(tx - x, ty - y)

@@ -10,9 +10,13 @@ tests in ``test_formation.py`` compare the library against them.
 ``is_connected``, ``is_dominating_set``, ``identify_gateways`` and
 ``build_dominating_set`` are verbatim copies of the library's as they stood
 before the formation chain read the adjacency map directly: a deque BFS, a
-union over the set's neighbourhoods, a ``cid_of`` lookup per neighbour and
-the ``heads``/``gateways`` rescans.  The oracle's chain calls only these
-copies, so it never checks the library against itself.
+union over the set's neighbourhoods, a cluster-id lookup per neighbour and
+the heads and gateways rescans.  The oracle's chain calls only these
+copies, so it never checks the library against itself.  Since
+``RoleAssignment`` lost its ``cid_of``, ``heads`` and ``gateways`` views, the
+copies read the same values from ``entries``, the last two through
+``tagged``, the rescan the tests also use for heads, gateways and cluster
+nodes.
 """
 
 from collections import deque
@@ -28,6 +32,18 @@ from councilnet.graph import NodeId, Topology, neighbors
 from councilnet.phase1 import ClusterId, DominatingSet, Role, RoleAssignment
 from councilnet.phase2 import Cluster, Council, Partition
 from councilnet.shamir import choose_threshold
+
+
+def tagged(
+    ra: RoleAssignment, role: Optional[Role] = None, cid: Optional[ClusterId] = None
+) -> frozenset[NodeId]:
+    """The nodes of ``ra`` with role ``role`` in cluster ``cid``; either
+    left as None matches every node."""
+    return frozenset(
+        n
+        for n, (r, c) in ra.entries.items()
+        if (role is None or r is role) and (cid is None or c == cid)
+    )
 
 
 def is_dominating_set(t: Topology, d: Iterable[NodeId]) -> bool:
@@ -81,7 +97,7 @@ def identify_gateways(t: Topology, ra: RoleAssignment) -> RoleAssignment:
     for nid, (role, cid) in ra.entries.items():
         if role is not Role.MEMBER:
             continue
-        if any(ra.cid_of(v) != cid for v in neighbors(t, nid)):
+        if any(ra.entries[v][1] != cid for v in neighbors(t, nid)):
             entries[nid] = (Role.GATEWAY, cid)
     return RoleAssignment(entries, gateways_identified=True)
 
@@ -90,7 +106,7 @@ def build_dominating_set(t: Topology, ra: RoleAssignment) -> DominatingSet:
     """Union of heads and gateways, checked against the domination property."""
     if not ra.gateways_identified:
         raise ValidationError("dominating set needs gateways identified first")
-    members = tuple(sorted(ra.heads | ra.gateways))
+    members = tuple(sorted(tagged(ra, Role.HEAD) | tagged(ra, Role.GATEWAY)))
     if not is_dominating_set(t, members):
         raise DominationViolated(f"heads and gateways {members} do not dominate the topology")
     return DominatingSet(members)

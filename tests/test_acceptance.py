@@ -20,7 +20,7 @@ from councilnet.maintenance import (
     handle_departure,
     reform,
 )
-from councilnet.phase1 import build_dominating_set, elect_heads, identify_gateways
+from councilnet.phase1 import Role, build_dominating_set, elect_heads, identify_gateways
 from councilnet.phase2 import cluster_form, verify_partition
 from councilnet.shamir import (
     Share,
@@ -39,6 +39,7 @@ from councilnet.topologies import (
     triangle,
     two_cluster_seven,
 )
+from formation_oracle import tagged
 from secrecy_oracle import consistent_secrets, poly_eval
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -59,8 +60,8 @@ def test_criterion_1_two_cluster_fixture_reproduction():
         started = time.monotonic()
         t = two_cluster_seven()
         roles = identify_gateways(t, elect_heads(t))
-        assert sorted(roles.heads) == [1, 4]
-        assert sorted(roles.gateways) == [5]
+        assert sorted(tagged(roles, Role.HEAD)) == [1, 4]
+        assert sorted(tagged(roles, Role.GATEWAY)) == [5]
         ds = build_dominating_set(t, roles)
         assert ds.members == (1, 4, 5)
         partition = cluster_form(t, ds)

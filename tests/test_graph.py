@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from councilnet.errors import DuplicateNid, UnknownNode
+import graph_oracle as oracle
+from councilnet.errors import CouncilNetError, DuplicateNid, UnknownNode
 from councilnet.graph import (
     build_topology,
     is_clique,
@@ -40,6 +41,43 @@ def pairwise_edges(specs, radius):
         if dx * dx + dy * dy <= r2:
             edges.add((u, v))
     return frozenset(edges)
+
+
+def outcome(build, nodes, edges):
+    """What ``build`` gives: the adjacency map's items in key order, or the
+    type and message of what it raised."""
+    try:
+        return list(build(nodes, edges).adj.items())
+    except (CouncilNetError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def edge_lists(draw):
+    """A node list and an edge list over it.
+
+    The node list is usually a permutation of 1..n, else any ids from -1 to
+    12, repeats and ids < 1 included.  Edges are drawn with repeats, each
+    either way round, and about half the time one or two bad ones are
+    spliced in anywhere: self-loops on listed or unlisted ids, and endpoints
+    that are not listed.
+    """
+    if draw(st.integers(0, 3)):
+        nodes = draw(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    else:
+        nodes = draw(st.lists(st.integers(-1, 12), max_size=12))
+    pairs = list(itertools.combinations(sorted(set(nodes)), 2))
+    links = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=30)) if pairs else []
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in links]
+    ids = st.sampled_from(nodes) if nodes else st.integers(1, 3)
+    bad = st.one_of(
+        st.integers(-1, 15).map(lambda u: (u, u)),
+        st.tuples(ids, st.integers(13, 15)),
+        st.tuples(st.integers(-1, 0), ids),
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        edges.insert(draw(st.integers(0, len(edges))), draw(bad))
+    return list(nodes), edges
 
 
 RADII = [0.25, 1.0, 3.0, 5.0, 7.5]
@@ -160,9 +198,9 @@ class TestBuildTopology:
     def test_grid_build_matches_pairwise_oracle(self, layout):
         specs, radius = layout
         t = build_topology(specs, radius)
-        oracle = pairwise_edges(specs, radius)
-        assert t.edges == oracle
-        assert t.adj == topology_from_edges([nid for nid, _ in specs], oracle).adj
+        edges = pairwise_edges(specs, radius)
+        assert t.edges == edges
+        assert t.adj == oracle.topology_from_edges([nid for nid, _ in specs], edges).adj
         for u, vs in t.adj.items():
             assert u not in vs
             assert all(u in t.adj[v] for v in vs)
@@ -197,6 +235,8 @@ class TestBuildTopology:
             ([(1, (0.0, 0.0)), (2, (10.0, 0.0)), (3, (3.0, 4.0))], 3.0),
         ]
     )
+    # 2 moves but stays in range: 1's links are equal, its set is new
+    @example([([(1, (0.0, 0.0)), (2, (1.0, 0.0))], 2.0), ([(1, (0.0, 0.0)), (2, (1.5, 0.0))], 2.0)])
     @settings(max_examples=250, deadline=None)
     def test_incremental_build_matches_full_build(self, layouts):
         specs, radius = layouts[0]
@@ -207,6 +247,15 @@ class TestBuildTopology:
             assert (dict(previous.adj), dict(previous.positions)) == snapshot
             assert t.adj == build_topology(specs, radius).adj
             assert t.edges == pairwise_edges(specs, radius)
+            # An unmoved node shares its set exactly when no neighbour,
+            # before or after, moved or was removed.
+            unmoved = {
+                nid
+                for nid, (x, y) in specs
+                if float(radius) == previous.radius and previous.positions.get(nid) == (float(x), float(y))
+            }
+            for u in unmoved:
+                assert (t.adj[u] is previous.adj[u]) == (previous.adj[u] | t.adj[u] <= unmoved)
             previous = t
 
     def test_incremental_build_keeps_untouched_neighbour_sets(self):
@@ -222,6 +271,18 @@ class TestBuildTopology:
     def test_random_connected_matches_pairwise_oracle(self):
         t = random_connected(1500, seed=11)
         assert t.edges == pairwise_edges(t.positions.items(), t.radius)
+
+    @given(edge_lists())
+    # the first bad edge in list order wins: a self-loop before an unknown endpoint ...
+    @example(([1, 2, 3], [(1, 2), (2, 2), (1, 9), (3, 1)]))
+    # ... and an unknown endpoint before a self-loop
+    @example(([1, 2, 3], [(1, 2), (1, 9), (2, 2), (3, 1)]))
+    # repeated ids are reported before ids < 1
+    @example(([2, 0, 2], [(2, 0)]))
+    @settings(max_examples=400, deadline=None)
+    def test_edge_list_build_matches_set_per_node_oracle(self, inputs):
+        nodes, edges = inputs
+        assert outcome(topology_from_edges, nodes, edges) == outcome(oracle.topology_from_edges, nodes, edges)
 
     def test_edge_list_constructor_normalises(self):
         t = topology_from_edges([1, 2, 3], [(3, 1)])

@@ -13,6 +13,7 @@ from councilnet.phase1 import (
     node_states,
 )
 from councilnet.topologies import random_connected, triangle, two_cluster_seven
+from formation_oracle import tagged
 
 
 def path3():
@@ -26,22 +27,22 @@ def full_roles(t):
 class TestElectHeads:
     def test_path_heads_and_members(self):
         ra = elect_heads(path3())
-        assert sorted(ra.heads) == [1, 3]
+        assert sorted(tagged(ra, Role.HEAD)) == [1, 3]
         assert ra.role_of(2) is Role.MEMBER
-        assert ra.cid_of(2) == 1
-        assert ra.cluster_nodes(3) == frozenset({3})
+        assert ra.entries[2][1] == 1
+        assert tagged(ra, cid=3) == frozenset({3})
 
     def test_single_node_heads_itself(self):
         t = topology_from_edges([5], [])
         ra = elect_heads(t)
-        assert ra.heads == frozenset({5})
-        assert ra.cid_of(5) == 5
+        assert tagged(ra, Role.HEAD) == frozenset({5})
+        assert ra.entries[5][1] == 5
 
     def test_two_cluster_seven(self):
         ra = elect_heads(two_cluster_seven())
-        assert sorted(ra.heads) == [1, 4]
-        assert ra.cluster_nodes(1) == frozenset({1, 2, 3, 5})
-        assert ra.cluster_nodes(4) == frozenset({4, 6, 7})
+        assert sorted(tagged(ra, Role.HEAD)) == [1, 4]
+        assert tagged(ra, cid=1) == frozenset({1, 2, 3, 5})
+        assert tagged(ra, cid=4) == frozenset({4, 6, 7})
 
     def test_disconnected_rejected(self):
         t = topology_from_edges([1, 2, 3, 4], [(1, 2), (3, 4)])
@@ -51,7 +52,7 @@ class TestElectHeads:
     def test_no_two_heads_adjacent(self):
         for seed in range(12):
             t = random_connected(24, seed=seed)
-            heads = elect_heads(t).heads
+            heads = tagged(elect_heads(t), Role.HEAD)
             for h in heads:
                 assert not neighbors(t, h) & heads
 
@@ -61,7 +62,7 @@ class TestElectHeads:
             ra = elect_heads(t)
             for n in t.nodes:
                 if ra.role_of(n) is Role.MEMBER:
-                    assert ra.cid_of(n) in neighbors(t, n)
+                    assert ra.entries[n][1] in neighbors(t, n)
 
     def test_permutation_invariant(self):
         rng = random.Random(4)
@@ -78,24 +79,24 @@ class TestElectHeads:
 class TestIdentifyGateways:
     def test_two_cluster_seven_gateway_is_five(self):
         ra = full_roles(two_cluster_seven())
-        assert ra.gateways == frozenset({5})
-        assert ra.cid_of(5) == 1  # stays in its electing cluster
+        assert tagged(ra, Role.GATEWAY) == frozenset({5})
+        assert ra.entries[5][1] == 1  # stays in its electing cluster
 
     def test_path_midpoint_becomes_gateway(self):
         ra = full_roles(path3())
-        assert ra.gateways == frozenset({2})
+        assert tagged(ra, Role.GATEWAY) == frozenset({2})
 
     def test_single_cluster_yields_none(self):
         ra = full_roles(triangle())
-        assert ra.gateways == frozenset()
-        assert ra.heads == frozenset({1})
+        assert tagged(ra, Role.GATEWAY) == frozenset()
+        assert tagged(ra, Role.HEAD) == frozenset({1})
 
     def test_heads_never_retagged(self):
         for seed in range(8):
             t = random_connected(24, seed=seed)
             before = elect_heads(t)
             after = identify_gateways(t, before)
-            assert before.heads == after.heads
+            assert tagged(before, Role.HEAD) == tagged(after, Role.HEAD)
 
 
 class TestDominatingSet:

@@ -290,6 +290,15 @@ class TestInitialize:
         initialize(sc)
         assert calls == [7]
 
+    def test_waypoint_queues_only_for_nodes_with_waypoints(self):
+        assert initialize(scenario_from_dict(STATIC_SEVEN)).pending_waypoints == {}
+        state = initialize(mobile_scenario(walkers=("2", "3")))
+        assert state.pending_waypoints == {2: [(1.45, 0.1)], 3: [(2.9, -0.1)]}
+        step(state)
+        # Both walkers reach their only waypoint; the others never move.
+        assert state.pending_waypoints == {2: [], 3: []}
+        assert state.positions[2] == (1.45, 0.1) and state.positions[1] == (0.0, 0.0)
+
 
 class TestStep:
     def test_static_scenario_never_changes(self):
