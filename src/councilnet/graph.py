@@ -11,7 +11,7 @@ concurrent runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -33,6 +33,11 @@ class Topology:
     adj: Mapping[NodeId, frozenset[NodeId]]
     positions: Optional[Mapping[NodeId, Position]] = None
     radius: Optional[float] = None
+    # Set only by an incremental ``build_topology``: its stale set S, and each
+    # other node's neighbours outside S.
+    _kept: Optional[tuple[frozenset[NodeId], Mapping[NodeId, frozenset[NodeId]]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @cached_property
     def nodes(self) -> frozenset[NodeId]:
@@ -88,8 +93,19 @@ def build_topology(
     same test decided on the same coordinates, so the result equals a full
     build.  ``previous`` is not modified.  An unmoved node shares its
     neighbour set with ``previous`` exactly when it has no moved or removed
-    neighbour, before or after; otherwise its kept links are united with
-    its list of movers in range.
+    neighbour, before or after; otherwise its kept links (its old
+    neighbours minus the stale set, every node that moved or left) are
+    united with its list of movers in range.
+
+    An incremental build keeps a private cache on its result T: its stale
+    set S, and for each node outside S its kept links.  Every mover a node
+    gains is in S, so those links equal ``T.adj[u] - S``, and the next
+    build from T reuses them, one set build per unmoved node instead of
+    two, when its own stale set is S again: the same nodes kept moving.
+    Otherwise it computes them afresh and caches its own.  The cache is
+    never mutated, and it is not part of equality, ``repr`` or
+    ``dataclasses.replace``: a replaced, hand-built, edge-list or full-build
+    topology has none.
     """
     if not 0 < radius <= MAX_COORDINATE:
         raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
@@ -140,16 +156,26 @@ def build_topology(
     # An unmoved node keeps its links to unmoved nodes and gains the movers
     # it now hears.
     moved = {u for movers, _ in grid.values() for u, _, _ in movers}
-    stale = moved.union(base.adj.keys() - positions.keys())
+    stale = frozenset(moved.union(base.adj.keys() - positions.keys()))
+    cache = base._kept
+    if cache is None or cache[0] != stale:
+        # A set copied from a set is presized; ``old - stale`` grows its table.
+        cache = stale, {u: frozenset(set(base.adj[u] - stale)) for u in positions if u not in moved}
+    kept_links = cache[1]
     merged: dict[NodeId, frozenset[NodeId]] = {}
     for u, vs in adj.items():
-        if u in moved:
+        kept = kept_links.get(u)
+        if kept is None:
             merged[u] = frozenset(vs)
-            continue
-        old = base.adj[u]
-        kept = old - stale
-        merged[u] = old if not vs and len(kept) == len(old) else kept.union(vs)
-    return Topology(merged, positions, r)
+        elif vs:
+            merged[u] = kept.union(vs)
+        else:
+            # No mover in range: its old set, when that lost nothing either.
+            old = base.adj[u]
+            merged[u] = old if len(kept) == len(old) else kept
+    t = Topology(merged, positions, r)
+    object.__setattr__(t, "_kept", cache)
+    return t
 
 
 def _pairs_with_a_mover(

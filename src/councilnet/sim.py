@@ -25,7 +25,6 @@ from .graph import (
     Position,
     Topology,
     build_topology,
-    neighbors,
     topology_from_edges,
 )
 from .ledger import ClusterLedger
@@ -188,6 +187,43 @@ def _do_reform(state: SimState) -> None:
     state.miss_counts = {}
 
 
+def _departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> list[NodeId]:
+    """Count one more miss for each node of both ``t`` and ``p`` that is out
+    of touch with its cluster, and clear the misses of each one in touch;
+    return, in ascending id order, the nodes whose misses reached two.
+
+    A head is in touch when it hears another node of its cluster, or is its
+    cluster's only node; any other node is in touch when it hears a head.
+    A node listed twice belongs to the first cluster listing it, and a
+    cluster id listed twice to the first cluster with it.  Each test is one
+    C-level ``isdisjoint`` on ``t.adj``.  Nodes outside ``t`` or ``p`` keep
+    their misses.
+    """
+    adj = t.adj
+    index = p.node_index
+    out: list[NodeId] = []
+    for c in p.clusters:
+        cid = c.cluster_id
+        owner = p.cluster(cid)
+        heads, nodes = owner.council.heads, owner.all_nodes
+        listed = c.all_nodes if adj.keys() >= c.all_nodes else adj.keys() & c.all_nodes
+        # A node counts only for the first cluster listing it, whose id its
+        # index holds.  A topology has no self-loops, so a lone head never
+        # hears itself.
+        if len(nodes) > 1:
+            out += [u for u in listed & heads if nodes.isdisjoint(adj[u]) and index[u] == cid]
+        out += [u for u in listed - heads if heads.isdisjoint(adj[u]) and index[u] == cid]
+    missed = set(out)
+    for u in [u for u in miss_counts if u not in missed and u in adj and u in index]:
+        del miss_counts[u]
+    departed = []
+    for u in sorted(missed):
+        misses = miss_counts[u] = miss_counts.get(u, 0) + 1
+        if misses >= 2:
+            departed.append(u)
+    return departed
+
+
 def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     """Detect departures and visitors, then classify each cluster's health.
 
@@ -221,24 +257,7 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     )
     state.last_clean = None
 
-    departed: list[NodeId] = []
-    for nid in () if quiet else sorted(t.nodes):
-        cid = p.node_index.get(nid)
-        if cid is None:
-            continue
-        cluster = p.cluster(cid)
-        if nid in cluster.council.heads:
-            # A topology has no self-loops, so nid never hears itself.
-            nodes = cluster.all_nodes
-            in_touch = len(nodes) == 1 or not neighbors(t, nid).isdisjoint(nodes)
-        else:
-            in_touch = not neighbors(t, nid).isdisjoint(cluster.council.heads)
-        if in_touch:
-            state.miss_counts.pop(nid, None)
-        else:
-            misses = state.miss_counts[nid] = state.miss_counts.get(nid, 0) + 1
-            if misses >= 2:
-                departed.append(nid)
+    departed = [] if quiet else _departures(t, p, state.miss_counts)
 
     p, state.healths, stranded, joined = apply_departures(t, p, departed, state.healths)
     for nid in departed:
@@ -312,7 +331,7 @@ def step(state: SimState) -> SimState:
     reformed = False
     if state.round % sc.hello_interval_rounds == 0:
         # One HELLO broadcast per node; the tables themselves feed no output.
-        hellos = len(state.topology.nodes)
+        hellos = len(state.topology.adj)
         try:
             updated, reformed = _maintenance_pass(state, round_no)
         except DisconnectedTopology as exc:

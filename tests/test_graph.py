@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -145,6 +146,57 @@ def move_sequences(draw):
     return layouts
 
 
+@st.composite
+def steady_moves(draw):
+    """A disk layout followed by two to five later layouts of it, as
+    ``(specs, radius)`` pairs, in which a fixed subset of movers moves at
+    every step while the rest stay put.
+
+    Now and then a rare event changes who moved or left: a mover parks, a
+    stayer starts moving, a node leaves, a node arrives or the radius
+    changes.
+    """
+    specs, radius = draw(disk_layouts())
+    layouts = [(specs, radius)]
+    layout = dict(specs)
+    movers = draw(st.sets(st.sampled_from(sorted(layout))))
+    next_id = len(layout) + 1
+    for _ in range(draw(st.integers(2, 5))):
+        event = draw(st.sampled_from([None] * 6 + ["park", "start", "leave", "arrive", "radius"]))
+        stayers = sorted(layout.keys() - movers)
+        if event == "park" and movers:
+            movers.discard(draw(st.sampled_from(sorted(movers))))
+        elif event == "start" and stayers:
+            movers.add(draw(st.sampled_from(stayers)))
+        elif event == "leave" and layout:
+            nid = draw(st.sampled_from(sorted(layout)))
+            del layout[nid]
+            movers.discard(nid)
+        elif event == "radius":
+            radius = draw(st.sampled_from(RADII))
+        coord = coordinates(radius)
+        if event == "arrive":
+            layout[next_id] = draw(st.tuples(coord, coord))
+            next_id += 1
+        others = sorted(layout.values())
+        for nid in sorted(movers):
+            ox, oy = draw(st.sampled_from(others))
+            dx, dy = draw(st.sampled_from([(1, 0), (0, -1), (0.6, 0.8), (-0.8, 0.6)]))
+            layout[nid] = draw(
+                st.one_of(st.tuples(coord, coord), st.just((ox + dx * radius, oy + dy * radius)))
+            )
+        layouts.append((sorted(layout.items()), radius))
+    return layouts
+
+
+def steps_of(layout, radius, nid, points):
+    """One layout per point: ``layout`` plus node ``nid`` at that point."""
+    return [(sorted(layout + [(nid, point)]), radius) for point in points]
+
+
+STAYERS = [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (4, (3.0, 0.0))]
+
+
 class TestBuildTopology:
     def test_boundary_distance_is_inclusive(self):
         t = build_topology([(1, (0.0, 0.0)), (2, (5.0, 0.0))], radius=5.0)
@@ -257,6 +309,78 @@ class TestBuildTopology:
             for u in unmoved:
                 assert (t.adj[u] is previous.adj[u]) == (previous.adj[u] | t.adj[u] <= unmoved)
             previous = t
+
+    @given(steady_moves())
+    # three steady steps: 3 keeps moving, every build after the first hits
+    @example([(STAYERS + [(3, (2.0, 0.0))], 2.0), *steps_of(STAYERS, 2.0, 3, [(2.0, 1.0), (1.0, 1.5), (3.0, 1.0)])])
+    # 3 and 5 move, then 5 parks: a miss, then a hit
+    @example(
+        [
+            (STAYERS + [(3, (2.0, 0.0)), (5, (5.0, 0.0))], 2.0),
+            (STAYERS + [(3, (2.0, 1.0)), (5, (4.0, 1.0))], 2.0),
+            (STAYERS + [(3, (1.0, 1.5)), (5, (4.0, 0.5))], 2.0),
+            (STAYERS + [(3, (1.0, 1.0)), (5, (4.0, 0.5))], 2.0),
+            (STAYERS + [(3, (0.0, 1.0)), (5, (4.0, 0.5))], 2.0),
+        ]
+    )
+    # 5 leaves while 3 moves, then 3 keeps moving
+    @example(
+        [
+            (STAYERS + [(3, (2.0, 0.0)), (5, (5.0, 0.0))], 2.0),
+            (STAYERS + [(3, (2.0, 1.0))], 2.0),
+            *steps_of(STAYERS, 2.0, 3, [(1.0, 1.5), (3.0, 1.0), (2.0, 2.0)]),
+        ]
+    )
+    # the radius changes between steady steps: a full build, a miss, then a hit
+    @example(
+        [
+            (STAYERS + [(3, (2.0, 0.0))], 2.0),
+            (STAYERS + [(3, (2.0, 1.0))], 2.0),
+            (STAYERS + [(3, (1.0, 1.5))], 1.0),
+            *steps_of(STAYERS, 1.0, 3, [(3.0, 1.0), (2.0, 0.5)]),
+        ]
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_steady_movers_reuse_the_cached_links(self, layouts):
+        specs, radius = layouts[0]
+        previous = build_topology(specs, radius)
+        previous_stale = None  # a full build caches nothing
+        for specs, radius in layouts[1:]:
+            snapshot = dict(previous.adj), dict(previous.positions), previous._kept
+            cached = None if previous._kept is None else (previous._kept[0], dict(previous._kept[1]))
+            t = build_topology(specs, radius, previous=previous)
+            assert (dict(previous.adj), dict(previous.positions), previous._kept) == snapshot
+            if cached is not None:
+                assert (previous._kept[0], dict(previous._kept[1])) == cached
+            assert t.adj == build_topology(specs, radius).adj
+            assert t.edges == pairwise_edges(specs, radius)
+            if float(radius) != previous.radius:
+                assert t._kept is None
+                previous, previous_stale = t, None
+                continue
+            positions = {nid: (float(x), float(y)) for nid, (x, y) in specs}
+            unmoved = {nid for nid, pos in positions.items() if previous.positions.get(nid) == pos}
+            stale = (positions.keys() | previous.adj.keys()) - unmoved
+            for u in unmoved:
+                assert (t.adj[u] is previous.adj[u]) == (previous.adj[u] | t.adj[u] <= unmoved)
+            assert t._kept[0] == stale
+            assert t._kept[1] == {u: t.adj[u] - stale for u in unmoved}
+            if stale == previous_stale:
+                assert t._kept[1] is previous._kept[1]
+            previous, previous_stale = t, stale
+
+    def test_a_replaced_topology_carries_no_cached_links(self):
+        # t caches 1's and 2's links for stale set {3}; a topology replaced
+        # from it, at a layout where 2 is out of 1's range, must not use them
+        # although 3 is again the only mover.
+        t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (10.0, 0.0))], 2.0)
+        t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (11.0, 0.0))], 2.0, t)
+        assert t._kept == ({3}, {1: {2}, 2: {1}})
+        apart = build_topology([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (12.0, 0.0))], 2.0)
+        replaced = dataclasses.replace(t, adj=apart.adj, positions=apart.positions)
+        assert replaced._kept is None
+        specs = [(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (13.0, 0.0))]
+        assert build_topology(specs, 2.0, replaced).adj == build_topology(specs, 2.0).adj
 
     def test_incremental_build_keeps_untouched_neighbour_sets(self):
         previous = build_topology(

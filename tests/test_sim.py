@@ -1,10 +1,13 @@
+import itertools
 import json
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import sim_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +20,8 @@ from councilnet.errors import (
 )
 from councilnet import graph, phase2, sim
 from councilnet.graph import build_topology, topology_from_edges
-from councilnet.phase2 import verify_partition
+from councilnet.maintenance import reform
+from councilnet.phase2 import Cluster, Council, Partition, verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
 from councilnet.shamir import DEFAULT_PRIME, issue_share, reconstruct
 from councilnet.sim import compromise, dump_state, initialize, run, step
@@ -179,6 +183,70 @@ def quiet_pass_runs(draw):
     toggle_rounds = draw(st.sets(st.integers(0, rounds - 1), max_size=2))
     toggles = [draw(pairs) if r in toggle_rounds else None for r in range(rounds)]
     return scenario_from_dict(data), toggles
+
+
+@st.composite
+def scan_inputs(draw):
+    """A topology, a partition and pending misses for the in-touch scan.
+
+    The partition is either formed on a connected topology that then loses
+    some links, or drawn freely: clusters that overlap, list a node twice,
+    share an id, have a lone head, or name nodes outside the topology.
+    Misses may name nodes outside the topology or the partition.
+    """
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        formed = random_connected(n, seed=draw(st.integers(0, 2**16)))
+        p = reform(formed)
+        edges = sorted(formed.edges)
+        cut = draw(st.sets(st.sampled_from(edges), max_size=4)) if edges else set()
+        t = topology_from_edges(range(1, n + 1), [e for e in edges if e not in cut])
+    else:
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        t = topology_from_edges(range(1, n + 1), draw(st.lists(st.sampled_from(pairs))) if pairs else [])
+        ids = st.integers(1, n + 2)
+        p = Partition(
+            tuple(
+                Cluster(
+                    Council(draw(st.frozensets(ids, min_size=1, max_size=3)), draw(st.integers(1, 3))),
+                    draw(st.frozensets(ids, max_size=4)),
+                    draw(st.frozensets(ids, max_size=2)),
+                    1,
+                )
+                for _ in range(draw(st.integers(0, 4)))
+            )
+        )
+    misses = draw(st.dictionaries(st.integers(1, n + 3), st.integers(1, 3), max_size=6))
+    return t, p, misses
+
+
+def cluster(cid, heads, members=(), gateways=()):
+    return Cluster(Council(frozenset(heads), cid), frozenset(members), frozenset(gateways), 1)
+
+
+class TestDepartureScan:
+    @given(scan_inputs())
+    # 3 is listed by both clusters: cluster 1 wins, whose head 1 it cannot hear
+    @example((topology_from_edges([1, 2, 3], [(2, 3)]), Partition((cluster(1, [1], [3]), cluster(2, [2], [3]))), {}))
+    # two clusters share id 1: node 4, listed only by the second, is checked
+    # against the heads of the first
+    @example(
+        (
+            topology_from_edges([1, 2, 3, 4], [(1, 2), (3, 4)]),
+            Partition((cluster(1, [1, 2]), cluster(1, [3], [4]))),
+            {4: 1},
+        )
+    )
+    # node 1 is listed twice under id 1 and misses once, not twice
+    @example((topology_from_edges([1], []), Partition((cluster(1, [1, 2]), cluster(1, [1]))), {}))
+    # a lone head is in touch; node 5 is outside the topology and keeps its miss
+    @example((topology_from_edges([1, 2], []), Partition((cluster(1, [1]), cluster(2, [2, 5]))), {5: 1, 1: 1, 2: 1}))
+    @settings(max_examples=300, deadline=None)
+    def test_cluster_walk_matches_per_node_oracle(self, inputs):
+        t, p, misses = inputs
+        expected, got = dict(misses), dict(misses)
+        assert sim._departures(t, p, got) == oracle.departures(t, p, expected)
+        assert list(got.items()) == list(expected.items())
 
 
 class TestLoadScenario:
@@ -566,15 +634,36 @@ class TestStep:
         assert not state.halted
         assert state.violations == []
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_incremental_topology_equals_a_fresh_build_every_round(self, seed):
-        state = initialize(small_mobile_scenario(seed, rounds=25))
+    @pytest.mark.parametrize(
+        "seed, parking",
+        [
+            pytest.param(1, False, id="1"),
+            pytest.param(2, False, id="2"),
+            pytest.param(1, True, id="1-parking"),
+            pytest.param(2, True, id="2-parking"),
+        ],
+    )
+    def test_incremental_topology_equals_a_fresh_build_every_round(self, seed, parking):
+        sc = small_mobile_scenario(seed, rounds=25)
+        if parking:
+            # Each mover keeps one or two waypoints, so movers park at
+            # different rounds and the set that moves keeps changing.
+            sc = replace(sc, nodes=tuple(replace(s, waypoints=s.waypoints[: 1 + s.nid % 2]) for s in sc.nodes))
+        state = initialize(sc)
+        reused = rebuilt = 0
         while state.round < state.scenario.rounds and not state.halted:
+            previous = state.topology
             step(state)
             fresh = build_topology(sorted(state.positions.items()), state.scenario.radius)
             assert state.topology.adj == fresh.adj, f"round {state.round}"
             assert state.topology.positions == state.positions, f"round {state.round}"
+            if state.topology is not previous:
+                hit = previous._kept is not None and state.topology._kept[1] is previous._kept[1]
+                reused += hit
+                rebuilt += not hit
         assert state.round == state.scenario.rounds
+        # the run crosses both paths: links carried over and links rebuilt
+        assert reused > 0 and rebuilt > (2 if parking else 0)
 
     def test_refresh_interval_bumps_epochs(self):
         sc = scenario_from_dict(dict(STATIC_SEVEN, refresh_interval_rounds=4))
