@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateNid, UnknownNode
 
@@ -33,9 +33,10 @@ class Topology:
     adj: Mapping[NodeId, frozenset[NodeId]]
     positions: Optional[Mapping[NodeId, Position]] = None
     radius: Optional[float] = None
-    # Set only by an incremental ``build_topology``: its stale set S, and each
-    # other node's neighbours outside S.
-    _kept: Optional[tuple[frozenset[NodeId], Mapping[NodeId, frozenset[NodeId]]]] = field(
+    # Set only by an incremental ``build_topology``, and never mutated: its
+    # stale set S, and each other node's neighbours outside S (None until S
+    # has repeated).
+    _kept: Optional[tuple[AbstractSet[NodeId], Optional[Mapping[NodeId, frozenset[NodeId]]]]] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -98,14 +99,17 @@ def build_topology(
     united with its list of movers in range.
 
     An incremental build keeps a private cache on its result T: its stale
-    set S, and for each node outside S its kept links.  Every mover a node
-    gains is in S, so those links equal ``T.adj[u] - S``, and the next
-    build from T reuses them, one set build per unmoved node instead of
-    two, when its own stale set is S again: the same nodes kept moving.
-    Otherwise it computes them afresh and caches its own.  The cache is
-    never mutated, and it is not part of equality, ``repr`` or
-    ``dataclasses.replace``: a replaced, hand-built, edge-list or full-build
-    topology has none.
+    set S, and, when ``previous``'s stale set was S too, each node outside S
+    with its kept links.  Every mover a node gains is in S, so those links
+    equal ``T.adj[u] - S``, and the next build from T reuses them, one set
+    build per unmoved node instead of two, when its own stale set is S
+    again: the same nodes kept moving.  A build whose stale set differs
+    from ``previous``'s does the same work as with no cache and keeps only
+    its stale set, so traffic whose movers change every round retains no
+    extra sets; links are cached from the second build with the same stale
+    set and reused from the third.  The cache is never mutated, and
+    it is not part of equality, ``repr`` or ``dataclasses.replace``: a
+    replaced, hand-built, edge-list or full-build topology has none.
     """
     if not 0 < radius <= MAX_COORDINATE:
         raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
@@ -156,25 +160,28 @@ def build_topology(
     # An unmoved node keeps its links to unmoved nodes and gains the movers
     # it now hears.
     moved = {u for movers, _ in grid.values() for u, _, _ in movers}
-    stale = frozenset(moved.union(base.adj.keys() - positions.keys()))
-    cache = base._kept
-    if cache is None or cache[0] != stale:
-        # A set copied from a set is presized; ``old - stale`` grows its table.
-        cache = stale, {u: frozenset(set(base.adj[u] - stale)) for u in positions if u not in moved}
-    kept_links = cache[1]
+    stale = moved.union(base.adj.keys() - positions.keys())
+    # Links are cached only once the stale set repeats, so a build whose
+    # movers changed retains nothing beyond its stale set.
+    cached_stale, cached_links = base._kept or (None, None)
+    repeated = stale == cached_stale
+    hit = repeated and cached_links is not None
+    kept_links = cached_links if hit else {} if repeated else None
     merged: dict[NodeId, frozenset[NodeId]] = {}
     for u, vs in adj.items():
-        kept = kept_links.get(u)
-        if kept is None:
+        if u in moved:
             merged[u] = frozenset(vs)
-        elif vs:
-            merged[u] = kept.union(vs)
+            continue
+        old = base.adj[u]
+        if hit:
+            kept = kept_links[u]
         else:
-            # No mover in range: its old set, when that lost nothing either.
-            old = base.adj[u]
-            merged[u] = old if len(kept) == len(old) else kept
+            kept = old - stale
+            if kept_links is not None:
+                kept_links[u] = kept
+        merged[u] = old if not vs and len(kept) == len(old) else kept.union(vs)
     t = Topology(merged, positions, r)
-    object.__setattr__(t, "_kept", cache)
+    object.__setattr__(t, "_kept", (stale, kept_links))
     return t
 
 

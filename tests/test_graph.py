@@ -197,6 +197,14 @@ def steps_of(layout, radius, nid, points):
 STAYERS = [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (4, (3.0, 0.0))]
 
 
+def cache_copy(t):
+    """A copy of ``t``'s cache, to check later that it was not mutated."""
+    if t._kept is None:
+        return None
+    stale, links = t._kept
+    return set(stale), None if links is None else dict(links)
+
+
 class TestBuildTopology:
     def test_boundary_distance_is_inclusive(self):
         t = build_topology([(1, (0.0, 0.0)), (2, (5.0, 0.0))], radius=5.0)
@@ -311,9 +319,9 @@ class TestBuildTopology:
             previous = t
 
     @given(steady_moves())
-    # three steady steps: 3 keeps moving, every build after the first hits
+    # three steady steps: 3 keeps moving; the second build caches, the third hits
     @example([(STAYERS + [(3, (2.0, 0.0))], 2.0), *steps_of(STAYERS, 2.0, 3, [(2.0, 1.0), (1.0, 1.5), (3.0, 1.0)])])
-    # 3 and 5 move, then 5 parks: a miss, then a hit
+    # 3 and 5 move, then 5 parks: a miss, then cached, then a hit
     @example(
         [
             (STAYERS + [(3, (2.0, 0.0)), (5, (5.0, 0.0))], 2.0),
@@ -321,6 +329,7 @@ class TestBuildTopology:
             (STAYERS + [(3, (1.0, 1.5)), (5, (4.0, 0.5))], 2.0),
             (STAYERS + [(3, (1.0, 1.0)), (5, (4.0, 0.5))], 2.0),
             (STAYERS + [(3, (0.0, 1.0)), (5, (4.0, 0.5))], 2.0),
+            (STAYERS + [(3, (1.0, 0.5)), (5, (4.0, 0.5))], 2.0),
         ]
     )
     # 5 leaves while 3 moves, then 3 keeps moving
@@ -331,13 +340,13 @@ class TestBuildTopology:
             *steps_of(STAYERS, 2.0, 3, [(1.0, 1.5), (3.0, 1.0), (2.0, 2.0)]),
         ]
     )
-    # the radius changes between steady steps: a full build, a miss, then a hit
+    # the radius changes between steady steps: a full build, a miss, cached, a hit
     @example(
         [
             (STAYERS + [(3, (2.0, 0.0))], 2.0),
             (STAYERS + [(3, (2.0, 1.0))], 2.0),
             (STAYERS + [(3, (1.0, 1.5))], 1.0),
-            *steps_of(STAYERS, 1.0, 3, [(3.0, 1.0), (2.0, 0.5)]),
+            *steps_of(STAYERS, 1.0, 3, [(3.0, 1.0), (2.0, 0.5), (1.0, 0.5)]),
         ]
     )
     @settings(max_examples=250, deadline=None)
@@ -346,12 +355,9 @@ class TestBuildTopology:
         previous = build_topology(specs, radius)
         previous_stale = None  # a full build caches nothing
         for specs, radius in layouts[1:]:
-            snapshot = dict(previous.adj), dict(previous.positions), previous._kept
-            cached = None if previous._kept is None else (previous._kept[0], dict(previous._kept[1]))
+            snapshot = dict(previous.adj), dict(previous.positions), previous._kept, cache_copy(previous)
             t = build_topology(specs, radius, previous=previous)
-            assert (dict(previous.adj), dict(previous.positions), previous._kept) == snapshot
-            if cached is not None:
-                assert (previous._kept[0], dict(previous._kept[1])) == cached
+            assert (dict(previous.adj), dict(previous.positions), previous._kept, cache_copy(previous)) == snapshot
             assert t.adj == build_topology(specs, radius).adj
             assert t.edges == pairwise_edges(specs, radius)
             if float(radius) != previous.radius:
@@ -364,9 +370,12 @@ class TestBuildTopology:
             for u in unmoved:
                 assert (t.adj[u] is previous.adj[u]) == (previous.adj[u] | t.adj[u] <= unmoved)
             assert t._kept[0] == stale
-            assert t._kept[1] == {u: t.adj[u] - stale for u in unmoved}
-            if stale == previous_stale:
-                assert t._kept[1] is previous._kept[1]
+            if stale != previous_stale:
+                assert t._kept[1] is None  # a changed stale set caches no links
+            else:
+                assert t._kept[1] == {u: t.adj[u] - stale for u in unmoved}
+                if previous._kept[1] is not None:
+                    assert t._kept[1] is previous._kept[1]
             previous, previous_stale = t, stale
 
     def test_a_replaced_topology_carries_no_cached_links(self):
@@ -374,12 +383,13 @@ class TestBuildTopology:
         # from it, at a layout where 2 is out of 1's range, must not use them
         # although 3 is again the only mover.
         t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (10.0, 0.0))], 2.0)
-        t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (11.0, 0.0))], 2.0, t)
+        for x in (11.0, 12.0):
+            t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (x, 0.0))], 2.0, t)
         assert t._kept == ({3}, {1: {2}, 2: {1}})
-        apart = build_topology([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (12.0, 0.0))], 2.0)
+        apart = build_topology([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (13.0, 0.0))], 2.0)
         replaced = dataclasses.replace(t, adj=apart.adj, positions=apart.positions)
         assert replaced._kept is None
-        specs = [(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (13.0, 0.0))]
+        specs = [(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (14.0, 0.0))]
         assert build_topology(specs, 2.0, replaced).adj == build_topology(specs, 2.0).adj
 
     def test_incremental_build_keeps_untouched_neighbour_sets(self):

@@ -658,7 +658,8 @@ class TestStep:
             assert state.topology.adj == fresh.adj, f"round {state.round}"
             assert state.topology.positions == state.positions, f"round {state.round}"
             if state.topology is not previous:
-                hit = previous._kept is not None and state.topology._kept[1] is previous._kept[1]
+                links = state.topology._kept[1]
+                hit = links is not None and previous._kept is not None and links is previous._kept[1]
                 reused += hit
                 rebuilt += not hit
         assert state.round == state.scenario.rounds
