@@ -34,7 +34,9 @@ class MaintenanceAction(str, Enum):
 
 @dataclass(frozen=True)
 class ClusterHealth:
-    """Change bookkeeping for one cluster since its formation."""
+    """Change bookkeeping for one cluster since its formation, kept from its
+    first change on, with the baseline (n0, gateways0) read from the
+    cluster just before that change: the cluster as formed."""
 
     n0: int
     gateways0: int = 0
@@ -91,9 +93,9 @@ class _WorkingPartition:
     def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
         return _head_clusters(self.node_index, self.clusters, nodes)
 
-    def depart(self, node: NodeId) -> tuple[ClusterId, Role]:
-        """Drop a node from its cluster; returns the cluster's id and the
-        node's role in it."""
+    def depart(self, node: NodeId) -> Cluster:
+        """Drop a node from its cluster; returns the cluster as it was
+        before the edit."""
         cid = self.node_index.pop(node, None)
         if cid is None:
             raise UnknownNode(f"node {node} is not assigned to any cluster")
@@ -101,7 +103,7 @@ class _WorkingPartition:
         self.clusters[cid] = Cluster(
             Council(c.council.heads - gone, cid), c.members - gone, c.gateways - gone, c.k
         )
-        return cid, c.role_of(node)
+        return c
 
     def visit(
         self, t: Topology, node: NodeId, visiting: ClusterId, prior_role: Optional[Role]
@@ -109,7 +111,7 @@ class _WorkingPartition:
         if visiting not in self.clusters:
             raise UnknownCluster(f"no cluster with id {visiting}")
         if node in self.node_index:
-            _, role = self.depart(node)
+            role = self.depart(node).role_of(node)
             prior_role = role if prior_role is None else prior_role
         # Read after the departure, which may have edited this very cluster.
         c = self.clusters[visiting]
@@ -132,7 +134,14 @@ class _WorkingPartition:
         return Partition([c for c in self.clusters.values() if c.all_nodes])
 
 
-def _count_departure(health: ClusterHealth, role: Role) -> ClusterHealth:
+def _first_change(health: Optional[ClusterHealth], before: Cluster) -> ClusterHealth:
+    """``health``, or the baseline of ``before``, the cluster just before its first change."""
+    return baseline_health(before) if health is None else health
+
+
+def _count_departure(health: Optional[ClusterHealth], before: Cluster, node: NodeId) -> ClusterHealth:
+    health = _first_change(health, before)
+    role = before.role_of(node)
     if role is Role.HEAD:
         return replace(health, heads_departed=health.heads_departed + 1)
     if role is Role.GATEWAY:
@@ -152,10 +161,8 @@ def handle_departure(
     excluded from future quorums by the caller and dies at the next refresh.
     """
     work = _WorkingPartition(partition)
-    cid, role = work.depart(node)
-    if health is None:
-        health = baseline_health(partition.cluster(cid))
-    return work.freeze(), _count_departure(health, role)
+    before = work.depart(node)
+    return work.freeze(), _count_departure(health, before, node)
 
 
 def handle_visitor(
@@ -190,10 +197,12 @@ def apply_departures(
     Each node leaves its cluster as in ``handle_departure``, and then visits
     the lowest-id other cluster with a head it hears, as in
     ``handle_visitor``, which counts an arrival there.  A later departure
-    sees the heads that joined earlier.  Returns the new partition, the
-    updated healths, whether a node heard no other cluster's head, and the
-    ``(cluster, node)`` joins whose new heads need shares.  Without
-    departures it returns ``partition`` and ``healths`` themselves, uncopied.
+    sees the heads that joined earlier.  ``healths`` may hold only the
+    clusters changed since formation; a cluster's first change adds its
+    entry, with the baseline read just before that change.  Returns the new
+    partition, the updated healths, whether a node heard no other cluster's
+    head, and the ``(cluster, node)`` joins whose new heads need shares;
+    without departures, ``partition`` and ``healths`` themselves, uncopied.
     """
     if not departed:
         return partition, healths, False, []
@@ -202,15 +211,17 @@ def apply_departures(
     stranded = False
     joined: list[tuple[ClusterId, NodeId]] = []
     for nid in departed:
-        cid, role = work.depart(nid)
-        healths[cid] = _count_departure(healths[cid], role)
+        before = work.depart(nid)
+        cid = before.cluster_id
+        healths[cid] = _count_departure(healths.get(cid), before, nid)
         dest = min(work.head_clusters(neighbors(t, nid)) - {cid}, default=None)
         if dest is None:
             stranded = True
             continue
-        if work.visit(t, nid, dest, role) == "issue_new_share":
+        health = _first_change(healths.get(dest), work.clusters[dest])
+        if work.visit(t, nid, dest, before.role_of(nid)) == "issue_new_share":
             joined.append((dest, nid))
-        healths[dest] = replace(healths[dest], arrivals=healths[dest].arrivals + 1)
+        healths[dest] = replace(health, arrivals=health.arrivals + 1)
     return work.freeze(), healths, stranded, joined
 
 

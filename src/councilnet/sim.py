@@ -1,11 +1,12 @@
 """Scenario-driven, round-based simulator.
 
 Each round: nodes move along their waypoints, links are rebuilt under the
-disk rule, HELLO exchanges refresh neighbour knowledge on their interval,
-maintenance classifies the accumulated changes into local updates or a full
-re-formation, shares are refreshed or re-split as needed, any scheduled
-compromise fires, and one metrics row is recorded.  Runs are deterministic
-for a given scenario and seed.
+disk rule, a HELLO round (every ``hello_interval_rounds``) counts one
+broadcast per node and runs the maintenance pass, which classifies the
+accumulated changes into local updates or a full re-formation, shares are
+refreshed or re-split as needed, any scheduled compromise fires, and one
+metrics row is recorded.  Runs are deterministic for a given scenario and
+seed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .maintenance import (
     ClusterHealth,
     MaintenanceAction,
     apply_departures,
-    baseline_health,
     classify_change,
     reform,
 )
@@ -94,6 +94,8 @@ class SimState:
     topology: Topology
     partition: Partition
     share_ledger: dict[ClusterId, ClusterLedger]
+    # Kept only for clusters changed since the last re-form; any other
+    # cluster is the very object that re-form installed.
     healths: dict[ClusterId, ClusterHealth]
     rng: random.Random
     compromised: set[NodeId] = field(default_factory=set)
@@ -104,12 +106,9 @@ class SimState:
     metrics: list[MetricsRow] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     halted: bool = False
-    # The topology, partition and healths of the last maintenance pass that
-    # found every node in touch, departed nobody and verified the partition
-    # clean, and the decisions it classified from those healths.
-    last_clean: Optional[
-        tuple[Topology, Partition, dict[ClusterId, ClusterHealth], dict[ClusterId, MaintenanceAction]]
-    ] = None
+    # The topology and partition of the last maintenance pass that found
+    # every node in touch, departed nobody and verified the partition clean.
+    last_clean: Optional[tuple[Topology, Partition]] = None
 
 
 def _build_topology(
@@ -121,10 +120,11 @@ def _build_topology(
 
 
 def _install(state: SimState, partition: Partition) -> None:
-    """Install a freshly formed partition: baseline healths, and a fresh
-    secret per cluster split across its council."""
+    """Install a freshly formed partition, with no change recorded (no
+    health, no pending miss) and a fresh secret split across each council."""
     state.partition = partition
-    state.healths = {c.cluster_id: baseline_health(c) for c in partition.clusters}
+    state.healths = {}
+    state.miss_counts = {}
     state.share_ledger = {
         c.cluster_id: ClusterLedger.split(c, state.scenario.field_prime, state.rng, state.compromised)
         for c in partition.clusters
@@ -182,11 +182,6 @@ def _move_nodes(state: SimState) -> bool:
     return moved
 
 
-def _do_reform(state: SimState) -> None:
-    _install(state, reform(state.topology))
-    state.miss_counts = {}
-
-
 def _departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> list[NodeId]:
     """Count one more miss for each node of both ``t`` and ``p`` that is out
     of touch with its cluster, and clear the misses of each one in touch;
@@ -225,12 +220,14 @@ def _departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> li
 
 
 def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
-    """Detect departures and visitors, then classify each cluster's health.
+    """Detect departures and visitors, then classify the changed clusters.
 
     Returns (local updates applied, reform performed).  A node counts as
     departed once it has been out of touch with its cluster for two
     consecutive HELLO exchanges.  A visitor that joins a council gets its
-    share only once the pass has decided not to re-form.
+    share only once the pass has decided not to re-form.  It classifies only
+    the partition's clusters with a health entry, those changed since the
+    last re-form; any other one would classify as no change.
 
     The pass is settled when nothing strands, no cluster must re-form and no
     miss is left pending after departures.  Only a settled pass checks the
@@ -241,20 +238,13 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     A quiet pass, over the very topology and partition objects of the last
     clean pass and with no miss pending, skips the in-touch scan and the
     partition check: both are pure functions of those frozen objects, so
-    they would find everyone in touch and the partition valid again.  It
-    also reuses that pass's decisions while the healths are the very object
-    it classified, since classification is a pure function of them.
+    they would find everyone in touch and the partition valid again.
     """
     sc = state.scenario
     t = state.topology
     p = state.partition
     last = state.last_clean
-    quiet = (
-        last is not None
-        and last[0] is t
-        and last[1] is p
-        and not state.miss_counts
-    )
+    quiet = last is not None and last[0] is t and last[1] is p and not state.miss_counts
     state.last_clean = None
 
     departed = [] if quiet else _departures(t, p, state.miss_counts)
@@ -266,13 +256,11 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
         del state.miss_counts[nid]
     state.partition = p
 
-    if quiet and last[2] is state.healths:
-        decisions = last[3]
-    else:
-        decisions = {
-            c.cluster_id: classify_change(state.healths[c.cluster_id], c.k, sc.gateway_threshold)
-            for c in p.clusters
-        }
+    decisions = {
+        c.cluster_id: classify_change(state.healths[c.cluster_id], c.k, sc.gateway_threshold)
+        for c in p.clusters
+        if c.cluster_id in state.healths
+    }
     for cid in sorted(decisions):
         action = decisions[cid]
         if action is not MaintenanceAction.NONE:
@@ -288,11 +276,11 @@ def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
     if stranded or cluster_reform or damaged:
         if stranded or not cluster_reform:
             state.decision_log.append((round_no, -1, "reform", 0, 0.0))
-        _do_reform(state)
+        _install(state, reform(t))
         return False, True
     # Every node a settled pass missed has departed: with none, all were in touch.
     if settled and not departed:
-        state.last_clean = (t, p, state.healths, decisions)
+        state.last_clean = (t, p)
     for dest, nid in joined:
         problem = state.share_ledger[dest].issue(nid, state.compromised)
         if problem:

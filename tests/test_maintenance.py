@@ -340,6 +340,17 @@ def hand_partition():
     return topology_from_edges(range(1, 13), edges), p
 
 
+def assert_sparse_matches_dense(t, p, departed):
+    """apply_departures from no healths agrees with it from every cluster's
+    baseline: a cluster's first change takes the same baseline."""
+    dense_in = {c.cluster_id: baseline_health(c) for c in p.clusters}
+    p_dense, dense, *rest_dense = apply_departures(t, p, departed, dense_in)
+    p_sparse, sparse, *rest_sparse = apply_departures(t, p, departed, {})
+    assert p_sparse == p_dense and rest_sparse == rest_dense
+    assert all(sparse[cid] == dense[cid] for cid in sparse)
+    assert all(dense[cid] == dense_in[cid] for cid in dense.keys() - sparse.keys())
+
+
 class TestBatchMatchesSequentialFold:
     def test_joins_gateways_blocked_join_and_emptied_cluster(self):
         t, p = hand_partition()
@@ -363,6 +374,7 @@ class TestBatchMatchesSequentialFold:
         assert healths2[10].heads_departed == 1
         # the input is untouched, and unchanged clusters are carried over
         assert p == hand_partition()[1]
+        assert_sparse_matches_dense(t, p, departed)
 
     def test_unchanged_clusters_keep_their_objects(self):
         t, p = hand_partition()
@@ -397,6 +409,7 @@ class TestBatchMatchesSequentialFold:
         departed = list(dict.fromkeys(list(movers) + rest))
         healths = {c.cluster_id: baseline_health(c) for c in p.clusters}
         assert apply_departures(t, p, departed, healths) == sequential_fold(t, p, departed, healths)
+        assert_sparse_matches_dense(t, p, departed)
 
 
 class TestReform:
