@@ -62,7 +62,10 @@ def _cmd_form(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    report = run(scenario, args.out, args.state_out)
+    try:
+        report = run(scenario, args.out, args.state_out)
+    except OSError as exc:  # the scenario is loaded, so only an output write raises this
+        raise ValidationError(f"cannot write output: {exc}") from exc
     print(f"simulated {report.rounds} rounds, wrote {args.out}")
     for violation in report.violations:
         print(f"violation: {violation}", file=sys.stderr)

@@ -12,11 +12,12 @@ neighbour; failing that it serves alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .errors import InvalidDominatingSet, UnknownNode
+from .errors import InvalidDominatingSet, UnknownNode, ValidationError
 from .graph import NodeId, Topology, is_clique, is_dominating_set, neighbors
 from .phase1 import ClusterId, DominatingSet, Role
 from .shamir import choose_threshold
@@ -61,8 +62,8 @@ class Cluster:
 class Partition:
     """Clusters indexed by id and every node by its cluster's id.
 
-    Where a malformed partition lists an id or a node twice, the first
-    cluster listing it wins.
+    Each cluster id and each node is listed once: a repeat, across clusters
+    or across the groups of one cluster, raises ``ValidationError``.
     """
 
     clusters: tuple[Cluster, ...]
@@ -71,12 +72,13 @@ class Partition:
 
     def __post_init__(self) -> None:
         clusters = tuple(self.clusters)
-        by_id: dict[ClusterId, Cluster] = {}
+        by_id = {c.cluster_id: c for c in clusters}
         index: dict[NodeId, ClusterId] = {}
-        # Reversed so that the first cluster listing an id or a node wins.
-        for c in reversed(clusters):
-            by_id[c.cluster_id] = c
+        for c in clusters:
             index.update(dict.fromkeys(c.all_nodes, c.cluster_id))
+        listed = sum(c.n + len(c.members) + len(c.gateways) for c in clusters)
+        if len(by_id) < len(clusters) or len(index) < listed:
+            raise ValidationError(_repeats(clusters))
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "node_index", index)
         object.__setattr__(self, "_by_id", by_id)
@@ -86,6 +88,18 @@ class Partition:
 
     def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
         return _head_clusters(self.node_index, self._by_id, nodes)
+
+
+def _repeats(clusters: tuple[Cluster, ...]) -> str:
+    """Name the cluster ids and nodes that ``clusters`` list more than once."""
+    ids = Counter(c.cluster_id for c in clusters)
+    nodes = Counter(n for c in clusters for g in (c.council.heads, c.members, c.gateways) for n in g)
+    named = []
+    for what, counts in (("cluster ids", ids), ("nodes", nodes)):
+        repeated = sorted(x for x, times in counts.items() if times > 1)
+        if repeated:
+            named.append(f"{what} {repeated} listed more than once")
+    return "partition has " + " and ".join(named)
 
 
 def _head_clusters(
@@ -208,30 +222,13 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
 
 
 def verify_partition(t: Topology, p: Partition) -> list[str]:
-    """Check every partition invariant; returns one message per violation."""
+    """Check a partition against its topology; returns one message per violation."""
     violations: list[str] = []
 
-    seen: dict[NodeId, ClusterId] = {}
-    for c in p.clusters:
-        for group_a, group_b, label in (
-            (c.council.heads, c.members, "head/member"),
-            (c.council.heads, c.gateways, "head/gateway"),
-            (c.members, c.gateways, "member/gateway"),
-        ):
-            overlap = group_a & group_b
-            if overlap:
-                violations.append(
-                    f"cluster {c.cluster_id}: {label} overlap on {sorted(overlap)}"
-                )
-        for n in c.all_nodes:
-            if n in seen:
-                violations.append(f"node {n} appears in clusters {seen[n]} and {c.cluster_id}")
-            seen[n] = c.cluster_id
-
-    missing = t.nodes - set(seen)
+    missing = t.nodes - p.node_index.keys()
     if missing:
         violations.append(f"nodes {sorted(missing)} are not assigned to any cluster")
-    extra = set(seen) - t.nodes
+    extra = p.node_index.keys() - t.nodes
     if extra:
         violations.append(f"assigned nodes {sorted(extra)} are not in the topology")
 
@@ -259,20 +256,17 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
             except UnknownNode:
                 violations.append(f"cluster {c.cluster_id}: member {m} is not in the topology")
 
-    # Heads of different clusters must not be adjacent.  Index every head by
-    # the clusters listing it, then scan each head's neighbours once; report
+    # Heads of different clusters must not be adjacent.  Map every head to
+    # its cluster's position, then scan each head's neighbours once; report
     # by earlier cluster, later cluster, then head id.
-    listed_in: dict[NodeId, list[int]] = {}
-    for j, c in enumerate(p.clusters):
-        for h in c.council.heads:
-            listed_in.setdefault(h, []).append(j)
+    position = {h: j for j, c in enumerate(p.clusters) for h in c.council.heads}
     adjacent: dict[tuple[int, int, NodeId], set[NodeId]] = {}
     for i, a in enumerate(p.clusters):
         for ha in a.council.heads & t.nodes:
             for w in neighbors(t, ha):
-                for j in listed_in.get(w, ()):
-                    if j > i:
-                        adjacent.setdefault((i, j, ha), set()).add(w)
+                j = position.get(w, i)
+                if j > i:
+                    adjacent.setdefault((i, j, ha), set()).add(w)
     for (i, j, ha), touching in sorted(adjacent.items()):
         violations.append(
             f"heads {ha} (cluster {p.clusters[i].cluster_id}) and {sorted(touching)} "

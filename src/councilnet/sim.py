@@ -183,33 +183,26 @@ def _move_nodes(state: SimState) -> bool:
 
 
 def _departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> list[NodeId]:
-    """Count one more miss for each node of both ``t`` and ``p`` that is out
-    of touch with its cluster, and clear the misses of each one in touch;
-    return, in ascending id order, the nodes whose misses reached two.
+    """Count one more miss for each node that is out of touch with its
+    cluster, and clear the misses of each one in touch; return, in ascending
+    id order, the nodes whose misses reached two.
 
     A head is in touch when it hears another node of its cluster, or is its
     cluster's only node; any other node is in touch when it hears a head.
-    A node listed twice belongs to the first cluster listing it, and a
-    cluster id listed twice to the first cluster with it.  Each test is one
-    C-level ``isdisjoint`` on ``t.adj``.  Nodes outside ``t`` or ``p`` keep
-    their misses.
+    Each test is one C-level ``isdisjoint`` on ``t.adj``.  Every partition
+    the engine installs assigns exactly the nodes of ``t``, and
+    ``miss_counts`` names only those nodes.
     """
     adj = t.adj
-    index = p.node_index
     out: list[NodeId] = []
     for c in p.clusters:
-        cid = c.cluster_id
-        owner = p.cluster(cid)
-        heads, nodes = owner.council.heads, owner.all_nodes
-        listed = c.all_nodes if adj.keys() >= c.all_nodes else adj.keys() & c.all_nodes
-        # A node counts only for the first cluster listing it, whose id its
-        # index holds.  A topology has no self-loops, so a lone head never
-        # hears itself.
+        heads, nodes = c.council.heads, c.all_nodes
+        # A topology has no self-loops, so a lone head never hears itself.
         if len(nodes) > 1:
-            out += [u for u in listed & heads if nodes.isdisjoint(adj[u]) and index[u] == cid]
-        out += [u for u in listed - heads if heads.isdisjoint(adj[u]) and index[u] == cid]
+            out += [u for u in heads if nodes.isdisjoint(adj[u])]
+        out += [u for u in nodes - heads if heads.isdisjoint(adj[u])]
     missed = set(out)
-    for u in [u for u in miss_counts if u not in missed and u in adj and u in index]:
+    for u in [u for u in miss_counts if u not in missed]:
         del miss_counts[u]
     departed = []
     for u in sorted(missed):

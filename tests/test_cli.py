@@ -101,6 +101,20 @@ def test_undecodable_input_file_is_an_input_error(verb, raw, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--state-out"])
+def test_unwritable_output_path_is_an_input_error(flag, tmp_path, capsys):
+    outputs = {"--out": str(tmp_path / "m.csv"), "--state-out": str(tmp_path / "s.json")}
+    outputs[flag] = str(tmp_path / "missing-dir" / "out")
+    argv = ["simulate", "--scenario", str(SCENARIOS / "two_cluster_seven.json")]
+    for name, path in outputs.items():
+        argv += [name, path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert "missing-dir" in err
+    assert "Traceback" not in err
+
+
 def test_invalid_scenario_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"radius": 1.0, "nodes": []}))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from councilnet.errors import InvalidDominatingSet, UnknownNode
+from councilnet.errors import InvalidDominatingSet, UnknownNode, ValidationError
 from councilnet.graph import is_clique, neighbors, topology_from_edges
 from councilnet.maintenance import reform
 from councilnet.phase1 import DominatingSet
@@ -185,13 +185,33 @@ class TestPartitionLookup:
         with pytest.raises(KeyError):
             p.cluster(2)
 
-    def test_first_cluster_wins_on_a_repeated_id(self):
-        first, second = council_only({1}, cid=1), council_only({2}, cid=1)
-        assert Partition([first, second]).cluster(1) is first
+    def test_repeated_cluster_id_is_refused(self):
+        with pytest.raises(ValidationError, match=r"cluster ids \[1\] listed more than once"):
+            Partition([council_only({1}, cid=1), council_only({2}, cid=1)])
 
-    def test_first_cluster_wins_on_a_repeated_node(self):
-        p = Partition(council_only(heads) for heads in ({1, 2}, {2, 3}))
-        assert p.node_index == {1: 1, 2: 1, 3: 2}
+    def test_node_in_two_clusters_is_refused(self):
+        with pytest.raises(ValidationError, match=r"nodes \[2\] listed more than once"):
+            Partition(council_only(heads) for heads in ({1, 2}, {2, 3}))
+
+    @pytest.mark.parametrize("groups", [({1, 2}, {2}, ()), ({1}, {2}, {2}), ({1, 2}, (), {2})])
+    def test_node_in_two_groups_of_one_cluster_is_refused(self, groups):
+        heads, members, gateways = map(frozenset, groups)
+        with pytest.raises(ValidationError, match=r"^partition has nodes \[2\] listed more than once$"):
+            Partition([Cluster(Council(heads, 1), members, gateways, k=1)])
+
+    def test_repeated_id_and_node_are_both_named(self):
+        with pytest.raises(ValidationError) as err:
+            Partition([council_only({1, 3}, cid=1), council_only({3, 4}, cid=1)])
+        assert str(err.value) == (
+            "partition has cluster ids [1] listed more than once and nodes [3] listed more than once"
+        )
+
+    @given(st.integers(1, 40), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_every_formed_partition_is_accepted(self, n, seed):
+        # reform builds its result through the checking constructor
+        t = random_connected(n, seed=seed)
+        assert reform(t).node_index.keys() == t.nodes
 
     def test_council_size_is_n(self):
         c = Cluster(Council(frozenset({4, 6}), 4), frozenset({5}), frozenset({7}), k=2)
@@ -267,24 +287,24 @@ class TestVerifyPartition:
         assert len(found) == 6
         assert found == pairwise_head_adjacency(t, bad)
 
-    def test_head_shared_by_two_councils_matches_oracle(self):
-        t = two_cluster_seven()
-        bad = Partition([council_only({1, 3, 5}), council_only({4, 5}), council_only({6, 7})])
-        found = head_adjacency_messages(t, bad)
-        assert found
-        assert found == pairwise_head_adjacency(t, bad)
+    def test_head_shared_by_two_councils_is_refused(self):
+        with pytest.raises(ValidationError, match=r"nodes \[5\]"):
+            Partition([council_only({1, 3, 5}), council_only({4, 5}), council_only({6, 7})])
 
     @given(
         st.integers(0, 2**28 - 1),
-        st.lists(st.frozensets(st.integers(1, 10), min_size=1, max_size=4), min_size=1, max_size=5),
+        st.lists(st.integers(0, 5), min_size=10, max_size=10),
     )
     @settings(max_examples=200, deadline=None)
-    def test_head_adjacency_matches_oracle_on_arbitrary_councils(self, mask, councils):
-        # councils may overlap, need not be cliques, and may list heads 9
-        # and 10, which the topology lacks: those are reported, not raised
+    def test_head_adjacency_matches_oracle_on_arbitrary_councils(self, mask, owners):
+        # owners[i] places node i + 1 in one of up to five disjoint councils
+        # (index 5 leaves it out); councils need not be cliques, and may
+        # list heads 9 and 10, which the topology lacks: those are
+        # reported, not raised
+        councils = [{u for u, o in enumerate(owners, 1) if o == j} for j in range(5)]
         pairs = list(itertools.combinations(range(1, 9), 2))
         t = topology_from_edges(range(1, 9), [e for i, e in enumerate(pairs) if mask & (1 << i)])
-        p = Partition(council_only(heads) for heads in councils)
+        p = Partition(council_only(heads) for heads in councils if heads)
         assert head_adjacency_messages(t, p) == pairwise_head_adjacency(t, p)
         unknown = [
             f"cluster {c.cluster_id}: heads {sorted(c.council.heads - t.nodes)} are not in the topology"

@@ -20,7 +20,7 @@ from councilnet.errors import (
 )
 from councilnet import graph, phase2, sim
 from councilnet.graph import build_topology, topology_from_edges
-from councilnet.maintenance import reform
+from councilnet.maintenance import apply_departures, reform
 from councilnet.phase2 import Cluster, Council, Partition, verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
 from councilnet.shamir import DEFAULT_PRIME, issue_share, reconstruct
@@ -189,34 +189,43 @@ def quiet_pass_runs(draw):
 def scan_inputs(draw):
     """A topology, a partition and pending misses for the in-touch scan.
 
-    The partition is either formed on a connected topology that then loses
-    some links, or drawn freely: clusters that overlap, list a node twice,
-    share an id, have a lone head, or name nodes outside the topology.
-    Misses may name nodes outside the topology or the partition.
+    The partition is formed on a connected topology that then loses some
+    links, possibly followed by departures applied as a maintenance pass
+    applies them (councils lose heads, clusters gain members), or drawn
+    freely: each node in one group of one cluster, so that a cluster may
+    have a lone head, no head, or heads that hear nobody.  Either way it
+    assigns exactly the topology's nodes, and misses name only those.
     """
-    n = draw(st.integers(1, 12))
-    if draw(st.booleans()):
+    n = draw(st.integers(1, 16))
+    nids = range(1, n + 1)
+    kind = draw(st.sampled_from(["formed", "departed", "free"]))
+    if kind == "free":
+        pairs = list(itertools.combinations(nids, 2))
+        t = topology_from_edges(nids, draw(st.lists(st.sampled_from(pairs))) if pairs else [])
+        groups = [([], [], []) for _ in range(draw(st.integers(1, 4)))]
+        for u in nids:
+            groups[draw(st.integers(0, len(groups) - 1))][draw(st.integers(0, 2))].append(u)
+        p = Partition(
+            tuple(
+                Cluster(Council(frozenset(heads), cid), frozenset(members), frozenset(gateways), 1)
+                for cid, (heads, members, gateways) in enumerate(groups, 1)
+                if heads or members or gateways
+            )
+        )
+    else:
         formed = random_connected(n, seed=draw(st.integers(0, 2**16)))
         p = reform(formed)
         edges = sorted(formed.edges)
         cut = draw(st.sets(st.sampled_from(edges), max_size=4)) if edges else set()
-        t = topology_from_edges(range(1, n + 1), [e for e in edges if e not in cut])
-    else:
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        t = topology_from_edges(range(1, n + 1), draw(st.lists(st.sampled_from(pairs))) if pairs else [])
-        ids = st.integers(1, n + 2)
-        p = Partition(
-            tuple(
-                Cluster(
-                    Council(draw(st.frozensets(ids, min_size=1, max_size=3)), draw(st.integers(1, 3))),
-                    draw(st.frozensets(ids, max_size=4)),
-                    draw(st.frozensets(ids, max_size=2)),
-                    1,
-                )
-                for _ in range(draw(st.integers(0, 4)))
-            )
-        )
-    misses = draw(st.dictionaries(st.integers(1, n + 3), st.integers(1, 3), max_size=6))
+        t = topology_from_edges(nids, [e for e in edges if e not in cut])
+        for _ in range(draw(st.integers(0, 4)) if kind == "departed" else 0):
+            # Only a node that hears another cluster's head can move there;
+            # any other departure strands it, and the pass re-forms instead.
+            movers = [u for u in nids if p.head_clusters(t.adj[u]) - {p.node_index[u]}]
+            if not movers:
+                break
+            p = apply_departures(t, p, [draw(st.sampled_from(movers))], {})[0]
+    misses = draw(st.dictionaries(st.sampled_from(nids), st.integers(1, 3), max_size=6))
     return t, p, misses
 
 
@@ -226,21 +235,10 @@ def cluster(cid, heads, members=(), gateways=()):
 
 class TestDepartureScan:
     @given(scan_inputs())
-    # 3 is listed by both clusters: cluster 1 wins, whose head 1 it cannot hear
-    @example((topology_from_edges([1, 2, 3], [(2, 3)]), Partition((cluster(1, [1], [3]), cluster(2, [2], [3]))), {}))
-    # two clusters share id 1: node 4, listed only by the second, is checked
-    # against the heads of the first
-    @example(
-        (
-            topology_from_edges([1, 2, 3, 4], [(1, 2), (3, 4)]),
-            Partition((cluster(1, [1, 2]), cluster(1, [3], [4]))),
-            {4: 1},
-        )
-    )
-    # node 1 is listed twice under id 1 and misses once, not twice
-    @example((topology_from_edges([1], []), Partition((cluster(1, [1, 2]), cluster(1, [1]))), {}))
-    # a lone head is in touch; node 5 is outside the topology and keeps its miss
-    @example((topology_from_edges([1, 2], []), Partition((cluster(1, [1]), cluster(2, [2, 5]))), {5: 1, 1: 1, 2: 1}))
+    # a lone head is in touch though it hears nobody, and its miss clears
+    @example((topology_from_edges([1, 2, 3], [(2, 3)]), Partition((cluster(1, [1]), cluster(2, [2], [3]))), {1: 1}))
+    # head 1 hears only member 3 and is in touch; head 2 hears nobody and departs
+    @example((topology_from_edges([1, 2, 3], [(1, 3)]), Partition((cluster(1, [1, 2], [3]),)), {2: 1}))
     @settings(max_examples=300, deadline=None)
     def test_cluster_walk_matches_per_node_oracle(self, inputs):
         t, p, misses = inputs
@@ -616,6 +614,11 @@ class TestStep:
         while state.round < state.scenario.rounds and not state.halted:
             step(state)
             assert not state.halted, f"round {state.round}"
+            # the in-touch scan's precondition: the partition assigns
+            # exactly the topology's nodes, and misses name only those
+            nodes = state.topology.adj.keys()
+            assert state.partition.node_index.keys() == nodes, f"round {state.round}"
+            assert state.miss_counts.keys() <= nodes, f"round {state.round}"
             if state.metrics[-1].reforms == 1:
                 formed = {c.cluster_id: c for c in state.partition.clusters}
             # a cluster without a health entry is the one the last re-form
