@@ -25,6 +25,7 @@ from .graph import (
     is_clique,
     is_connected,
     is_dominating_set,
+    move_nodes,
     neighbors,
     topology_from_edges,
     triangles,

@@ -6,6 +6,16 @@ exists iff the euclidean distance is <= radius) or encoded directly as an
 explicit edge list.  All values are immutable after construction and every
 operation is a pure function, so topologies can be shared freely between
 concurrent runs.
+
+``move_nodes`` moves some nodes of a position-mode topology and defers its
+links: the moved topology builds them once, on the first read of ``adj``
+(which ``edges``, ``neighbors`` and the graph checks make), with
+``build_topology`` from the last topology whose links were built.  That
+build is idempotent (two racing reads build equal links) and never touches
+the topology moved from.  Until then ``Topology.hearing_none`` and
+``Topology.neighbors_among`` test each node they ask about against the
+nodes they are given, with the build's distance test, so a round that asks
+only whether nodes still hear their heads builds no neighbour sets.
 """
 
 from __future__ import annotations
@@ -47,6 +57,94 @@ class Topology:
     @cached_property
     def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
         return frozenset((u, v) for u, vs in self.adj.items() for v in vs if u < v)
+
+    def hearing_none(self, us: Iterable[NodeId], nodes: AbstractSet[NodeId]) -> list[NodeId]:
+        """The nodes of ``us`` adjacent to no node of ``nodes``, in order.
+        Ids of ``nodes`` outside the topology, and a node itself, are
+        adjacent to none; an id of ``us`` outside it raises ``UnknownNode``."""
+        adj = self.adj
+        try:
+            return [u for u in us if adj[u].isdisjoint(nodes)]
+        except KeyError as missing:
+            raise UnknownNode(f"node {missing.args[0]} is not in the topology") from None
+
+    def neighbors_among(self, u: NodeId, nodes: Iterable[NodeId]) -> frozenset[NodeId]:
+        """The nodes of ``nodes`` adjacent to ``u``."""
+        return neighbors(self, u).intersection(nodes)
+
+
+class _MovedTopology(Topology):
+    """A topology from ``move_nodes``.  ``adj`` is built on its first read,
+    by ``build_topology`` from ``_base``, the last topology whose links were
+    built; ``nodes`` comes from the positions.  Until the build,
+    ``hearing_none`` and ``neighbors_among`` test each node they ask about
+    against the given nodes alone, with the build's distance test, and
+    build nothing.
+    """
+
+    _base: Optional[Topology]
+
+    @cached_property
+    def adj(self) -> Mapping[NodeId, frozenset[NodeId]]:
+        # The base is dropped once built from, so that a chain of moved
+        # topologies holds no older links; a racing read that finds it gone
+        # builds in full, to the same links.
+        built = build_topology(self.positions.items(), self.radius, self._base)
+        object.__setattr__(self, "_kept", built._kept)
+        object.__setattr__(self, "_base", None)
+        return built.adj
+
+    @cached_property
+    def nodes(self) -> frozenset[NodeId]:
+        return frozenset(self.positions)
+
+    def __eq__(self, other: object) -> bool:
+        # Equal to a built ``Topology`` with the same fields, as a full
+        # build of the same positions is.
+        if not isinstance(other, Topology):
+            return NotImplemented
+        return (self.adj, self.positions, self.radius) == (other.adj, other.positions, other.radius)
+
+    def hearing_none(self, us: Iterable[NodeId], nodes: AbstractSet[NodeId]) -> list[NodeId]:
+        if "adj" in self.__dict__:
+            return super().hearing_none(us, nodes)
+        positions = self.positions
+        r2 = self.radius * self.radius
+        out = []
+        for u in us:
+            ux, uy = self._position(u)
+            for v in nodes:
+                pos = positions.get(v)
+                if pos is not None and v != u:
+                    dx = ux - pos[0]
+                    dy = uy - pos[1]
+                    if dx * dx + dy * dy <= r2:
+                        break
+            else:
+                out.append(u)
+        return out
+
+    def neighbors_among(self, u: NodeId, nodes: Iterable[NodeId]) -> frozenset[NodeId]:
+        if "adj" in self.__dict__:
+            return super().neighbors_among(u, nodes)
+        positions = self.positions
+        ux, uy = self._position(u)
+        r2 = self.radius * self.radius
+        found = []
+        for v in nodes:
+            pos = positions.get(v)
+            if pos is not None and v != u:
+                dx = ux - pos[0]
+                dy = uy - pos[1]
+                if dx * dx + dy * dy <= r2:
+                    found.append(v)
+        return frozenset(found)
+
+    def _position(self, u: NodeId) -> Position:
+        try:
+            return self.positions[u]
+        except KeyError:
+            raise UnknownNode(f"node {u} is not in the topology") from None
 
 
 @dataclass(frozen=True)
@@ -119,13 +217,7 @@ def build_topology(
             raise DuplicateNid(f"node id {nid} appears more than once")
         if nid < 1:
             raise ValueError(f"node ids must be >= 1, got {nid}")
-        try:
-            x, y = float(pos[0]), float(pos[1])
-        except OverflowError:  # an int beyond float range
-            x = y = math.inf
-        if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
-            raise ValueError(f"node {nid} has a position {pos!r} outside ±{MAX_COORDINATE:g}")
-        positions[nid] = (x, y)
+        positions[nid] = _checked_position(nid, pos)
     r = float(radius)
     r2 = r * r
     base = previous if previous is not None and previous.radius == r else None
@@ -183,6 +275,47 @@ def build_topology(
     t = Topology(merged, positions, r)
     object.__setattr__(t, "_kept", (stale, kept_links))
     return t
+
+
+def _checked_position(nid: NodeId, pos) -> Position:
+    """``pos`` as a pair of floats, or ``ValueError`` if a coordinate is not
+    a number within ±``MAX_COORDINATE``."""
+    try:
+        x, y = float(pos[0]), float(pos[1])
+    except OverflowError:  # an int beyond float range
+        x = y = math.inf
+    if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
+        raise ValueError(f"node {nid} has a position {pos!r} outside ±{MAX_COORDINATE:g}")
+    return x, y
+
+
+def move_nodes(previous: Topology, updates: Mapping[NodeId, Position]) -> Topology:
+    """``previous``, a topology from ``build_topology`` or ``move_nodes``,
+    with each node of ``updates`` at its new position, and its links not
+    yet built.
+
+    Only the moved positions are checked, here, as ``build_topology``
+    checks them; a moved id outside ``previous`` raises ``UnknownNode``, and
+    an edge-list topology, which has no positions, ``ValueError``.  The
+    links are built on the first read of ``adj``, by ``build_topology``
+    from the last topology whose links were built (``previous`` itself, or
+    the one it was moved from), so the build tests only the pairs with an
+    endpoint moved since then and uses the links that topology carried.
+    ``previous`` is not modified.
+    """
+    if previous.positions is None:
+        raise ValueError("an edge-list topology has no positions to move")
+    positions = dict(previous.positions)
+    for nid, pos in updates.items():
+        if nid not in positions:
+            raise UnknownNode(f"node {nid} is not in the topology")
+        positions[nid] = _checked_position(nid, pos)
+    moved = object.__new__(_MovedTopology)
+    object.__setattr__(moved, "positions", positions)
+    object.__setattr__(moved, "radius", previous.radius)
+    # An unbuilt ``previous`` hands on its own base.
+    object.__setattr__(moved, "_base", vars(previous).get("_base") or previous)
+    return moved
 
 
 def _pairs_with_a_mover(

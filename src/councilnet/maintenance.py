@@ -93,6 +93,9 @@ class _WorkingPartition:
     def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
         return _head_clusters(self.node_index, self.clusters, nodes)
 
+    def heads(self) -> set[NodeId]:
+        return set().union(*(c.council.heads for c in self.clusters.values()))
+
     def depart(self, node: NodeId) -> Cluster:
         """Drop a node from its cluster; returns the cluster as it was
         before the edit."""
@@ -106,8 +109,10 @@ class _WorkingPartition:
         return c
 
     def visit(
-        self, t: Topology, node: NodeId, visiting: ClusterId, prior_role: Optional[Role]
+        self, near: frozenset[NodeId], node: NodeId, visiting: ClusterId, prior_role: Optional[Role]
     ) -> str:
+        """Attach ``node`` to ``visiting``; ``near`` holds the heads ``node``
+        hears, and may hold any of its other neighbours."""
         if visiting not in self.clusters:
             raise UnknownCluster(f"no cluster with id {visiting}")
         if node in self.node_index:
@@ -115,7 +120,7 @@ class _WorkingPartition:
             prior_role = role if prior_role is None else prior_role
         # Read after the departure, which may have edited this very cluster.
         c = self.clusters[visiting]
-        heads, near = c.council.heads, neighbors(t, node)
+        heads = c.council.heads
         if near.isdisjoint(heads):
             raise ValidationError(f"node {node} has no link to a head of cluster {visiting}")
         joins = (
@@ -182,7 +187,7 @@ def handle_visitor(
     head, else ``member_only``.
     """
     work = _WorkingPartition(partition)
-    tag = work.visit(t, node, visiting, prior_role)
+    tag = work.visit(neighbors(t, node), node, visiting, prior_role)
     return work.freeze(), tag
 
 
@@ -214,12 +219,13 @@ def apply_departures(
         before = work.depart(nid)
         cid = before.cluster_id
         healths[cid] = _count_departure(healths.get(cid), before, nid)
-        dest = min(work.head_clusters(neighbors(t, nid)) - {cid}, default=None)
+        near = t.neighbors_among(nid, work.heads())
+        dest = min(work.head_clusters(near) - {cid}, default=None)
         if dest is None:
             stranded = True
             continue
         health = _first_change(healths.get(dest), work.clusters[dest])
-        if work.visit(t, nid, dest, before.role_of(nid)) == "issue_new_share":
+        if work.visit(near, nid, dest, before.role_of(nid)) == "issue_new_share":
             joined.append((dest, nid))
         healths[dest] = replace(health, arrivals=health.arrivals + 1)
     return work.freeze(), healths, stranded, joined

@@ -1,19 +1,28 @@
 """Scenario-driven, round-based simulator.
 
-Each round: nodes move along their waypoints, links are rebuilt under the
-disk rule, a HELLO round (every ``hello_interval_rounds``) counts one
-broadcast per node and runs the maintenance pass, which classifies the
-accumulated changes into local updates or a full re-formation, shares are
-refreshed or re-split as needed, any scheduled compromise fires, and one
-metrics row is recorded.  Runs are deterministic for a given scenario and
-seed.
+Each round: nodes move along their waypoints, a HELLO round (every
+``hello_interval_rounds``) counts one broadcast per node and runs the
+maintenance pass, which classifies the accumulated changes into local
+updates or a full re-formation, shares are refreshed or re-split as needed,
+any scheduled compromise fires, and one metrics row is recorded.  Runs are
+deterministic for a given scenario and seed.
+
+A round in which nodes moved hands only the movers to ``move_nodes``, whose
+topology builds its links under the disk rule when a layer first reads
+them: a re-formation, a partition check, or a caller of ``edges``.  The
+in-touch scan asks ``hearing_none`` and a departed node's visit asks
+``neighbors_among`` for the heads it hears, and neither builds, so a HELLO
+round that neither re-forms nor checks the partition builds no neighbour
+sets.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -26,6 +35,7 @@ from .graph import (
     Position,
     Topology,
     build_topology,
+    move_nodes,
     topology_from_edges,
 )
 from .ledger import ClusterLedger
@@ -89,8 +99,10 @@ class SimState:
     scenario: Scenario
     round: int
     positions: dict[NodeId, Position]
-    # Waypoint queues, kept only for nodes that have waypoints.
+    # Waypoint queues, kept only for nodes that have waypoints and a speed
+    # above 0, and those nodes' speeds.
     pending_waypoints: dict[NodeId, list[Position]]
+    speeds: dict[NodeId, float]
     topology: Topology
     partition: Partition
     share_ledger: dict[ClusterId, ClusterLedger]
@@ -111,12 +123,10 @@ class SimState:
     last_clean: Optional[tuple[Topology, Partition]] = None
 
 
-def _build_topology(
-    sc: Scenario, positions: Mapping[NodeId, Position], previous: Optional[Topology] = None
-) -> Topology:
+def _build_topology(sc: Scenario, positions: Mapping[NodeId, Position]) -> Topology:
     if sc.static:
         return topology_from_edges([s.nid for s in sc.nodes], sc.edges)
-    return build_topology(sorted(positions.items()), sc.radius, previous)
+    return build_topology(sorted(positions.items()), sc.radius)
 
 
 def _install(state: SimState, partition: Partition) -> None:
@@ -134,6 +144,7 @@ def _install(state: SimState, partition: Partition) -> None:
 def initialize(sc: Scenario) -> SimState:
     """Build the initial topology, form clusters, and split the secrets."""
     positions = {s.nid: s.pos for s in sc.nodes if s.pos is not None}
+    walkers = [s for s in sc.nodes if s.waypoints and s.speed > 0]
     topology = _build_topology(sc, positions)
     try:
         partition = reform(topology)
@@ -143,7 +154,8 @@ def initialize(sc: Scenario) -> SimState:
         scenario=sc,
         round=0,
         positions=positions,
-        pending_waypoints={s.nid: list(s.waypoints) for s in sc.nodes if s.waypoints},
+        pending_waypoints={s.nid: list(s.waypoints) for s in walkers},
+        speeds={s.nid: s.speed for s in walkers},
         topology=topology,
         partition=partition,
         share_ledger={},
@@ -154,17 +166,15 @@ def initialize(sc: Scenario) -> SimState:
     return state
 
 
-def _move_nodes(state: SimState) -> bool:
-    sc = state.scenario
-    if sc.static:
-        return False
-    moved = False
-    for spec in sc.nodes:
-        queue = state.pending_waypoints.get(spec.nid)
-        if not queue or spec.speed <= 0:
+def _move_nodes(state: SimState) -> dict[NodeId, Position]:
+    """Walk each node with waypoints left along them at its speed; return
+    the nodes whose position changed, at their new positions."""
+    moved: dict[NodeId, Position] = {}
+    for nid, queue in state.pending_waypoints.items():
+        if not queue:
             continue
-        x, y = state.positions[spec.nid]
-        budget = spec.speed
+        x, y = start = state.positions[nid]
+        budget = state.speeds[nid]
         while queue and budget > 0:
             tx, ty = queue[0]
             dist = math.hypot(tx - x, ty - y)
@@ -172,13 +182,12 @@ def _move_nodes(state: SimState) -> bool:
                 x, y = tx, ty
                 budget -= dist
                 queue.pop(0)
-                moved = moved or dist > 0
             else:
                 x += (tx - x) / dist * budget
                 y += (ty - y) / dist * budget
                 budget = 0.0
-                moved = True
-        state.positions[spec.nid] = (x, y)
+        if (x, y) != start:
+            state.positions[nid] = moved[nid] = (x, y)
     return moved
 
 
@@ -189,18 +198,17 @@ def _departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> li
 
     A head is in touch when it hears another node of its cluster, or is its
     cluster's only node; any other node is in touch when it hears a head.
-    Each test is one C-level ``isdisjoint`` on ``t.adj``.  Every partition
-    the engine installs assigns exactly the nodes of ``t``, and
+    The tests ask ``t.hearing_none``, which builds no links.  Every
+    partition the engine installs assigns exactly the nodes of ``t``, and
     ``miss_counts`` names only those nodes.
     """
-    adj = t.adj
     out: list[NodeId] = []
     for c in p.clusters:
         heads, nodes = c.council.heads, c.all_nodes
-        # A topology has no self-loops, so a lone head never hears itself.
+        # A lone head never hears itself.
         if len(nodes) > 1:
-            out += [u for u in heads if nodes.isdisjoint(adj[u])]
-        out += [u for u in nodes - heads if heads.isdisjoint(adj[u])]
+            out += t.hearing_none(heads, nodes)
+        out += t.hearing_none(nodes - heads, heads)
     missed = set(out)
     for u in [u for u in miss_counts if u not in missed]:
         del miss_counts[u]
@@ -304,15 +312,19 @@ def step(state: SimState) -> SimState:
         raise ValueError("scenario rounds exhausted")
     round_no = state.round + 1
 
-    if _move_nodes(state):
-        state.topology = _build_topology(sc, state.positions, state.topology)
+    moved = _move_nodes(state)
+    if moved:
+        t = state.topology
+        # A topology installed without positions (an edge list) is rebuilt
+        # from all of them.
+        state.topology = _build_topology(sc, state.positions) if t.positions is None else move_nodes(t, moved)
 
     hellos = 0
     updated = False
     reformed = False
     if state.round % sc.hello_interval_rounds == 0:
         # One HELLO broadcast per node; the tables themselves feed no output.
-        hellos = len(state.topology.adj)
+        hellos = len(state.topology.nodes)
         try:
             updated, reformed = _maintenance_pass(state, round_no)
         except DisconnectedTopology as exc:
@@ -384,11 +396,34 @@ def dump_state(state: SimState, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _check_creatable(path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would, without creating
+    it: its folder must be an existing directory, and it must be a writable
+    file or a new name in a writable folder."""
+    target = Path(path)
+    folder = target.parent
+    if not folder.is_dir():
+        code = errno.ENOTDIR if folder.exists() else errno.ENOENT
+    elif target.is_dir():
+        code = errno.EISDIR
+    elif not os.access(target if target.exists() else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def run(scenario, out_path, state_out=None) -> MetricsReport:
     """Simulate a scenario (a loaded ``Scenario`` or a path to one) and write
-    the metrics CSV, partial on early halt."""
+    the metrics CSV, partial on early halt.
+
+    Both output paths are checked before round 1, so an output that cannot
+    be created raises ``OSError`` with nothing written.
+    """
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
+    for path in (out_path, state_out) if state_out else (out_path,):
+        _check_creatable(path)
     state = initialize(scenario)
     while state.round < scenario.rounds and not state.halted:
         step(state)

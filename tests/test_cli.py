@@ -113,6 +113,31 @@ def test_unwritable_output_path_is_an_input_error(flag, tmp_path, capsys):
     assert err.startswith("error: cannot write output: ")
     assert "missing-dir" in err
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_state_path_leaves_no_metrics(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    argv = ["simulate", "--scenario", str(SCENARIOS / "mobile_demo.json"), "--out", str(out)]
+    argv += ["--state-out", str(tmp_path / "nodir" / "s.json")]
+    assert main(argv) == 2
+    assert "nodir" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "file-as-folder"])
+def test_output_that_is_or_sits_in_a_non_directory_is_refused(kind, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    if kind == "directory":
+        blocker.mkdir()
+        target = blocker
+    else:
+        blocker.write_text("")
+        target = blocker / "m.csv"
+    argv = ["simulate", "--scenario", str(SCENARIOS / "two_cluster_seven.json"), "--out", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_invalid_scenario_is_an_input_error(tmp_path, capsys):

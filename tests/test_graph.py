@@ -1,18 +1,23 @@
 import dataclasses
 import itertools
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graph_oracle as oracle
+from councilnet import graph
 from councilnet.errors import CouncilNetError, DuplicateNid, UnknownNode
 from councilnet.graph import (
     build_topology,
     is_clique,
     is_connected,
     is_dominating_set,
+    move_nodes,
     neighbors,
     topology_from_edges,
     triangles,
@@ -187,6 +192,52 @@ def steady_moves(draw):
             )
         layouts.append((sorted(layout.items()), radius))
     return layouts
+
+
+@st.composite
+def mover_runs(draw):
+    """A disk layout and one to five rounds of updates to it, as
+    ``(specs, radius, rounds)``; each round is ``(updates, read, probes)``.
+
+    Movers go onto a cell line or the lattice, onto another node, back to
+    where they started, or to exactly r from another node on an axis or a
+    3-4-5 diagonal; a mover may park (drop out of later updates), and an
+    update may be empty or name a node at its own position.  ``read`` says
+    whether the round's links are read before the next round moves on, so
+    some builds start from a topology several rounds old.  ``probes`` are
+    node sets for ``hearing_none`` and ``neighbors_among``, ids outside the
+    topology included.
+    """
+    specs, radius = draw(disk_layouts())
+    coord = coordinates(radius)
+    start = dict(specs)
+    layout = dict(start)
+    ids = sorted(layout)
+    movers = draw(st.sets(st.sampled_from(ids)))
+    rounds = []
+    for _ in range(draw(st.integers(1, 5))):
+        if movers and draw(st.integers(0, 3)) == 0:
+            movers.discard(draw(st.sampled_from(sorted(movers))))  # parks
+        updates = {}
+        others = sorted(layout.values())
+        for nid in sorted(movers):
+            how = draw(st.sampled_from(["coord", "onto", "back", "apart", "stay"]))
+            if how == "coord":
+                updates[nid] = draw(st.tuples(coord, coord))
+            elif how == "onto":
+                updates[nid] = draw(st.sampled_from(others))
+            elif how == "back":
+                updates[nid] = start[nid]
+            elif how == "apart":
+                ox, oy = draw(st.sampled_from(others))
+                dx, dy = draw(st.sampled_from([(1, 0), (0, -1), (0.6, 0.8), (-0.8, 0.6)]))
+                updates[nid] = (ox + dx * radius, oy + dy * radius)
+            else:
+                updates[nid] = layout[nid]
+        layout.update(updates)
+        probe = st.sets(st.sampled_from(ids + [0, len(ids) + 1]), max_size=6)
+        rounds.append((updates, draw(st.booleans()), draw(st.lists(probe, min_size=1, max_size=3))))
+    return specs, radius, rounds
 
 
 def steps_of(layout, radius, nid, points):
@@ -431,6 +482,128 @@ class TestBuildTopology:
             topology_from_edges([1, 2], [(1, 1)])
 
 
+class TestMoveNodes:
+    @given(mover_runs())
+    # 2 moves to exactly r from 1, then parks while 3 moves; nothing is read
+    # between the rounds, so the last build starts from the first layout
+    @example(
+        (
+            [(1, (0.0, 0.0)), (2, (9.0, 0.0)), (3, (0.0, 9.0))],
+            5.0,
+            [({2: (3.0, 4.0)}, False, [{2, 3}]), ({3: (0.0, 5.0)}, False, [{1}]), ({}, True, [{1, 4}])],
+        )
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_moved_topology_matches_a_full_build(self, run):
+        specs, radius, rounds = run
+        previous = build_topology(specs, radius)
+        positions = dict(previous.positions)
+        unknown = len(positions) + 1
+        moved = []
+        for updates, read, probes in rounds:
+            before = dict(previous.positions), vars(previous).get("adj")
+            t = move_nodes(previous, updates)
+            assert (dict(previous.positions), vars(previous).get("adj")) == before
+            positions.update((nid, (float(x), float(y))) for nid, (x, y) in updates.items())
+            full = build_topology(sorted(positions.items()), radius)
+            assert t.positions == full.positions and t.nodes == full.nodes
+            for built in (False, True):
+                if built:
+                    if not read:
+                        break
+                    assert t.adj == full.adj and t == full and full == t
+                    assert t.edges == pairwise_edges(positions.items(), radius)
+                    for u in positions:
+                        assert neighbors(t, u) == full.adj[u]
+                    with pytest.raises(UnknownNode):
+                        neighbors(t, unknown)
+                for u in positions:
+                    assert t.neighbors_among(u, positions) == full.adj[u]
+                    for probe in probes:
+                        assert t.neighbors_among(u, probe) == full.neighbors_among(u, probe)
+                for probe in probes:
+                    assert t.hearing_none(positions, probe) == full.hearing_none(positions, probe)
+                assert ("adj" in vars(t)) == built  # the lookups build nothing
+                with pytest.raises(UnknownNode, match=f"node {unknown} "):
+                    t.hearing_none([*positions, unknown], set(positions))
+                with pytest.raises(UnknownNode):
+                    t.neighbors_among(unknown, set(positions))
+            moved.append((t, full))
+            previous = t
+        # A topology left unread builds from its own base, whatever moved since.
+        for t, full in reversed(moved):
+            assert t.adj == full.adj
+
+    @given(mover_runs(), st.sampled_from([(math.nan, 0.0), (0.0, math.inf), (1e200, 0.0), (10**400, 0)]))
+    @settings(max_examples=50, deadline=None)
+    def test_bad_mover_position_raises_when_moved(self, run, bad):
+        specs, radius, rounds = run
+        previous = build_topology(specs, radius)
+        for updates, _, _ in rounds:
+            nid = specs[len(updates) % len(specs)][0]
+            with pytest.raises(ValueError, match=f"node {nid} "):
+                move_nodes(previous, {**updates, nid: bad})
+            previous = move_nodes(previous, updates)
+
+    def test_racing_readers_agree_with_a_full_build(self):
+        # Threads share one moved topology: some look nodes up, some read
+        # the links, so lookups and the build interleave.
+        first = random_connected(300, seed=4)
+        rng = random.Random(4)
+        updates = {nid: (rng.random(), rng.random()) for nid in rng.sample(sorted(first.nodes), 90)}
+        full = build_topology(sorted({**first.positions, **updates}.items()), first.radius)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                t = move_nodes(first, updates)
+                seen = []
+
+                def read(links):
+                    if links:
+                        seen.append(dict(t.adj))
+                    else:
+                        seen.append({u: t.neighbors_among(u, full.adj) for u in sorted(full.adj)})
+
+                threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 6 and all(adj == full.adj for adj in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_unknown_mover_and_edge_list_are_refused(self):
+        t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], 2.0)
+        with pytest.raises(UnknownNode):
+            move_nodes(t, {3: (0.0, 0.0)})
+        with pytest.raises(ValueError, match="edge-list"):
+            move_nodes(path3(), {1: (0.0, 0.0)})
+
+    def test_build_starts_from_the_last_built_topology(self, monkeypatch):
+        # Neither moved topology is read until the second: its one build
+        # starts from the first topology, and its links carry over.
+        calls = []
+        build = build_topology
+
+        def counted(specs, radius, previous=None):
+            calls.append(previous)
+            return build(specs, radius, previous)
+
+        first = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (9.0, 0.0))], 2.0)
+        monkeypatch.setattr(graph, "build_topology", counted)
+        middle = move_nodes(first, {3: (8.0, 0.0)})
+        last = move_nodes(middle, {3: (7.0, 0.0)})
+        assert last.neighbors_among(1, {2, 3}) == {2} and last.hearing_none([1, 3], {1, 2}) == [3]
+        assert calls == []
+        assert last.adj == {1: {2}, 2: {1}, 3: set()}
+        assert calls == [first]
+        assert last.adj[1] is first.adj[1]
+        assert "adj" not in vars(middle)
+
+
 class TestNeighbors:
     def test_triangle(self):
         assert neighbors(triangle(), 1) == frozenset({2, 3})
@@ -441,6 +614,16 @@ class TestNeighbors:
 
     def test_path_midpoint(self):
         assert neighbors(path3(), 2) == frozenset({1, 3})
+
+    def test_lookups_among_given_nodes(self):
+        # a node never hears itself, and ids outside the topology hear nobody
+        t = path3()
+        assert t.hearing_none([3, 2, 1], {2, 9}) == [2]
+        assert t.neighbors_among(2, {1, 2, 9}) == {1}
+        with pytest.raises(UnknownNode, match="node 9 "):
+            t.hearing_none([1, 9], {2})
+        with pytest.raises(UnknownNode):
+            t.neighbors_among(9, {1})
 
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):

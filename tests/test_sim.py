@@ -677,6 +677,8 @@ class TestStep:
             previous = state.topology
             step(state)
             fresh = build_topology(sorted(state.positions.items()), state.scenario.radius)
+            # Reading the links builds them, if the round did not, from
+            # ``previous``, whose links the last pass of this loop read.
             assert state.topology.adj == fresh.adj, f"round {state.round}"
             assert state.topology.positions == state.positions, f"round {state.round}"
             if state.topology is not previous:
@@ -687,6 +689,33 @@ class TestStep:
         assert state.round == state.scenario.rounds
         # the run crosses both paths: links carried over and links rebuilt
         assert reused > 0 and rebuilt > (2 if parking else 0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_round_without_reform_or_check_builds_no_links(self, seed, monkeypatch):
+        build = graph.build_topology
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "build_topology", counted)
+        verified = count_verify_calls(monkeypatch)
+        state = initialize(small_mobile_scenario(seed, rounds=25))
+        lazy = built = 0
+        while state.round < state.scenario.rounds and not state.halted:
+            del builds[:], verified[:]
+            step(state)
+            if not state.metrics[-1].reforms and not verified:
+                assert builds == [], f"round {state.round}"
+                lazy += 1
+            else:
+                built += len(builds)
+            fresh = build(sorted(state.positions.items()), state.scenario.radius)
+            assert state.topology.adj == fresh.adj, f"round {state.round}"
+        assert state.round == state.scenario.rounds
+        # both kinds of round occur, and the counter sees the deferred builds
+        assert lazy > 0 and built > 0
 
     def test_refresh_interval_bumps_epochs(self):
         sc = scenario_from_dict(dict(STATIC_SEVEN, refresh_interval_rounds=4))
