@@ -12,9 +12,9 @@ links: the moved topology builds them once, on the first read of ``adj``
 (which ``edges``, ``neighbors`` and the graph checks make), with
 ``build_topology`` from the last topology whose links were built.  That
 build is idempotent (two racing reads build equal links) and never touches
-the topology moved from.  Until then ``Topology.hearing_none`` and
-``Topology.neighbors_among`` test each node they ask about against the
-nodes they are given, with the build's distance test, so a round that asks
+the topology moved from.  Its ``hearing_none`` and ``neighbors_among`` test
+each node they ask about against the nodes they are given, with the build's
+distance test, whether or not the links are built, so a round that asks
 only whether nodes still hear their heads builds no neighbour sets.
 """
 
@@ -76,10 +76,11 @@ class Topology:
 class _MovedTopology(Topology):
     """A topology from ``move_nodes``.  ``adj`` is built on its first read,
     by ``build_topology`` from ``_base``, the last topology whose links were
-    built; ``nodes`` comes from the positions.  Until the build,
-    ``hearing_none`` and ``neighbors_among`` test each node they ask about
-    against the given nodes alone, with the build's distance test, and
-    build nothing.
+    built; ``nodes`` comes from the positions.  ``hearing_none`` and
+    ``neighbors_among`` test each node they ask about against the given
+    nodes alone, with the build's distance test, and build nothing.  The
+    built links give the same answers: the build applies that test to the
+    same positions, from a base whose links are its positions' disk links.
     """
 
     _base: Optional[Topology]
@@ -106,8 +107,6 @@ class _MovedTopology(Topology):
         return (self.adj, self.positions, self.radius) == (other.adj, other.positions, other.radius)
 
     def hearing_none(self, us: Iterable[NodeId], nodes: AbstractSet[NodeId]) -> list[NodeId]:
-        if "adj" in self.__dict__:
-            return super().hearing_none(us, nodes)
         positions = self.positions
         r2 = self.radius * self.radius
         out = []
@@ -125,8 +124,6 @@ class _MovedTopology(Topology):
         return out
 
     def neighbors_among(self, u: NodeId, nodes: Iterable[NodeId]) -> frozenset[NodeId]:
-        if "adj" in self.__dict__:
-            return super().neighbors_among(u, nodes)
         positions = self.positions
         ux, uy = self._position(u)
         r2 = self.radius * self.radius

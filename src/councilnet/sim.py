@@ -98,9 +98,8 @@ class MetricsReport:
 class SimState:
     scenario: Scenario
     round: int
-    positions: dict[NodeId, Position]
     # Waypoint queues, kept only for nodes that have waypoints and a speed
-    # above 0, and those nodes' speeds.
+    # above 0, and those nodes' speeds; the positions are the topology's.
     pending_waypoints: dict[NodeId, list[Position]]
     speeds: dict[NodeId, float]
     topology: Topology
@@ -123,12 +122,6 @@ class SimState:
     last_clean: Optional[tuple[Topology, Partition]] = None
 
 
-def _build_topology(sc: Scenario, positions: Mapping[NodeId, Position]) -> Topology:
-    if sc.static:
-        return topology_from_edges([s.nid for s in sc.nodes], sc.edges)
-    return build_topology(sorted(positions.items()), sc.radius)
-
-
 def _install(state: SimState, partition: Partition) -> None:
     """Install a freshly formed partition, with no change recorded (no
     health, no pending miss) and a fresh secret split across each council."""
@@ -143,9 +136,11 @@ def _install(state: SimState, partition: Partition) -> None:
 
 def initialize(sc: Scenario) -> SimState:
     """Build the initial topology, form clusters, and split the secrets."""
-    positions = {s.nid: s.pos for s in sc.nodes if s.pos is not None}
     walkers = [s for s in sc.nodes if s.waypoints and s.speed > 0]
-    topology = _build_topology(sc, positions)
+    if sc.static:
+        topology = topology_from_edges([s.nid for s in sc.nodes], sc.edges)
+    else:
+        topology = build_topology(sorted((s.nid, s.pos) for s in sc.nodes), sc.radius)
     try:
         partition = reform(topology)
     except DisconnectedTopology:
@@ -153,7 +148,6 @@ def initialize(sc: Scenario) -> SimState:
     state = SimState(
         scenario=sc,
         round=0,
-        positions=positions,
         pending_waypoints={s.nid: list(s.waypoints) for s in walkers},
         speeds={s.nid: s.speed for s in walkers},
         topology=topology,
@@ -167,13 +161,19 @@ def initialize(sc: Scenario) -> SimState:
 
 
 def _move_nodes(state: SimState) -> dict[NodeId, Position]:
-    """Walk each node with waypoints left along them at its speed; return
-    the nodes whose position changed, at their new positions."""
+    """Walk each node with waypoints left along them at its speed, from its
+    position in ``state.topology``; return the nodes whose position changed,
+    at their new positions.  A topology without positions raises
+    ``ValueError`` while any walker has waypoints left, before any queue is
+    consumed."""
+    positions = state.topology.positions
+    if positions is None and any(state.pending_waypoints.values()):
+        raise ValueError("the topology has no node positions to move walkers from")
     moved: dict[NodeId, Position] = {}
     for nid, queue in state.pending_waypoints.items():
         if not queue:
             continue
-        x, y = start = state.positions[nid]
+        x, y = start = positions[nid]
         budget = state.speeds[nid]
         while queue and budget > 0:
             tx, ty = queue[0]
@@ -187,7 +187,7 @@ def _move_nodes(state: SimState) -> dict[NodeId, Position]:
                 y += (ty - y) / dist * budget
                 budget = 0.0
         if (x, y) != start:
-            state.positions[nid] = moved[nid] = (x, y)
+            moved[nid] = (x, y)
     return moved
 
 
@@ -314,10 +314,7 @@ def step(state: SimState) -> SimState:
 
     moved = _move_nodes(state)
     if moved:
-        t = state.topology
-        # A topology installed without positions (an edge list) is rebuilt
-        # from all of them.
-        state.topology = _build_topology(sc, state.positions) if t.positions is None else move_nodes(t, moved)
+        state.topology = move_nodes(state.topology, moved)
 
     hellos = 0
     updated = False

@@ -19,7 +19,7 @@ from councilnet.errors import (
     ValidationError,
 )
 from councilnet import graph, phase2, sim
-from councilnet.graph import build_topology, topology_from_edges
+from councilnet.graph import Topology, build_topology, topology_from_edges
 from councilnet.maintenance import apply_departures, reform
 from councilnet.phase2 import Cluster, Council, Partition, verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
@@ -126,9 +126,64 @@ def small_mobile_scenario(seed, n=100, rounds=40, prime=1009):
     )
 
 
+def parking(sc):
+    """``sc`` with each mover keeping one or two of its waypoints, so that
+    movers park at different rounds and the set that moves keeps changing."""
+    return replace(sc, nodes=tuple(replace(s, waypoints=s.waypoints[: 1 + s.nid % 2]) for s in sc.nodes))
+
+
 def toggled(t, u, v):
-    """``t`` with the link between u and v added or removed."""
-    return topology_from_edges(sorted(t.nodes), t.edges ^ {(min(u, v), max(u, v))})
+    """``t`` with the link between u and v added or removed, and its
+    positions and radius kept.  On a position-mode topology the toggled link
+    survives until one of its endpoints moves: the next build is incremental
+    and keeps each link between unmoved nodes."""
+    flipped = topology_from_edges(sorted(t.nodes), t.edges ^ {(min(u, v), max(u, v))})
+    return Topology(flipped.adj, t.positions, t.radius)
+
+
+def assert_same_outputs(a, b, where, tmp):
+    """Two copies of one run agree on every output, the dump's bytes included."""
+    assert a.metrics == b.metrics, where
+    assert a.decision_log == b.decision_log, where
+    assert a.miss_counts == b.miss_counts, where
+    assert a.violations == b.violations, where
+    assert a.halted == b.halted, where
+    assert a.partition == b.partition, where
+    dumps = tmp / "a.json", tmp / "b.json"
+    dump_state(a, dumps[0])
+    dump_state(b, dumps[1])
+    assert dumps[0].read_bytes() == dumps[1].read_bytes(), where
+
+
+def step_uncached(state):
+    """Step ``state`` with every cache defeated: no last clean pass, no
+    refresh memo in any ledger, and each link build a full one."""
+    state.last_clean = None
+    for ledger in state.share_ledger.values():
+        ledger._checked = None
+    build = graph.build_topology
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graph, "build_topology", lambda specs, radius, previous=None: build(specs, radius))
+        step(state)
+
+
+def assert_twins_agree(sc, toggles=()):
+    """Run ``sc`` twice, the second copy through ``step_uncached``, and
+    compare the copies after every round.  ``toggles`` gives, for each of
+    the first rounds, None or a pair of nodes whose link both copies toggle
+    before it; only edge-list runs are toggled, since a full build drops a
+    toggled link that the incremental one keeps."""
+    cached, uncached = initialize(sc), initialize(sc)
+    toggles = list(toggles) if sc.static else []
+    with tempfile.TemporaryDirectory() as tmp:
+        while cached.round < sc.rounds and not cached.halted:
+            toggle = toggles[cached.round] if cached.round < len(toggles) else None
+            if toggle is not None:
+                cached.topology = toggled(cached.topology, *toggle)
+                uncached.topology = toggled(uncached.topology, *toggle)
+            step(cached)
+            step_uncached(uncached)
+            assert_same_outputs(cached, uncached, f"round {cached.round}", Path(tmp))
 
 
 def count_verify_calls(monkeypatch):
@@ -363,7 +418,8 @@ class TestInitialize:
         step(state)
         # Both walkers reach their only waypoint; the others never move.
         assert state.pending_waypoints == {2: [], 3: []}
-        assert state.positions[2] == (1.45, 0.1) and state.positions[1] == (0.0, 0.0)
+        positions = state.topology.positions
+        assert positions[2] == (1.45, 0.1) and positions[1] == (0.0, 0.0)
 
 
 class TestStep:
@@ -572,7 +628,6 @@ class TestStep:
         sc, toggles = run_spec
         quiet, full = initialize(sc), initialize(sc)
         with tempfile.TemporaryDirectory() as tmp:
-            dumps = Path(tmp) / "quiet.json", Path(tmp) / "full.json"
             for toggle in toggles:
                 if quiet.halted:
                     break
@@ -589,19 +644,41 @@ class TestStep:
                 step(quiet)
                 step(full)
                 where = f"round {quiet.round}"
-                assert quiet.metrics == full.metrics, where
-                assert quiet.decision_log == full.decision_log, where
-                assert quiet.miss_counts == full.miss_counts, where
-                assert quiet.violations == full.violations, where
-                assert quiet.halted == full.halted, where
-                assert quiet.partition == full.partition, where
-                dump_state(quiet, dumps[0])
-                dump_state(full, dumps[1])
-                assert dumps[0].read_bytes() == dumps[1].read_bytes(), where
+                assert_same_outputs(quiet, full, where, Path(tmp))
                 # A pass is quiet iff it met the very objects of the last
                 # clean pass; being quiet, it leaves both in place.
                 if can_be_quiet and last[0] is quiet.topology and last[1] is quiet.partition:
                     assert verify_partition(quiet.topology, quiet.partition) == [], where
+
+    @pytest.mark.parametrize("parks", [False, True], ids=["moving", "parking"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_engine_agrees_with_itself_with_every_cache_defeated(self, seed, parks):
+        sc = small_mobile_scenario(seed)
+        assert_twins_agree(parking(sc) if parks else sc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(quiet_pass_runs())
+    @example((scenario_from_dict(STATIC_SEVEN), [None, None, (2, 3), None, (6, 7), None, None]))
+    def test_small_runs_agree_with_every_cache_defeated(self, run_spec):
+        assert_twins_agree(*run_spec)
+
+    def test_mobile_state_without_positions_is_refused(self):
+        # node 5 needs more than one round to reach its waypoint
+        state = initialize(drifting_head_scenario(rounds=6))
+        step(state)
+        t = state.topology
+        state.topology = topology_from_edges(sorted(t.nodes), t.edges)
+        metrics, queues = list(state.metrics), {nid: list(q) for nid, q in state.pending_waypoints.items()}
+        with pytest.raises(ValueError, match="no node positions"):
+            step(state)
+        assert (state.round, state.metrics, state.pending_waypoints) == (1, metrics, queues)
+        # once every walker has parked, nothing moves and the edge list serves
+        state.topology = t
+        while state.pending_waypoints[5]:
+            step(state)
+        state.topology = topology_from_edges(sorted(t.nodes), state.topology.edges)
+        step(state)
+        assert state.round < 6 and not state.halted and state.violations == []
 
     @pytest.mark.parametrize(
         "seed, prime",
@@ -657,7 +734,7 @@ class TestStep:
         assert state.violations == []
 
     @pytest.mark.parametrize(
-        "seed, parking",
+        "seed, parks",
         [
             pytest.param(1, False, id="1"),
             pytest.param(2, False, id="2"),
@@ -665,22 +742,17 @@ class TestStep:
             pytest.param(2, True, id="2-parking"),
         ],
     )
-    def test_incremental_topology_equals_a_fresh_build_every_round(self, seed, parking):
+    def test_incremental_topology_equals_a_fresh_build_every_round(self, seed, parks):
         sc = small_mobile_scenario(seed, rounds=25)
-        if parking:
-            # Each mover keeps one or two waypoints, so movers park at
-            # different rounds and the set that moves keeps changing.
-            sc = replace(sc, nodes=tuple(replace(s, waypoints=s.waypoints[: 1 + s.nid % 2]) for s in sc.nodes))
-        state = initialize(sc)
+        state = initialize(parking(sc) if parks else sc)
         reused = rebuilt = 0
         while state.round < state.scenario.rounds and not state.halted:
             previous = state.topology
             step(state)
-            fresh = build_topology(sorted(state.positions.items()), state.scenario.radius)
+            fresh = build_topology(sorted(state.topology.positions.items()), state.scenario.radius)
             # Reading the links builds them, if the round did not, from
             # ``previous``, whose links the last pass of this loop read.
             assert state.topology.adj == fresh.adj, f"round {state.round}"
-            assert state.topology.positions == state.positions, f"round {state.round}"
             if state.topology is not previous:
                 links = state.topology._kept[1]
                 hit = links is not None and previous._kept is not None and links is previous._kept[1]
@@ -688,7 +760,7 @@ class TestStep:
                 rebuilt += not hit
         assert state.round == state.scenario.rounds
         # the run crosses both paths: links carried over and links rebuilt
-        assert reused > 0 and rebuilt > (2 if parking else 0)
+        assert reused > 0 and rebuilt > (2 if parks else 0)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_round_without_reform_or_check_builds_no_links(self, seed, monkeypatch):
@@ -711,7 +783,7 @@ class TestStep:
                 lazy += 1
             else:
                 built += len(builds)
-            fresh = build(sorted(state.positions.items()), state.scenario.radius)
+            fresh = build(sorted(state.topology.positions.items()), state.scenario.radius)
             assert state.topology.adj == fresh.adj, f"round {state.round}"
         assert state.round == state.scenario.rounds
         # both kinds of round occur, and the counter sees the deferred builds
