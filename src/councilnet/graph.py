@@ -7,21 +7,21 @@ explicit edge list.  All values are immutable after construction and every
 operation is a pure function, so topologies can be shared freely between
 concurrent runs.
 
-``move_nodes`` moves some nodes of a position-mode topology and defers its
-links: the moved topology builds them once, on the first read of ``adj``
-(which ``edges``, ``neighbors`` and the graph checks make), with
-``build_topology`` from the last topology whose links were built.  That
-build is idempotent (two racing reads build equal links) and never touches
-the topology moved from.  Its ``hearing_none`` and ``neighbors_among`` test
-each node they ask about against the nodes they are given, with the build's
-distance test, whether or not the links are built, so a round that asks
-only whether nodes still hear their heads builds no neighbour sets.
+Every disk topology is a ``_DiskTopology``.  ``build_topology`` returns one
+with its links built; ``move_nodes`` returns one whose links are built on
+the first read of ``adj`` (which ``edges``, ``neighbors`` and the graph
+checks make), from the last topology whose links were built.  That build is
+idempotent (two racing reads build equal links) and never touches the
+topology moved from.  A disk topology answers ``hearing_none`` and
+``neighbors_among`` from its positions, with the build's distance test,
+built or not, so a round that asks only whether nodes still hear their
+heads builds no neighbour sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
@@ -38,17 +38,13 @@ MAX_COORDINATE = 1e150
 @dataclass(frozen=True)
 class Topology:
     """A graph stored as its adjacency map, symmetric and loop-free.  ``nodes``
-    and ``edges`` (each link once, as ``(min, max)``) are derived from it."""
+    and ``edges`` (each link once, as ``(min, max)``) are derived from it.
+    An edge-list or hand-assembled graph answers every lookup from ``adj``;
+    a disk topology is a ``_DiskTopology``."""
 
     adj: Mapping[NodeId, frozenset[NodeId]]
     positions: Optional[Mapping[NodeId, Position]] = None
     radius: Optional[float] = None
-    # Set only by an incremental ``build_topology``, and never mutated: its
-    # stale set S, and each other node's neighbours outside S (None until S
-    # has repeated).
-    _kept: Optional[tuple[AbstractSet[NodeId], Optional[Mapping[NodeId, frozenset[NodeId]]]]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     @cached_property
     def nodes(self) -> frozenset[NodeId]:
@@ -73,17 +69,25 @@ class Topology:
         return neighbors(self, u).intersection(nodes)
 
 
-class _MovedTopology(Topology):
-    """A topology from ``move_nodes``.  ``adj`` is built on its first read,
-    by ``build_topology`` from ``_base``, the last topology whose links were
-    built; ``nodes`` comes from the positions.  ``hearing_none`` and
-    ``neighbors_among`` test each node they ask about against the given
-    nodes alone, with the build's distance test, and build nothing.  The
-    built links give the same answers: the build applies that test to the
-    same positions, from a base whose links are its positions' disk links.
+class _DiskTopology(Topology):
+    """A topology whose links are its positions' disk links.  Those of one
+    from ``build_topology`` are built; those of one from ``move_nodes`` are
+    built on the first read of ``adj``, from ``_base``, the last topology
+    whose links were built.  ``nodes``, ``hearing_none`` and
+    ``neighbors_among`` come from the positions alone, with the build's
+    distance test, and build nothing; the links give the same answers,
+    since the build applies that test to the same positions.  So a disk
+    topology is never assembled by hand or by ``dataclasses.replace`` of a
+    field, whose links would not be its positions' disk links and would be
+    carried by the next build; such a graph is a plain ``Topology``.
     """
 
-    _base: Optional[Topology]
+    # Set only by an incremental ``build_topology``, and never mutated: its
+    # stale set S, and each other node's neighbours outside S (None until S
+    # has repeated).
+    _kept: Optional[tuple[AbstractSet[NodeId], Optional[Mapping[NodeId, frozenset[NodeId]]]]] = None
+    # Set only by ``move_nodes``, and dropped once the links are built.
+    _base: Optional[Topology] = None
 
     @cached_property
     def adj(self) -> Mapping[NodeId, frozenset[NodeId]]:
@@ -98,13 +102,6 @@ class _MovedTopology(Topology):
     @cached_property
     def nodes(self) -> frozenset[NodeId]:
         return frozenset(self.positions)
-
-    def __eq__(self, other: object) -> bool:
-        # Equal to a built ``Topology`` with the same fields, as a full
-        # build of the same positions is.
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return (self.adj, self.positions, self.radius) == (other.adj, other.positions, other.radius)
 
     def hearing_none(self, us: Iterable[NodeId], nodes: AbstractSet[NodeId]) -> list[NodeId]:
         positions = self.positions
@@ -162,7 +159,7 @@ def build_topology(
     node_specs: Sequence[tuple[NodeId, Position]],
     radius: float,
     previous: Optional[Topology] = None,
-) -> Topology:
+) -> _DiskTopology:
     """Build a topology from (nid, position) pairs under the closed-disk rule.
 
     The boundary is inclusive: two nodes exactly ``radius`` apart are linked.
@@ -181,17 +178,19 @@ def build_topology(
     m links, with no per-link set insert.  The blocks cover each unordered
     pair once, so no list holds a repeat.
 
-    ``previous``, a topology this function built, makes the build
-    incremental.  A node has moved when its position is absent from
-    ``previous.positions`` or differs from it; a different radius moves
-    every node.  Only pairs with a moved endpoint are tested.  A pair of
-    unmoved nodes keeps its link or its absence from ``previous``, which the
-    same test decided on the same coordinates, so the result equals a full
-    build.  ``previous`` is not modified.  An unmoved node shares its
-    neighbour set with ``previous`` exactly when it has no moved or removed
-    neighbour, before or after; otherwise its kept links (its old
-    neighbours minus the stale set, every node that moved or left) are
-    united with its list of movers in range.
+    ``previous``, a disk topology with the same radius, makes the build
+    incremental; any other (an edge list, a hand-assembled ``Topology``,
+    another radius) gets a full build, as only a disk topology's links are
+    known to be its positions' disk links.  A node has moved when its
+    position is absent from ``previous.positions`` or differs from it.
+    Only pairs with a moved endpoint are tested.  A pair of unmoved nodes
+    keeps its link or its absence from ``previous``, which the same test
+    decided on the same coordinates, so the result equals a full build.
+    ``previous`` is not modified.  An unmoved node shares its neighbour set
+    with ``previous`` exactly when it has no moved or removed neighbour,
+    before or after; otherwise its kept links (its old neighbours minus the
+    stale set, every node that moved or left) are united with its list of
+    movers in range.
 
     An incremental build keeps a private cache on its result T: its stale
     set S, and, when ``previous``'s stale set was S too, each node outside S
@@ -202,9 +201,9 @@ def build_topology(
     from ``previous``'s does the same work as with no cache and keeps only
     its stale set, so traffic whose movers change every round retains no
     extra sets; links are cached from the second build with the same stale
-    set and reused from the third.  The cache is never mutated, and
-    it is not part of equality, ``repr`` or ``dataclasses.replace``: a
-    replaced, hand-built, edge-list or full-build topology has none.
+    set and reused from the third.  The cache is never mutated, and it is
+    not a dataclass field, so not part of equality, ``repr`` or
+    ``dataclasses.replace``: a full-build topology has none.
     """
     if not 0 < radius <= MAX_COORDINATE:
         raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
@@ -217,7 +216,7 @@ def build_topology(
         positions[nid] = _checked_position(nid, pos)
     r = float(radius)
     r2 = r * r
-    base = previous if previous is not None and previous.radius == r else None
+    base = previous if isinstance(previous, _DiskTopology) and previous.radius == r else None
     old_positions = base.positions if base is not None else {}
     # The two floors matter only at extreme scales: span * 2**-52 keeps every
     # coordinate / cell quotient below 2**52 (a tiny radius could overflow it
@@ -245,7 +244,7 @@ def build_topology(
                     adj[u].append(v)
                     adj[v].append(u)
     if base is None:
-        return Topology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
+        return _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
     # An unmoved node keeps its links to unmoved nodes and gains the movers
     # it now hears.
     moved = {u for movers, _ in grid.values() for u, _, _ in movers}
@@ -269,7 +268,7 @@ def build_topology(
             if kept_links is not None:
                 kept_links[u] = kept
         merged[u] = old if not vs and len(kept) == len(old) else kept.union(vs)
-    t = Topology(merged, positions, r)
+    t = _DiskTopology(merged, positions, r)
     object.__setattr__(t, "_kept", (stale, kept_links))
     return t
 
@@ -286,19 +285,18 @@ def _checked_position(nid: NodeId, pos) -> Position:
     return x, y
 
 
-def move_nodes(previous: Topology, updates: Mapping[NodeId, Position]) -> Topology:
-    """``previous``, a topology from ``build_topology`` or ``move_nodes``,
-    with each node of ``updates`` at its new position, and its links not
-    yet built.
+def move_nodes(previous: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology:
+    """``previous``, a position-mode topology, with each node of ``updates``
+    at its new position, as a disk topology whose links are not yet built.
 
     Only the moved positions are checked, here, as ``build_topology``
     checks them; a moved id outside ``previous`` raises ``UnknownNode``, and
     an edge-list topology, which has no positions, ``ValueError``.  The
     links are built on the first read of ``adj``, by ``build_topology``
     from the last topology whose links were built (``previous`` itself, or
-    the one it was moved from), so the build tests only the pairs with an
-    endpoint moved since then and uses the links that topology carried.
-    ``previous`` is not modified.
+    the one it was moved from): incremental from a disk topology, full from
+    a hand-assembled one, so the links agree with the lookups whatever
+    ``previous`` was.  ``previous`` is not modified.
     """
     if previous.positions is None:
         raise ValueError("an edge-list topology has no positions to move")
@@ -307,7 +305,7 @@ def move_nodes(previous: Topology, updates: Mapping[NodeId, Position]) -> Topolo
         if nid not in positions:
             raise UnknownNode(f"node {nid} is not in the topology")
         positions[nid] = _checked_position(nid, pos)
-    moved = object.__new__(_MovedTopology)
+    moved = object.__new__(_DiskTopology)
     object.__setattr__(moved, "positions", positions)
     object.__setattr__(moved, "radius", previous.radius)
     # An unbuilt ``previous`` hands on its own base.

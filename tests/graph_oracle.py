@@ -1,16 +1,36 @@
-"""Edge-list oracle: the set-per-node build.
+"""Graph oracles: the all-pairs disk build and the set-per-node edge-list build.
 
-A verbatim copy of ``topology_from_edges`` as it stood before the builders
-appended each link to a per-node list and froze the list once.  It adds
-every edge to a growing mutable set per node and copies each set into a
-frozenset, which is plainly the rule as stated; the property tests in
-``test_graph.py`` compare the library against it, input errors included.
+``build_topology`` tests every pair of nodes with the closed-disk rule,
+with no grid, no incremental path and no carried links; it accepts and
+ignores ``previous``, so the twin run in ``test_sim.py`` can put it in
+place of the library's build.  ``topology_from_edges`` is a verbatim copy
+of the library's as it stood before the builders appended each link to a
+per-node list and froze the list once.  It adds every edge to a growing
+mutable set per node and copies each set into a frozenset, which is
+plainly the rule as stated.  The property tests in ``test_graph.py``
+compare the library against both, input errors included for edge lists.
 """
 
+import itertools
 from typing import Iterable
 
 from councilnet.errors import DuplicateNid, UnknownNode
-from councilnet.graph import NodeId, Topology
+from councilnet.graph import NodeId, Topology, _DiskTopology
+
+
+def build_topology(node_specs, radius, previous=None) -> _DiskTopology:
+    """The all-pairs closed-disk build that the grid build must reproduce."""
+    positions = {nid: (float(x), float(y)) for nid, (x, y) in node_specs}
+    r = float(radius)
+    r2 = r * r
+    adj: dict[NodeId, set[NodeId]] = {u: set() for u in positions}
+    for u, v in itertools.combinations(positions, 2):
+        (ux, uy), (vx, vy) = positions[u], positions[v]
+        dx, dy = ux - vx, uy - vy
+        if dx * dx + dy * dy <= r2:
+            adj[u].add(v)
+            adj[v].add(u)
+    return _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
 
 
 def topology_from_edges(

@@ -13,6 +13,7 @@ import graph_oracle as oracle
 from councilnet import graph
 from councilnet.errors import CouncilNetError, DuplicateNid, UnknownNode
 from councilnet.graph import (
+    Topology,
     build_topology,
     is_clique,
     is_connected,
@@ -34,19 +35,6 @@ def random_edge_topology(n, edge_mask):
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     edges = [pair for i, pair in enumerate(pairs) if edge_mask & (1 << i)]
     return topology_from_edges(range(1, n + 1), edges), set(edges)
-
-
-def pairwise_edges(specs, radius):
-    """The all-pairs closed-disk test that the grid build must reproduce."""
-    positions = {nid: (float(x), float(y)) for nid, (x, y) in specs}
-    r2 = float(radius) * float(radius)
-    edges = set()
-    for u, v in itertools.combinations(sorted(positions), 2):
-        (ux, uy), (vx, vy) = positions[u], positions[v]
-        dx, dy = ux - vx, uy - vy
-        if dx * dx + dy * dy <= r2:
-            edges.add((u, v))
-    return frozenset(edges)
 
 
 def outcome(build, nodes, edges):
@@ -309,9 +297,7 @@ class TestBuildTopology:
     def test_grid_build_matches_pairwise_oracle(self, layout):
         specs, radius = layout
         t = build_topology(specs, radius)
-        edges = pairwise_edges(specs, radius)
-        assert t.edges == edges
-        assert t.adj == oracle.topology_from_edges([nid for nid, _ in specs], edges).adj
+        assert t == oracle.build_topology(specs, radius)
         for u, vs in t.adj.items():
             assert u not in vs
             assert all(u in t.adj[v] for v in vs)
@@ -334,7 +320,7 @@ class TestBuildTopology:
             (nid, (offset + x * radius, offset + y * radius))
             for nid, (x, y) in enumerate(unit_points, start=1)
         ]
-        assert build_topology(specs, radius).edges == pairwise_edges(specs, radius)
+        assert build_topology(specs, radius).edges == oracle.build_topology(specs, radius).edges
 
     @given(move_sequences())
     @example(
@@ -357,7 +343,7 @@ class TestBuildTopology:
             t = build_topology(specs, radius, previous=previous)
             assert (dict(previous.adj), dict(previous.positions)) == snapshot
             assert t.adj == build_topology(specs, radius).adj
-            assert t.edges == pairwise_edges(specs, radius)
+            assert t.edges == oracle.build_topology(specs, radius).edges
             # An unmoved node shares its set exactly when no neighbour,
             # before or after, moved or was removed.
             unmoved = {
@@ -410,7 +396,7 @@ class TestBuildTopology:
             t = build_topology(specs, radius, previous=previous)
             assert (dict(previous.adj), dict(previous.positions), previous._kept, cache_copy(previous)) == snapshot
             assert t.adj == build_topology(specs, radius).adj
-            assert t.edges == pairwise_edges(specs, radius)
+            assert t.edges == oracle.build_topology(specs, radius).edges
             if float(radius) != previous.radius:
                 assert t._kept is None
                 previous, previous_stale = t, None
@@ -455,7 +441,7 @@ class TestBuildTopology:
 
     def test_random_connected_matches_pairwise_oracle(self):
         t = random_connected(1500, seed=11)
-        assert t.edges == pairwise_edges(t.positions.items(), t.radius)
+        assert t.edges == oracle.build_topology(t.positions.items(), t.radius).edges
 
     @given(edge_lists())
     # the first bad edge in list order wins: a self-loop before an unknown endpoint ...
@@ -512,17 +498,20 @@ class TestMoveNodes:
                     if not read:
                         break
                     assert t.adj == full.adj and t == full and full == t
-                    assert t.edges == pairwise_edges(positions.items(), radius)
+                    assert t.edges == oracle.build_topology(positions.items(), radius).edges
                     for u in positions:
                         assert neighbors(t, u) == full.adj[u]
                     with pytest.raises(UnknownNode):
                         neighbors(t, unknown)
+                # Both lookups scan positions, built or not, so the expected
+                # answers come from the full build's links.
                 for u in positions:
                     assert t.neighbors_among(u, positions) == full.adj[u]
                     for probe in probes:
-                        assert t.neighbors_among(u, probe) == full.neighbors_among(u, probe)
+                        assert t.neighbors_among(u, probe) == full.adj[u] & probe
                 for probe in probes:
-                    assert t.hearing_none(positions, probe) == full.hearing_none(positions, probe)
+                    deaf = [u for u in positions if full.adj[u].isdisjoint(probe)]
+                    assert t.hearing_none(positions, probe) == deaf
                 assert ("adj" in vars(t)) == built  # the lookups build nothing
                 with pytest.raises(UnknownNode, match=f"node {unknown} "):
                     t.hearing_none([*positions, unknown], set(positions))
@@ -581,6 +570,27 @@ class TestMoveNodes:
             move_nodes(t, {3: (0.0, 0.0)})
         with pytest.raises(ValueError, match="edge-list"):
             move_nodes(path3(), {1: (0.0, 0.0)})
+
+    def test_a_hand_assembled_topology_moves_to_its_disk_links(self):
+        # Nodes 1 and 2 are 3.0 apart at radius 1.0, yet linked by hand: a
+        # move builds in full from such a topology, so the extra link goes
+        # and the links agree with the lookups, which read the positions.
+        specs = [(1, (0.0, 0.0)), (2, (3.0, 0.0)), (3, (0.5, 0.0))]
+        built = build_topology(specs, 1.0)
+        edges = topology_from_edges([1, 2, 3], built.edges | {(1, 2)})
+        hand = Topology(edges.adj, built.positions, built.radius)
+        moved = move_nodes(hand, {3: (0.6, 0.0)})
+        moved_specs = [(1, (0.0, 0.0)), (2, (3.0, 0.0)), (3, (0.6, 0.0))]
+        full = build_topology(moved_specs, 1.0)
+
+        def lookups():
+            return moved.hearing_none([1], {2}), moved.neighbors_among(1, {2, 3})
+
+        assert lookups() == ([1], {3})
+        assert moved.adj == full.adj and moved.adj[1] == {3}
+        assert lookups() == ([1], {3}) and moved == full
+        for previous in (edges, hand):
+            assert build_topology(moved_specs, 1.0, previous) == full
 
     def test_build_starts_from_the_last_built_topology(self, monkeypatch):
         # Neither moved topology is read until the second: its one build
