@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs:
-  form        one-shot cluster formation, prints the resulting partition
+  form        one-shot cluster formation: prints and verifies the partition,
+              and builds no share ledgers
   simulate    full scenario run, writes the metrics CSV
   audit       post-hoc secrecy check over a state dump
   shares      field-level split / reconstruct utilities
@@ -27,16 +28,7 @@ from .shamir import (
 )
 from .audit import audit_dump
 from .scenario import check_field_prime, is_prime, load_scenario, read_json
-from .sim import initialize, run
-
-
-def _apply_overrides(scenario, args):
-    if getattr(args, "seed", None) is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if getattr(args, "prime", None) is not None:
-        check_field_prime(args.prime, max(s.nid for s in scenario.nodes), "--prime")
-        scenario = replace(scenario, field_prime=args.prime)
-    return scenario
+from .sim import initial_formation, run
 
 
 def _print_partition(partition) -> None:
@@ -51,17 +43,21 @@ def _print_partition(partition) -> None:
 
 
 def _cmd_form(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    state = initialize(scenario)
-    _print_partition(state.partition)
-    problems = verify_partition(state.topology, state.partition)
+    topology, partition = initial_formation(load_scenario(args.scenario))
+    _print_partition(partition)
+    problems = verify_partition(topology, partition)
     for problem in problems:
         print(f"violation: {problem}", file=sys.stderr)
     return 1 if problems else 0
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
+    if args.prime is not None:
+        check_field_prime(args.prime, max(s.nid for s in scenario.nodes), "--prime")
+        scenario = replace(scenario, field_prime=args.prime)
     try:
         report = run(scenario, args.out, args.state_out)
     except OSError as exc:  # the scenario is loaded, so only an output write raises this
@@ -126,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     form = sub.add_parser("form", help="run cluster formation once and print the partition")
     form.add_argument("--scenario", required=True)
-    form.add_argument("--seed", type=int)
-    form.add_argument("--prime", type=int)
     form.set_defaults(func=_cmd_form)
 
     simulate = sub.add_parser("simulate", help="run a scenario and write metrics")

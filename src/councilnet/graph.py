@@ -205,8 +205,7 @@ def build_topology(
     not a dataclass field, so not part of equality, ``repr`` or
     ``dataclasses.replace``: a full-build topology has none.
     """
-    if not 0 < radius <= MAX_COORDINATE:
-        raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
+    _check_radius(radius)
     positions: dict[NodeId, Position] = {}
     for nid, pos in node_specs:
         if nid in positions:
@@ -273,6 +272,11 @@ def build_topology(
     return t
 
 
+def _check_radius(radius) -> None:
+    if radius is None or not 0 < radius <= MAX_COORDINATE:
+        raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
+
+
 def _checked_position(nid: NodeId, pos) -> Position:
     """``pos`` as a pair of floats, or ``ValueError`` if a coordinate is not
     a number within ±``MAX_COORDINATE``."""
@@ -289,9 +293,12 @@ def move_nodes(previous: Topology, updates: Mapping[NodeId, Position]) -> _DiskT
     """``previous``, a position-mode topology, with each node of ``updates``
     at its new position, as a disk topology whose links are not yet built.
 
-    Only the moved positions are checked, here, as ``build_topology``
-    checks them; a moved id outside ``previous`` raises ``UnknownNode``, and
-    an edge-list topology, which has no positions, ``ValueError``.  The
+    A radius is required: ``previous.radius`` is checked as
+    ``build_topology`` checks its radius, so a hand-assembled topology
+    without one raises ``ValueError``, as does an edge-list topology, which
+    has no positions.  Only the moved positions are checked, here, as
+    ``build_topology`` checks them; a moved id outside ``previous`` raises
+    ``UnknownNode``.  All checks run before anything is built.  The
     links are built on the first read of ``adj``, by ``build_topology``
     from the last topology whose links were built (``previous`` itself, or
     the one it was moved from): incremental from a disk topology, full from
@@ -300,6 +307,7 @@ def move_nodes(previous: Topology, updates: Mapping[NodeId, Position]) -> _DiskT
     """
     if previous.positions is None:
         raise ValueError("an edge-list topology has no positions to move")
+    _check_radius(previous.radius)
     positions = dict(previous.positions)
     for nid, pos in updates.items():
         if nid not in positions:

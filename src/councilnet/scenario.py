@@ -3,14 +3,15 @@
 ``load_scenario`` reads a JSON file through ``read_json``, which raises
 ``ParseError`` on any file it cannot read or decode, and ``scenario_from_dict``
 validates the decoded object, applying the documented defaults; any malformed
-field raises ``ValidationError``.
+field, and any key that names no field of ``Scenario``, ``NodeSpec`` or
+``Adversary`` where it stands, raises ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -143,6 +144,14 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
     def fail(msg: str) -> None:
         raise ValidationError(f"{source}: {msg}")
 
+    def refuse_unknown(raw: Mapping, cls, where: str) -> None:
+        # A key is accepted only as the name of a field of ``cls``.
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(str(key) for key in raw if key not in known)
+        if unknown:
+            fail(f"unknown keys {unknown} {where}")
+
+    refuse_unknown(data, Scenario, "at the top level")
     nodes_raw = data.get("nodes")
     if not isinstance(nodes_raw, list) or not nodes_raw:
         fail("'nodes' must be a non-empty list")
@@ -158,6 +167,7 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         nid = entry["nid"]
         if not _is_int(nid) or nid < 1:
             fail(f"nodes[{i}]: nid must be a positive integer")
+        refuse_unknown(entry, NodeSpec, f"in node {nid}")
         if nid in seen:
             fail(f"node id {nid} appears more than once")
         seen.add(nid)
@@ -228,6 +238,7 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
     if adv_raw is not None:
         if not isinstance(adv_raw, dict):
             fail("'adversary' must be an object")
+        refuse_unknown(adv_raw, Adversary, "in 'adversary'")
         comp_round = adv_raw.get("compromise_round")
         # Rounds are numbered from 1 and initialize never compromises, so an
         # adversary at round 0 would never act.

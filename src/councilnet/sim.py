@@ -134,17 +134,25 @@ def _install(state: SimState, partition: Partition) -> None:
     }
 
 
-def initialize(sc: Scenario) -> SimState:
-    """Build the initial topology, form clusters, and split the secrets."""
-    walkers = [s for s in sc.nodes if s.waypoints and s.speed > 0]
+def initial_formation(sc: Scenario) -> tuple[Topology, Partition]:
+    """Build the scenario's initial topology, from its edge list or its
+    positions, and form clusters on it; a disconnected topology raises
+    ``DisconnectedTopology``."""
     if sc.static:
         topology = topology_from_edges([s.nid for s in sc.nodes], sc.edges)
     else:
         topology = build_topology(sorted((s.nid, s.pos) for s in sc.nodes), sc.radius)
     try:
-        partition = reform(topology)
+        return topology, reform(topology)
     except DisconnectedTopology:
         raise DisconnectedTopology("initial topology must be connected") from None
+
+
+def initialize(sc: Scenario) -> SimState:
+    """Form the initial clusters, then set up the walkers, the run's random
+    stream and a secret split across each council."""
+    topology, partition = initial_formation(sc)
+    walkers = [s for s in sc.nodes if s.waypoints and s.speed > 0]
     state = SimState(
         scenario=sc,
         round=0,

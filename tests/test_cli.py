@@ -5,6 +5,7 @@ import pytest
 
 from councilnet.cli import main
 from councilnet.errors import ValidationError
+from councilnet.ledger import ClusterLedger
 from councilnet.shamir import DEFAULT_PRIME
 from councilnet.sim import scenario_from_dict
 
@@ -17,6 +18,28 @@ def test_form_prints_partition(capsys):
     assert code == 0
     assert "cluster 1: council={1,3,5} members={2} gateways={4} (n=3, k=2)" in out
     assert "cluster 6: council={6} members={7} gateways={} (n=1, k=1)" in out
+
+
+def test_form_splits_no_secret(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("form split a secret")
+
+    monkeypatch.setattr(ClusterLedger, "split", refuse)
+    code = main(["form", "--scenario", str(SCENARIOS / "two_cluster_seven.json")])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "cluster 1: council={1,3,5} members={2} gateways={4} (n=3, k=2)\n"
+        "cluster 6: council={6} members={7} gateways={} (n=1, k=1)\n"
+    )
+
+
+# --seed and --prime reach only the share ledgers, which form does not build.
+@pytest.mark.parametrize("flag", ["--seed", "--prime"])
+def test_form_takes_no_seed_or_prime(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["form", "--scenario", str(SCENARIOS / "two_cluster_seven.json"), flag, "11"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_simulate_writes_metrics_and_state(tmp_path, capsys):
@@ -180,11 +203,10 @@ def test_seed_override_applies(tmp_path):
 
 # two_cluster_seven.json numbers its nodes 1..7, so 7 is a prime the ids reach.
 @pytest.mark.parametrize("prime", [9, 15, 7, 1, -13])
-@pytest.mark.parametrize("verb", ["form", "simulate"])
+@pytest.mark.parametrize("verb", ["simulate"])
 def test_prime_override_is_checked_like_field_prime(verb, prime, tmp_path, capsys):
     args = [verb, "--scenario", str(SCENARIOS / "two_cluster_seven.json"), "--prime", str(prime)]
-    if verb == "simulate":
-        args += ["--out", str(tmp_path / "m.csv"), "--state-out", str(tmp_path / "s.json")]
+    args += ["--out", str(tmp_path / "m.csv"), "--state-out", str(tmp_path / "s.json")]
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -230,6 +252,9 @@ def with_node_field(base, **field):
         dict(STATIC_PAIR, nodes=[{"nid": 1}, {"nid": 2, "waypoints": [[5, 5]], "speed": 1.0}]),
         with_node_field(STATIC_PAIR, speed=1.0),
         with_node_field(STATIC_PAIR, waypoints=[[5, 5]]),
+        dict(STATIC_PAIR, refresh_interval=2),
+        with_node_field(MOBILE_PAIR, sped=3.0, waypoints=[[1.0, 0.0]]),
+        dict(STATIC_PAIR, adversary={"compromise_round": 1, "nodes": [1], "round": 2}),
     ],
     ids=[
         "adversary-nodes-int",
@@ -247,6 +272,9 @@ def with_node_field(base, **field):
         "edge-list-mover",
         "edge-list-speed",
         "edge-list-waypoints",
+        "unknown-top-level-key",
+        "unknown-node-key",
+        "unknown-adversary-key",
     ],
 )
 def test_malformed_scenario_field_is_an_input_error(scenario, tmp_path, capsys):

@@ -570,6 +570,8 @@ class TestMoveNodes:
             move_nodes(t, {3: (0.0, 0.0)})
         with pytest.raises(ValueError, match="edge-list"):
             move_nodes(path3(), {1: (0.0, 0.0)})
+        with pytest.raises(ValueError, match="radius must be"):
+            move_nodes(Topology(t.adj, t.positions), {2: (0.5, 0.0)})
 
     def test_a_hand_assembled_topology_moves_to_its_disk_links(self):
         # Nodes 1 and 2 are 3.0 apart at radius 1.0, yet linked by hand: a

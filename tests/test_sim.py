@@ -160,20 +160,19 @@ def assert_same_outputs(a, b, where, tmp):
 
 def step_uncached(state, toggle=None):
     """Step ``state`` with every cache defeated and three layers run by the
-    tests' oracles: no last clean pass and no refresh memo in any ledger;
-    each link build the all-pairs one (``graph_oracle``), the in-touch scan
-    the per-node one (``sim_oracle``) and each refresh the ledger oracle's.
-    ``toggle``, None or a pair of nodes, is applied with ``toggled`` inside
-    the same patch, so a deferred build it reads is the oracle's too.  A
-    full reference round still lacks two oracles: the dense health fold, in
-    place of the engine's sparse one, and ``verify_partition`` on every
-    pass, not only on a settled one."""
-    state.last_clean = None
+    tests' oracles: no refresh memo in any ledger; each link build the
+    all-pairs one (``graph_oracle``), the maintenance pass the reference one
+    (``sim_oracle``: the per-node in-touch scan, a health for every cluster,
+    no quiet pass and the partition checked on every pass) and each refresh
+    the ledger oracle's.  ``state.healths`` must hold a health for every
+    cluster.  ``toggle``, None or a pair of nodes, is applied with
+    ``toggled`` inside the same patch, so a deferred build it reads is the
+    oracle's too."""
     for ledger in state.share_ledger.values():
         ledger._checked = None
     with pytest.MonkeyPatch.context() as m:
         m.setattr(graph, "build_topology", graph_oracle.build_topology)
-        m.setattr(sim, "_departures", oracle.departures)
+        m.setattr(sim, "_maintenance_pass", oracle.maintenance_pass)
         m.setattr(ClusterLedger, "refresh", ledger_oracle.OracleLedger.refresh)
         if toggle is not None:
             state.topology = toggled(state.topology, *toggle)
@@ -190,6 +189,7 @@ def assert_twins_agree(sc, toggles=()):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sim, "build_topology", graph_oracle.build_topology)
         uncached = initialize(sc)
+    uncached.healths = oracle.baselines(uncached.partition)
     with tempfile.TemporaryDirectory() as tmp:
         while cached.round < sc.rounds and not cached.halted:
             toggle = toggles[cached.round] if cached.round < len(toggles) else None
