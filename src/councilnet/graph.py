@@ -3,19 +3,24 @@
 Nodes are positive integer identifiers.  A topology is either derived from
 planar positions and a shared transmission radius (closed-disk rule: an edge
 exists iff the euclidean distance is <= radius) or encoded directly as an
-explicit edge list.  All values are immutable after construction and every
-operation is a pure function, so topologies can be shared freely between
-concurrent runs.
+explicit edge list.  Topologies are immutable after construction and every
+graph operation is a pure function, so topologies can be shared freely
+between concurrent runs.  The one mutable value is a ``neighbor_index``: a
+set of some of a topology's nodes, edited with ``add`` and ``discard``,
+that answers which of them a node is adjacent to.  It belongs to the caller
+that built it.
 
 Every disk topology is a ``_DiskTopology``.  ``build_topology`` returns one
 with its links built; ``move_nodes`` returns one whose links are built on
 the first read of ``adj`` (which ``edges``, ``neighbors`` and the graph
 checks make), from the last topology whose links were built.  That build is
 idempotent (two racing reads build equal links) and never touches the
-topology moved from.  A disk topology answers ``hearing_none`` and
-``neighbors_among`` from its positions, with the build's distance test,
-built or not, so a round that asks only whether nodes still hear their
-heads builds no neighbour sets.
+topology moved from.  A disk topology answers ``hearing_none`` and the
+lookups of a ``neighbor_index`` from its positions, with the build's
+distance test, built or not, so a round that asks only whether nodes still
+hear their heads builds no neighbour sets.  Its index keeps the nodes in
+cells of the build's width, so a lookup tests only the nine cells around
+the node; an edge-list topology's index intersects the node's links.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateNid, UnknownNode
@@ -64,9 +70,10 @@ class Topology:
         except KeyError as missing:
             raise UnknownNode(f"node {missing.args[0]} is not in the topology") from None
 
-    def neighbors_among(self, u: NodeId, nodes: Iterable[NodeId]) -> frozenset[NodeId]:
-        """The nodes of ``nodes`` adjacent to ``u``."""
-        return neighbors(self, u).intersection(nodes)
+    def neighbor_index(self, nodes: Iterable[NodeId]) -> "NeighborIndex":
+        """An index of ``nodes`` that answers, as they are added and
+        discarded, which of them a node is adjacent to."""
+        return _LinkIndex(self, nodes)
 
 
 class _DiskTopology(Topology):
@@ -74,7 +81,7 @@ class _DiskTopology(Topology):
     from ``build_topology`` are built; those of one from ``move_nodes`` are
     built on the first read of ``adj``, from ``_base``, the last topology
     whose links were built.  ``nodes``, ``hearing_none`` and
-    ``neighbors_among`` come from the positions alone, with the build's
+    ``neighbor_index`` come from the positions alone, with the build's
     distance test, and build nothing; the links give the same answers,
     since the build applies that test to the same positions.  So a disk
     topology is never assembled by hand or by ``dataclasses.replace`` of a
@@ -120,25 +127,86 @@ class _DiskTopology(Topology):
                 out.append(u)
         return out
 
-    def neighbors_among(self, u: NodeId, nodes: Iterable[NodeId]) -> frozenset[NodeId]:
-        positions = self.positions
-        ux, uy = self._position(u)
-        r2 = self.radius * self.radius
-        found = []
-        for v in nodes:
-            pos = positions.get(v)
-            if pos is not None and v != u:
-                dx = ux - pos[0]
-                dy = uy - pos[1]
-                if dx * dx + dy * dy <= r2:
-                    found.append(v)
-        return frozenset(found)
+    def neighbor_index(self, nodes: Iterable[NodeId]) -> "NeighborIndex":
+        return _CellIndex(self, nodes)
+
+    @cached_property
+    def _span(self) -> float:
+        # Computed once per topology, for every index built on it.
+        return _span_of(self.positions)
 
     def _position(self, u: NodeId) -> Position:
         try:
             return self.positions[u]
         except KeyError:
             raise UnknownNode(f"node {u} is not in the topology") from None
+
+
+class _LinkIndex:
+    """A ``NeighborIndex`` answered from a topology's links."""
+
+    def __init__(self, t: Topology, nodes: Iterable[NodeId]) -> None:
+        self._t = t
+        self._nodes = set(nodes)
+
+    def add(self, v: NodeId) -> None:
+        self._nodes.add(v)
+
+    def discard(self, v: NodeId) -> None:
+        self._nodes.discard(v)
+
+    def near(self, u: NodeId) -> frozenset[NodeId]:
+        return neighbors(self._t, u) & self._nodes
+
+
+class _CellIndex:
+    """A ``NeighborIndex`` answered from a disk topology's positions.  Each
+    node is kept in the build's cell for its position, so the nodes ``u``
+    hears lie in the nine cells around ``u``'s, where the build's distance
+    test picks them out."""
+
+    def __init__(self, t: _DiskTopology, nodes: Iterable[NodeId]) -> None:
+        self._t = t
+        self._r2 = t.radius * t.radius
+        self._cell = _cell_width(t.radius, t._span)
+        self._cells: dict[tuple[int, int], dict[NodeId, Position]] = {}
+        for v in nodes:
+            self.add(v)
+
+    def _key(self, pos: Position) -> tuple[int, int]:
+        return math.floor(pos[0] / self._cell), math.floor(pos[1] / self._cell)
+
+    def add(self, v: NodeId) -> None:
+        pos = self._t.positions.get(v)
+        if pos is not None:
+            self._cells.setdefault(self._key(pos), {})[v] = pos
+
+    def discard(self, v: NodeId) -> None:
+        pos = self._t.positions.get(v)
+        if pos is not None:
+            self._cells.get(self._key(pos), {}).pop(v, None)
+
+    def near(self, u: NodeId) -> frozenset[NodeId]:
+        ux, uy = pos = self._t._position(u)
+        cx, cy = self._key(pos)
+        cells = self._cells
+        r2 = self._r2
+        found = []
+        for kx in (cx - 1, cx, cx + 1):
+            for ky in (cy - 1, cy, cy + 1):
+                for v, (vx, vy) in cells.get((kx, ky), {}).items():
+                    dx = ux - vx
+                    dy = uy - vy
+                    if dx * dx + dy * dy <= r2 and v != u:
+                        found.append(v)
+        return frozenset(found)
+
+
+NeighborIndex = _LinkIndex | _CellIndex
+"""A set of nodes of one topology, edited by ``add`` and ``discard``, whose
+``near(u)`` is the set of them adjacent to ``u``.  A node never hears
+itself, ids outside the topology are adjacent to none, and ``near`` of one
+raises ``UnknownNode``."""
 
 
 @dataclass(frozen=True)
@@ -217,12 +285,7 @@ def build_topology(
     r2 = r * r
     base = previous if isinstance(previous, _DiskTopology) and previous.radius == r else None
     old_positions = base.positions if base is not None else {}
-    # The two floors matter only at extreme scales: span * 2**-52 keeps every
-    # coordinate / cell quotient below 2**52 (a tiny radius could overflow it
-    # to infinity), and 1e-150 covers radii whose square underflows, where
-    # the test accepts pairs up to ~1e-162 apart.
-    span = max((abs(c) for xy in positions.values() for c in xy), default=0.0)
-    cell = max(r, span * 2**-52, 1e-150) * (1 + 1e-9)
+    cell = _cell_width(r, _span_of(positions))
     # Each cell holds its movers, then its unmoved nodes: a list index is
     # whether the node stayed.
     grid: dict[tuple[int, int], tuple[list, list]] = {}
@@ -270,6 +333,22 @@ def build_topology(
     t = _DiskTopology(merged, positions, r)
     object.__setattr__(t, "_kept", (stale, kept_links))
     return t
+
+
+def _span_of(positions: Mapping[NodeId, Position]) -> float:
+    """The largest |coordinate| of ``positions``, 0.0 for none."""
+    return max(map(abs, chain.from_iterable(positions.values())), default=0.0)
+
+
+def _cell_width(r: float, span: float) -> float:
+    """The side of the build's square cells for radius ``r`` and largest
+    |coordinate| ``span``: a hair wider than the radius, so that every pair
+    the distance test accepts, rounding included, lies in the same or
+    adjacent cells.  The two floors matter only at extreme scales: span *
+    2**-52 keeps every coordinate / cell quotient below 2**52 (a tiny radius
+    could overflow it to infinity), and 1e-150 covers radii whose square
+    underflows, where the test accepts pairs up to ~1e-162 apart."""
+    return max(r, span * 2**-52, 1e-150) * (1 + 1e-9)
 
 
 def _check_radius(radius) -> None:

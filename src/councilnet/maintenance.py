@@ -202,7 +202,8 @@ def apply_departures(
     Each node leaves its cluster as in ``handle_departure``, and then visits
     the lowest-id other cluster with a head it hears, as in
     ``handle_visitor``, which counts an arrival there.  A later departure
-    sees the heads that joined earlier.  ``healths`` may hold only the
+    sees the heads that joined earlier: the heads a node hears come from
+    one ``neighbor_index`` of the working heads, kept for the whole pass.  ``healths`` may hold only the
     clusters changed since formation; a cluster's first change adds its
     entry, with the baseline read just before that change.  Returns the new
     partition, the updated healths, whether a node heard no other cluster's
@@ -212,20 +213,25 @@ def apply_departures(
     if not departed:
         return partition, healths, False, []
     work = _WorkingPartition(partition)
+    # Edited with the partition (a departure discards its node, a join adds
+    # it), so every node it holds heads the cluster ``work.node_index`` gives.
+    heads = t.neighbor_index(work.heads())
     healths = dict(healths)
     stranded = False
     joined: list[tuple[ClusterId, NodeId]] = []
     for nid in departed:
         before = work.depart(nid)
+        heads.discard(nid)
         cid = before.cluster_id
         healths[cid] = _count_departure(healths.get(cid), before, nid)
-        near = t.neighbors_among(nid, work.heads())
-        dest = min(work.head_clusters(near) - {cid}, default=None)
+        near = heads.near(nid)
+        dest = min({work.node_index[h] for h in near} - {cid}, default=None)
         if dest is None:
             stranded = True
             continue
         health = _first_change(healths.get(dest), work.clusters[dest])
         if work.visit(near, nid, dest, before.role_of(nid)) == "issue_new_share":
+            heads.add(nid)
             joined.append((dest, nid))
         healths[dest] = replace(health, arrivals=health.arrivals + 1)
     return work.freeze(), healths, stranded, joined

@@ -10,10 +10,10 @@ deterministic for a given scenario and seed.
 A round in which nodes moved hands only the movers to ``move_nodes``, whose
 topology builds its links under the disk rule when a layer first reads
 them: a re-formation, a partition check, or a caller of ``edges``.  The
-in-touch scan asks ``hearing_none`` and a departed node's visit asks
-``neighbors_among`` for the heads it hears, and neither builds, so a HELLO
-round that neither re-forms nor checks the partition builds no neighbour
-sets.
+in-touch scan asks ``hearing_none``, and a departed node's visit asks a
+``neighbor_index`` of the heads, built once per pass, for the heads it
+hears; neither builds, so a HELLO round that neither re-forms nor checks
+the partition builds no neighbour sets.
 """
 
 from __future__ import annotations

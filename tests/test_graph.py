@@ -193,7 +193,7 @@ def mover_runs(draw):
     update may be empty or name a node at its own position.  ``read`` says
     whether the round's links are read before the next round moves on, so
     some builds start from a topology several rounds old.  ``probes`` are
-    node sets for ``hearing_none`` and ``neighbors_among``, ids outside the
+    node sets for ``hearing_none`` and ``neighbor_index``, ids outside the
     topology included.
     """
     specs, radius = draw(disk_layouts())
@@ -226,6 +226,50 @@ def mover_runs(draw):
         probe = st.sets(st.sampled_from(ids + [0, len(ids) + 1]), max_size=6)
         rounds.append((updates, draw(st.booleans()), draw(st.lists(probe, min_size=1, max_size=3))))
     return specs, radius, rounds
+
+
+@st.composite
+def index_runs(draw):
+    """A disk layout, the nodes of an index on it and edits to that index,
+    as ``(specs, radius, nodes, edits)``; each edit is ``("add", nid)`` or
+    ``("discard", nid)``.
+
+    A layout is one of three kinds.  Points on a 0.25 grid at radius 1.0,
+    some nudged one ulp down, so that pairs lie exactly r apart or are
+    accepted at r by rounding across a cell line.  Points within a few radii
+    of ±(1e150 - 4r), or of 0, at radii from 1e-320 to 1e140, where the
+    span floors set the cell.  Or any ``disk_layouts`` layout.  A lone node
+    may be added far from the rest.  Nodes and edits name ids outside the
+    topology too.
+    """
+    kind = draw(st.sampled_from(["grid", "extreme", "any"]))
+    if kind == "grid":
+        radius = 1.0
+        coord = st.builds(
+            lambda k, nudge: math.nextafter(k * 0.25, -math.inf) if nudge else k * 0.25,
+            st.integers(-12, 12),
+            st.booleans(),
+        )
+        points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+        lone = (10.0, -10.0)
+    elif kind == "extreme":
+        radius = 10.0 ** draw(st.integers(-320, 140))
+        offset = draw(st.sampled_from([1.0, -1.0, 0.0])) * (graph.MAX_COORDINATE - 4 * radius)
+        unit = st.one_of(st.integers(-3, 3).map(float), st.floats(-3, 3))
+        units = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=30))
+        points = [(offset + x * radius, offset + y * radius) for x, y in units]
+        lone = (-offset or graph.MAX_COORDINATE, -offset or graph.MAX_COORDINATE)
+    else:
+        specs, radius = draw(disk_layouts())
+        points = [pos for _, pos in sorted(specs)]
+        lone = (200.0 * radius, 0.0)
+    if draw(st.booleans()):
+        points.append(lone)
+    specs = list(enumerate(points, start=1))
+    ids = st.sampled_from(list(range(len(specs) + 2)))
+    nodes = draw(st.sets(ids))
+    edits = draw(st.lists(st.tuples(st.sampled_from(["add", "discard"]), ids), max_size=12))
+    return specs, radius, nodes, edits
 
 
 def steps_of(layout, radius, nid, points):
@@ -503,12 +547,14 @@ class TestMoveNodes:
                         assert neighbors(t, u) == full.adj[u]
                     with pytest.raises(UnknownNode):
                         neighbors(t, unknown)
-                # Both lookups scan positions, built or not, so the expected
+                # Both lookups read positions, built or not, so the expected
                 # answers come from the full build's links.
+                everyone = t.neighbor_index(positions)
+                indexes = [(t.neighbor_index(probe), probe) for probe in probes]
                 for u in positions:
-                    assert t.neighbors_among(u, positions) == full.adj[u]
-                    for probe in probes:
-                        assert t.neighbors_among(u, probe) == full.adj[u] & probe
+                    assert everyone.near(u) == full.adj[u]
+                    for index, probe in indexes:
+                        assert index.near(u) == full.adj[u] & probe
                 for probe in probes:
                     deaf = [u for u in positions if full.adj[u].isdisjoint(probe)]
                     assert t.hearing_none(positions, probe) == deaf
@@ -516,7 +562,7 @@ class TestMoveNodes:
                 with pytest.raises(UnknownNode, match=f"node {unknown} "):
                     t.hearing_none([*positions, unknown], set(positions))
                 with pytest.raises(UnknownNode):
-                    t.neighbors_among(unknown, set(positions))
+                    everyone.near(unknown)
             moved.append((t, full))
             previous = t
         # A topology left unread builds from its own base, whatever moved since.
@@ -552,7 +598,8 @@ class TestMoveNodes:
                     if links:
                         seen.append(dict(t.adj))
                     else:
-                        seen.append({u: t.neighbors_among(u, full.adj) for u in sorted(full.adj)})
+                        index = t.neighbor_index(full.adj)
+                        seen.append({u: index.near(u) for u in sorted(full.adj)})
 
                 threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(6)]
                 for thread in threads:
@@ -586,7 +633,7 @@ class TestMoveNodes:
         full = build_topology(moved_specs, 1.0)
 
         def lookups():
-            return moved.hearing_none([1], {2}), moved.neighbors_among(1, {2, 3})
+            return moved.hearing_none([1], {2}), moved.neighbor_index({2, 3}).near(1)
 
         assert lookups() == ([1], {3})
         assert moved.adj == full.adj and moved.adj[1] == {3}
@@ -608,7 +655,7 @@ class TestMoveNodes:
         monkeypatch.setattr(graph, "build_topology", counted)
         middle = move_nodes(first, {3: (8.0, 0.0)})
         last = move_nodes(middle, {3: (7.0, 0.0)})
-        assert last.neighbors_among(1, {2, 3}) == {2} and last.hearing_none([1, 3], {1, 2}) == [3]
+        assert last.neighbor_index({2, 3}).near(1) == {2} and last.hearing_none([1, 3], {1, 2}) == [3]
         assert calls == []
         assert last.adj == {1: {2}, 2: {1}, 3: set()}
         assert calls == [first]
@@ -631,11 +678,15 @@ class TestNeighbors:
         # a node never hears itself, and ids outside the topology hear nobody
         t = path3()
         assert t.hearing_none([3, 2, 1], {2, 9}) == [2]
-        assert t.neighbors_among(2, {1, 2, 9}) == {1}
+        index = t.neighbor_index({1, 2, 9})
+        assert index.near(2) == {1}
+        index.discard(1)
+        index.add(3)
+        assert index.near(2) == {3}
         with pytest.raises(UnknownNode, match="node 9 "):
             t.hearing_none([1, 9], {2})
         with pytest.raises(UnknownNode):
-            t.neighbors_among(9, {1})
+            index.near(9)
 
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):
@@ -648,6 +699,46 @@ class TestNeighbors:
         for u in t.nodes:
             for v in neighbors(t, u):
                 assert u in neighbors(t, v)
+
+
+class TestNeighborIndex:
+    @given(index_runs())
+    # exactly r apart on an axis, and 0.25 * sqrt(2) < r on a diagonal
+    @example(([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (0.25, 0.25))], 1.0, {1, 2, 3}, []))
+    # accepted at r by rounding, from cell -1 to cell 1 of width exactly r
+    @example(
+        ([(1, (math.nextafter(0.0, -math.inf), 0.0)), (2, (1.0, 0.0))], 1.0, {1, 2}, [("discard", 1), ("add", 1)])
+    )
+    # coincident at the coordinate bound, where r * r underflows to 0; one
+    # ulp apart is out of range
+    @example(
+        ([(1, (1e150, 1e150)), (2, (1e150, 1e150)), (3, (math.nextafter(1e150, 0.0), 1e150))], 1e-300, {1, 2, 3}, [])
+    )
+    # a node alone in its cell, before and after it is indexed
+    @example(([(1, (0.0, 0.0)), (2, (10.0, -10.0))], 1.0, {1}, [("add", 2), ("discard", 1), ("add", 3)]))
+    @settings(max_examples=200, deadline=None)
+    def test_near_matches_the_full_build(self, run):
+        specs, radius, nodes, edits = run
+        disk = build_topology(specs, radius)
+        expected = oracle.build_topology(specs, radius).adj
+        unknown = len(specs) + 1
+        # a disk topology reads positions, an edge-list one its links
+        for t in (disk, Topology(disk.adj)):
+            index = t.neighbor_index(nodes)
+            current = set(nodes)
+
+            def check():
+                for u in expected:
+                    assert index.near(u) == expected[u] & current
+
+            check()
+            for how, v in edits:
+                getattr(index, how)(v)
+                getattr(current, how)(v)
+                check()
+            for v in (0, unknown):
+                with pytest.raises(UnknownNode, match=f"node {v} "):
+                    index.near(v)
 
 
 class TestTwoHopView:

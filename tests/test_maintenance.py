@@ -11,7 +11,7 @@ from councilnet.errors import (
     UnknownNode,
     ValidationError,
 )
-from councilnet.graph import neighbors, topology_from_edges
+from councilnet.graph import build_topology, neighbors, topology_from_edges
 from councilnet.maintenance import (
     ClusterHealth,
     MaintenanceAction,
@@ -375,6 +375,27 @@ class TestBatchMatchesSequentialFold:
         # the input is untouched, and unchanged clusters are carried over
         assert p == hand_partition()[1]
         assert_sparse_matches_dense(t, p, departed)
+
+    @pytest.mark.parametrize("kind", ["edges", "disk"])
+    def test_a_departed_head_is_heard_no_more(self, kind):
+        # Head 2 leaves cluster 1 and, hearing the heads of clusters 3 and
+        # 4, lands in cluster 3 as a member; node 5 then hears only 2, no
+        # head at all, and strands.  On the disk each link is exactly r long.
+        def lone(head, members=()):
+            return Cluster(Council(frozenset(head), min(head)), frozenset(members), frozenset(), 1)
+
+        p = Partition([lone({1, 2}), lone({3}), lone({4}, {5})])
+        specs = [(1, (5.0, 5.0)), (2, (0.0, 0.0)), (3, (1.0, 0.0)), (4, (0.0, 1.0)), (5, (-1.0, 0.0))]
+        t = build_topology(specs, 1.0)
+        if kind == "edges":
+            t = topology_from_edges(range(1, 6), t.edges)
+        assert t.edges == {(2, 3), (2, 4), (2, 5)}
+        healths = {c.cluster_id: baseline_health(c) for c in p.clusters}
+        batch = apply_departures(t, p, [2, 5], healths)
+        assert batch == sequential_fold(t, p, [2, 5], healths)
+        p2, _, stranded, joined = batch
+        assert stranded and joined == []
+        assert p2.cluster(3).members == {2} and 5 not in p2.node_index
 
     def test_unchanged_clusters_keep_their_objects(self):
         t, p = hand_partition()

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import random
@@ -31,6 +32,8 @@ from councilnet.sim import compromise, dump_state, initialize, run, step
 from councilnet.topologies import random_connected
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# The benchmark's scenario generator, loaded from its file and never edited.
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios.py"
 
 STATIC_SEVEN = {
     "seed": 7,
@@ -669,6 +672,14 @@ class TestStep:
     def test_engine_agrees_with_itself_with_every_cache_defeated(self, seed, parks):
         sc = small_mobile_scenario(seed)
         assert_twins_agree(parking(sc) if parks else sc)
+
+    def test_benchmark_scale_run_agrees_with_every_cache_defeated(self):
+        # the waypoint-1k benchmark recipe: 1000 nodes, 30% movers, about 23
+        # departures a local update, so every index edit meets the reference
+        spec = importlib.util.spec_from_file_location("perfbench_scenarios", WORKLOADS)
+        scenarios = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scenarios)
+        assert_twins_agree(scenario_from_dict({**scenarios.waypoint_1k(1), "rounds": 30}))
 
     @settings(max_examples=60, deadline=None)
     @given(quiet_pass_runs())
