@@ -13,14 +13,16 @@ that built it.
 Every disk topology is a ``_DiskTopology``.  ``build_topology`` returns one
 with its links built; ``move_nodes`` returns one whose links are built on
 the first read of ``adj`` (which ``edges``, ``neighbors`` and the graph
-checks make), from the last topology whose links were built.  That build is
-idempotent (two racing reads build equal links) and never touches the
-topology moved from.  A disk topology answers ``hearing_none`` and the
-lookups of a ``neighbor_index`` from its positions, with the build's
-distance test, built or not, so a round that asks only whether nodes still
-hear their heads builds no neighbour sets.  Its index keeps the nodes in
-cells of the build's width, so a lookup tests only the nine cells around
-the node; an edge-list topology's index intersects the node's links.
+checks make), from the last topology whose links were built.  A build from
+a disk topology checks only the positions that moved, and tests only the
+pairs with a moved node.  That build is idempotent (two racing reads build
+equal links) and never touches the topology moved from.  A disk topology
+answers ``hearing_none`` and the lookups of a ``neighbor_index`` from its
+positions, with the build's distance test, built or not, so a round that
+asks only whether nodes still hear their heads builds no neighbour sets.
+Its index keeps the nodes in cells of the build's width, so a lookup tests
+only the nine cells around the node; an edge-list topology's index
+intersects the node's links.
 """
 
 from __future__ import annotations
@@ -83,16 +85,14 @@ class _DiskTopology(Topology):
     whose links were built.  ``nodes``, ``hearing_none`` and
     ``neighbor_index`` come from the positions alone, with the build's
     distance test, and build nothing; the links give the same answers,
-    since the build applies that test to the same positions.  So a disk
-    topology is never assembled by hand or by ``dataclasses.replace`` of a
-    field, whose links would not be its positions' disk links and would be
-    carried by the next build; such a graph is a plain ``Topology``.
+    since the build applies that test to the same positions.  A build from
+    a disk topology carries its links between unmoved nodes and takes its
+    stored positions of them unchecked.  So a disk topology is never
+    assembled by hand or by ``dataclasses.replace`` of a field, whose links
+    would not be its positions' disk links, and whose positions might not
+    be checked; such a graph is a plain ``Topology``.
     """
 
-    # Set only by an incremental ``build_topology``, and never mutated: its
-    # stale set S, and each other node's neighbours outside S (None until S
-    # has repeated).
-    _kept: Optional[tuple[AbstractSet[NodeId], Optional[Mapping[NodeId, frozenset[NodeId]]]]] = None
     # Set only by ``move_nodes``, and dropped once the links are built.
     _base: Optional[Topology] = None
 
@@ -101,10 +101,9 @@ class _DiskTopology(Topology):
         # The base is dropped once built from, so that a chain of moved
         # topologies holds no older links; a racing read that finds it gone
         # builds in full, to the same links.
-        built = build_topology(self.positions.items(), self.radius, self._base)
-        object.__setattr__(self, "_kept", built._kept)
+        links = build_topology(self.positions.items(), self.radius, self._base).adj
         object.__setattr__(self, "_base", None)
-        return built.adj
+        return links
 
     @cached_property
     def nodes(self) -> frozenset[NodeId]:
@@ -250,41 +249,30 @@ def build_topology(
     incremental; any other (an edge list, a hand-assembled ``Topology``,
     another radius) gets a full build, as only a disk topology's links are
     known to be its positions' disk links.  A node has moved when its
-    position is absent from ``previous.positions`` or differs from it.
-    Only pairs with a moved endpoint are tested.  A pair of unmoved nodes
-    keeps its link or its absence from ``previous``, which the same test
-    decided on the same coordinates, so the result equals a full build.
-    ``previous`` is not modified.  An unmoved node shares its neighbour set
-    with ``previous`` exactly when it has no moved or removed neighbour,
-    before or after; otherwise its kept links (its old neighbours minus the
-    stale set, every node that moved or left) are united with its list of
-    movers in range.
-
-    An incremental build keeps a private cache on its result T: its stale
-    set S, and, when ``previous``'s stale set was S too, each node outside S
-    with its kept links.  Every mover a node gains is in S, so those links
-    equal ``T.adj[u] - S``, and the next build from T reuses them, one set
-    build per unmoved node instead of two, when its own stale set is S
-    again: the same nodes kept moving.  A build whose stale set differs
-    from ``previous``'s does the same work as with no cache and keeps only
-    its stale set, so traffic whose movers change every round retains no
-    extra sets; links are cached from the second build with the same stale
-    set and reused from the third.  The cache is never mutated, and it is
-    not a dataclass field, so not part of equality, ``repr`` or
-    ``dataclasses.replace``: a full-build topology has none.
+    position is absent from ``previous.positions`` or differs from it.  Only
+    a moved position is checked; an unmoved node takes its stored position
+    from ``previous``, which its build checked.  Only pairs with a moved
+    endpoint are tested.  A pair of unmoved nodes keeps its link or its
+    absence from ``previous``, which the same test decided on the same
+    coordinates, so the result equals a full build.  ``previous`` is not
+    modified.  An unmoved node's links are its old neighbours minus the
+    stale set (every node that moved or left), united with the movers it
+    now hears; it shares its neighbour set with ``previous`` exactly when
+    it has no moved or removed neighbour, before or after.
     """
     _check_radius(radius)
+    r = float(radius)
+    base = previous if isinstance(previous, _DiskTopology) and previous.radius == r else None
+    old_positions = base.positions if base is not None else {}
     positions: dict[NodeId, Position] = {}
     for nid, pos in node_specs:
         if nid in positions:
             raise DuplicateNid(f"node id {nid} appears more than once")
         if nid < 1:
             raise ValueError(f"node ids must be >= 1, got {nid}")
-        positions[nid] = _checked_position(nid, pos)
-    r = float(radius)
+        old = old_positions.get(nid)
+        positions[nid] = old if old == pos else _checked_position(nid, pos)
     r2 = r * r
-    base = previous if isinstance(previous, _DiskTopology) and previous.radius == r else None
-    old_positions = base.positions if base is not None else {}
     cell = _cell_width(r, _span_of(positions))
     # Each cell holds its movers, then its unmoved nodes: a list index is
     # whether the node stayed.
@@ -311,28 +299,14 @@ def build_topology(
     # it now hears.
     moved = {u for movers, _ in grid.values() for u, _, _ in movers}
     stale = moved.union(base.adj.keys() - positions.keys())
-    # Links are cached only once the stale set repeats, so a build whose
-    # movers changed retains nothing beyond its stale set.
-    cached_stale, cached_links = base._kept or (None, None)
-    repeated = stale == cached_stale
-    hit = repeated and cached_links is not None
-    kept_links = cached_links if hit else {} if repeated else None
     merged: dict[NodeId, frozenset[NodeId]] = {}
     for u, vs in adj.items():
         if u in moved:
             merged[u] = frozenset(vs)
-            continue
-        old = base.adj[u]
-        if hit:
-            kept = kept_links[u]
         else:
-            kept = old - stale
-            if kept_links is not None:
-                kept_links[u] = kept
-        merged[u] = old if not vs and len(kept) == len(old) else kept.union(vs)
-    t = _DiskTopology(merged, positions, r)
-    object.__setattr__(t, "_kept", (stale, kept_links))
-    return t
+            old = base.adj[u]
+            merged[u] = old if not vs and old.isdisjoint(stale) else (old - stale).union(vs)
+    return _DiskTopology(merged, positions, r)
 
 
 def _span_of(positions: Mapping[NodeId, Position]) -> float:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -279,13 +278,8 @@ def steps_of(layout, radius, nid, points):
 
 STAYERS = [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (4, (3.0, 0.0))]
 
-
-def cache_copy(t):
-    """A copy of ``t``'s cache, to check later that it was not mutated."""
-    if t._kept is None:
-        return None
-    stale, links = t._kept
-    return set(stale), None if links is None else dict(links)
+# Positions outside ±MAX_COORDINATE or not finite.
+BAD_POSITIONS = [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1e200, 0.0), (0.0, -1.1e150), (10**400, 0)]
 
 
 class TestBuildTopology:
@@ -319,10 +313,7 @@ class TestBuildTopology:
         with pytest.raises(ValueError, match="radius"):
             build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], radius=radius)
 
-    @pytest.mark.parametrize(
-        "pos",
-        [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1e200, 0.0), (0.0, -1.1e150), (10**400, 0)],
-    )
+    @pytest.mark.parametrize("pos", BAD_POSITIONS)
     def test_non_finite_coordinate_rejected(self, pos):
         with pytest.raises(ValueError, match="node 2"):
             build_topology([(1, (0.0, 0.0)), (2, pos)], radius=1.0)
@@ -400,9 +391,9 @@ class TestBuildTopology:
             previous = t
 
     @given(steady_moves())
-    # three steady steps: 3 keeps moving; the second build caches, the third hits
+    # three steady steps: 3 keeps moving
     @example([(STAYERS + [(3, (2.0, 0.0))], 2.0), *steps_of(STAYERS, 2.0, 3, [(2.0, 1.0), (1.0, 1.5), (3.0, 1.0)])])
-    # 3 and 5 move, then 5 parks: a miss, then cached, then a hit
+    # 3 and 5 move, then 5 parks: the stale set shrinks
     @example(
         [
             (STAYERS + [(3, (2.0, 0.0)), (5, (5.0, 0.0))], 2.0),
@@ -421,7 +412,7 @@ class TestBuildTopology:
             *steps_of(STAYERS, 2.0, 3, [(1.0, 1.5), (3.0, 1.0), (2.0, 2.0)]),
         ]
     )
-    # the radius changes between steady steps: a full build, a miss, cached, a hit
+    # the radius changes between steady steps: a full build, then incremental ones
     @example(
         [
             (STAYERS + [(3, (2.0, 0.0))], 2.0),
@@ -431,47 +422,38 @@ class TestBuildTopology:
         ]
     )
     @settings(max_examples=250, deadline=None)
-    def test_steady_movers_reuse_the_cached_links(self, layouts):
+    def test_steady_movers_share_untouched_neighbour_sets(self, layouts):
         specs, radius = layouts[0]
         previous = build_topology(specs, radius)
-        previous_stale = None  # a full build caches nothing
         for specs, radius in layouts[1:]:
-            snapshot = dict(previous.adj), dict(previous.positions), previous._kept, cache_copy(previous)
+            snapshot = dict(previous.adj), dict(previous.positions)
             t = build_topology(specs, radius, previous=previous)
-            assert (dict(previous.adj), dict(previous.positions), previous._kept, cache_copy(previous)) == snapshot
+            assert (dict(previous.adj), dict(previous.positions)) == snapshot
             assert t.adj == build_topology(specs, radius).adj
             assert t.edges == oracle.build_topology(specs, radius).edges
-            if float(radius) != previous.radius:
-                assert t._kept is None
-                previous, previous_stale = t, None
-                continue
-            positions = {nid: (float(x), float(y)) for nid, (x, y) in specs}
-            unmoved = {nid for nid, pos in positions.items() if previous.positions.get(nid) == pos}
-            stale = (positions.keys() | previous.adj.keys()) - unmoved
-            for u in unmoved:
-                assert (t.adj[u] is previous.adj[u]) == (previous.adj[u] | t.adj[u] <= unmoved)
-            assert t._kept[0] == stale
-            if stale != previous_stale:
-                assert t._kept[1] is None  # a changed stale set caches no links
-            else:
-                assert t._kept[1] == {u: t.adj[u] - stale for u in unmoved}
-                if previous._kept[1] is not None:
-                    assert t._kept[1] is previous._kept[1]
-            previous, previous_stale = t, stale
+            if float(radius) == previous.radius:
+                positions = {nid: (float(x), float(y)) for nid, (x, y) in specs}
+                unmoved = {nid for nid, pos in positions.items() if previous.positions.get(nid) == pos}
+                for u in unmoved:
+                    assert (t.adj[u] is previous.adj[u]) == (previous.adj[u] | t.adj[u] <= unmoved)
+            previous = t
 
-    def test_a_replaced_topology_carries_no_cached_links(self):
-        # t caches 1's and 2's links for stale set {3}; a topology replaced
-        # from it, at a layout where 2 is out of 1's range, must not use them
-        # although 3 is again the only mover.
-        t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (10.0, 0.0))], 2.0)
-        for x in (11.0, 12.0):
-            t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (x, 0.0))], 2.0, t)
-        assert t._kept == ({3}, {1: {2}, 2: {1}})
-        apart = build_topology([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (13.0, 0.0))], 2.0)
-        replaced = dataclasses.replace(t, adj=apart.adj, positions=apart.positions)
-        assert replaced._kept is None
-        specs = [(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (14.0, 0.0))]
-        assert build_topology(specs, 2.0, replaced).adj == build_topology(specs, 2.0).adj
+    @pytest.mark.parametrize("pos", [*BAD_POSITIONS, ("east", 0.0)])
+    @pytest.mark.parametrize("nid", [2, 3], ids=["moved", "new"])
+    def test_incremental_build_checks_each_moved_position(self, nid, pos):
+        previous = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], 1.5)
+        specs = {1: (0.0, 0.0), 2: (1.0, 0.0), nid: pos}
+        with pytest.raises(ValueError, match=f"node {nid}|could not convert string"):
+            build_topology(specs.items(), 1.5, previous)
+
+    def test_incremental_build_stores_an_equal_list_as_floats(self):
+        # node 1 is given as a list and node 2 as ints, both equal in value
+        # to their stored positions
+        previous = build_topology([(1, (0, 0)), (2, (1, 0))], 1.5)
+        t = build_topology([(1, [0, 0]), (2, (1, 0))], 1.5, previous)
+        assert t.positions == {1: (0.0, 0.0), 2: (1.0, 0.0)}
+        assert all(type(pos) is tuple and {type(c) for c in pos} == {float} for pos in t.positions.values())
+        assert t.adj == previous.adj
 
     def test_incremental_build_keeps_untouched_neighbour_sets(self):
         previous = build_topology(
