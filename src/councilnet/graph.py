@@ -11,12 +11,11 @@ that answers which of them a node is adjacent to.  It belongs to the caller
 that built it.
 
 Every disk topology is a ``_DiskTopology``.  ``build_topology`` returns one
-with its links built; ``move_nodes`` returns one whose links are built on
-the first read of ``adj`` (which ``edges``, ``neighbors`` and the graph
-checks make), from the last topology whose links were built.  A build from
-a disk topology checks only the positions that moved, and tests only the
-pairs with a moved node.  That build is idempotent (two racing reads build
-equal links) and never touches the topology moved from.  A disk topology
+with its links built; ``move_nodes`` returns one whose links are built in
+full, by ``build_topology`` from its positions, on the first read of
+``adj`` (which ``edges``, ``neighbors`` and the graph checks make).  That
+build is idempotent (two racing reads build equal links) and never touches
+the topology moved from.  A disk topology
 answers ``hearing_none`` and the lookups of a ``neighbor_index`` from its
 positions, with the build's distance test, built or not, so a round that
 asks only whether nodes still hear their heads builds no neighbour sets.
@@ -81,28 +80,28 @@ class Topology:
 class _DiskTopology(Topology):
     """A topology whose links are its positions' disk links.  Those of one
     from ``build_topology`` are built; those of one from ``move_nodes`` are
-    built on the first read of ``adj``, from ``_base``, the last topology
-    whose links were built.  ``nodes``, ``hearing_none`` and
-    ``neighbor_index`` come from the positions alone, with the build's
-    distance test, and build nothing; the links give the same answers,
-    since the build applies that test to the same positions.  A build from
-    a disk topology carries its links between unmoved nodes and takes its
-    stored positions of them unchecked.  So a disk topology is never
-    assembled by hand or by ``dataclasses.replace`` of a field, whose links
-    would not be its positions' disk links, and whose positions might not
-    be checked; such a graph is a plain ``Topology``.
+    built in full on the first read of ``adj``.  ``nodes``,
+    ``hearing_none`` and ``neighbor_index`` come from the positions alone,
+    with the build's distance test, and build nothing; the links give the
+    same answers, since the build applies that test to the same positions.
+    So a disk topology is never assembled by hand or by
+    ``dataclasses.replace`` of a field, whose links would not be its
+    positions' disk links, and whose positions might not be checked; such a
+    graph is a plain ``Topology``.
     """
 
-    # Set only by ``move_nodes``, and dropped once the links are built.
-    _base: Optional[Topology] = None
+    # Set only by ``move_nodes``: the last topology with built links that
+    # this one was moved from, held until this one's links are built.  Most
+    # mobile rounds move the topology and never read its links; were the old
+    # topology dropped at the move, each such round would pay to free its
+    # links and their cached ``edges``.  Held, they are freed in the round
+    # that builds the new links.
+    _last_built: Optional[Topology] = None
 
     @cached_property
     def adj(self) -> Mapping[NodeId, frozenset[NodeId]]:
-        # The base is dropped once built from, so that a chain of moved
-        # topologies holds no older links; a racing read that finds it gone
-        # builds in full, to the same links.
-        links = build_topology(self.positions.items(), self.radius, self._base).adj
-        object.__setattr__(self, "_base", None)
+        links = build_topology(self.positions.items(), self.radius).adj
+        object.__setattr__(self, "_last_built", None)
         return links
 
     @cached_property
@@ -222,11 +221,7 @@ class TwoHopView:
     via: Mapping[NodeId, frozenset[NodeId]]
 
 
-def build_topology(
-    node_specs: Sequence[tuple[NodeId, Position]],
-    radius: float,
-    previous: Optional[Topology] = None,
-) -> _DiskTopology:
+def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float) -> _DiskTopology:
     """Build a topology from (nid, position) pairs under the closed-disk rule.
 
     The boundary is inclusive: two nodes exactly ``radius`` apart are linked.
@@ -242,71 +237,51 @@ def build_topology(
 
     Each pair in range is appended to both endpoints' neighbour lists, and
     each list is frozen once at the end: O(n + m) beyond the pair tests for
-    m links, with no per-link set insert.  The blocks cover each unordered
-    pair once, so no list holds a repeat.
+    m links, with no per-link set insert.  A node is tested against the
+    nodes after it in its own cell and those of the forward half of the
+    eight cells around it, so each unordered pair is tested once and no
+    list holds a repeat.
 
-    ``previous``, a disk topology with the same radius, makes the build
-    incremental; any other (an edge list, a hand-assembled ``Topology``,
-    another radius) gets a full build, as only a disk topology's links are
-    known to be its positions' disk links.  A node has moved when its
-    position is absent from ``previous.positions`` or differs from it.  Only
-    a moved position is checked; an unmoved node takes its stored position
-    from ``previous``, which its build checked.  Only pairs with a moved
-    endpoint are tested.  A pair of unmoved nodes keeps its link or its
-    absence from ``previous``, which the same test decided on the same
-    coordinates, so the result equals a full build.  ``previous`` is not
-    modified.  An unmoved node's links are its old neighbours minus the
-    stale set (every node that moved or left), united with the movers it
-    now hears; it shares its neighbour set with ``previous`` exactly when
-    it has no moved or removed neighbour, before or after.
+    Each position is checked as ``move_nodes`` checks its updates: two
+    numbers within ±``MAX_COORDINATE``, or ``ValueError`` naming the node.
     """
     _check_radius(radius)
     r = float(radius)
-    base = previous if isinstance(previous, _DiskTopology) and previous.radius == r else None
-    old_positions = base.positions if base is not None else {}
     positions: dict[NodeId, Position] = {}
     for nid, pos in node_specs:
         if nid in positions:
             raise DuplicateNid(f"node id {nid} appears more than once")
         if nid < 1:
             raise ValueError(f"node ids must be >= 1, got {nid}")
-        old = old_positions.get(nid)
-        positions[nid] = old if old == pos else _checked_position(nid, pos)
+        positions[nid] = _checked_position(nid, pos)
     r2 = r * r
     cell = _cell_width(r, _span_of(positions))
-    # Each cell holds its movers, then its unmoved nodes: a list index is
-    # whether the node stayed.
-    grid: dict[tuple[int, int], tuple[list, list]] = {}
-    for nid, pos in positions.items():
-        x, y = pos
+    # Each cell lists its nodes as (nid, x, y, the node's neighbour list).
+    grid: dict[tuple[int, int], list[tuple[NodeId, float, float, list[NodeId]]]] = {}
+    adj: dict[NodeId, list[NodeId]] = {}
+    for nid, (x, y) in positions.items():
         key = (math.floor(x / cell), math.floor(y / cell))
-        lists = grid.get(key)
-        if lists is None:
-            lists = grid[key] = ([], [])
-        lists[old_positions.get(nid) == pos].append((nid, x, y))
-    adj: dict[NodeId, list[NodeId]] = {nid: [] for nid in positions}
-    for us, vs in _pairs_with_a_mover(grid):
-        for i, (u, ux, uy) in enumerate(us):
-            for v, vx, vy in us[i + 1:] if vs is None else vs:
+        nodes = grid.get(key)
+        if nodes is None:
+            nodes = grid[key] = []
+        links = adj[nid] = []
+        nodes.append((nid, x, y, links))
+    for (cx, cy), us in grid.items():
+        # A cell's nodes, then those of the forward half of its eight
+        # neighbours: node i of the cell is tested against the ones after it.
+        near = us.copy()
+        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+            vs = grid.get(key)
+            if vs is not None:
+                near += vs
+        for i, (u, ux, uy, u_links) in enumerate(us):
+            for v, vx, vy, v_links in near[i + 1:]:
                 dx = ux - vx
                 dy = uy - vy
                 if dx * dx + dy * dy <= r2:
-                    adj[u].append(v)
-                    adj[v].append(u)
-    if base is None:
-        return _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
-    # An unmoved node keeps its links to unmoved nodes and gains the movers
-    # it now hears.
-    moved = {u for movers, _ in grid.values() for u, _, _ in movers}
-    stale = moved.union(base.adj.keys() - positions.keys())
-    merged: dict[NodeId, frozenset[NodeId]] = {}
-    for u, vs in adj.items():
-        if u in moved:
-            merged[u] = frozenset(vs)
-        else:
-            old = base.adj[u]
-            merged[u] = old if not vs and old.isdisjoint(stale) else (old - stale).union(vs)
-    return _DiskTopology(merged, positions, r)
+                    u_links.append(v)
+                    v_links.append(u)
+    return _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
 
 
 def _span_of(positions: Mapping[NodeId, Position]) -> float:
@@ -331,64 +306,49 @@ def _check_radius(radius) -> None:
 
 
 def _checked_position(nid: NodeId, pos) -> Position:
-    """``pos`` as a pair of floats, or ``ValueError`` if a coordinate is not
-    a number within ±``MAX_COORDINATE``."""
+    """``pos`` as a pair of floats, or ``ValueError`` naming ``nid`` unless
+    it is two numbers (or values ``float`` takes, such as numeric strings)
+    within ±``MAX_COORDINATE``."""
     try:
-        x, y = float(pos[0]), float(pos[1])
+        x, y = pos
+        x, y = float(x), float(y)
     except OverflowError:  # an int beyond float range
         x = y = math.inf
+    except (TypeError, ValueError):  # not a pair, or a coordinate float refuses
+        x = y = math.nan
     if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
-        raise ValueError(f"node {nid} has a position {pos!r} outside ±{MAX_COORDINATE:g}")
+        raise ValueError(f"node {nid} has a position {pos!r}, not two numbers within ±{MAX_COORDINATE:g}")
     return x, y
 
 
-def move_nodes(previous: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology:
-    """``previous``, a position-mode topology, with each node of ``updates``
-    at its new position, as a disk topology whose links are not yet built.
+def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology:
+    """``t``, a position-mode topology, with each node of ``updates`` at its
+    new position, as a disk topology whose links are not yet built.
 
-    A radius is required: ``previous.radius`` is checked as
-    ``build_topology`` checks its radius, so a hand-assembled topology
-    without one raises ``ValueError``, as does an edge-list topology, which
-    has no positions.  Only the moved positions are checked, here, as
-    ``build_topology`` checks them; a moved id outside ``previous`` raises
-    ``UnknownNode``.  All checks run before anything is built.  The
-    links are built on the first read of ``adj``, by ``build_topology``
-    from the last topology whose links were built (``previous`` itself, or
-    the one it was moved from): incremental from a disk topology, full from
-    a hand-assembled one, so the links agree with the lookups whatever
-    ``previous`` was.  ``previous`` is not modified.
+    A radius is required: ``t.radius`` is checked as ``build_topology``
+    checks its radius, so a hand-assembled topology without one raises
+    ``ValueError``, as does an edge-list topology, which has no positions.
+    The moved positions are checked here, as ``build_topology`` checks
+    them; a moved id outside ``t`` raises ``UnknownNode``.  All checks run
+    before anything is built.  The links are built in full on the first
+    read of ``adj``, by ``build_topology`` from the moved positions, so they
+    agree with the lookups whatever ``t`` was: no link of a hand-assembled
+    ``t`` is carried.  ``t`` is not modified.
     """
-    if previous.positions is None:
+    if t.positions is None:
         raise ValueError("an edge-list topology has no positions to move")
-    _check_radius(previous.radius)
-    positions = dict(previous.positions)
+    _check_radius(t.radius)
+    positions = dict(t.positions)
     for nid, pos in updates.items():
         if nid not in positions:
             raise UnknownNode(f"node {nid} is not in the topology")
         positions[nid] = _checked_position(nid, pos)
     moved = object.__new__(_DiskTopology)
     object.__setattr__(moved, "positions", positions)
-    object.__setattr__(moved, "radius", previous.radius)
-    # An unbuilt ``previous`` hands on its own base.
-    object.__setattr__(moved, "_base", vars(previous).get("_base") or previous)
+    object.__setattr__(moved, "radius", t.radius)
+    # An unbuilt ``t`` hands on the topology it holds.
+    object.__setattr__(moved, "_last_built", vars(t).get("_last_built") or t)
     return moved
-
-
-def _pairs_with_a_mover(
-    grid: Mapping[tuple[int, int], tuple[list, list]],
-) -> list[tuple[list, Optional[list]]]:
-    """Blocks ``(us, vs)`` that cover, once each, every pair of nodes in the
-    same or adjacent cells with at least one mover: the pairs of ``us`` with
-    ``vs``, or with ``vs`` None the pairs within ``us``."""
-    blocks: list[tuple[list, Optional[list]]] = []
-    for (cx, cy), (movers, stayers) in grid.items():
-        blocks += [(movers, None), (stayers, movers)]
-        # Forward half of the eight neighbours: each cell pair is visited once.
-        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-            other = grid.get(key)
-            if other is not None:
-                blocks += [(movers, other[0]), (other[1], movers), (stayers, other[0])]
-    return blocks
 
 
 def topology_from_edges(

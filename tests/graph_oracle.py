@@ -1,11 +1,11 @@
 """Graph oracles: the all-pairs disk build and the set-per-node edge-list build.
 
 ``build_topology`` tests every pair of nodes with the closed-disk rule,
-with no grid, no incremental path and no carried links; it accepts and
-ignores ``previous``, so the twin run in ``test_sim.py`` can put it in
-place of the library's build.  ``topology_from_edges`` is a verbatim copy
-of the library's as it stood before the builders appended each link to a
-per-node list and froze the list once.  It adds every edge to a growing
+with no grid.  It takes the library build's arguments, so the twin run in
+``test_sim.py`` can put it in place of the library's build, the deferred
+builds of moved topologies included.  ``topology_from_edges`` is a
+verbatim copy of the library's as it stood before the builders appended
+each link to a per-node list and froze the list once.  It adds every edge to a growing
 mutable set per node and copies each set into a frozenset, which is
 plainly the rule as stated.  The property tests in ``test_graph.py``
 compare the library against both, input errors included for edge lists.
@@ -18,7 +18,7 @@ from councilnet.errors import DuplicateNid, UnknownNode
 from councilnet.graph import NodeId, Topology, _DiskTopology
 
 
-def build_topology(node_specs, radius, previous=None) -> _DiskTopology:
+def build_topology(node_specs, radius) -> _DiskTopology:
     """The all-pairs closed-disk build that the grid build must reproduce."""
     positions = {nid: (float(x), float(y)) for nid, (x, y) in node_specs}
     r = float(radius)

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import math
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -96,92 +98,6 @@ def disk_layouts(draw):
 
 
 @st.composite
-def move_sequences(draw):
-    """A disk layout followed by one to four later layouts of it, as
-    ``(specs, radius)`` pairs.
-
-    Each node stays, moves onto a cell line or the lattice, onto another
-    node, back to where it started, or to exactly r from another node on an
-    axis or on a 3-4-5 diagonal; or it leaves.  New nodes arrive, and the
-    radius may change between layouts.
-    """
-    specs, radius = draw(disk_layouts())
-    layouts = [(specs, radius)]
-    start = dict(specs)
-    layout = dict(start)
-    next_id = len(start) + 1
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.integers(0, 4)) == 0:
-            radius = draw(st.sampled_from(RADII))
-        coord = coordinates(radius)
-        others = sorted(layout.values())
-        moved = {}
-        for nid, (x, y) in layout.items():
-            how = draw(st.sampled_from(["stay", "stay", "coord", "onto", "back", "apart", "leave"]))
-            if how == "stay":
-                moved[nid] = (x, y)
-            elif how == "coord":
-                moved[nid] = draw(st.tuples(coord, coord))
-            elif how == "onto":
-                moved[nid] = draw(st.sampled_from(others))
-            elif how == "back":
-                moved[nid] = start.get(nid, (x, y))
-            elif how == "apart":
-                ox, oy = draw(st.sampled_from(others))
-                dx, dy = draw(st.sampled_from([(1, 0), (0, -1), (0.6, 0.8), (-0.8, 0.6)]))
-                moved[nid] = (ox + dx * radius, oy + dy * radius)
-        for point in draw(st.lists(st.tuples(coord, coord), max_size=3)):
-            moved[next_id] = point
-            next_id += 1
-        layout = moved
-        layouts.append((sorted(layout.items()), radius))
-    return layouts
-
-
-@st.composite
-def steady_moves(draw):
-    """A disk layout followed by two to five later layouts of it, as
-    ``(specs, radius)`` pairs, in which a fixed subset of movers moves at
-    every step while the rest stay put.
-
-    Now and then a rare event changes who moved or left: a mover parks, a
-    stayer starts moving, a node leaves, a node arrives or the radius
-    changes.
-    """
-    specs, radius = draw(disk_layouts())
-    layouts = [(specs, radius)]
-    layout = dict(specs)
-    movers = draw(st.sets(st.sampled_from(sorted(layout))))
-    next_id = len(layout) + 1
-    for _ in range(draw(st.integers(2, 5))):
-        event = draw(st.sampled_from([None] * 6 + ["park", "start", "leave", "arrive", "radius"]))
-        stayers = sorted(layout.keys() - movers)
-        if event == "park" and movers:
-            movers.discard(draw(st.sampled_from(sorted(movers))))
-        elif event == "start" and stayers:
-            movers.add(draw(st.sampled_from(stayers)))
-        elif event == "leave" and layout:
-            nid = draw(st.sampled_from(sorted(layout)))
-            del layout[nid]
-            movers.discard(nid)
-        elif event == "radius":
-            radius = draw(st.sampled_from(RADII))
-        coord = coordinates(radius)
-        if event == "arrive":
-            layout[next_id] = draw(st.tuples(coord, coord))
-            next_id += 1
-        others = sorted(layout.values())
-        for nid in sorted(movers):
-            ox, oy = draw(st.sampled_from(others))
-            dx, dy = draw(st.sampled_from([(1, 0), (0, -1), (0.6, 0.8), (-0.8, 0.6)]))
-            layout[nid] = draw(
-                st.one_of(st.tuples(coord, coord), st.just((ox + dx * radius, oy + dy * radius)))
-            )
-        layouts.append((sorted(layout.items()), radius))
-    return layouts
-
-
-@st.composite
 def mover_runs(draw):
     """A disk layout and one to five rounds of updates to it, as
     ``(specs, radius, rounds)``; each round is ``(updates, read, probes)``.
@@ -191,9 +107,9 @@ def mover_runs(draw):
     3-4-5 diagonal; a mover may park (drop out of later updates), and an
     update may be empty or name a node at its own position.  ``read`` says
     whether the round's links are read before the next round moves on, so
-    some builds start from a topology several rounds old.  ``probes`` are
-    node sets for ``hearing_none`` and ``neighbor_index``, ids outside the
-    topology included.
+    some moved topologies hold a built topology several rounds old.
+    ``probes`` are node sets for ``hearing_none`` and ``neighbor_index``,
+    ids outside the topology included.
     """
     specs, radius = draw(disk_layouts())
     coord = coordinates(radius)
@@ -271,15 +187,21 @@ def index_runs(draw):
     return specs, radius, nodes, edits
 
 
-def steps_of(layout, radius, nid, points):
-    """One layout per point: ``layout`` plus node ``nid`` at that point."""
-    return [(sorted(layout + [(nid, point)]), radius) for point in points]
-
-
-STAYERS = [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (4, (3.0, 0.0))]
-
-# Positions outside ±MAX_COORDINATE or not finite.
-BAD_POSITIONS = [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1e200, 0.0), (0.0, -1.1e150), (10**400, 0)]
+# Positions that are not two numbers within ±MAX_COORDINATE: not finite,
+# beyond the bound, a coordinate that float() refuses, or not a pair.
+BAD_POSITIONS = [
+    (math.nan, 0.0),
+    (0.0, math.inf),
+    (-math.inf, 1.0),
+    (1e200, 0.0),
+    (0.0, -1.1e150),
+    (10**400, 0),
+    ("east", 0.0),
+    (None, 0.0),
+    (1 + 0j, 0.0),
+    (0.0,),
+    (0.0, 0.0, 5.0),
+]
 
 
 class TestBuildTopology:
@@ -357,113 +279,16 @@ class TestBuildTopology:
         ]
         assert build_topology(specs, radius).edges == oracle.build_topology(specs, radius).edges
 
-    @given(move_sequences())
-    @example(
-        [
-            ([(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (20.0, 0.0))], 5.0),
-            # 2 leaves 1's range, 3 moves to a 3-4-5 diagonal exactly r from 1
-            ([(1, (0.0, 0.0)), (2, (10.0, 0.0)), (3, (3.0, 4.0))], 5.0),
-            # the radius shrinks: every node counts as moved
-            ([(1, (0.0, 0.0)), (2, (10.0, 0.0)), (3, (3.0, 4.0))], 3.0),
-        ]
-    )
-    # 2 moves but stays in range: 1's links are equal, its set is new
-    @example([([(1, (0.0, 0.0)), (2, (1.0, 0.0))], 2.0), ([(1, (0.0, 0.0)), (2, (1.5, 0.0))], 2.0)])
-    @settings(max_examples=250, deadline=None)
-    def test_incremental_build_matches_full_build(self, layouts):
-        specs, radius = layouts[0]
-        previous = build_topology(specs, radius)
-        for specs, radius in layouts[1:]:
-            snapshot = dict(previous.adj), dict(previous.positions)
-            t = build_topology(specs, radius, previous=previous)
-            assert (dict(previous.adj), dict(previous.positions)) == snapshot
-            assert t.adj == build_topology(specs, radius).adj
-            assert t.edges == oracle.build_topology(specs, radius).edges
-            # An unmoved node shares its set exactly when no neighbour,
-            # before or after, moved or was removed.
-            unmoved = {
-                nid
-                for nid, (x, y) in specs
-                if float(radius) == previous.radius and previous.positions.get(nid) == (float(x), float(y))
-            }
-            for u in unmoved:
-                assert (t.adj[u] is previous.adj[u]) == (previous.adj[u] | t.adj[u] <= unmoved)
-            previous = t
-
-    @given(steady_moves())
-    # three steady steps: 3 keeps moving
-    @example([(STAYERS + [(3, (2.0, 0.0))], 2.0), *steps_of(STAYERS, 2.0, 3, [(2.0, 1.0), (1.0, 1.5), (3.0, 1.0)])])
-    # 3 and 5 move, then 5 parks: the stale set shrinks
-    @example(
-        [
-            (STAYERS + [(3, (2.0, 0.0)), (5, (5.0, 0.0))], 2.0),
-            (STAYERS + [(3, (2.0, 1.0)), (5, (4.0, 1.0))], 2.0),
-            (STAYERS + [(3, (1.0, 1.5)), (5, (4.0, 0.5))], 2.0),
-            (STAYERS + [(3, (1.0, 1.0)), (5, (4.0, 0.5))], 2.0),
-            (STAYERS + [(3, (0.0, 1.0)), (5, (4.0, 0.5))], 2.0),
-            (STAYERS + [(3, (1.0, 0.5)), (5, (4.0, 0.5))], 2.0),
-        ]
-    )
-    # 5 leaves while 3 moves, then 3 keeps moving
-    @example(
-        [
-            (STAYERS + [(3, (2.0, 0.0)), (5, (5.0, 0.0))], 2.0),
-            (STAYERS + [(3, (2.0, 1.0))], 2.0),
-            *steps_of(STAYERS, 2.0, 3, [(1.0, 1.5), (3.0, 1.0), (2.0, 2.0)]),
-        ]
-    )
-    # the radius changes between steady steps: a full build, then incremental ones
-    @example(
-        [
-            (STAYERS + [(3, (2.0, 0.0))], 2.0),
-            (STAYERS + [(3, (2.0, 1.0))], 2.0),
-            (STAYERS + [(3, (1.0, 1.5))], 1.0),
-            *steps_of(STAYERS, 1.0, 3, [(3.0, 1.0), (2.0, 0.5), (1.0, 0.5)]),
-        ]
-    )
-    @settings(max_examples=250, deadline=None)
-    def test_steady_movers_share_untouched_neighbour_sets(self, layouts):
-        specs, radius = layouts[0]
-        previous = build_topology(specs, radius)
-        for specs, radius in layouts[1:]:
-            snapshot = dict(previous.adj), dict(previous.positions)
-            t = build_topology(specs, radius, previous=previous)
-            assert (dict(previous.adj), dict(previous.positions)) == snapshot
-            assert t.adj == build_topology(specs, radius).adj
-            assert t.edges == oracle.build_topology(specs, radius).edges
-            if float(radius) == previous.radius:
-                positions = {nid: (float(x), float(y)) for nid, (x, y) in specs}
-                unmoved = {nid for nid, pos in positions.items() if previous.positions.get(nid) == pos}
-                for u in unmoved:
-                    assert (t.adj[u] is previous.adj[u]) == (previous.adj[u] | t.adj[u] <= unmoved)
-            previous = t
-
-    @pytest.mark.parametrize("pos", [*BAD_POSITIONS, ("east", 0.0)])
-    @pytest.mark.parametrize("nid", [2, 3], ids=["moved", "new"])
-    def test_incremental_build_checks_each_moved_position(self, nid, pos):
-        previous = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], 1.5)
-        specs = {1: (0.0, 0.0), 2: (1.0, 0.0), nid: pos}
-        with pytest.raises(ValueError, match=f"node {nid}|could not convert string"):
-            build_topology(specs.items(), 1.5, previous)
-
-    def test_incremental_build_stores_an_equal_list_as_floats(self):
-        # node 1 is given as a list and node 2 as ints, both equal in value
-        # to their stored positions
-        previous = build_topology([(1, (0, 0)), (2, (1, 0))], 1.5)
-        t = build_topology([(1, [0, 0]), (2, (1, 0))], 1.5, previous)
-        assert t.positions == {1: (0.0, 0.0), 2: (1.0, 0.0)}
-        assert all(type(pos) is tuple and {type(c) for c in pos} == {float} for pos in t.positions.values())
-        assert t.adj == previous.adj
-
-    def test_incremental_build_keeps_untouched_neighbour_sets(self):
-        previous = build_topology(
-            [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (10.0, 0.0)), (4, (11.0, 0.0))], 2.0
-        )
-        t = build_topology(
-            [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (10.0, 0.0)), (4, (10.5, 1.5))], 2.0, previous
-        )
-        assert t.adj[1] is previous.adj[1] and t.adj[2] is previous.adj[2]
-        assert t.adj == {1: {2}, 2: {1}, 3: {4}, 4: {3}}
+    def test_build_stores_each_position_as_floats(self):
+        # node 1 is given as a list, node 2 as ints and node 3 as a numeric
+        # string and a bool, which float() takes
+        t = build_topology([(1, [0, 0]), (2, (1, 0)), (3, ("0.5", True))], 1.5)
+        moved = move_nodes(t, {2: [1, 1]})
+        assert t.positions == {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (0.5, 1.0)}
+        assert moved.positions == {1: (0.0, 0.0), 2: (1.0, 1.0), 3: (0.5, 1.0)}
+        for pos in [*t.positions.values(), *moved.positions.values()]:
+            assert type(pos) is tuple and {type(c) for c in pos} == {float}
+        assert t.adj == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
 
     def test_random_connected_matches_pairwise_oracle(self):
         t = random_connected(1500, seed=11)
@@ -497,12 +322,46 @@ class TestBuildTopology:
 class TestMoveNodes:
     @given(mover_runs())
     # 2 moves to exactly r from 1, then parks while 3 moves; nothing is read
-    # between the rounds, so the last build starts from the first layout
+    # between the rounds, so only the last topology builds
     @example(
         (
             [(1, (0.0, 0.0)), (2, (9.0, 0.0)), (3, (0.0, 9.0))],
             5.0,
             [({2: (3.0, 4.0)}, False, [{2, 3}]), ({3: (0.0, 5.0)}, False, [{1}]), ({}, True, [{1, 4}])],
+        )
+    )
+    # 2 leaves 1's range while 3 moves onto a 3-4-5 diagonal exactly r from 1
+    @example(
+        (
+            [(1, (0.0, 0.0)), (2, (5.0, 0.0)), (3, (20.0, 0.0))],
+            5.0,
+            [({2: (10.0, 0.0), 3: (3.0, 4.0)}, True, [{1}, {2, 3}])],
+        )
+    )
+    # 3 and 5 move, then 5 parks while 3 keeps moving
+    @example(
+        (
+            [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (2.0, 0.0)), (4, (3.0, 0.0)), (5, (5.0, 0.0))],
+            2.0,
+            [
+                ({3: (2.0, 1.0), 5: (4.0, 1.0)}, True, [{3, 5}]),
+                ({3: (1.0, 1.5), 5: (4.0, 0.5)}, False, [{1, 4}]),
+                ({3: (1.0, 1.0)}, True, [{5}]),
+                ({3: (0.0, 1.0)}, True, [{2, 6}]),
+            ],
+        )
+    )
+    # 5 leaves everyone's range while 3 moves, then 3 keeps moving
+    @example(
+        (
+            [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (2.0, 0.0)), (4, (3.0, 0.0)), (5, (5.0, 0.0))],
+            2.0,
+            [
+                ({3: (2.0, 1.0), 5: (50.0, 0.0)}, True, [{5}]),
+                ({3: (1.0, 1.5)}, True, [{1, 2, 4}]),
+                ({3: (3.0, 1.0)}, False, [{3}]),
+                ({3: (2.0, 2.0)}, True, [{0, 4}]),
+            ],
         )
     )
     @settings(max_examples=250, deadline=None)
@@ -547,19 +406,21 @@ class TestMoveNodes:
                     everyone.near(unknown)
             moved.append((t, full))
             previous = t
-        # A topology left unread builds from its own base, whatever moved since.
+        # A topology left unread builds its own positions' links, whatever
+        # moved since.
         for t, full in reversed(moved):
             assert t.adj == full.adj
 
-    @given(mover_runs(), st.sampled_from([(math.nan, 0.0), (0.0, math.inf), (1e200, 0.0), (10**400, 0)]))
+    @given(mover_runs())
     @settings(max_examples=50, deadline=None)
-    def test_bad_mover_position_raises_when_moved(self, run, bad):
+    def test_bad_mover_position_raises_when_moved(self, run):
         specs, radius, rounds = run
         previous = build_topology(specs, radius)
         for updates, _, _ in rounds:
             nid = specs[len(updates) % len(specs)][0]
-            with pytest.raises(ValueError, match=f"node {nid} "):
-                move_nodes(previous, {**updates, nid: bad})
+            for bad in BAD_POSITIONS:
+                with pytest.raises(ValueError, match=f"node {nid} "):
+                    move_nodes(previous, {**updates, nid: bad})
             previous = move_nodes(previous, updates)
 
     def test_racing_readers_agree_with_a_full_build(self):
@@ -620,18 +481,16 @@ class TestMoveNodes:
         assert lookups() == ([1], {3})
         assert moved.adj == full.adj and moved.adj[1] == {3}
         assert lookups() == ([1], {3}) and moved == full
-        for previous in (edges, hand):
-            assert build_topology(moved_specs, 1.0, previous) == full
 
-    def test_build_starts_from_the_last_built_topology(self, monkeypatch):
-        # Neither moved topology is read until the second: its one build
-        # starts from the first topology, and its links carry over.
+    def test_a_moved_topology_builds_once_in_full_when_read(self, monkeypatch):
+        # Neither moved topology is read until the second: reading it makes
+        # one full build, from its positions and radius alone.
         calls = []
         build = build_topology
 
-        def counted(specs, radius, previous=None):
-            calls.append(previous)
-            return build(specs, radius, previous)
+        def counted(*args, **kwargs):
+            calls.append((args[2:], kwargs))
+            return build(*args, **kwargs)
 
         first = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (9.0, 0.0))], 2.0)
         monkeypatch.setattr(graph, "build_topology", counted)
@@ -640,9 +499,27 @@ class TestMoveNodes:
         assert last.neighbor_index({2, 3}).near(1) == {2} and last.hearing_none([1, 3], {1, 2}) == [3]
         assert calls == []
         assert last.adj == {1: {2}, 2: {1}, 3: set()}
-        assert calls == [first]
-        assert last.adj[1] is first.adj[1]
+        assert calls == [((), {})]
         assert "adj" not in vars(middle)
+
+    def test_a_chain_of_unread_moves_holds_one_built_topology(self):
+        # Each moved topology holds the last topology with built links that
+        # it came from, until its own links are read: a chain of unread
+        # moves keeps that one alive, and nothing older or in between.
+        first = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (9.0, 0.0))], 2.0)
+        read = move_nodes(first, {3: (8.0, 0.0)})
+        assert read.edges == {(1, 2)}
+        refs = [weakref.ref(first), weakref.ref(read)]
+        t = read
+        for x in (7.0, 6.0):
+            t = move_nodes(t, {3: (x, 0.0)})
+            refs.append(weakref.ref(t))
+        del first, read
+        gc.collect()
+        assert [ref() is not None for ref in refs] == [False, True, False, True]
+        assert t.adj == {1: {2}, 2: {1}, 3: set()}
+        gc.collect()
+        assert [ref() is not None for ref in refs] == [False, False, False, True]
 
 
 class TestNeighbors:

@@ -691,7 +691,7 @@ class TestStep:
         "recipe, parks",
         [
             # the movers park at different rounds, so the set that moves
-            # shrinks from 300 to 171 over its ten incremental builds
+            # shrinks from 300 to 171 over the run
             pytest.param("waypoint_1k", True, id="waypoint-1k-parking"),
             # an edge list that never moves: nearly every pass is a quiet one
             pytest.param("static_5k", False, id="static-5k"),
@@ -789,27 +789,15 @@ class TestStep:
             pytest.param(2, True, id="2-parking"),
         ],
     )
-    def test_incremental_topology_equals_a_fresh_build_every_round(self, seed, parks, monkeypatch):
-        build = graph.build_topology
-        incremental = 0
-
-        def counted(node_specs, radius, previous=None):
-            nonlocal incremental
-            incremental += isinstance(previous, graph._DiskTopology)
-            return build(node_specs, radius, previous)
-
-        monkeypatch.setattr(graph, "build_topology", counted)
+    def test_moved_topology_equals_a_fresh_build_every_round(self, seed, parks):
         sc = small_mobile_scenario(seed, rounds=25)
         state = initialize(parking(sc) if parks else sc)
         while state.round < state.scenario.rounds and not state.halted:
             step(state)
-            fresh = build(sorted(state.topology.positions.items()), state.scenario.radius)
-            # Reading the links builds them, if the round did not, from the
-            # topology whose links the last pass of this loop read.
+            fresh = graph.build_topology(sorted(state.topology.positions.items()), state.scenario.radius)
+            # Reading the links builds them, if the round did not.
             assert state.topology.adj == fresh.adj, f"round {state.round}"
         assert state.round == state.scenario.rounds
-        # the run crosses the incremental path: builds from a disk topology
-        assert incremental > 0
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_round_without_reform_or_check_builds_no_links(self, seed, monkeypatch):
