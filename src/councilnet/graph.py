@@ -21,7 +21,10 @@ positions, with the build's distance test, built or not, so a round that
 asks only whether nodes still hear their heads builds no neighbour sets.
 Its index keeps the nodes in cells of the build's width, so a lookup tests
 only the nine cells around the node; an edge-list topology's index
-intersects the node's links.
+intersects the node's links.  That width needs the largest |coordinate|,
+the span: a built topology keeps the one its build computed, and a moved
+one carries a bound on it, so an index scans all positions only when the
+bound could set the width.
 """
 
 from __future__ import annotations
@@ -111,16 +114,16 @@ class _DiskTopology(Topology):
     def hearing_none(self, us: Iterable[NodeId], nodes: AbstractSet[NodeId]) -> list[NodeId]:
         positions = self.positions
         r2 = self.radius * self.radius
+        # Read once per call, not once per node of ``us``.
+        near = [(v, pos) for v in nodes if (pos := positions.get(v)) is not None]
         out = []
         for u in us:
             ux, uy = self._position(u)
-            for v in nodes:
-                pos = positions.get(v)
-                if pos is not None and v != u:
-                    dx = ux - pos[0]
-                    dy = uy - pos[1]
-                    if dx * dx + dy * dy <= r2:
-                        break
+            for v, (vx, vy) in near:
+                dx = ux - vx
+                dy = uy - vy
+                if dx * dx + dy * dy <= r2 and v != u:
+                    break
             else:
                 out.append(u)
         return out
@@ -130,8 +133,25 @@ class _DiskTopology(Topology):
 
     @cached_property
     def _span(self) -> float:
-        # Computed once per topology, for every index built on it.
+        """The largest |coordinate| of the positions, or an upper bound on
+        it.  Exact on a built topology, which keeps the span its build
+        computed; on a moved one, the larger of its source's span and its
+        movers' new |coordinates|, set by ``move_nodes``.  Computed here only
+        for a disk topology neither made."""
         return _span_of(self.positions)
+
+    @cached_property
+    def _cell(self) -> float:
+        """The build's cell width for these positions, for every index built
+        on this topology.  The span sets the width only when span * 2**-52
+        tops max(r, 1e-150) (see ``_cell_width``).  A bound ``_span`` that
+        does not top it gives the build's width as the exact span would, so
+        only one that does costs a pass over all positions."""
+        r = self.radius
+        span = self._span
+        if span * 2**-52 > max(r, 1e-150):
+            span = _span_of(self.positions)
+        return _cell_width(r, span)
 
     def _position(self, u: NodeId) -> Position:
         try:
@@ -161,15 +181,24 @@ class _CellIndex:
     """A ``NeighborIndex`` answered from a disk topology's positions.  Each
     node is kept in the build's cell for its position, so the nodes ``u``
     hears lie in the nine cells around ``u``'s, where the build's distance
-    test picks them out."""
+    test picks them out.  The width is the topology's ``_cell``: exactly the
+    width a build of its positions would use, whether it was built or
+    moved."""
 
     def __init__(self, t: _DiskTopology, nodes: Iterable[NodeId]) -> None:
         self._t = t
         self._r2 = t.radius * t.radius
-        self._cell = _cell_width(t.radius, t._span)
+        self._cell = cell = t._cell
         self._cells: dict[tuple[int, int], dict[NodeId, Position]] = {}
+        positions = t.positions
         for v in nodes:
-            self.add(v)
+            pos = positions.get(v)
+            if pos is not None:
+                key = (math.floor(pos[0] / cell), math.floor(pos[1] / cell))
+                bucket = self._cells.get(key)
+                if bucket is None:
+                    bucket = self._cells[key] = {}
+                bucket[v] = pos
 
     def _key(self, pos: Position) -> tuple[int, int]:
         return math.floor(pos[0] / self._cell), math.floor(pos[1] / self._cell)
@@ -255,7 +284,8 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
             raise ValueError(f"node ids must be >= 1, got {nid}")
         positions[nid] = _checked_position(nid, pos)
     r2 = r * r
-    cell = _cell_width(r, _span_of(positions))
+    span = _span_of(positions)
+    cell = _cell_width(r, span)
     # Each cell lists its nodes as (nid, x, y, the node's neighbour list).
     grid: dict[tuple[int, int], list[tuple[NodeId, float, float, list[NodeId]]]] = {}
     adj: dict[NodeId, list[NodeId]] = {}
@@ -281,7 +311,9 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
                 if dx * dx + dy * dy <= r2:
                     u_links.append(v)
                     v_links.append(u)
-    return _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
+    built = _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
+    object.__setattr__(built, "_span", span)  # for every index built on it
+    return built
 
 
 def _span_of(positions: Mapping[NodeId, Position]) -> float:
@@ -305,11 +337,20 @@ def _check_radius(radius) -> None:
         raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
 
 
+# Values that unpack into two items without being a pair of coordinates: a
+# two-character string would be two digits, and a set comes in hash order.
+_NOT_A_PAIR = (str, bytes, bytearray, set, frozenset)
+
+
 def _checked_position(nid: NodeId, pos) -> Position:
     """``pos`` as a pair of floats, or ``ValueError`` naming ``nid`` unless
-    it is two numbers (or values ``float`` takes, such as numeric strings)
-    within ±``MAX_COORDINATE``."""
+    it is a pair of two numbers (or values ``float`` takes, such as numeric
+    strings) within ±``MAX_COORDINATE``; a string, bytes or a set is no
+    pair."""
     try:
+        # A tuple, the usual case, skips the type test.
+        if type(pos) is not tuple and isinstance(pos, _NOT_A_PAIR):
+            raise TypeError
         x, y = pos
         x, y = float(x), float(y)
     except OverflowError:  # an int beyond float range
@@ -334,18 +375,29 @@ def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology
     read of ``adj``, by ``build_topology`` from the moved positions, so they
     agree with the lookups whatever ``t`` was: no link of a hand-assembled
     ``t`` is carried.  ``t`` is not modified.
+
+    The moved topology carries a bound on its span for the cell width of its
+    indexes: the larger of ``t``'s span and the movers' new |coordinates|,
+    taken as they are checked.  A node that moves inwards leaves the bound
+    above the exact span, which is safe: the width reads the exact span
+    whenever the bound could set it.  A hand-assembled ``t`` has no span,
+    so the bound is infinite and an index reads every position.
     """
     if t.positions is None:
         raise ValueError("an edge-list topology has no positions to move")
     _check_radius(t.radius)
     positions = dict(t.positions)
+    span = t._span if isinstance(t, _DiskTopology) else math.inf
     for nid, pos in updates.items():
         if nid not in positions:
             raise UnknownNode(f"node {nid} is not in the topology")
-        positions[nid] = _checked_position(nid, pos)
+        x, y = positions[nid] = _checked_position(nid, pos)
+        if abs(x) > span or abs(y) > span:
+            span = max(abs(x), abs(y))
     moved = object.__new__(_DiskTopology)
     object.__setattr__(moved, "positions", positions)
     object.__setattr__(moved, "radius", t.radius)
+    object.__setattr__(moved, "_span", span)
     # An unbuilt ``t`` hands on the topology it holds.
     object.__setattr__(moved, "_last_built", vars(t).get("_last_built") or t)
     return moved

@@ -10,7 +10,7 @@ fully connected to every sitting head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -80,10 +80,11 @@ class _WorkingPartition:
     """A partition under change: its ``Cluster`` values by id, in partition
     order, and the node index, turned back into a ``Partition`` by ``freeze``.
 
-    Each edit replaces one cluster with a new ``Cluster`` at O(cluster size),
-    and the node index follows every move, so lookups see the edits made so
-    far.  Untouched clusters keep their objects, and ``freeze`` drops a
-    cluster left without nodes.
+    Each edit replaces one cluster with a new ``Cluster`` that copies only
+    the group it changes (heads, members or gateways), at O(group size), and
+    the node index follows every move, so lookups see the edits made so
+    far.  Untouched clusters and groups keep their objects, and ``freeze``
+    drops a cluster left without nodes.
     """
 
     def __init__(self, partition: Partition) -> None:
@@ -102,10 +103,15 @@ class _WorkingPartition:
         cid = self.node_index.pop(node, None)
         if cid is None:
             raise UnknownNode(f"node {node} is not assigned to any cluster")
-        c, gone = self.clusters[cid], {node}
-        self.clusters[cid] = Cluster(
-            Council(c.council.heads - gone, cid), c.members - gone, c.gateways - gone, c.k
-        )
+        c = self.clusters[cid]
+        council, members, gateways = c.council, c.members, c.gateways
+        if node in council.heads:
+            council = Council(council.heads - {node}, cid)
+        elif node in gateways:
+            gateways = gateways - {node}
+        else:
+            members = members - {node}
+        self.clusters[cid] = Cluster(council, members, gateways, c.k)
         return c
 
     def visit(
@@ -129,9 +135,9 @@ class _WorkingPartition:
             and not self.head_clusters(near) - {visiting}
         )
         if joins:
-            self.clusters[visiting] = replace(c, council=Council(heads | {node}, visiting))
+            self.clusters[visiting] = Cluster(Council(heads | {node}, visiting), c.members, c.gateways, c.k)
         else:
-            self.clusters[visiting] = replace(c, members=c.members | {node})
+            self.clusters[visiting] = Cluster(c.council, c.members | {node}, c.gateways, c.k)
         self.node_index[node] = visiting
         return "issue_new_share" if joins else "member_only"
 
@@ -145,13 +151,13 @@ def _first_change(health: Optional[ClusterHealth], before: Cluster) -> ClusterHe
 
 
 def _count_departure(health: Optional[ClusterHealth], before: Cluster, node: NodeId) -> ClusterHealth:
-    health = _first_change(health, before)
+    h = _first_change(health, before)
     role = before.role_of(node)
     if role is Role.HEAD:
-        return replace(health, heads_departed=health.heads_departed + 1)
+        return ClusterHealth(h.n0, h.gateways0, h.heads_departed + 1, h.gateways_lost, h.arrivals)
     if role is Role.GATEWAY:
-        return replace(health, gateways_lost=health.gateways_lost + 1)
-    return health
+        return ClusterHealth(h.n0, h.gateways0, h.heads_departed, h.gateways_lost + 1, h.arrivals)
+    return h
 
 
 def handle_departure(
@@ -229,11 +235,11 @@ def apply_departures(
         if dest is None:
             stranded = True
             continue
-        health = _first_change(healths.get(dest), work.clusters[dest])
+        h = _first_change(healths.get(dest), work.clusters[dest])
         if work.visit(near, nid, dest, before.role_of(nid)) == "issue_new_share":
             heads.add(nid)
             joined.append((dest, nid))
-        healths[dest] = replace(health, arrivals=health.arrivals + 1)
+        healths[dest] = ClusterHealth(h.n0, h.gateways0, h.heads_departed, h.gateways_lost, h.arrivals + 1)
     return work.freeze(), healths, stranded, joined
 
 

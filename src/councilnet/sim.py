@@ -206,17 +206,21 @@ def _departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> li
 
     A head is in touch when it hears another node of its cluster, or is its
     cluster's only node; any other node is in touch when it hears a head.
-    The tests ask ``t.hearing_none``, which builds no links.  Every
-    partition the engine installs assigns exactly the nodes of ``t``, and
+    The tests ask ``t.hearing_none``, which builds no links.  A council's
+    heads are tested against each other first (in a council formed as a
+    clique, each hears the rest), and only a head that hears no other head
+    is tested against the cluster's members and gateways.  Every partition
+    the engine installs assigns exactly the nodes of ``t``, and
     ``miss_counts`` names only those nodes.
     """
     out: list[NodeId] = []
     for c in p.clusters:
-        heads, nodes = c.council.heads, c.all_nodes
-        # A lone head never hears itself.
-        if len(nodes) > 1:
-            out += t.hearing_none(heads, nodes)
-        out += t.hearing_none(nodes - heads, heads)
+        heads, others = c.council.heads, c.members | c.gateways
+        # A lone head never hears itself: with no other node it is in touch.
+        if others or len(heads) > 1:
+            lonely = t.hearing_none(heads, heads)
+            out += t.hearing_none(lonely, others) if lonely and others else lonely
+        out += t.hearing_none(others, heads)
     missed = set(out)
     for u in [u for u in miss_counts if u not in missed]:
         del miss_counts[u]

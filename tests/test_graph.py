@@ -188,7 +188,8 @@ def index_runs(draw):
 
 
 # Positions that are not two numbers within ±MAX_COORDINATE: not finite,
-# beyond the bound, a coordinate that float() refuses, or not a pair.
+# beyond the bound, a coordinate that float() refuses, or not a pair.  A
+# string, bytes or a set unpacks into two items, but is no pair either.
 BAD_POSITIONS = [
     (math.nan, 0.0),
     (0.0, math.inf),
@@ -201,6 +202,11 @@ BAD_POSITIONS = [
     (1 + 0j, 0.0),
     (0.0,),
     (0.0, 0.0, 5.0),
+    "12",
+    b"12",
+    bytearray(b"12"),
+    {0.5, 1.0},
+    frozenset({0.5, 1.0}),
 ]
 
 
@@ -391,6 +397,8 @@ class TestMoveNodes:
                 # Both lookups read positions, built or not, so the expected
                 # answers come from the full build's links.
                 everyone = t.neighbor_index(positions)
+                # cells of the full build's width, though the span is carried
+                assert everyone._cell == graph._cell_width(full.radius, graph._span_of(positions))
                 indexes = [(t.neighbor_index(probe), probe) for probe in probes]
                 for u in positions:
                     assert everyone.near(u) == full.adj[u]
@@ -598,6 +606,45 @@ class TestNeighborIndex:
             for v in (0, unknown):
                 with pytest.raises(UnknownNode, match=f"node {v} "):
                     index.near(v)
+
+    @pytest.mark.parametrize(
+        "radius, far",
+        [
+            pytest.param(1.0, 2.0**60, id="unit-radius"),
+            # the radius floor 1e-150 sets the width, out to the coordinate bound
+            pytest.param(1e-300, graph.MAX_COORDINATE, id="floored-radius"),
+        ],
+    )
+    def test_cells_keep_the_build_width_as_a_mover_goes_far_and_back(self, radius, far):
+        # Beyond 2**52 radii the span sets the cell width.  Node 4 jumps out
+        # there, node 2 joins it exactly r away, and both come home; a
+        # moved topology's carried bound must see the jump, and once home
+        # the bound stays high while the width is the radius's again.
+        specs = [(1, (0.0, 0.0)), (2, (radius, 0.0)), (3, (0.0, radius)), (4, (3 * radius, 0.0))]
+        t = build_topology(specs, radius)
+        home = dict(t.positions)
+        route = [
+            {4: (far, 0.0)},
+            {2: (far, -radius)},
+            {4: (-far, 0.0), 3: (0.0, -radius)},
+            {4: home[4]},
+            {2: home[2], 3: home[3]},
+        ]
+        probes = [{1, 2, 4}, {2, 3, 4}]
+        widths = []
+        for updates in [{}, *route]:
+            if updates:
+                t = move_nodes(t, updates)
+            exact = graph._span_of(t.positions)
+            # a built topology keeps its exact span, a moved one a bound
+            assert vars(t)["_span"] >= exact
+            widths.append(graph._cell_width(radius, exact))
+            for probe in probes:
+                index = t.neighbor_index(probe)
+                assert index._cell == widths[-1]
+                for u in t.positions:
+                    assert index.near(u) == neighbors(t, u) & probe
+        assert widths[0] == widths[-1] < widths[1] == widths[2] == widths[3]
 
 
 class TestTwoHopView:

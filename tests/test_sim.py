@@ -13,6 +13,7 @@ import pytest
 import sim_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from state_checks import check_state, formed_clusters
 
 from councilnet.audit import audit_dump, audit_secrecy
 from councilnet.errors import (
@@ -27,7 +28,7 @@ from councilnet.ledger import ClusterLedger
 from councilnet.maintenance import apply_departures, reform
 from councilnet.phase2 import Cluster, Council, Partition, verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
-from councilnet.shamir import DEFAULT_PRIME, issue_share, reconstruct
+from councilnet.shamir import DEFAULT_PRIME
 from councilnet.sim import compromise, dump_state, initialize, run, step
 from councilnet.topologies import random_connected
 
@@ -326,6 +327,38 @@ class TestDepartureScan:
         expected, got = dict(misses), dict(misses)
         assert sim._departures(t, p, got) == oracle.departures(t, p, expected)
         assert list(got.items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "positions, clusters",
+        [
+            # head 2's only cluster node in range is head 1, exactly r away
+            pytest.param(
+                {1: (0.0, 0.0), 2: (3.0, 4.0), 3: (0.0, -4.0)},
+                [cluster(1, [1, 2], [3])],
+                id="head-hears-head",
+            ),
+            # head 1 hears no head (head 2 is far off), only member 3, exactly r away
+            pytest.param(
+                {1: (0.0, 0.0), 2: (20.0, 0.0), 3: (3.0, 4.0), 4: (20.0, 3.0)},
+                [cluster(1, [1, 2], [3, 4])],
+                id="head-hears-member",
+            ),
+            # member 2 is exactly r from the one head of its cluster
+            pytest.param(
+                {1: (0.0, 0.0), 2: (-3.0, -4.0), 3: (9.0, 0.0)},
+                [cluster(1, [1], [2]), cluster(3, [3])],
+                id="member-hears-head",
+            ),
+        ],
+    )
+    def test_a_node_exactly_r_away_keeps_its_peer_in_touch(self, positions, clusters):
+        # the distances are 3-4-5 triangles at r = 5, so exact in floats
+        built = graph.build_topology(sorted(positions.items()), 5.0)
+        p = Partition(tuple(clusters))
+        for t in (built, graph.move_nodes(built, {})):
+            misses = dict.fromkeys(positions, 1)
+            assert sim._departures(t, p, misses) == [] and misses == {}
+            assert oracle.departures(t, p, {}) == []
 
 
 class TestLoadScenario:
@@ -734,49 +767,23 @@ class TestStep:
     )
     def test_council_and_ledger_agree_every_round(self, seed, prime):
         state = initialize(small_mobile_scenario(seed, prime=prime))
-        formed = {c.cluster_id: c for c in state.partition.clusters}
+        formed = formed_clusters(state)
         while state.round < state.scenario.rounds and not state.halted:
             step(state)
-            assert not state.halted, f"round {state.round}"
-            # the in-touch scan's precondition: the partition assigns
-            # exactly the topology's nodes, and misses name only those
-            nodes = state.topology.adj.keys()
-            assert state.partition.node_index.keys() == nodes, f"round {state.round}"
-            assert state.miss_counts.keys() <= nodes, f"round {state.round}"
-            if state.metrics[-1].reforms == 1:
-                formed = {c.cluster_id: c for c in state.partition.clusters}
-            # a cluster without a health entry is the one the last re-form
-            # installed, and an entry's baseline is that cluster's
-            for c in state.partition.clusters:
-                if c.cluster_id not in state.healths:
-                    assert c is formed[c.cluster_id], f"round {state.round}, cluster {c.cluster_id}"
-            for cid, h in state.healths.items():
-                assert (h.n0, h.gateways0) == (formed[cid].n, len(formed[cid].gateways)), cid
-            # below k every secret stays possible, at k exactly one does
-            for entry in audit_secrecy(state).entries:
-                expected = prime if entry.compromised_head_count < entry.k else 1
-                where = f"round {state.round}, cluster {entry.cluster_id}"
-                assert entry.consistent_secrets == expected, where
-            for c in state.partition.clusters:
-                ledger = state.share_ledger[c.cluster_id]
-                where = f"round {state.round}, cluster {c.cluster_id}"
-                assert c.k == ledger.k, where
-                # Every live share lies on the polynomial through the first k,
-                # which opens to the secret; so every k-subset of them does.
-                # (Enumerating the subsets directly reaches C(19, 10) a round.)
-                k, prime = ledger.k, ledger.prime
-                live_holders = ledger.live_shares()
-                # the leak rule: the adversary holds the current share of each
-                # compromised live holder, and nothing of anyone else
-                assert set(ledger.leaked) <= state.compromised, where
-                for nid, share in live_holders:
-                    if nid in state.compromised:
-                        assert ledger.leaked[nid] == share, where
-                live = [s for _, s in live_holders]
-                base = live[:k]
-                assert reconstruct(base, k, prime) == ledger.secret, where
-                for share in live[k:]:
-                    assert issue_share(base, share.x, k, prime) == share, where
+            formed = check_state(state, formed)
+        assert not state.halted
+        assert state.violations == []
+
+    def test_benchmark_scale_state_holds_every_invariant_every_round(self):
+        # the waypoint-1k benchmark recipe at its default 100 rounds: 1000
+        # nodes, 30% movers, local updates of about 23 departures (20 of
+        # the rounds) between re-forms
+        state = initialize(benchmark_scenario("waypoint_1k", 1, rounds=100))
+        formed = formed_clusters(state)
+        while state.round < state.scenario.rounds and not state.halted:
+            step(state)
+            formed = check_state(state, formed)
+        assert sum(row.updates for row in state.metrics) >= 10
         assert not state.halted
         assert state.violations == []
 
