@@ -19,8 +19,9 @@ the topology moved from.  A disk topology
 answers ``hearing_none`` and the lookups of a ``neighbor_index`` from its
 positions, with the build's distance test, built or not, so a round that
 asks only whether nodes still hear their heads builds no neighbour sets.
-Its index keeps the nodes in cells of the build's width, so a lookup tests
-only the nine cells around the node; an edge-list topology's index
+The build sweeps horizontal strips sorted by x; an index keeps the nodes
+in square cells as wide as those strips are tall, so a lookup tests only
+the nine cells around the node.  An edge-list topology's index
 intersects the node's links.  That width needs the largest |coordinate|,
 the span: a built topology keeps the one its build computed, and a moved
 one carries a bound on it, so an index scans all positions only when the
@@ -30,9 +31,11 @@ bound could set the width.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateNid, UnknownNode
@@ -142,11 +145,12 @@ class _DiskTopology(Topology):
 
     @cached_property
     def _cell(self) -> float:
-        """The build's cell width for these positions, for every index built
-        on this topology.  The span sets the width only when span * 2**-52
-        tops max(r, 1e-150) (see ``_cell_width``).  A bound ``_span`` that
-        does not top it gives the build's width as the exact span would, so
-        only one that does costs a pass over all positions."""
+        """The build's strip height for these positions, the cell width of
+        every index built on this topology.  The span sets the width only
+        when span * 2**-52 tops max(r, 1e-150) (see ``_cell_width``).  A
+        bound ``_span`` that does not top it gives the build's width as the
+        exact span would, so only one that does costs a pass over all
+        positions."""
         r = self.radius
         span = self._span
         if span * 2**-52 > max(r, 1e-150):
@@ -179,11 +183,11 @@ class _LinkIndex:
 
 class _CellIndex:
     """A ``NeighborIndex`` answered from a disk topology's positions.  Each
-    node is kept in the build's cell for its position, so the nodes ``u``
-    hears lie in the nine cells around ``u``'s, where the build's distance
-    test picks them out.  The width is the topology's ``_cell``: exactly the
-    width a build of its positions would use, whether it was built or
-    moved."""
+    node is kept in a square cell as wide as the build's strips are tall,
+    so the nodes ``u`` hears lie in the nine cells around ``u``'s, where the
+    build's distance test picks them out.  The width is the topology's
+    ``_cell``: exactly the strip height a build of its positions would use,
+    whether it was built or moved."""
 
     def __init__(self, t: _DiskTopology, nodes: Iterable[NodeId]) -> None:
         self._t = t
@@ -257,19 +261,23 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     The test is ``dx * dx + dy * dy <= r * r``: each product is correctly
     rounded under IEEE 754, where ``** 2`` goes through the platform's
     ``pow`` and can round differently.
-    Nodes are bucketed into square cells a hair wider than the radius, and
-    each node is tested only against its own cell and the eight around it
-    (fixed-radius near neighbours; Bentley, Stanat & Williams 1977).  Every
-    pair the distance test accepts is less than a cell apart on each axis,
-    so it lands in the same or adjacent cells and the edge set is exactly
-    the all-pairs one.
+    Nodes are bucketed into horizontal strips a hair taller than the
+    radius, each sorted by x, and a node is tested only against the nodes
+    of its own strip and of the strip above whose x lies within a strip
+    height of its own (fixed-radius near neighbours; Bentley, Stanat &
+    Williams 1977).  That is exact: every pair the distance test accepts
+    is less than the height apart on each axis, so it lies in the same or
+    adjacent strips, and ``vx`` lies strictly inside the real interval
+    ``ux ± cell``.  Rounding is monotone, so the rounded bounds cannot pass
+    ``vx``, and each window keeps its bounds.
 
     Each pair in range is appended to both endpoints' neighbour lists, and
-    each list is frozen once at the end: O(n + m) beyond the pair tests for
-    m links, with no per-link set insert.  A node is tested against the
-    nodes after it in its own cell and those of the forward half of the
-    eight cells around it, so each unordered pair is tested once and no
-    list holds a repeat.
+    each list is frozen in place once the strips are freed: O(n + m) beyond
+    the pair tests for m links, with no per-link set insert, and each list
+    is released as its frozenset is made, so freezing leaves the cyclic
+    collector nothing new to count.  A node is tested against the nodes
+    after it in its own strip, and the nodes of the strip above, so each
+    unordered pair is tested once and no list holds a repeat.
 
     Each position is checked as ``move_nodes`` checks its updates: two
     numbers within ±``MAX_COORDINATE``, or ``ValueError`` naming the node.
@@ -283,37 +291,61 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
         if nid < 1:
             raise ValueError(f"node ids must be >= 1, got {nid}")
         positions[nid] = _checked_position(nid, pos)
-    r2 = r * r
     span = _span_of(positions)
     cell = _cell_width(r, span)
-    # Each cell lists its nodes as (nid, x, y, the node's neighbour list).
-    grid: dict[tuple[int, int], list[tuple[NodeId, float, float, list[NodeId]]]] = {}
-    adj: dict[NodeId, list[NodeId]] = {}
+    adj: dict[NodeId, list[NodeId]] = {nid: [] for nid in positions}
+    _link_strips(positions, adj, cell, r * r)
+    for u, vs in adj.items():
+        adj[u] = frozenset(vs)
+    built = _DiskTopology(adj, positions, r)
+    object.__setattr__(built, "_span", span)  # for every index built on it
+    return built
+
+
+def _link_strips(
+    positions: Mapping[NodeId, Position],
+    adj: Mapping[NodeId, list[NodeId]],
+    cell: float,
+    r2: float,
+) -> None:
+    """Append each pair of ``positions`` within the disk of squared radius
+    ``r2`` to both nodes' lists in ``adj``, sweeping strips of height
+    ``cell`` sorted by x.  The strips live only in this call, so the lists
+    are the last references to themselves once it returns."""
+    # Each strip lists its nodes as (x, y, nid, the node's neighbour list).
+    strips: dict[int, list[tuple[float, float, NodeId, list[NodeId]]]] = {}
     for nid, (x, y) in positions.items():
-        key = (math.floor(x / cell), math.floor(y / cell))
-        nodes = grid.get(key)
+        key = math.floor(y / cell)
+        nodes = strips.get(key)
         if nodes is None:
-            nodes = grid[key] = []
-        links = adj[nid] = []
-        nodes.append((nid, x, y, links))
-    for (cx, cy), us in grid.items():
-        # A cell's nodes, then those of the forward half of its eight
-        # neighbours: node i of the cell is tested against the ones after it.
-        near = us.copy()
-        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-            vs = grid.get(key)
-            if vs is not None:
-                near += vs
-        for i, (u, ux, uy, u_links) in enumerate(us):
-            for v, vx, vy, v_links in near[i + 1:]:
+            nodes = strips[key] = []
+        nodes.append((x, y, nid, adj[nid]))
+    xs_of: dict[int, list[float]] = {}
+    for key, nodes in strips.items():
+        nodes.sort(key=itemgetter(0))
+        xs_of[key] = [node[0] for node in nodes]
+    # Each window keeps the nodes at exactly ``ux ± cell`` (``bisect_right``
+    # above, ``bisect_left`` below).  The bound is rounded, and where the
+    # coordinates' ulps are coarse beside the radius it can round to a node
+    # less than a cell from ``ux``, which may be linked: at 1e12 and radius
+    # 1e-3, 1e12 + cell rounds to 8 ulps, 0.98 r, past 1e12.
+    for key, us in strips.items():
+        xs = xs_of[key]
+        above = strips.get(key + 1, ())
+        above_xs = xs_of.get(key + 1, ())
+        lo = 0
+        for i, (ux, uy, u, u_links) in enumerate(us):
+            # the nodes after u in its strip, then the strip above's window
+            near = us[i + 1:bisect_right(xs, ux + cell, i + 1)]
+            if above:
+                lo = bisect_left(above_xs, ux - cell, lo)
+                near += above[lo:bisect_right(above_xs, ux + cell, lo)]
+            for vx, vy, v, v_links in near:
                 dx = ux - vx
                 dy = uy - vy
                 if dx * dx + dy * dy <= r2:
                     u_links.append(v)
                     v_links.append(u)
-    built = _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
-    object.__setattr__(built, "_span", span)  # for every index built on it
-    return built
 
 
 def _span_of(positions: Mapping[NodeId, Position]) -> float:
@@ -322,13 +354,15 @@ def _span_of(positions: Mapping[NodeId, Position]) -> float:
 
 
 def _cell_width(r: float, span: float) -> float:
-    """The side of the build's square cells for radius ``r`` and largest
-    |coordinate| ``span``: a hair wider than the radius, so that every pair
-    the distance test accepts, rounding included, lies in the same or
-    adjacent cells.  The two floors matter only at extreme scales: span *
-    2**-52 keeps every coordinate / cell quotient below 2**52 (a tiny radius
-    could overflow it to infinity), and 1e-150 covers radii whose square
-    underflows, where the test accepts pairs up to ~1e-162 apart."""
+    """The height of the build's strips, and the side of an index's square
+    cells, for radius ``r`` and largest |coordinate| ``span``: a hair wider
+    than the radius, so that every pair the distance test accepts, rounding
+    included, is less than that apart on each axis and lies in the same or
+    adjacent strips and cells.  The two floors matter only at extreme
+    scales: span * 2**-52 keeps every coordinate / cell quotient below
+    2**52 (a tiny radius could overflow it to infinity), and 1e-150 covers
+    radii whose square underflows, where the test accepts pairs up to
+    ~1e-162 apart."""
     return max(r, span * 2**-52, 1e-150) * (1 + 1e-9)
 
 
@@ -346,9 +380,14 @@ def _checked_position(nid: NodeId, pos) -> Position:
     """``pos`` as a pair of floats, or ``ValueError`` naming ``nid`` unless
     it is a pair of two numbers (or values ``float`` takes, such as numeric
     strings) within ±``MAX_COORDINATE``; a string, bytes or a set is no
-    pair."""
+    pair.  A plain tuple of two floats within range, the usual case, is
+    returned as it is; anything else takes the full path."""
+    if type(pos) is tuple and len(pos) == 2:
+        x, y = pos
+        if type(x) is float and type(y) is float and abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE:
+            return pos
     try:
-        # A tuple, the usual case, skips the type test.
+        # A tuple skips the type test.
         if type(pos) is not tuple and isinstance(pos, _NOT_A_PAIR):
             raise TypeError
         x, y = pos

@@ -1,7 +1,7 @@
 """Graph oracles: the all-pairs disk build and the set-per-node edge-list build.
 
 ``build_topology`` tests every pair of nodes with the closed-disk rule,
-with no grid.  It takes the library build's arguments, so the twin run in
+with no strips or windows.  It takes the library build's arguments, so the twin run in
 ``test_sim.py`` can put it in place of the library's build, the deferred
 builds of moved topologies included.  ``topology_from_edges`` is a
 verbatim copy of the library's as it stood before the builders appended
@@ -19,7 +19,7 @@ from councilnet.graph import NodeId, Topology, _DiskTopology
 
 
 def build_topology(node_specs, radius) -> _DiskTopology:
-    """The all-pairs closed-disk build that the grid build must reproduce."""
+    """The all-pairs closed-disk build that the strip sweep must reproduce."""
     positions = {nid: (float(x), float(y)) for nid, (x, y) in node_specs}
     r = float(radius)
     r2 = r * r

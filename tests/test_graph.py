@@ -207,7 +207,54 @@ BAD_POSITIONS = [
     bytearray(b"12"),
     {0.5, 1.0},
     frozenset({0.5, 1.0}),
+    # plain float pairs one ulp beyond the bound
+    (math.nextafter(graph.MAX_COORDINATE, math.inf), 0.0),
+    (0.0, -math.nextafter(graph.MAX_COORDINATE, math.inf)),
 ]
+
+# The build's strip height at radius 5 near the origin, and the floats one
+# ulp either side of it: nodes just below and on a strip edge.
+CELL5 = graph._cell_width(5.0, 0.0)
+BELOW5 = math.nextafter(CELL5, -math.inf)
+ABOVE5 = math.nextafter(CELL5, math.inf)
+
+
+def nudged(v, ulps):
+    """``v`` moved ``ulps`` (-1, 0 or 1) floats up or down."""
+    return math.nextafter(v, math.copysign(math.inf, ulps)) if ulps else v
+
+
+@st.composite
+def strip_lattices(draw):
+    """A layout laid on the build's strips, as ``(specs, radius)``.
+
+    Nodes stand in up to four columns that share an x, each a whole number
+    of radii from the offset, or one ulp off it.  Each node sits on a strip
+    edge, one ulp either side of one, or a radius from one, so pairs lie
+    exactly r apart along and across edges, columns tie in the sort, and
+    edges run over negative strip keys too.  Radii run from 5 down to 1e-9
+    at offsets up to 1e12, where the span can set the strip height.  A far
+    anchor node fixes the span, so the height is known before the nodes are
+    placed.
+    """
+    radius = draw(st.sampled_from([0.25, 1.0, 5.0, 1e-3, 1e-9]))
+    offset = draw(st.sampled_from([0.0, -3.0, 1e6, -1e9, 1e12]))
+    anchor = 2 * (abs(offset) + 64 * radius)
+    cell = graph._cell_width(radius, anchor)
+    key = math.floor(offset / cell)
+    ulps = st.sampled_from([-1, 0, 0, 1])
+    column = st.builds(lambda i, n: nudged(offset + i * radius, n), st.integers(-3, 3), ulps)
+    height = st.builds(
+        lambda k, j, n: nudged(k * cell + j * radius, n),
+        st.integers(key - 3, key + 3),
+        st.sampled_from([-1, 0, 0, 1]),
+        ulps,
+    )
+    columns = draw(st.lists(column, min_size=1, max_size=4))
+    points = draw(st.lists(st.tuples(st.sampled_from(columns), height), min_size=1, max_size=30))
+    points.append((anchor, anchor))
+    nids = draw(st.permutations(range(1, len(points) + 1)))
+    return list(zip(nids, points)), radius
 
 
 class TestBuildTopology:
@@ -222,6 +269,13 @@ class TestBuildTopology:
     def test_single_node_has_no_edges(self):
         t = build_topology([(1, (2.0, 3.0))], radius=1.0)
         assert t.edges == frozenset()
+        assert t.adj == {1: frozenset()}
+
+    def test_no_nodes_build_an_empty_topology(self):
+        t = build_topology([], 1.0)
+        assert t.adj == {} and t.positions == {} and t.edges == frozenset()
+        moved = move_nodes(t, {})
+        assert moved.adj == {} and is_connected(moved)
 
     def test_collinear_spacing_gives_path(self):
         # distance(1,3) = 2r > r, so only the consecutive pairs link up
@@ -256,6 +310,22 @@ class TestBuildTopology:
     @example(([(3, (-3.0, -4.0)), (1, (0.0, 0.0)), (2, (0.0, 0.0)), (4, (-10.0, -5.0))], 5.0))
     # accepted at r + 1e-16 by rounding, from cell -1 to cell 1 of width exactly r
     @example(([(1, (-1e-16, 0.0)), (2, (5.0, 0.0))], 5.0))
+    # a column at x = 0 over three strips, with two nodes at one point
+    @example(([(1, (0.0, 0.0)), (2, (0.0, 5.0)), (3, (0.0, -5.0)), (4, (0.0, 2.5)), (5, (0.0, 2.5)), (6, (5.0, 5.0))], 5.0))
+    # accepted by rounding although more than r apart on x: within a strip ...
+    @example(([(1, (-4.0, 0.0)), (2, (1.0000000000000002, 0.0))], 5.0))
+    # ... and from just below a strip edge to on it, the upper node to the
+    # left or the right, over positive and negative strip keys
+    @example(([(1, (1.0000000000000004, BELOW5)), (2, (-4.0, CELL5))], 5.0))
+    @example(([(1, (-4.0, BELOW5)), (2, (1.0000000000000002, CELL5))], 5.0))
+    @example(([(1, (1.0000000000000004, -ABOVE5)), (2, (-4.0, -CELL5))], 5.0))
+    @example(([(1, (-4.0, -ABOVE5)), (2, (1.0000000000000002, -CELL5))], 5.0))
+    # a large offset with a small radius, where ux ± cell rounds to a node
+    # less than a cell from ux (8 ulps of 1e12 is 0.98 r): within a strip,
+    # and from just below a strip edge to on it, to the right and the left
+    @example(([(1, (1e12, 1e12)), (2, (1e12 + 1e-3, 1e12)), (3, (1e12, 1e12 - 1e-3)), (4, (1e12 + 1e-3, 1e12 + 1e-3))], 1e-3))
+    @example(([(1, (1e12, 1000000000000.0009)), (2, (1000000000000.001, 1000000000000.001))], 1e-3))
+    @example(([(1, (1000000000000.001, 1000000000000.0009)), (2, (1e12, 1000000000000.001))], 1e-3))
     @settings(max_examples=300, deadline=None)
     def test_grid_build_matches_pairwise_oracle(self, layout):
         specs, radius = layout
@@ -284,6 +354,34 @@ class TestBuildTopology:
             for nid, (x, y) in enumerate(unit_points, start=1)
         ]
         assert build_topology(specs, radius).edges == oracle.build_topology(specs, radius).edges
+
+    @given(strip_lattices())
+    @settings(max_examples=300, deadline=None)
+    def test_strip_sweep_is_exact_on_radius_lattices(self, layout):
+        specs, radius = layout
+        assert build_topology(specs, radius) == oracle.build_topology(specs, radius)
+
+    def test_a_plain_float_pair_is_stored_as_given(self):
+        pos = (0.5, -1.5)
+        t = build_topology([(1, pos), (2, (0.0, 0.0))], 2.0)
+        assert t.positions[1] is pos
+        new = (1.0, 1.0)
+        assert move_nodes(t, {2: new}).positions[2] is new
+
+    def test_any_other_pair_is_stored_as_plain_floats(self):
+        class Coordinate(float):
+            pass
+
+        class Pair(tuple):
+            pass
+
+        inputs = {2: (Coordinate(0.5), 1.0), 3: Pair((0.5, 1.0)), 4: (0, 1.0)}
+        t = build_topology([(1, (0.0, 0.0)), *inputs.items()], 2.0)
+        moved = move_nodes(t, {1: inputs[2], 2: inputs[3], 3: inputs[4]})
+        assert t.positions == {1: (0.0, 0.0), 2: (0.5, 1.0), 3: (0.5, 1.0), 4: (0.0, 1.0)}
+        assert moved.positions == {1: (0.5, 1.0), 2: (0.5, 1.0), 3: (0.0, 1.0), 4: (0.0, 1.0)}
+        for pos in [*t.positions.values(), *moved.positions.values()]:
+            assert type(pos) is tuple and [type(c) for c in pos] == [float, float]
 
     def test_build_stores_each_position_as_floats(self):
         # node 1 is given as a list, node 2 as ints and node 3 as a numeric
