@@ -1,14 +1,15 @@
 """Undirected network-graph model for wireless topologies.
 
-Nodes are positive integer identifiers.  A topology is either derived from
-planar positions and a shared transmission radius (closed-disk rule: an edge
-exists iff the euclidean distance is <= radius) or encoded directly as an
-explicit edge list.  Topologies are immutable after construction and every
-graph operation is a pure function, so topologies can be shared freely
-between concurrent runs.  The one mutable value is a ``neighbor_index``: a
-set of some of a topology's nodes, edited with ``add`` and ``discard``,
-that answers which of them a node is adjacent to.  It belongs to the caller
-that built it.
+Node ids are ints >= 1.  A topology is either derived from planar positions
+and a shared transmission radius (closed-disk rule: an edge exists iff the
+euclidean distance is <= radius) or encoded directly as an explicit edge
+list.  The rules for ids, numbers, positions and the radius are written
+once, below, for the builders and the scenario loader.  Topologies are
+immutable after construction and every graph operation is a pure function,
+so topologies can be shared freely between concurrent runs.  The one
+mutable value is a ``neighbor_index``: a set of some of a topology's nodes,
+edited with ``add`` and ``discard``, that answers which of them a node is
+adjacent to.  It belongs to the caller that built it.
 
 Every disk topology is a ``_DiskTopology``.  ``build_topology`` returns one
 with its links built; ``move_nodes`` returns one whose links are built in
@@ -31,6 +32,7 @@ bound could set the width.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -279,17 +281,16 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     after it in its own strip, and the nodes of the strip above, so each
     unordered pair is tested once and no list holds a repeat.
 
-    Each position is checked as ``move_nodes`` checks its updates: two
-    numbers within ±``MAX_COORDINATE``, or ``ValueError`` naming the node.
+    Each id, position and the radius are checked by the module's input
+    rules (``ValueError`` naming the node or the radius), positions as
+    ``move_nodes`` checks its updates.
     """
-    _check_radius(radius)
-    r = float(radius)
+    r = _checked_radius(radius)
     positions: dict[NodeId, Position] = {}
     for nid, pos in node_specs:
+        _check_nid(nid)
         if nid in positions:
             raise DuplicateNid(f"node id {nid} appears more than once")
-        if nid < 1:
-            raise ValueError(f"node ids must be >= 1, got {nid}")
         positions[nid] = _checked_position(nid, pos)
     span = _span_of(positions)
     cell = _cell_width(r, span)
@@ -366,39 +367,43 @@ def _cell_width(r: float, span: float) -> float:
     return max(r, span * 2**-52, 1e-150) * (1 + 1e-9)
 
 
-def _check_radius(radius) -> None:
-    if radius is None or not 0 < radius <= MAX_COORDINATE:
+def _real(value) -> Optional[float]:
+    """``value`` as a float if it is a number (a finite int or float, not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    # Exact for an int of any size, and false for nan and ±inf.
+    return float(value) if abs(value) <= sys.float_info.max else None
+
+
+def _check_nid(nid) -> None:
+    """``ValueError`` naming ``nid`` unless it is an int >= 1, not a bool."""
+    if isinstance(nid, bool) or not isinstance(nid, int) or nid < 1:
+        raise ValueError(f"node ids must be ints >= 1, got {nid!r}")
+
+
+def _checked_radius(radius) -> float:
+    """``radius`` as a float, or ``ValueError`` naming it unless it is a
+    number in (0, ``MAX_COORDINATE``]."""
+    r = _real(radius)
+    if r is None or not 0 < r <= MAX_COORDINATE:
         raise ValueError(f"radius must be a number in (0, {MAX_COORDINATE:g}], got {radius!r}")
-
-
-# Values that unpack into two items without being a pair of coordinates: a
-# two-character string would be two digits, and a set comes in hash order.
-_NOT_A_PAIR = (str, bytes, bytearray, set, frozenset)
+    return r
 
 
 def _checked_position(nid: NodeId, pos) -> Position:
-    """``pos`` as a pair of floats, or ``ValueError`` naming ``nid`` unless
-    it is a pair of two numbers (or values ``float`` takes, such as numeric
-    strings) within ±``MAX_COORDINATE``; a string, bytes or a set is no
-    pair.  A plain tuple of two floats within range, the usual case, is
-    returned as it is; anything else takes the full path."""
+    """``pos`` as a tuple of two floats, or ``ValueError`` naming ``nid``
+    unless it is a tuple or list of exactly two numbers within
+    ±``MAX_COORDINATE``.  A plain tuple of two floats, the usual case, is
+    returned as it is."""
     if type(pos) is tuple and len(pos) == 2:
         x, y = pos
         if type(x) is float and type(y) is float and abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE:
             return pos
-    try:
-        # A tuple skips the type test.
-        if type(pos) is not tuple and isinstance(pos, _NOT_A_PAIR):
-            raise TypeError
-        x, y = pos
-        x, y = float(x), float(y)
-    except OverflowError:  # an int beyond float range
-        x = y = math.inf
-    except (TypeError, ValueError):  # not a pair, or a coordinate float refuses
-        x = y = math.nan
-    if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
-        raise ValueError(f"node {nid} has a position {pos!r}, not two numbers within ±{MAX_COORDINATE:g}")
-    return x, y
+    if isinstance(pos, (tuple, list)) and len(pos) == 2:
+        x, y = map(_real, pos)
+        if x is not None and y is not None and abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE:
+            return x, y
+    raise ValueError(f"node {nid} has a position {pos!r}, not two numbers within ±{MAX_COORDINATE:g}")
 
 
 def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology:
@@ -424,7 +429,7 @@ def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology
     """
     if t.positions is None:
         raise ValueError("an edge-list topology has no positions to move")
-    _check_radius(t.radius)
+    r = _checked_radius(t.radius)
     positions = dict(t.positions)
     span = t._span if isinstance(t, _DiskTopology) else math.inf
     for nid, pos in updates.items():
@@ -435,7 +440,7 @@ def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology
             span = max(abs(x), abs(y))
     moved = object.__new__(_DiskTopology)
     object.__setattr__(moved, "positions", positions)
-    object.__setattr__(moved, "radius", t.radius)
+    object.__setattr__(moved, "radius", r)
     object.__setattr__(moved, "_span", span)
     # An unbuilt ``t`` hands on the topology it holds.
     object.__setattr__(moved, "_last_built", vars(t).get("_last_built") or t)
@@ -451,15 +456,16 @@ def topology_from_edges(
     Each edge is appended to both endpoints' neighbour lists, and each list
     is frozen once at the end: O(n + m) for n nodes and m listed edges, with
     no per-edge set insert.  Repeated and reversed edges collapse when the
-    lists are frozen.  The first bad edge in list order raises: a self-loop
-    ``ValueError`` or an ``UnknownNode``.
+    lists are frozen.  A repeated id raises ``DuplicateNid``, then the first
+    id that is no int >= 1 a ``ValueError`` naming it.  The first bad edge
+    in list order raises: a self-loop ``ValueError`` or an ``UnknownNode``.
     """
     node_list = list(nodes)
     adj: dict[NodeId, list[NodeId]] = {u: [] for u in node_list}
     if len(adj) != len(node_list):
         raise DuplicateNid("node list contains repeated ids")
-    if any(n < 1 for n in adj):
-        raise ValueError("node ids must be >= 1")
+    for u in adj:
+        _check_nid(u)
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop on node {u}")

@@ -247,14 +247,15 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
             )
         if not 1 <= c.k <= c.n:
             violations.append(f"cluster {c.cluster_id}: threshold k={c.k} outside 1..{c.n}")
-        for m in sorted(c.members):
-            try:
-                if not neighbors(t, m) & c.council.heads:
-                    violations.append(
-                        f"cluster {c.cluster_id}: member {m} is not adjacent to any head"
-                    )
-            except UnknownNode:
-                violations.append(f"cluster {c.cluster_id}: member {m} is not in the topology")
+        for role, nodes in (("member", c.members), ("gateway", c.gateways)):
+            for m in sorted(nodes):
+                try:
+                    if neighbors(t, m).isdisjoint(c.council.heads):
+                        violations.append(
+                            f"cluster {c.cluster_id}: {role} {m} is not adjacent to any head"
+                        )
+                except UnknownNode:
+                    violations.append(f"cluster {c.cluster_id}: {role} {m} is not in the topology")
 
     # Heads of different clusters must not be adjacent.  Map every head to
     # its cluster's position, then scan each head's neighbours once; report

@@ -4,19 +4,19 @@
 ``ParseError`` on any file it cannot read or decode, and ``scenario_from_dict``
 validates the decoded object, applying the documented defaults; any malformed
 field, and any key that names no field of ``Scenario``, ``NodeSpec`` or
-``Adversary`` where it stands, raises ``ValidationError``.
+``Adversary`` where it stands, raises ``ValidationError``.  Ids, numbers,
+positions and the radius are checked by the builders' rules, in ``graph``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
 from .errors import ParseError, ValidationError
-from .graph import MAX_COORDINATE, NodeId, Position
+from .graph import MAX_COORDINATE, NodeId, Position, _check_nid, _checked_position, _checked_radius, _real
 from .shamir import DEFAULT_PRIME
 
 
@@ -92,26 +92,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _real(value) -> Optional[float]:
-    """The value as a float if it is a finite JSON number, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
+_NOT_A_POSITION = f"a position must be two numbers within ±{MAX_COORDINATE:g}"
+
+
+def _obeying(rule, *args, msg: str):
+    """``rule(*args)``, one of ``graph``'s, its ``ValueError`` re-raised saying ``msg``."""
     try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _position(value, where: str) -> Position:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValidationError(f"{where}: a position must be a pair of numbers")
-    x, y = _real(value[0]), _real(value[1])
-    if x is None or y is None:
-        raise ValidationError(f"{where}: a position must be a pair of numbers")
-    if max(abs(x), abs(y)) > MAX_COORDINATE:
-        raise ValidationError(f"{where}: coordinates must lie within ±{MAX_COORDINATE:g}")
-    return (x, y)
+        return rule(*args)
+    except ValueError:
+        raise ValidationError(msg) from None
 
 
 def read_json(path):
@@ -165,8 +154,7 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         if not isinstance(entry, dict) or "nid" not in entry:
             fail(f"nodes[{i}] must be an object with a 'nid'")
         nid = entry["nid"]
-        if not _is_int(nid) or nid < 1:
-            fail(f"nodes[{i}]: nid must be a positive integer")
+        _obeying(_check_nid, nid, msg=f"{source}: nodes[{i}]: nid must be a positive integer")
         refuse_unknown(entry, NodeSpec, f"in node {nid}")
         if nid in seen:
             fail(f"node id {nid} appears more than once")
@@ -174,19 +162,21 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         pos = entry.get("pos")
         if pos is None and not static:
             fail(f"node {nid}: 'pos' is required unless an explicit edge list is given")
-        position = _position(pos, f"node {nid}") if pos is not None else None
+        if pos is not None:
+            pos = _obeying(_checked_position, nid, pos, msg=f"node {nid}: {_NOT_A_POSITION}")
         waypoints_raw = entry.get("waypoints", [])
         if not isinstance(waypoints_raw, list):
             fail(f"node {nid}: 'waypoints' must be a list of positions")
         waypoints = tuple(
-            _position(wp, f"node {nid} waypoint {j}") for j, wp in enumerate(waypoints_raw)
+            _obeying(_checked_position, nid, wp, msg=f"node {nid} waypoint {j}: {_NOT_A_POSITION}")
+            for j, wp in enumerate(waypoints_raw)
         )
         speed = _real(entry.get("speed", 0.0))
         if speed is None or speed < 0:
             fail(f"node {nid}: speed must be a number >= 0")
         if static and (waypoints or speed > 0):
             fail(f"node {nid}: an edge-list topology is static; drop waypoints and speed")
-        specs.append(NodeSpec(nid, position, waypoints, speed))
+        specs.append(NodeSpec(nid, pos, waypoints, speed))
 
     rounds = data.get("rounds", 0)
     if not _is_int(rounds) or rounds < 0:
@@ -197,9 +187,8 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
 
     radius = data.get("radius")
     if radius is not None:
-        radius = _real(radius)
-        if radius is None or not 0 < radius <= MAX_COORDINATE:
-            fail(f"'radius' must be a positive number up to {MAX_COORDINATE:g}")
+        msg = f"{source}: 'radius' must be a positive number up to {MAX_COORDINATE:g}"
+        radius = _obeying(_checked_radius, radius, msg=msg)
     if not static and radius is None:
         fail("'radius' is required for position-based scenarios")
 

@@ -5,9 +5,10 @@ with no strips or windows.  It takes the library build's arguments, so the twin 
 ``test_sim.py`` can put it in place of the library's build, the deferred
 builds of moved topologies included.  ``topology_from_edges`` is a
 verbatim copy of the library's as it stood before the builders appended
-each link to a per-node list and froze the list once.  It adds every edge to a growing
-mutable set per node and copies each set into a frozenset, which is
-plainly the rule as stated.  The property tests in ``test_graph.py``
+each link to a per-node list and froze the list once, with the library's
+node-id rule (an int >= 1, not a bool) written out in place.  It adds every
+edge to a growing mutable set per node and copies each set into a
+frozenset, which is plainly the rule as stated.  The property tests in ``test_graph.py``
 compare the library against both, input errors included for edge lists.
 """
 
@@ -42,8 +43,9 @@ def topology_from_edges(
     adj: dict[NodeId, set[NodeId]] = {u: set() for u in node_list}
     if len(adj) != len(node_list):
         raise DuplicateNid("node list contains repeated ids")
-    if any(n < 1 for n in adj):
-        raise ValueError("node ids must be >= 1")
+    for n in adj:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"node ids must be ints >= 1, got {n!r}")
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop on node {u}")

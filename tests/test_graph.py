@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import weakref
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import graph_oracle as oracle
 from councilnet import graph
-from councilnet.errors import CouncilNetError, DuplicateNid, UnknownNode
+from councilnet.errors import CouncilNetError, DuplicateNid, UnknownNode, ValidationError
 from councilnet.graph import (
     Topology,
     build_topology,
@@ -25,6 +26,7 @@ from councilnet.graph import (
     triangles,
     two_hop_view,
 )
+from councilnet.scenario import scenario_from_dict
 from councilnet.topologies import random_connected, star, triangle
 
 
@@ -187,9 +189,10 @@ def index_runs(draw):
     return specs, radius, nodes, edits
 
 
-# Positions that are not two numbers within ±MAX_COORDINATE: not finite,
-# beyond the bound, a coordinate that float() refuses, or not a pair.  A
-# string, bytes or a set unpacks into two items, but is no pair either.
+# Positions that are not a tuple or list of exactly two numbers within
+# ±MAX_COORDINATE: not finite, beyond the bound, a coordinate that is no
+# number, or not a pair.  A string, bytes, a set, a dict (its keys) or a
+# generator unpacks into two items, but is no pair either.
 BAD_POSITIONS = [
     (math.nan, 0.0),
     (0.0, math.inf),
@@ -210,6 +213,12 @@ BAD_POSITIONS = [
     # plain float pairs one ulp beyond the bound
     (math.nextafter(graph.MAX_COORDINATE, math.inf), 0.0),
     (0.0, -math.nextafter(graph.MAX_COORDINATE, math.inf)),
+    {0.5: "a", 1.0: "b"},
+    (c for c in (0.5, 1.0)),
+    # float() takes a numeric string and a bool, but neither is a number
+    ("0.5", 1.0),
+    (0.5, True),
+    ["0.5", True],
 ]
 
 # The build's strip height at radius 5 near the origin, and the floats one
@@ -290,15 +299,36 @@ class TestBuildTopology:
         with pytest.raises(ValueError):
             build_topology([(1, (0.0, 0.0))], radius=0.0)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 1.1e150, 1e300])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 1.1e150, 1e300, "1", True, None])
     def test_non_finite_radius_rejected(self, radius):
-        with pytest.raises(ValueError, match="radius"):
+        named = f"^radius must be .*, got {re.escape(repr(radius))}$"
+        with pytest.raises(ValueError, match=named):
             build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], radius=radius)
+        t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], 1.0)
+        with pytest.raises(ValueError, match=named):
+            move_nodes(Topology(t.adj, t.positions, radius), {2: (0.5, 0.0)})
+        with pytest.raises(ValidationError, match="'radius'"):
+            scenario_from_dict({"radius": radius, "nodes": [{"nid": 1, "pos": [0.0, 0.0]}]})
 
     @pytest.mark.parametrize("pos", BAD_POSITIONS)
     def test_non_finite_coordinate_rejected(self, pos):
         with pytest.raises(ValueError, match="node 2"):
             build_topology([(1, (0.0, 0.0)), (2, pos)], radius=1.0)
+        # the scenario loader refuses it too, as a position or a waypoint
+        for fields in ({"pos": pos}, {"pos": [0.0, 0.0], "waypoints": [pos], "speed": 1.0}):
+            nodes = [{"nid": 1, "pos": [0.0, 0.0]}, {"nid": 2, **fields}]
+            with pytest.raises(ValidationError, match="^node 2"):
+                scenario_from_dict({"radius": 1.0, "nodes": nodes})
+
+    @pytest.mark.parametrize("nid", [1.5, True, "a", 0, -1])
+    def test_bad_node_id_rejected(self, nid):
+        named = f"^node ids must be ints >= 1, got {re.escape(repr(nid))}$"
+        with pytest.raises(ValueError, match=named):
+            build_topology([(nid, (0.0, 0.0)), (2, (0.5, 0.0))], 1.0)
+        with pytest.raises(ValueError, match=named):
+            topology_from_edges([nid, 2], [])
+        with pytest.raises(ValidationError, match=r"nodes\[0\]: nid"):
+            scenario_from_dict({"radius": 1.0, "nodes": [{"nid": nid, "pos": [0.0, 0.0]}]})
 
     def test_radius_and_coordinates_at_the_bound_are_accepted(self):
         # squared differences up to (2e150)**2 stay finite
@@ -384,9 +414,9 @@ class TestBuildTopology:
             assert type(pos) is tuple and [type(c) for c in pos] == [float, float]
 
     def test_build_stores_each_position_as_floats(self):
-        # node 1 is given as a list, node 2 as ints and node 3 as a numeric
-        # string and a bool, which float() takes
-        t = build_topology([(1, [0, 0]), (2, (1, 0)), (3, ("0.5", True))], 1.5)
+        # node 1 is given as a list of ints, node 2 as a tuple of ints and
+        # node 3 as a list mixing a float and an int
+        t = build_topology([(1, [0, 0]), (2, (1, 0)), (3, [0.5, 1])], 1.5)
         moved = move_nodes(t, {2: [1, 1]})
         assert t.positions == {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (0.5, 1.0)}
         assert moved.positions == {1: (0.0, 0.0), 2: (1.0, 1.0), 3: (0.5, 1.0)}
@@ -405,6 +435,10 @@ class TestBuildTopology:
     @example(([1, 2, 3], [(1, 2), (1, 9), (2, 2), (3, 1)]))
     # repeated ids are reported before ids < 1
     @example(([2, 0, 2], [(2, 0)]))
+    # an id that is no int, or a bool, is refused like one < 1
+    @example(([1.5, 2], []))
+    @example(([True, 2], [(True, 2)]))
+    @example((["a", 2], []))
     @settings(max_examples=400, deadline=None)
     def test_edge_list_build_matches_set_per_node_oracle(self, inputs):
         nodes, edges = inputs

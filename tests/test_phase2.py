@@ -269,6 +269,17 @@ class TestVerifyPartition:
         found = verify_partition(t, bad)
         assert any("member 6" in v for v in found)
 
+    def test_gateway_without_head_link_flagged(self):
+        # gateway 4 hears head 3 of the other cluster, but no head of its own
+        t = topology_from_edges([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
+        bad = Partition(
+            [
+                Cluster(Council(frozenset({1}), 1), frozenset({2}), frozenset({4}), k=1),
+                Cluster(Council(frozenset({3}), 3), frozenset(), frozenset(), k=1),
+            ]
+        )
+        assert verify_partition(t, bad) == ["cluster 1: gateway 4 is not adjacent to any head"]
+
     def test_bad_threshold_flagged(self):
         t = triangle()
         bad = Partition(
