@@ -14,12 +14,12 @@ adjacent to.  It belongs to the caller that built it.
 Every disk topology is a ``_DiskTopology``.  ``build_topology`` returns one
 with its links built; ``move_nodes`` returns one whose links are built in
 full, by ``build_topology`` from its positions, on the first read of
-``adj`` (which ``edges``, ``neighbors`` and the graph checks make).  That
-build is idempotent (two racing reads build equal links) and never touches
-the topology moved from.  A disk topology
-answers ``hearing_none`` and the lookups of a ``neighbor_index`` from its
-positions, with the build's distance test, built or not, so a round that
-asks only whether nodes still hear their heads builds no neighbour sets.
+``adj``, which a formation, ``edges``, ``neighbors`` and the graph checks
+make.  That build is idempotent (two racing reads build equal links) and
+never touches the topology moved from.  A disk topology answers
+``hearing_none`` and the lookups of a ``neighbor_index`` from its
+positions, with the build's distance test, built or not, so neither the
+in-touch scan nor a partition check builds neighbour sets.
 The build sweeps horizontal strips sorted by x; an index keeps the nodes
 in square cells as wide as those strips are tall, so a lookup tests only
 the nine cells around the node.  An edge-list topology's index

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .errors import InvalidDominatingSet, UnknownNode, ValidationError
-from .graph import NodeId, Topology, is_clique, is_dominating_set, neighbors
+from .errors import InvalidDominatingSet, ValidationError
+from .graph import NodeId, Topology, is_dominating_set, neighbors
 from .phase1 import ClusterId, DominatingSet, Role
 from .shamir import choose_threshold
 
@@ -222,56 +222,54 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
 
 
 def verify_partition(t: Topology, p: Partition) -> list[str]:
-    """Check a partition against its topology; returns one message per violation."""
-    violations: list[str] = []
+    """Check a partition against its topology; returns one message per violation.
 
-    missing = t.nodes - p.node_index.keys()
+    Every rule is checked over ``t.nodes`` with two queries, which a disk
+    topology answers from its positions without building links:
+    ``t.hearing_none`` for members and gateways, and one
+    ``t.neighbor_index`` of every head for the cliques and the heads of
+    other clusters.  A node the topology lacks is named once, in its
+    cluster's message for its group."""
+    violations: list[str] = []
+    nodes = t.nodes
+    missing = nodes - p.node_index.keys()
     if missing:
         violations.append(f"nodes {sorted(missing)} are not assigned to any cluster")
-    extra = p.node_index.keys() - t.nodes
-    if extra:
-        violations.append(f"assigned nodes {sorted(extra)} are not in the topology")
 
-    for c in p.clusters:
-        if not c.council.heads:
-            violations.append(f"cluster {c.cluster_id} has an empty council")
-            continue
-        if c.council.cluster_id not in t.nodes:
-            violations.append(f"cluster id {c.cluster_id} is not a topology node")
-        unknown = c.council.heads - t.nodes
-        if unknown:
-            violations.append(f"cluster {c.cluster_id}: heads {sorted(unknown)} are not in the topology")
-        if not is_clique(t, c.council.heads - unknown):
-            violations.append(
-                f"cluster {c.cluster_id}: council {sorted(c.council.heads)} is not a clique"
-            )
-        if not 1 <= c.k <= c.n:
-            violations.append(f"cluster {c.cluster_id}: threshold k={c.k} outside 1..{c.n}")
-        for role, nodes in (("member", c.members), ("gateway", c.gateways)):
-            for m in sorted(nodes):
-                try:
-                    if neighbors(t, m).isdisjoint(c.council.heads):
-                        violations.append(
-                            f"cluster {c.cluster_id}: {role} {m} is not adjacent to any head"
-                        )
-                except UnknownNode:
-                    violations.append(f"cluster {c.cluster_id}: {role} {m} is not in the topology")
-
-    # Heads of different clusters must not be adjacent.  Map every head to
-    # its cluster's position, then scan each head's neighbours once; report
-    # by earlier cluster, later cluster, then head id.
+    # The index holds only heads.  Heads of different clusters that hear
+    # each other are reported by earlier cluster, later cluster, then head.
     position = {h: j for j, c in enumerate(p.clusters) for h in c.council.heads}
+    index = t.neighbor_index(position)
     adjacent: dict[tuple[int, int, NodeId], set[NodeId]] = {}
-    for i, a in enumerate(p.clusters):
-        for ha in a.council.heads & t.nodes:
-            for w in neighbors(t, ha):
-                j = position.get(w, i)
+    for i, c in enumerate(p.clusters):
+        cid = c.cluster_id
+        heads = c.council.heads & nodes
+        near = {h: index.near(h) for h in heads}
+        if not c.council.heads:
+            violations.append(f"cluster {cid} has an empty council")
+        else:
+            if cid not in nodes:
+                violations.append(f"cluster id {cid} is not a topology node")
+            if heads < c.council.heads:
+                violations.append(f"cluster {cid}: heads {sorted(c.council.heads - heads)} are not in the topology")
+            if any(not heads - {h} <= hs for h, hs in near.items()):
+                violations.append(f"cluster {cid}: council {sorted(heads)} is not a clique")
+            if not 1 <= c.k <= c.n:
+                violations.append(f"cluster {cid}: threshold k={c.k} outside 1..{c.n}")
+        for role, group in (("member", c.members), ("gateway", c.gateways)):
+            stray = group - nodes
+            if stray:
+                violations.append(f"cluster {cid}: {role}s {sorted(stray)} are not in the topology")
+            for m in t.hearing_none(sorted(group - stray), c.council.heads) if c.council.heads else ():
+                violations.append(f"cluster {cid}: {role} {m} is not adjacent to any head")
+        for h, hs in near.items():
+            for w in hs:
+                j = position[w]
                 if j > i:
-                    adjacent.setdefault((i, j, ha), set()).add(w)
+                    adjacent.setdefault((i, j, h), set()).add(w)
     for (i, j, ha), touching in sorted(adjacent.items()):
         violations.append(
             f"heads {ha} (cluster {p.clusters[i].cluster_id}) and {sorted(touching)} "
             f"(cluster {p.clusters[j].cluster_id}) are adjacent"
         )
-
     return violations

@@ -149,10 +149,8 @@ def issue_share(
     if len(quorum_list) < k:
         raise InsufficientShares(f"need at least {k} shares, got {len(quorum_list)}")
     epoch = _common_epoch(quorum_list)
-    new_x = new_x % prime
-    if new_x == 0:
-        raise ZeroX("new share coordinate must be nonzero")
     _check_xs([s.x for s in quorum_list] + [new_x], prime)
+    new_x = new_x % prime
     return Share(new_x, _lagrange_at(quorum_list, new_x, prime), epoch)
 
 

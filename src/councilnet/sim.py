@@ -9,11 +9,11 @@ deterministic for a given scenario and seed.
 
 A round in which nodes moved hands only the movers to ``move_nodes``, whose
 topology builds its links under the disk rule when a layer first reads
-them: a re-formation, a partition check, or a caller of ``edges``.  The
-in-touch scan asks ``hearing_none``, and a departed node's visit asks a
-``neighbor_index`` of the heads, built once per pass, for the heads it
-hears; neither builds, so a HELLO round that neither re-forms nor checks
-the partition builds no neighbour sets.
+them: a re-formation, or a caller of ``edges``.  The in-touch scan asks
+``hearing_none``; the partition check asks it and one ``neighbor_index``
+of the heads; and a departed node's visit asks an index of the heads,
+built once per pass, for the heads it hears.  None of them builds, so a
+HELLO round that does not re-form builds no neighbour sets.
 """
 
 from __future__ import annotations
@@ -427,12 +427,16 @@ def run(scenario, out_path, state_out=None) -> MetricsReport:
     the metrics CSV, partial on early halt.
 
     Both output paths are checked before round 1, so an output that cannot
-    be created raises ``OSError`` with nothing written.
+    be created, or one path given twice, raises ``OSError`` with nothing written.
     """
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     for path in (out_path, state_out) if state_out else (out_path,):
         _check_creatable(path)
+    if state_out:
+        exist = os.path.exists(out_path) and os.path.exists(state_out)
+        if os.path.samefile(out_path, state_out) if exist else Path(out_path).resolve() == Path(state_out).resolve():
+            raise OSError(f"the metrics and the state dump are one file: {state_out}")
     state = initialize(scenario)
     while state.round < scenario.rounds and not state.halted:
         step(state)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,32 @@ def test_unwritable_state_path_leaves_no_metrics(tmp_path, capsys):
     assert main(argv) == 2
     assert "nodir" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spelling, existing",
+    # new paths compare resolved; existing ones as os.path.samefile does
+    [("same", False), ("symlink", False), ("dotted", True), ("hardlink", True)],
+)
+def test_state_dump_onto_the_metrics_file_is_refused(spelling, existing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        Path("m.csv").write_text("kept\n")
+    if spelling == "symlink":
+        Path("other.csv").symlink_to("m.csv")
+    if spelling == "hardlink":
+        os.link("m.csv", "other.csv")
+    state = {"same": "m.csv", "dotted": "./m.csv"}.get(spelling, "other.csv")
+    argv = ["simulate", "--scenario", str(SCENARIOS / "two_cluster_seven.json"), "--out", "m.csv"]
+    assert main(argv + ["--state-out", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert "Traceback" not in captured.err
+    if existing:
+        assert Path("m.csv").read_text() == "kept\n"
+    else:
+        assert not Path("m.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["directory", "file-as-folder"])

@@ -1,11 +1,12 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from councilnet.errors import InvalidDominatingSet, UnknownNode, ValidationError
-from councilnet.graph import is_clique, neighbors, topology_from_edges
+from councilnet.graph import Topology, build_topology, is_clique, move_nodes, neighbors, topology_from_edges
 from councilnet.maintenance import reform
 from councilnet.phase1 import DominatingSet
 from councilnet.phase2 import (
@@ -324,3 +325,51 @@ class TestVerifyPartition:
         ]
         found = verify_partition(t, p)
         assert [v for v in found if ": heads " in v and v.endswith("not in the topology")] == unknown
+
+    @pytest.mark.parametrize(
+        "heads, members, gateways, message",
+        [
+            ({1}, {2, 9}, set(), "cluster 1: members [9] are not in the topology"),
+            ({1, 9}, {2}, set(), "cluster 1: heads [9] are not in the topology"),
+            ({1}, set(), {2, 9}, "cluster 1: gateways [9] are not in the topology"),
+        ],
+        ids=["member", "head", "gateway"],
+    )
+    def test_node_outside_topology_is_named_once(self, heads, members, gateways, message):
+        t = topology_from_edges([1, 2], [(1, 2)])
+        c = Cluster(Council(frozenset(heads), 1), frozenset(members), frozenset(gateways), k=1)
+        assert verify_partition(t, Partition([c])) == [message]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=8, max_size=8),
+        st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        st.lists(st.integers(0, 5), min_size=10, max_size=10),
+        st.lists(st.integers(0, 2), min_size=10, max_size=10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_check_on_unbuilt_links_matches_the_built_links(self, spots, jump, owners, roles):
+        # nodes 1..8 on a quarter-radius grid, so that some pairs are
+        # exactly a radius apart; node 1 then moves, leaving the links
+        # unbuilt.  owners[i] places node i + 1 in one of up to five
+        # clusters (index 5 leaves it out) and roles[i] makes it a head,
+        # member or gateway there; nodes 9 and 10, which the topology
+        # lacks, may be placed too, and a cluster may have no head
+        built = build_topology([(u, (x / 4, y / 4)) for u, (x, y) in enumerate(spots, 1)], 1.0)
+        moved = move_nodes(built, {1: (jump[0] / 4, jump[1] / 4)})
+        placed = list(zip(owners, roles))
+        clusters = []
+        for j in range(5):
+            heads, members, gateways = groups = [
+                frozenset(u for u, spot in enumerate(placed, 1) if spot == (j, role)) for role in range(3)
+            ]
+            if any(groups):
+                council = Council(heads, min(heads) if heads else 100 + j)
+                clusters.append(Cluster(council, members, gateways, k=1))
+        p = Partition(clusters)
+        found = verify_partition(moved, p)
+        assert "adj" not in vars(moved)
+        assert found == verify_partition(Topology(moved.adj), p)
+        # each node the topology lacks is listed in exactly one message
+        stray = p.node_index.keys() - moved.nodes
+        listed = [int(u) for v in found for ids in re.findall(r"\[([\d, ]+)\]", v) for u in ids.split(", ")]
+        assert {u: listed.count(u) for u in stray} == dict.fromkeys(stray, 1)

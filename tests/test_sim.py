@@ -806,8 +806,16 @@ class TestStep:
             assert state.topology.adj == fresh.adj, f"round {state.round}"
         assert state.round == state.scenario.rounds
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_round_without_reform_or_check_builds_no_links(self, seed, monkeypatch):
+    @pytest.mark.parametrize(
+        "seed, parks",
+        [
+            pytest.param(1, False, id="1"),
+            pytest.param(2, False, id="2"),
+            pytest.param(1, True, id="1-parking"),
+            pytest.param(2, True, id="2-parking"),
+        ],
+    )
+    def test_round_without_reform_builds_no_links(self, seed, parks, monkeypatch):
         build = graph.build_topology
         builds = []
 
@@ -817,21 +825,31 @@ class TestStep:
 
         monkeypatch.setattr(graph, "build_topology", counted)
         verified = count_verify_calls(monkeypatch)
-        state = initialize(small_mobile_scenario(seed, rounds=25))
-        lazy = built = 0
+        sc = small_mobile_scenario(seed, rounds=25)
+        state = initialize(parking(sc) if parks else sc)
+        lazy = built = checked = 0
         while state.round < state.scenario.rounds and not state.halted:
             del builds[:], verified[:]
             step(state)
-            if not state.metrics[-1].reforms and not verified:
+            if not state.metrics[-1].reforms:
+                # a settled pass's partition check builds nothing either
                 assert builds == [], f"round {state.round}"
                 lazy += 1
+                checked += len(verified)
             else:
                 built += len(builds)
-            fresh = build(sorted(state.topology.positions.items()), state.scenario.radius)
-            assert state.topology.adj == fresh.adj, f"round {state.round}"
+            # Unbuilt links are compared on a moved copy, so that a later
+            # round's check still meets this topology unbuilt.
+            t = state.topology
+            links = (t if "adj" in vars(t) else graph.move_nodes(t, {})).adj
+            fresh = build(sorted(t.positions.items()), state.scenario.radius)
+            assert links == fresh.adj, f"round {state.round}"
         assert state.round == state.scenario.rounds
-        # both kinds of round occur, and the counter sees the deferred builds
+        # both kinds of round occur, and the counter sees the deferred
+        # builds; once movers park, some round that does not re-form checks
+        # the partition
         assert lazy > 0 and built > 0
+        assert checked > 0 or not parks
 
     def test_refresh_interval_bumps_epochs(self):
         sc = scenario_from_dict(dict(STATIC_SEVEN, refresh_interval_rounds=4))
