@@ -4,7 +4,7 @@ A cluster is breached once the adversary holds k shares of the current
 epoch.  Below k, every secret in GF(p) must stay consistent with the held
 shares; at k, exactly one must, and it must be the cluster's secret.  The
 count is computed in closed form, so the audit runs at every prime, over a
-live simulation or over a dumped state.
+live simulation or over a dumped state read through ``shamir``'s input rules.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import CouncilNetError, ValidationError
 from .phase1 import ClusterId
-from .scenario import _is_int, is_prime
-from .shamir import Share, _lagrange_at, reconstruct
+from .shamir import (
+    Share, _check_element, _check_epoch, _check_read_shares, _check_threshold, _lagrange_at, is_prime, reconstruct
+)
 
 if TYPE_CHECKING:
     from .sim import SimState
@@ -113,50 +114,37 @@ def audit_secrecy(state: SimState) -> AuditResult:
 def audit_dump(payload: Mapping) -> AuditResult:
     """Run the secrecy audit over a previously dumped state.
 
-    A dump raises ``ValidationError`` when it lacks a field or holds a value
-    of the wrong shape, when its prime is not prime, a cluster's k is not
-    an integer >= 1, its epoch not an integer >= 0 or its secret (optional,
-    null counts as absent) not an integer in 0..p-1, or when an adversary
-    share row gives a k or a prime other than its cluster's and the dump's,
-    an epoch that is not an integer >= 0, an x outside 1..p-1, a y outside
-    0..p-1, or an x that another row of the cluster already has.  A row
-    counts only at its cluster's epoch, so an epoch of another type would
-    hide it from the audit, and a secret of another type would fail to
-    match a breached reconstruction.
+    A dump raises ``ValidationError``, naming the cluster it was reading,
+    when it lacks a field, holds a value of the wrong shape, breaks one of
+    ``shamir``'s rules for its prime, a cluster's k, epoch and secret
+    (optional, null counts as absent) or the adversary's shares read from
+    it, or has a share row whose k or prime is not its cluster's and the
+    dump's.  An epoch or secret of another type would hide a row from the
+    audit or fail to match a breached reconstruction.
     """
     entries = []
     anomalies: list[str] = []
+    where = "malformed state dump"
     try:
         prime = payload["prime"]
-        if not _is_int(prime) or not is_prime(prime):
-            raise ValidationError(f"malformed state dump: prime={prime!r} is not a prime")
+        if not is_prime(prime):
+            raise ValidationError(f"prime {prime!r} is not a prime below 2**64")
         for cluster in payload["clusters"]:
-            cid, k = cluster["cluster_id"], cluster["k"]
+            cid, k, epoch, secret = cluster["cluster_id"], cluster["k"], cluster["epoch"], cluster.get("secret")
             where = f"malformed state dump: cluster {cid}"
-            if not _is_int(k) or k < 1:
-                raise ValidationError(f"{where}: k={k!r} is not an integer >= 1")
-            epoch = cluster["epoch"]
-            if not _is_int(epoch) or epoch < 0:
-                raise ValidationError(f"{where}: epoch={epoch!r} is not an integer >= 0")
-            secret = cluster.get("secret")
-            if secret is not None and not (_is_int(secret) and 0 <= secret < prime):
-                raise ValidationError(f"{where}: secret={secret!r} lies outside GF({prime})")
+            _check_threshold(k)
+            _check_epoch(epoch)
+            if secret is not None:
+                _check_element(secret, prime, "secret")
             held = []
             for x, y, row_k, row_epoch, row_prime in cluster["adversary_shares"]:
-                if row_k != k:
-                    raise ValidationError(f"{where}: row k={row_k} != {k}")
-                if row_prime != prime:
-                    raise ValidationError(f"{where}: row prime={row_prime} != {prime}")
-                if not _is_int(row_epoch) or row_epoch < 0:
-                    raise ValidationError(f"{where}: row epoch={row_epoch!r} is not an integer >= 0")
-                if not (_is_int(x) and 1 <= x < prime and _is_int(y) and 0 <= y < prime):
-                    raise ValidationError(f"{where}: row ({x!r}, {y!r}) lies outside GF({prime})")
-                if any(s.x == x for s in held):
-                    raise ValidationError(f"{where}: two rows share x={x}")
+                if (row_k, row_prime) != (k, prime):
+                    raise ValidationError(f"row (k, prime)=({row_k}, {row_prime}) != ({k}, {prime})")
                 held.append(Share(x, y, row_epoch))
+            _check_read_shares(held, prime)
             entry, extra = _audit_cluster(cid, k, prime, epoch, secret, held)
             entries.append(entry)
             anomalies.extend(extra)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed state dump: {type(exc).__name__}: {exc}") from None
+    except (AttributeError, CouncilNetError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from None
     return AuditResult(tuple(entries), tuple(anomalies))

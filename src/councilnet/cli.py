@@ -22,12 +22,13 @@ from .shamir import (
     DEFAULT_PRIME,
     Share,
     ThresholdPolicy,
+    _check_read_shares,
     choose_threshold,
     reconstruct,
     split_secret,
 )
 from .audit import audit_dump
-from .scenario import check_field_prime, is_prime, load_scenario, read_json
+from .scenario import check_field_prime, load_scenario, read_json
 from .sim import initial_formation, run
 
 
@@ -94,21 +95,16 @@ def _parse_share(text: str) -> tuple[int, int]:
 
 def _cmd_shares(args) -> int:
     prime = args.prime
-    if not is_prime(prime):
-        raise ValidationError(f"--prime must be a prime number, got {prime}")
+    check_field_prime(prime, 0, "--prime")  # these shares name no node, so no id bounds the prime
     if args.shares_cmd == "split":
-        if not 0 <= args.secret < prime:
-            raise ValidationError(f"--secret must lie in [0, {prime}), got {args.secret}")
-        k = args.k if args.k is not None else choose_threshold(args.n).k
-        shares = split_secret(
-            args.secret, ThresholdPolicy(args.n, k), list(range(1, args.n + 1)), args.seed, prime
-        )
-        print(f"k={k} prime={prime}")
+        policy = choose_threshold(args.n) if args.k is None else ThresholdPolicy(args.n, args.k)
+        shares = split_secret(args.secret, policy, range(1, args.n + 1), args.seed, prime)
+        print(f"k={policy.k} prime={prime}")
         for share in shares:
             print(f"{share.x}:{share.y}")
         return 0
-    points = [_parse_share(s) for s in args.share]
-    shares = [Share(x, y) for x, y in points]
+    shares = [Share(*_parse_share(s)) for s in args.share]
+    _check_read_shares(shares, prime)
     print(reconstruct(shares, args.k, prime))
     return 0
 

@@ -375,9 +375,14 @@ def _real(value) -> Optional[float]:
     return float(value) if abs(value) <= sys.float_info.max else None
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int, not a bool.  A plain int, the usual case, passes the first test."""
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_nid(nid) -> None:
     """``ValueError`` naming ``nid`` unless it is an int >= 1, not a bool."""
-    if isinstance(nid, bool) or not isinstance(nid, int) or nid < 1:
+    if not _is_int(nid) or nid < 1:
         raise ValueError(f"node ids must be ints >= 1, got {nid!r}")
 
 

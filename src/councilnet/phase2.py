@@ -229,7 +229,7 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
     ``t.hearing_none`` for members and gateways, and one
     ``t.neighbor_index`` of every head for the cliques and the heads of
     other clusters.  A node the topology lacks is named once, in its
-    cluster's message for its group."""
+    cluster's message for its group, even a head that is the cluster id."""
     violations: list[str] = []
     nodes = t.nodes
     missing = nodes - p.node_index.keys()
@@ -248,7 +248,7 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
         if not c.council.heads:
             violations.append(f"cluster {cid} has an empty council")
         else:
-            if cid not in nodes:
+            if cid not in nodes and cid not in c.council.heads:
                 violations.append(f"cluster id {cid} is not a topology node")
             if heads < c.council.heads:
                 violations.append(f"cluster {cid}: heads {sorted(c.council.heads - heads)} are not in the topology")

@@ -5,7 +5,7 @@
 validates the decoded object, applying the documented defaults; any malformed
 field, and any key that names no field of ``Scenario``, ``NodeSpec`` or
 ``Adversary`` where it stands, raises ``ValidationError``.  Ids, numbers,
-positions and the radius are checked by the builders' rules, in ``graph``.
+positions and the radius follow ``graph``'s rules, and the field prime ``shamir``'s.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from .errors import ParseError, ValidationError
-from .graph import MAX_COORDINATE, NodeId, Position, _check_nid, _checked_position, _checked_radius, _real
-from .shamir import DEFAULT_PRIME
+from .graph import MAX_COORDINATE, NodeId, Position, _check_nid, _checked_position, _checked_radius, _is_int, _real
+from .shamir import DEFAULT_PRIME, is_prime
 
 
 @dataclass(frozen=True)
@@ -52,44 +52,17 @@ class Scenario:
         return self.edges is not None
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def check_field_prime(prime, max_nid: NodeId, name: str) -> None:
-    """Raise ``ValidationError`` unless ``prime`` is a prime above every node id.
+    """Raise ``ValidationError`` unless ``is_prime`` accepts ``prime`` and it exceeds every node id.
 
     A share's x coordinate is its holder's id, so an id at or above the
     prime would alias another holder or the secret itself at x = 0.
     ``name`` labels the setting in the message.
     """
-    if not _is_int(prime) or not is_prime(prime):
-        raise ValidationError(f"{name} must be a prime number, got {prime!r}")
+    if not is_prime(prime):
+        raise ValidationError(f"{name} must be a prime number below 2**64, got {prime!r}")
     if prime <= max_nid:
         raise ValidationError(f"{name} must exceed every node id, but {prime} <= node id {max_nid}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _NOT_A_POSITION = f"a position must be two numbers within ±{MAX_COORDINATE:g}"

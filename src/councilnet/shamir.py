@@ -4,14 +4,15 @@ A secret s is hidden as the constant term of a random polynomial f of degree
 k-1; share i is the point (x_i, f(x_i)).  Any k shares reconstruct f(0) by
 Lagrange interpolation, fewer than k reveal nothing.  Shares carry an epoch
 counter so that proactive refreshes (adding a random zero-constant
-polynomial) invalidate stale material.
+polynomial) invalidate stale material.  Each share-input rule is written
+once, here; a modulus is tested for primality where it enters the program.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateX,
@@ -22,8 +23,50 @@ from .errors import (
     ValidationError,
     ZeroX,
 )
+from .graph import _is_int
 
 DEFAULT_PRIME = 2**61 - 1
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n) -> bool:
+    """Whether ``n`` is an int and a prime below 2**64, the bound under which Miller-Rabin
+    over the first twelve prime bases is exact (Sorenson & Webster 2017)."""
+    if not _is_int(n) or not 2 <= n < 2**64:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_element(value, prime: int, name: str) -> None:
+    if not (_is_int(value) and 0 <= value < prime):
+        raise ValidationError(f"{name} {value!r} is not an integer in 0..{prime - 1}")
+
+
+def _check_threshold(k, n: Optional[int] = None) -> None:
+    if not (_is_int(k) and k >= 1 and (n is None or _is_int(n) and k <= n)):
+        raise ValidationError(f"threshold k={k!r} must be an integer in 1..{'n' if n is None else repr(n)}")
+
+
+def _check_epoch(epoch) -> None:
+    if not (_is_int(epoch) and epoch >= 0):
+        raise ValidationError(f"epoch {epoch!r} is not an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -37,8 +80,7 @@ class ThresholdPolicy:
     k: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
-            raise ValidationError(f"threshold k={self.k} must lie in 1..n={self.n}")
+        _check_threshold(self.k, self.n)
 
 
 class Share(NamedTuple):
@@ -54,8 +96,8 @@ def choose_threshold(n: int) -> ThresholdPolicy:
 
     The single-head council degenerates to k = 1.
     """
-    if n < 1:
-        raise InvalidCouncilSize(f"council size must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise InvalidCouncilSize(f"council size must be an integer >= 1, got {n!r}")
     return ThresholdPolicy(n=n, k=n // 2 + 1)
 
 
@@ -71,10 +113,21 @@ def _eval_poly(coeffs: Sequence[int], x: int) -> int:
 
 def _check_xs(xs: Sequence[int], prime: int) -> None:
     for x in xs:
+        if not _is_int(x):
+            raise ValidationError(f"share x coordinate {x!r} is not an integer")
         if x % prime == 0:
             raise ZeroX(f"share x coordinate {x} is zero in GF({prime})")
     if len({x % prime for x in xs}) != len(xs):
         raise DuplicateX("share x coordinates must be distinct")
+
+
+def _check_read_shares(shares: Sequence[Share], prime: int) -> None:
+    """The rules for shares read from outside the program, where each x is reduced too."""
+    for s in shares:
+        _check_element(s.x, prime, "share x")
+        _check_element(s.y, prime, "share y")
+        _check_epoch(s.epoch)
+    _check_xs([s.x for s in shares], prime)
 
 
 def split_secret(
@@ -85,19 +138,13 @@ def split_secret(
     prime: int = DEFAULT_PRIME,
 ) -> tuple[Share, ...]:
     """Split a secret into one share per x coordinate, deterministically per seed."""
-    if not 0 <= secret < prime:
-        raise ValueError(f"secret must lie in [0, {prime})")
+    _check_element(secret, prime, "secret")
     if len(xs) != policy.n:
-        raise ValueError(f"expected {policy.n} x coordinates, got {len(xs)}")
+        raise ValidationError(f"expected {policy.n} x coordinates, got {len(xs)}")
     _check_xs(xs, prime)
     rng = random.Random(seed)
     coeffs = [secret] + [rng.randrange(prime) for _ in range(policy.k - 1)]
     return tuple(Share(x % prime, _eval_poly(coeffs, x % prime) % prime, 0) for x in xs)
-
-
-def _check_threshold(k: int) -> None:
-    if k < 1:
-        raise ValidationError(f"threshold k must be >= 1, got {k}")
 
 
 def _common_epoch(shares: Sequence[Share]) -> int:
@@ -121,15 +168,20 @@ def _lagrange_at(shares: Sequence[Share], x0: int, prime: int) -> int:
     return total
 
 
-def reconstruct(shares: Iterable[Share], k: int, prime: int = DEFAULT_PRIME) -> int:
-    """Interpolate the secret at x = 0 from at least k same-epoch shares."""
+def _quorum(shares: Iterable[Share], k: int, prime: int, *new_xs: int) -> tuple[list[Share], int]:
+    """The shares sorted by x and their epoch, once k, count, epochs and x's (and ``new_xs``) pass."""
     _check_threshold(k)
     share_list = sorted(shares, key=lambda s: s.x)
     if len(share_list) < k:
         raise InsufficientShares(f"need at least {k} shares, got {len(share_list)}")
-    _common_epoch(share_list)
-    _check_xs([s.x for s in share_list], prime)
-    return _lagrange_at(share_list, 0, prime)
+    epoch = _common_epoch(share_list)
+    _check_xs([s.x for s in share_list] + list(new_xs), prime)
+    return share_list, epoch
+
+
+def reconstruct(shares: Iterable[Share], k: int, prime: int = DEFAULT_PRIME) -> int:
+    """Interpolate the secret at x = 0 from at least k same-epoch shares."""
+    return _lagrange_at(_quorum(shares, k, prime)[0], 0, prime)
 
 
 def issue_share(
@@ -144,13 +196,8 @@ def issue_share(
     single contribution equals the secret; the underlying polynomial never
     materialises in one place.
     """
-    _check_threshold(k)
-    quorum_list = sorted(quorum, key=lambda s: s.x)
-    if len(quorum_list) < k:
-        raise InsufficientShares(f"need at least {k} shares, got {len(quorum_list)}")
-    epoch = _common_epoch(quorum_list)
-    _check_xs([s.x for s in quorum_list] + [new_x], prime)
-    new_x = new_x % prime
+    quorum_list, epoch = _quorum(quorum, k, prime, new_x)
+    new_x %= prime
     return Share(new_x, _lagrange_at(quorum_list, new_x, prime), epoch)
 
 

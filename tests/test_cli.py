@@ -229,7 +229,9 @@ def test_seed_override_applies(tmp_path):
 
 
 # two_cluster_seven.json numbers its nodes 1..7, so 7 is a prime the ids reach.
-@pytest.mark.parametrize("prime", [9, 15, 7, 1, -13])
+# 318665857834031151167461 is a composite that passes Miller-Rabin to all
+# twelve bases 2..37, and 2**64 + 13 a prime past the bound where they are exact.
+@pytest.mark.parametrize("prime", [9, 15, 7, 1, -13, 318665857834031151167461, 2**64 + 13])
 @pytest.mark.parametrize("verb", ["simulate"])
 def test_prime_override_is_checked_like_field_prime(verb, prime, tmp_path, capsys):
     args = [verb, "--scenario", str(SCENARIOS / "two_cluster_seven.json"), "--prime", str(prime)]
@@ -347,6 +349,24 @@ def test_reconstruct_rejects_a_composite_modulus(capsys):
     assert "prime" in captured.err
 
 
+def test_split_rejects_a_strong_pseudoprime_modulus(capsys):
+    args = ["shares", "split", "--secret", "6", "--n", "3", "--prime", "318665857834031151167461"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--prime must be a prime number below 2**64" in captured.err
+
+
+# a share read from the command line must lie in GF(13): x in 1..12, y in 0..12
+@pytest.mark.parametrize("share", ["14:5", "-12:5", "0:5", "1:-5", "1:30", "1:13"])
+def test_reconstruct_share_outside_the_field_is_an_input_error(share, capsys):
+    args = ["shares", "reconstruct", f"--share={share}", "--share", "2:3", "--k", "2", "--prime", "13"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 # an adversary share row with k = 3 in a k = 2 cluster, and one over GF(11)
 # in a GF(13) dump
 K_MISMATCH = {
@@ -406,6 +426,10 @@ BREACH_ROWS = [(1, 5), (2, 7)]
         gf13_dump(rows=BREACH_ROWS, secret=True),
         gf13_dump(rows=BREACH_ROWS, secret=6.0),
         gf13_dump(rows=BREACH_ROWS, secret=13),
+        gf13_dump(rows=BREACH_ROWS, prime=318665857834031151167461),
+        gf13_dump(rows=[(1.5, 5)]),
+        gf13_dump(rows=[(True, 5)]),
+        gf13_dump(rows=[(1, 5.0)]),
     ],
 )
 def test_audit_of_a_malformed_dump_is_an_input_error(payload, tmp_path, capsys):

@@ -2,7 +2,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from councilnet.errors import InvalidDominatingSet, UnknownNode, ValidationError
@@ -340,6 +340,19 @@ class TestVerifyPartition:
         c = Cluster(Council(frozenset(heads), 1), frozenset(members), frozenset(gateways), k=1)
         assert verify_partition(t, Partition([c])) == [message]
 
+    @pytest.mark.parametrize(
+        "heads, cid, messages",
+        [
+            ({1, 9, 10}, 10, ["nodes [2] are not assigned to any cluster", "cluster 10: heads [9, 10] are not in the topology"]),
+            ({1}, 9, ["nodes [2] are not assigned to any cluster", "cluster id 9 is not a topology node"]),
+        ],
+        ids=["one-of-the-heads", "not-a-head"],
+    )
+    def test_cluster_id_outside_topology_is_named_once(self, heads, cid, messages):
+        t = topology_from_edges([1, 2], [(1, 2)])
+        c = Cluster(Council(frozenset(heads), cid), frozenset(), frozenset(), k=1)
+        assert verify_partition(t, Partition([c])) == messages
+
     @given(
         st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=8, max_size=8),
         st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -347,6 +360,8 @@ class TestVerifyPartition:
         st.lists(st.integers(0, 2), min_size=10, max_size=10),
     )
     @settings(max_examples=200, deadline=None)
+    # a council {9} over nodes 1..8: its cluster id is a head the topology lacks
+    @example([(u, 0) for u in range(8)], (0, 0), [5] * 8 + [0, 5], [0] * 10)
     def test_check_on_unbuilt_links_matches_the_built_links(self, spots, jump, owners, roles):
         # nodes 1..8 on a quarter-radius grid, so that some pairs are
         # exactly a radius apart; node 1 then moves, leaving the links
@@ -372,4 +387,5 @@ class TestVerifyPartition:
         # each node the topology lacks is listed in exactly one message
         stray = p.node_index.keys() - moved.nodes
         listed = [int(u) for v in found for ids in re.findall(r"\[([\d, ]+)\]", v) for u in ids.split(", ")]
+        listed += [int(u) for v in found for u in re.findall(r"^cluster id (\d+) is not a topology node$", v)]
         assert {u: listed.count(u) for u in stray} == dict.fromkeys(stray, 1)

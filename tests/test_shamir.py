@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from councilnet.audit import BRUTE_FORCE_LIMIT, _consistent_secret_count
 from councilnet.errors import (
+    CouncilNetError,
     DuplicateX,
     IncompleteShareSet,
     InsufficientShares,
@@ -20,6 +21,7 @@ from councilnet.shamir import (
     Share,
     ThresholdPolicy,
     choose_threshold,
+    is_prime,
     issue_share,
     reconstruct,
     refresh_shares,
@@ -46,7 +48,7 @@ class TestChooseThreshold:
     def test_degenerate_single_head(self):
         assert choose_threshold(1) == ThresholdPolicy(1, 1)
 
-    @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 0), (2, -1)])
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 0), (2, -1), (3, 2.5), (3, True), (1.5, 1), (True, 1)])
     def test_policy_requires_k_within_one_to_n(self, n, k):
         with pytest.raises(ValidationError):
             ThresholdPolicy(n, k)
@@ -54,6 +56,12 @@ class TestChooseThreshold:
     def test_rejects_empty_council(self):
         with pytest.raises(InvalidCouncilSize):
             choose_threshold(0)
+
+    @pytest.mark.parametrize("n", [1.5, True])
+    def test_rejects_a_council_size_that_is_not_an_int(self, n):
+        # 1.5 would give ThresholdPolicy(n=1.5, k=1.0), and True a policy of size 1
+        with pytest.raises(InvalidCouncilSize):
+            choose_threshold(n)
 
     @given(st.integers(1, 500))
     def test_majority_rule(self, n):
@@ -91,7 +99,7 @@ class TestSplitSecret:
         assert a == b
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             split_secret(13, ThresholdPolicy(2, 2), (1, 2), 0, P)
         with pytest.raises(DuplicateX):
             split_secret(6, ThresholdPolicy(2, 2), (1, 1), 0, P)
@@ -175,6 +183,81 @@ class TestIssueShare:
             quorum = [Share(x, poly_eval(coeffs, x, P)) for x in xs[:n]][:k]
             issued = issue_share(quorum, xs[n], k, P)
             assert issued.y == poly_eval(coeffs, xs[n], P)
+
+
+# A field element, a threshold and an x coordinate are ints, not bools;
+# each of these breaks its rule over GF(13).  A secret of p and a k of 0
+# are refused in the tests above.
+BAD_SECRETS = [6.5, True, "6", -1]
+BAD_KS = [2.5, True]
+BAD_XS = [1.5, True, 0, P]
+
+
+class TestShareInputRules:
+    @pytest.mark.parametrize("secret", BAD_SECRETS)
+    def test_secret_must_be_a_field_element(self, secret):
+        with pytest.raises(ValidationError):
+            split_secret(secret, ThresholdPolicy(3, 2), (1, 2, 3), 0, P)
+
+    @pytest.mark.parametrize("k", BAD_KS)
+    @pytest.mark.parametrize("call", ["reconstruct", "issue_share", "refresh_shares"])
+    def test_threshold_must_be_an_int(self, call, k):
+        quorum = [Share(1, 0), Share(2, 7)]
+        calls = {
+            "reconstruct": lambda: reconstruct(quorum, k, P),
+            "issue_share": lambda: issue_share(quorum, 4, k, P),
+            "refresh_shares": lambda: refresh_shares(quorum, k, 5, P),
+        }
+        with pytest.raises(ValidationError):
+            calls[call]()
+
+    @pytest.mark.parametrize("x", BAD_XS)
+    @pytest.mark.parametrize("call", ["split_secret", "reconstruct", "issue_share", "refresh_shares"])
+    def test_x_must_be_an_int_nonzero_mod_p(self, call, x):
+        shares = [Share(x, 5), Share(2, 7)]
+        calls = {
+            "split_secret": lambda: split_secret(6, ThresholdPolicy(2, 2), (x, 2), 0, P),
+            "reconstruct": lambda: reconstruct(shares, 2, P),
+            "issue_share": lambda: issue_share([Share(2, 7), Share(3, 1)], x, 2, P),
+            "refresh_shares": lambda: refresh_shares(shares, 2, 5, P),
+        }
+        with pytest.raises(CouncilNetError):
+            calls[call]()
+
+
+def primes_up_to(limit):
+    """The primes in 0..limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
+    return {n for n in range(limit + 1) if sieve[n]}
+
+
+# 399165290221 * 798330580441: the smallest composite that passes
+# Miller-Rabin to all twelve bases 2..37 (Sorenson & Webster 2017)
+PSEUDOPRIME_12 = 318665857834031151167461
+
+
+class TestIsPrime:
+    def test_agrees_with_the_sieve_of_eratosthenes(self):
+        limit = 2 * 10**5
+        assert {n for n in range(limit + 1) if is_prime(n)} == primes_up_to(limit)
+
+    @pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051, PSEUDOPRIME_12])
+    def test_refuses_strong_pseudoprimes(self, n):
+        # the smallest strong pseudoprimes to bases 2, 2..7 and 2..23
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 2**64 - 59])
+    def test_accepts_primes_below_2_to_the_64(self, n):
+        assert is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**64 + 13, True, 13.0, "13"])
+    def test_refuses_a_modulus_past_the_bound_or_not_an_int(self, n):
+        # 2**64 + 13 is prime, but past the bound where the bases are exact
+        assert not is_prime(n)
 
 
 class TestShare:

@@ -418,6 +418,14 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("prime", [318665857834031151167461, 2**64 + 13])
+    def test_prime_past_the_exact_bound_rejected(self, prime):
+        # a composite that passes Miller-Rabin to all twelve bases 2..37, and
+        # a prime past 2**64, where the bases are no longer known to be exact
+        data = dict(STATIC_SEVEN, field_prime=prime)
+        with pytest.raises(ValidationError, match="below 2\\*\\*64"):
+            scenario_from_dict(data)
+
 
 class TestInitialize:
     def test_two_cluster_fixture(self):
