@@ -23,7 +23,7 @@ from .phase1 import (
     elect_heads,
     identify_gateways,
 )
-from .phase2 import Cluster, Council, Partition, _head_clusters, cluster_form
+from .phase2 import Cluster, Council, Partition, cluster_form
 
 
 class MaintenanceAction(str, Enum):
@@ -92,7 +92,8 @@ class _WorkingPartition:
         self.node_index = dict(partition.node_index)
 
     def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
-        return _head_clusters(self.node_index, self.clusters, nodes)
+        index = self.node_index
+        return {index[u] for u in nodes if u in index and u in self.clusters[index[u]].council.heads}
 
     def heads(self) -> set[NodeId]:
         return set().union(*(c.council.heads for c in self.clusters.values()))
@@ -231,7 +232,7 @@ def apply_departures(
         cid = before.cluster_id
         healths[cid] = _count_departure(healths.get(cid), before, nid)
         near = heads.near(nid)
-        dest = min({work.node_index[h] for h in near} - {cid}, default=None)
+        dest = min(work.head_clusters(near) - {cid}, default=None)
         if dest is None:
             stranded = True
             continue

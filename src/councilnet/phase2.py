@@ -15,12 +15,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .errors import InvalidDominatingSet, ValidationError
 from .graph import NodeId, Topology, is_dominating_set, neighbors
 from .phase1 import ClusterId, DominatingSet, Role
-from .shamir import choose_threshold
+from .shamir import _check_threshold, choose_threshold
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,6 @@ class Partition:
     def cluster(self, cid: ClusterId) -> Cluster:
         return self._by_id[cid]
 
-    def head_clusters(self, nodes: Iterable[NodeId]) -> set[ClusterId]:
-        return _head_clusters(self.node_index, self._by_id, nodes)
-
 
 def _repeats(clusters: tuple[Cluster, ...]) -> str:
     """Name the cluster ids and nodes that ``clusters`` list more than once."""
@@ -100,13 +97,6 @@ def _repeats(clusters: tuple[Cluster, ...]) -> str:
         if repeated:
             named.append(f"{what} {repeated} listed more than once")
     return "partition has " + " and ".join(named)
-
-
-def _head_clusters(
-    index: Mapping[NodeId, ClusterId], by_id: Mapping[ClusterId, Cluster], nodes: Iterable[NodeId]
-) -> set[ClusterId]:
-    """Ids of the clusters whose council lists one of ``nodes``."""
-    return {index[u] for u in nodes if u in index and u in by_id[index[u]].council.heads}
 
 
 def find_council_clique(
@@ -228,8 +218,10 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
     topology answers from its positions without building links:
     ``t.hearing_none`` for members and gateways, and one
     ``t.neighbor_index`` of every head for the cliques and the heads of
-    other clusters.  A node the topology lacks is named once, in its
-    cluster's message for its group, even a head that is the cluster id."""
+    other clusters.  Each council's k is judged by ``shamir``'s threshold
+    rule, whose message the violation quotes.  A node the topology lacks is
+    named once, in its cluster's message for its group, even a head that is
+    the cluster id."""
     violations: list[str] = []
     nodes = t.nodes
     missing = nodes - p.node_index.keys()
@@ -254,8 +246,10 @@ def verify_partition(t: Topology, p: Partition) -> list[str]:
                 violations.append(f"cluster {cid}: heads {sorted(c.council.heads - heads)} are not in the topology")
             if any(not heads - {h} <= hs for h, hs in near.items()):
                 violations.append(f"cluster {cid}: council {sorted(heads)} is not a clique")
-            if not 1 <= c.k <= c.n:
-                violations.append(f"cluster {cid}: threshold k={c.k} outside 1..{c.n}")
+            try:
+                _check_threshold(c.k, c.n)
+            except ValidationError as exc:
+                violations.append(f"cluster {cid}: {exc}")
         for role, group in (("member", c.members), ("gateway", c.gateways)):
             stray = group - nodes
             if stray:

@@ -144,7 +144,7 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
             _obeying(_checked_position, nid, wp, msg=f"node {nid} waypoint {j}: {_NOT_A_POSITION}")
             for j, wp in enumerate(waypoints_raw)
         )
-        speed = _real(entry.get("speed", 0.0))
+        speed = _real(entry.get("speed", NodeSpec.speed))
         if speed is None or speed < 0:
             fail(f"node {nid}: speed must be a number >= 0")
         if static and (waypoints or speed > 0):
@@ -181,18 +181,18 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
             edges.append((u, v))
         edges = tuple(edges)
 
-    hello = data.get("hello_interval_rounds", 1)
+    hello = data.get("hello_interval_rounds", Scenario.hello_interval_rounds)
     if not _is_int(hello) or hello < 1:
         fail("'hello_interval_rounds' must be a positive integer")
-    refresh = data.get("refresh_interval_rounds", 0)
+    refresh = data.get("refresh_interval_rounds", Scenario.refresh_interval_rounds)
     if not _is_int(refresh) or refresh < 0:
         fail("'refresh_interval_rounds' must be a non-negative integer")
 
-    threshold = _real(data.get("gateway_threshold", 0.5))
+    threshold = _real(data.get("gateway_threshold", Scenario.gateway_threshold))
     if threshold is None or not 0.0 <= threshold <= 1.0:
         fail("'gateway_threshold' must lie in [0, 1]")
 
-    prime = data.get("field_prime", DEFAULT_PRIME)
+    prime = data.get("field_prime", Scenario.field_prime)
     check_field_prime(prime, max(seen), f"{source}: 'field_prime'")
 
     adversary = None

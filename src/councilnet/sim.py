@@ -31,6 +31,7 @@ from typing import Mapping, Optional, Sequence
 from .audit import audit_secrecy
 from .errors import DisconnectedTopology, UnknownNode
 from .graph import (
+    MAX_COORDINATE,
     NodeId,
     Position,
     Topology,
@@ -173,7 +174,9 @@ def _move_nodes(state: SimState) -> dict[NodeId, Position]:
     position in ``state.topology``; return the nodes whose position changed,
     at their new positions.  A topology without positions raises
     ``ValueError`` while any walker has waypoints left, before any queue is
-    consumed."""
+    consumed.  A short step toward a waypoint on ±``MAX_COORDINATE`` can
+    round one ulp past it; it is clamped back to the bound, within rounding
+    of the exact point, and only a run that was refused before changes."""
     positions = state.topology.positions
     if positions is None and any(state.pending_waypoints.values()):
         raise ValueError("the topology has no node positions to move walkers from")
@@ -194,6 +197,8 @@ def _move_nodes(state: SimState) -> dict[NodeId, Position]:
                 x += (tx - x) / dist * budget
                 y += (ty - y) / dist * budget
                 budget = 0.0
+                if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
+                    x, y = (min(max(v, -MAX_COORDINATE), MAX_COORDINATE) for v in (x, y))
         if (x, y) != start:
             moved[nid] = (x, y)
     return moved

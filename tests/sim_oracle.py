@@ -81,7 +81,8 @@ def maintenance_pass(state: "sim.SimState", round_no: int) -> tuple[bool, bool]:
         role = p.cluster(cid).role_of(nid)
         state.share_ledger[cid].revoke(nid)
         p, healths[cid] = handle_departure(p, nid, healths[cid])
-        visits = p.head_clusters(neighbors(t, nid)) - {cid}
+        near = neighbors(t, nid)
+        visits = {c.cluster_id for c in p.clusters if c.council.heads & near} - {cid}
         if not visits:
             stranded = True
             continue

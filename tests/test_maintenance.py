@@ -15,6 +15,7 @@ from councilnet.graph import build_topology, neighbors, topology_from_edges
 from councilnet.maintenance import (
     ClusterHealth,
     MaintenanceAction,
+    _WorkingPartition,
     apply_departures,
     baseline_health,
     classify_change,
@@ -247,7 +248,7 @@ class TestLookupsMatchScans:
             cid = p.node_index[node]
             prior = p.cluster(cid).role_of(node)
             without, _ = handle_departure(p, node)
-            dest = min(without.head_clusters(neighbors(t, node)) - {cid}, default=None)
+            dest = min(_WorkingPartition(without).head_clusters(neighbors(t, node)) - {cid}, default=None)
             assert dest == scanned_destination(t, without, node, cid)
             if dest is None:
                 p = without
@@ -287,6 +288,11 @@ def fold_departure(p, node, health):
     return fold_swap_cluster(p, fold_without_node(cluster, node)), health
 
 
+def heard_clusters(p, near):
+    """Ids of the clusters with a head in ``near``, by a scan of every council."""
+    return {c.cluster_id for c in p.clusters if c.council.heads & near}
+
+
 def fold_visitor(t, p, node, visiting, prior_role):
     """handle_visitor as it was before the working copy, for a node that
     has already left its cluster."""
@@ -295,7 +301,7 @@ def fold_visitor(t, p, node, visiting, prior_role):
     joins = (
         heads <= near
         and prior_role is not Role.GATEWAY
-        and not p.head_clusters(near) - {visiting}
+        and not heard_clusters(p, near) - {visiting}
     )
     if joins:
         updated = replace(cluster, council=replace(cluster.council, heads=heads | {node}))
@@ -312,7 +318,7 @@ def sequential_fold(t, p, departed, healths):
         cid = p.node_index[nid]
         prior_role = p.cluster(cid).role_of(nid)
         p, healths[cid] = fold_departure(p, nid, healths[cid])
-        dest = min(p.head_clusters(neighbors(t, nid)) - {cid}, default=None)
+        dest = min(heard_clusters(p, neighbors(t, nid)) - {cid}, default=None)
         if dest is None:
             stranded = True
             continue

@@ -289,6 +289,19 @@ class TestVerifyPartition:
         found = verify_partition(t, bad)
         assert any("threshold" in v for v in found)
 
+    @pytest.mark.parametrize("k", [2.5, True, "2", 0, 4], ids=["float", "bool", "str", "zero", "above-n"])
+    def test_threshold_outside_the_rule_is_one_violation(self, k):
+        # shamir's threshold rule: an int, never a bool, in 1..n
+        c = Cluster(Council(frozenset({1, 2, 3}), 1), frozenset(), frozenset(), k=k)
+        assert verify_partition(triangle(), Partition([c])) == [
+            f"cluster 1: threshold k={k!r} must be an integer in 1..3"
+        ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_threshold_within_the_rule_is_clean(self, k):
+        c = Cluster(Council(frozenset({1, 2, 3}), 1), frozenset(), frozenset(), k=k)
+        assert verify_partition(triangle(), Partition([c])) == []
+
     def test_adjacent_heads_across_three_clusters_match_oracle(self):
         # every head touches every other; clusters are listed out of id order
         t = complete_graph(7)

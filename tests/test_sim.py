@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import math
 import random
 import sys
 import tempfile
@@ -42,6 +43,25 @@ STATIC_SEVEN = {
     "field_prime": 13,
     "nodes": [{"nid": n} for n in range(1, 8)],
     "edges": [[1, 2], [1, 3], [1, 5], [3, 5], [4, 5], [4, 6], [4, 7], [6, 7]],
+}
+
+# Walker 1's first step stops just short of its waypoint on the coordinate
+# bound, and unclamped it would round to y = 1.0000000000000002e+150.
+BOUND_WALKER = {
+    "seed": 1,
+    "rounds": 3,
+    "radius": 1e150,
+    "field_prime": 13,
+    "nodes": [
+        {
+            "nid": 1,
+            "pos": [8.107553918829165e149, -2.1358571774044363e149],
+            "waypoints": [[-1e150, 1e150]],
+            "speed": 2.1798223284333614e150,
+        },
+        {"nid": 2, "pos": [0.0, 0.0]},
+        {"nid": 3, "pos": [-5e149, 5e149]},
+    ],
 }
 
 
@@ -303,7 +323,10 @@ def scan_inputs(draw):
         for _ in range(draw(st.integers(0, 4)) if kind == "departed" else 0):
             # Only a node that hears another cluster's head can move there;
             # any other departure strands it, and the pass re-forms instead.
-            movers = [u for u in nids if p.head_clusters(t.adj[u]) - {p.node_index[u]}]
+            movers = [
+                u for u in nids
+                if any(c.council.heads & t.adj[u] for c in p.clusters if c.cluster_id != p.node_index[u])
+            ]
             if not movers:
                 break
             p = apply_departures(t, p, [draw(st.sampled_from(movers))], {})[0]
@@ -487,6 +510,54 @@ class TestInitialize:
         assert state.pending_waypoints == {2: [], 3: []}
         positions = state.topology.positions
         assert positions[2] == (1.45, 0.1) and positions[1] == (0.0, 0.0)
+
+
+class TestWalkerOnTheCoordinateBound:
+    def test_step_that_rounds_past_the_bound_runs_reruns_and_audits_clean(self, tmp_path):
+        sc_path = tmp_path / "bound.json"
+        sc_path.write_text(json.dumps(BOUND_WALKER))
+        outputs = []
+        for i in range(2):
+            metrics, dump = tmp_path / f"m{i}.csv", tmp_path / f"s{i}.json"
+            report = run(sc_path, metrics, state_out=dump)
+            assert report.ok and report.rounds == 3
+            outputs.append((metrics.read_bytes(), dump.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert audit_dump(json.loads(outputs[0][1])).ok
+
+    def test_clamped_step_stays_on_the_bound(self):
+        state = initialize(scenario_from_dict(BOUND_WALKER))
+        step(state)
+        x, y = state.topology.positions[1]
+        assert y == graph.MAX_COORDINATE and -graph.MAX_COORDINATE < x < -9.99e149
+
+    @given(
+        st.floats(-1e150, 1e150),
+        st.floats(-1e150, 1e150),
+        st.sampled_from([-1e150, 1e150]),
+        st.one_of(st.sampled_from([-1e150, 1e150]), st.floats(-1e150, 1e150)),
+        st.booleans(),
+        st.integers(1, 4),
+    )
+    # Starts whose step falls one ulp short, each rounding past the bound unclamped.
+    @example(-6.983802745398868e149, -5.892757772321628e149, 1e150, 1e150, False, 1)
+    @example(-2.0004483472451632e149, -3.77374802045384e146, 1e150, -1e150, False, 1)
+    @example(-9.153613615914475e149, -2.9273898774074844e149, 1e150, 1e150, False, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_steps_toward_a_waypoint_on_the_bound_never_raise(self, x, y, edge, other, swap, short):
+        # The waypoint has one coordinate, or both, on ±MAX_COORDINATE, and
+        # the walker's speed falls ``short`` ulps short of reaching it.
+        waypoint = (other, edge) if swap else (edge, other)
+        dist = math.hypot(waypoint[0] - x, waypoint[1] - y)
+        speed = dist
+        for _ in range(short):
+            speed = math.nextafter(speed, 0.0)
+        walker = {"nid": 1, "pos": [x, y], "waypoints": [list(waypoint)], "speed": speed}
+        state = initialize(scenario_from_dict({"radius": 1.0, "rounds": 1, "nodes": [walker]}))
+        step(state)
+        px, py = state.topology.positions[1]
+        assert abs(px) <= graph.MAX_COORDINATE and abs(py) <= graph.MAX_COORDINATE
+        assert math.dist((px, py), waypoint) <= 8 * math.ulp(dist) + 4 * math.ulp(graph.MAX_COORDINATE)
 
 
 class TestStep:
