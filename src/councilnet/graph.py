@@ -3,13 +3,14 @@
 Node ids are ints >= 1.  A topology is either derived from planar positions
 and a shared transmission radius (closed-disk rule: an edge exists iff the
 euclidean distance is <= radius) or encoded directly as an explicit edge
-list.  The rules for ids, numbers, positions and the radius are written
-once, below, for the builders and the scenario loader.  Topologies are
-immutable after construction and every graph operation is a pure function,
-so topologies can be shared freely between concurrent runs.  The one
-mutable value is a ``neighbor_index``: a set of some of a topology's nodes,
-edited with ``add`` and ``discard``, that answers which of them a node is
-adjacent to.  It belongs to the caller that built it.
+list.  The rules for ids, links, numbers, positions and the radius are
+written once, below, for the builders, the simulator and the scenario
+loader.  Topologies are immutable after construction and every graph
+operation is a pure function, so topologies can be shared freely between
+concurrent runs.  The one mutable value is a ``neighbor_index``: a set of
+some of a topology's nodes, edited with ``add`` and ``discard``, that
+answers which of them a node is adjacent to.  It belongs to the caller
+that built it.
 
 Every disk topology is a ``_DiskTopology``.  ``build_topology`` returns one
 with its links built; ``move_nodes`` returns one whose links are built in
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateNid, UnknownNode
 
@@ -123,7 +124,10 @@ class _DiskTopology(Topology):
         near = [(v, pos) for v in nodes if (pos := positions.get(v)) is not None]
         out = []
         for u in us:
-            ux, uy = self._position(u)
+            try:
+                ux, uy = positions[u]
+            except KeyError:
+                raise UnknownNode(f"node {u} is not in the topology") from None
             for v, (vx, vy) in near:
                 dx = ux - vx
                 dy = uy - vy
@@ -158,12 +162,6 @@ class _DiskTopology(Topology):
         if span * 2**-52 > max(r, 1e-150):
             span = _span_of(self.positions)
         return _cell_width(r, span)
-
-    def _position(self, u: NodeId) -> Position:
-        try:
-            return self.positions[u]
-        except KeyError:
-            raise UnknownNode(f"node {u} is not in the topology") from None
 
 
 class _LinkIndex:
@@ -220,7 +218,10 @@ class _CellIndex:
             self._cells.get(self._key(pos), {}).pop(v, None)
 
     def near(self, u: NodeId) -> frozenset[NodeId]:
-        ux, uy = pos = self._t._position(u)
+        try:
+            ux, uy = pos = self._t.positions[u]
+        except KeyError:
+            raise UnknownNode(f"node {u} is not in the topology") from None
         cx, cy = self._key(pos)
         cells = self._cells
         r2 = self._r2
@@ -386,6 +387,18 @@ def _check_nid(nid) -> None:
         raise ValueError(f"node ids must be ints >= 1, got {nid!r}")
 
 
+def _check_link(nodes: Container[NodeId], u, v) -> None:
+    """The link rule: ``ValueError`` naming the first endpoint that is no
+    node id, then ``UnknownNode`` unless both are in ``nodes``, then
+    ``ValueError`` for a self-loop."""
+    _check_nid(u)
+    _check_nid(v)
+    if u not in nodes or v not in nodes:
+        raise UnknownNode(f"edge ({u}, {v}) references an unknown node")
+    if u == v:
+        raise ValueError(f"self-loop on node {u}")
+
+
 def _checked_radius(radius) -> float:
     """``radius`` as a float, or ``ValueError`` naming it unless it is a
     number in (0, ``MAX_COORDINATE``]."""
@@ -462,8 +475,11 @@ def topology_from_edges(
     is frozen once at the end: O(n + m) for n nodes and m listed edges, with
     no per-edge set insert.  Repeated and reversed edges collapse when the
     lists are frozen.  A repeated id raises ``DuplicateNid``, then the first
-    id that is no int >= 1 a ``ValueError`` naming it.  The first bad edge
-    in list order raises: a self-loop ``ValueError`` or an ``UnknownNode``.
+    id that is no int >= 1 a ``ValueError`` naming it.  The first edge in
+    list order that breaks the link rule raises its error: an endpoint that
+    is no node id, then one outside the node list, then a self-loop.  The
+    rule runs only for an edge that fails a plain-int, distinct and known
+    test, so a good edge costs two type tests beyond its appends.
     """
     node_list = list(nodes)
     adj: dict[NodeId, list[NodeId]] = {u: [] for u in node_list}
@@ -472,12 +488,13 @@ def topology_from_edges(
     for u in adj:
         _check_nid(u)
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop on node {u}")
-        if u not in adj or v not in adj:
-            raise UnknownNode(f"edge ({u}, {v}) references an unknown node")
-        adj[u].append(v)
-        adj[v].append(u)
+        if type(u) is not int or type(v) is not int or u == v:
+            _check_link(adj, u, v)  # returns only for an int subclass's good edge
+        try:
+            adj[u].append(v)
+            adj[v].append(u)
+        except KeyError:
+            _check_link(adj, u, v)  # raises UnknownNode
     return Topology({u: frozenset(vs) for u, vs in adj.items()})
 
 

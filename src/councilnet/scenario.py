@@ -5,7 +5,8 @@
 validates the decoded object, applying the documented defaults; any malformed
 field, and any key that names no field of ``Scenario``, ``NodeSpec`` or
 ``Adversary`` where it stands, raises ``ValidationError``.  Ids, numbers,
-positions and the radius follow ``graph``'s rules, and the field prime ``shamir``'s.
+positions, the radius, edges (the link rule) and the adversary's nodes (the
+id rule) follow ``graph``'s rules, and the field prime ``shamir``'s.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .errors import ParseError, ValidationError
-from .graph import MAX_COORDINATE, NodeId, Position, _check_nid, _checked_position, _checked_radius, _is_int, _real
+from .errors import ParseError, UnknownNode, ValidationError
+from .graph import (
+    MAX_COORDINATE, NodeId, Position, _check_link, _check_nid, _checked_position, _checked_radius, _is_int, _real
+)
 from .shamir import DEFAULT_PRIME, is_prime
 
 
@@ -171,14 +174,13 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
             fail("'edges' must be a list of pairs")
         edges = []
         for j, pair in enumerate(edges_raw):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_int, pair)):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 fail(f"edges[{j}] must be a pair of node ids")
-            u, v = pair
-            if u not in seen or v not in seen:
-                fail(f"edges[{j}] references an unknown node")
-            if u == v:
-                fail(f"edges[{j}] is a self-loop")
-            edges.append((u, v))
+            try:
+                _check_link(seen, *pair)
+            except (ValueError, UnknownNode) as exc:
+                raise ValidationError(f"{source}: edges[{j}]: {exc}") from None
+            edges.append(tuple(pair))
         edges = tuple(edges)
 
     hello = data.get("hello_interval_rounds", Scenario.hello_interval_rounds)
@@ -207,8 +209,10 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         if not _is_int(comp_round) or comp_round < 1:
             fail("adversary 'compromise_round' must be an integer >= 1")
         adv_nodes = adv_raw.get("nodes", [])
-        if not isinstance(adv_nodes, list) or not all(_is_int(n) for n in adv_nodes):
+        if not isinstance(adv_nodes, list):
             fail("adversary 'nodes' must be a list of node ids")
+        for n in adv_nodes:
+            _obeying(_check_nid, n, msg=f"{source}: adversary 'nodes' must be a list of node ids")
         unknown = [n for n in adv_nodes if n not in seen]
         if unknown:
             fail(f"adversary nodes {unknown} are not in the scenario")

@@ -35,6 +35,7 @@ from .graph import (
     NodeId,
     Position,
     Topology,
+    _check_nid,
     build_topology,
     move_nodes,
     topology_from_edges,
@@ -310,8 +311,13 @@ def compromise(state: SimState, nodes) -> SimState:
     """Hand the adversary the current shares held by the given nodes.
 
     The compromised set is static: future shares of these nodes keep
-    leaking, but refreshed shares of untouched nodes never do.
+    leaking, but refreshed shares of untouched nodes never do.  A node that
+    breaks ``graph``'s id rule raises ``ValueError``, and one outside the
+    topology ``UnknownNode``, before anything changes.
     """
+    nodes = list(nodes)
+    for nid in nodes:
+        _check_nid(nid)
     nodes = set(nodes)
     unknown = nodes - state.topology.nodes
     if unknown:

@@ -3,12 +3,13 @@
 ``build_topology`` tests every pair of nodes with the closed-disk rule,
 with no strips or windows.  It takes the library build's arguments, so the twin run in
 ``test_sim.py`` can put it in place of the library's build, the deferred
-builds of moved topologies included.  ``topology_from_edges`` is a
-verbatim copy of the library's as it stood before the builders appended
-each link to a per-node list and froze the list once, with the library's
-node-id rule (an int >= 1, not a bool) written out in place.  It adds every
-edge to a growing mutable set per node and copies each set into a
-frozenset, which is plainly the rule as stated.  The property tests in ``test_graph.py``
+builds of moved topologies included.  ``topology_from_edges`` is a copy
+of the library's as it stood before the builders appended each link to a
+per-node list and froze the list once, with the library's node-id rule (an
+int >= 1, not a bool) and link rule (both endpoints node ids, then both
+listed, then distinct) written out in place.  It adds every edge to a
+growing mutable set per node and copies each set into a frozenset, which
+is plainly the rule as stated.  The property tests in ``test_graph.py``
 compare the library against both, input errors included for edge lists.
 """
 
@@ -34,6 +35,11 @@ def build_topology(node_specs, radius) -> _DiskTopology:
     return _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
 
 
+def check_nid(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"node ids must be ints >= 1, got {n!r}")
+
+
 def topology_from_edges(
     nodes: Iterable[NodeId],
     edges: Iterable[tuple[NodeId, NodeId]],
@@ -44,13 +50,14 @@ def topology_from_edges(
     if len(adj) != len(node_list):
         raise DuplicateNid("node list contains repeated ids")
     for n in adj:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"node ids must be ints >= 1, got {n!r}")
+        check_nid(n)
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop on node {u}")
+        check_nid(u)
+        check_nid(v)
         if u not in adj or v not in adj:
             raise UnknownNode(f"edge ({u}, {v}) references an unknown node")
+        if u == v:
+            raise ValueError(f"self-loop on node {u}")
         adj[u].add(v)
         adj[v].add(u)
     return Topology({u: frozenset(vs) for u, vs in adj.items()})

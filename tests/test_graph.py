@@ -27,6 +27,7 @@ from councilnet.graph import (
     two_hop_view,
 )
 from councilnet.scenario import scenario_from_dict
+from councilnet.sim import compromise, initialize
 from councilnet.topologies import random_connected, star, triangle
 
 
@@ -56,8 +57,9 @@ def edge_lists(draw):
     The node list is usually a permutation of 1..n, else any ids from -1 to
     12, repeats and ids < 1 included.  Edges are drawn with repeats, each
     either way round, and about half the time one or two bad ones are
-    spliced in anywhere: self-loops on listed or unlisted ids, and endpoints
-    that are not listed.
+    spliced in anywhere: self-loops on listed or unlisted ids, endpoints
+    that are not listed, and endpoints that equal a listed id but are no
+    int (``True``, ``1.0``) or are a string.
     """
     if draw(st.integers(0, 3)):
         nodes = draw(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
@@ -71,6 +73,7 @@ def edge_lists(draw):
         st.integers(-1, 15).map(lambda u: (u, u)),
         st.tuples(ids, st.integers(13, 15)),
         st.tuples(st.integers(-1, 0), ids),
+        st.tuples(ids, st.sampled_from([True, 1.0, "2"]), st.booleans()).map(lambda e: e[1::-1] if e[2] else e[:2]),
     )
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         edges.insert(draw(st.integers(0, len(edges))), draw(bad))
@@ -329,6 +332,18 @@ class TestBuildTopology:
             topology_from_edges([nid, 2], [])
         with pytest.raises(ValidationError, match=r"nodes\[0\]: nid"):
             scenario_from_dict({"radius": 1.0, "nodes": [{"nid": nid, "pos": [0.0, 0.0]}]})
+        # as an edge endpoint, either way round, an adversary node, or a
+        # node handed to ``compromise``
+        pair = {"nodes": [{"nid": 1}, {"nid": 2}], "edges": [[1, 2]]}
+        for edge in ((nid, 2), (2, nid)):
+            with pytest.raises(ValueError, match=named):
+                topology_from_edges([1, 2], [(1, 2), edge])
+            with pytest.raises(ValidationError, match=r"edges\[1\]: " + named[1:]):
+                scenario_from_dict(dict(pair, edges=[[1, 2], list(edge)]))
+        with pytest.raises(ValidationError, match="adversary 'nodes'"):
+            scenario_from_dict(dict(pair, adversary={"compromise_round": 1, "nodes": [1, nid]}))
+        with pytest.raises(ValueError, match=named):
+            compromise(initialize(scenario_from_dict(pair)), [1, nid])
 
     def test_radius_and_coordinates_at_the_bound_are_accepted(self):
         # squared differences up to (2e150)**2 stay finite
@@ -433,6 +448,11 @@ class TestBuildTopology:
     @example(([1, 2, 3], [(1, 2), (2, 2), (1, 9), (3, 1)]))
     # ... and an unknown endpoint before a self-loop
     @example(([1, 2, 3], [(1, 2), (1, 9), (2, 2), (3, 1)]))
+    # within one edge, an unknown endpoint is named before the self-loop
+    @example(([1, 2, 3], [(1, 2), (9, 9)]))
+    # an endpoint equal to a listed id but no int is refused, not stored
+    @example(([1, 2, 3], [(2, True)]))
+    @example(([1, 2, 3], [(3, 1.0)]))
     # repeated ids are reported before ids < 1
     @example(([2, 0, 2], [(2, 0)]))
     # an id that is no int, or a bool, is refused like one < 1
@@ -674,18 +694,23 @@ class TestNeighbors:
         assert neighbors(path3(), 2) == frozenset({1, 3})
 
     def test_lookups_among_given_nodes(self):
-        # a node never hears itself, and ids outside the topology hear nobody
-        t = path3()
-        assert t.hearing_none([3, 2, 1], {2, 9}) == [2]
-        index = t.neighbor_index({1, 2, 9})
-        assert index.near(2) == {1}
-        index.discard(1)
-        index.add(3)
-        assert index.near(2) == {3}
-        with pytest.raises(UnknownNode, match="node 9 "):
-            t.hearing_none([1, 9], {2})
-        with pytest.raises(UnknownNode):
-            index.near(9)
+        # a node never hears itself, and ids outside the topology hear
+        # nobody; the path 1-2-3 as an edge list, and as a disk topology
+        # built or moved, whose lookups read positions
+        line = [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (2.0, 0.0))]
+        moved = move_nodes(build_topology(line[:2] + [(3, (9.0, 0.0))], 1.0), {3: (2.0, 0.0)})
+        for t in (path3(), build_topology(line, 1.0), moved):
+            assert t.hearing_none([3, 2, 1], {2, 9}) == [2]
+            index = t.neighbor_index({1, 2, 9})
+            assert index.near(2) == {1}
+            index.discard(1)
+            index.add(3)
+            assert index.near(2) == {3}
+            with pytest.raises(UnknownNode, match="node 9 "):
+                t.hearing_none([1, 9], {2})
+            with pytest.raises(UnknownNode, match="node 9 "):
+                index.near(9)
+        assert "adj" not in vars(moved)
 
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):

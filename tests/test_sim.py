@@ -1046,6 +1046,18 @@ class TestCompromiseAndAudit:
         with pytest.raises(UnknownNode):
             compromise(state, {42})
 
+    def test_non_int_ids_rejected_before_any_leak(self):
+        # True and 3.0 equal nodes 1 and 3, which hold shares of cluster 1
+        state = initialize(scenario_from_dict(STATIC_SEVEN))
+        compromise(state, {6})
+        leaked = {cid: dict(ledger.leaked) for cid, ledger in state.share_ledger.items()}
+        with pytest.raises(ValueError, match="got True$"):
+            compromise(state, [True, 3.0])
+        with pytest.raises(ValueError, match="got 3.0$"):
+            compromise(state, [1, 3.0])
+        assert state.compromised == {6}
+        assert {cid: ledger.leaked for cid, ledger in state.share_ledger.items()} == leaked
+
     def test_scheduled_compromise_fires(self):
         sc = scenario_from_dict(
             dict(STATIC_SEVEN, adversary={"compromise_round": 3, "nodes": [1, 3]})
