@@ -4,13 +4,14 @@ The ledger holds the cluster's secret, its shares by holder, the holders
 revoked since the last refresh, and what leaked.  One rule decides what
 leaks: the adversary holds the current share of every compromised holder
 whose share is live.  Splitting, issuing and compromising apply it through
-``leak``, and a refresh in its one pass over the live holders; a revoked
-share stops leaking, but a copy the adversary already took is kept.
+``leak``, and a refresh over the live holders when one is compromised; a
+revoked share stops leaking, but a copy the adversary already took is kept.
 
 A refresh checks the threshold and the holders' x coordinates once per
 membership: the verdicts are kept with the live holders until ``issue`` or
 ``revoke`` changes who holds a share, since a pure check over unchanged
-inputs keeps its verdict.  The epochs are checked on every refresh.
+inputs keeps its verdict.  The epochs are checked on every refresh, and
+``shamir``'s one kernel, which splits use too, writes the new shares in one pass.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ class ClusterLedger:
         The live holders, sorted by id, and the checks of k and of their x
         coordinates are kept from the last refresh unless a holder was
         revoked or issued since, or the keys of ``shares`` changed; the
-        epoch check runs every time.  One blinding pass then writes each new
-        share and applies the leak rule: a compromised holder's new share
-        leaks, a revoked holder's old copy stays with the adversary.
+        epoch check runs every time, before any draw.  The kernel's dict of
+        new shares becomes ``shares``, then the leak rule runs if a holder is
+        compromised: its new share leaks, a revoked holder's old copy stays.
         """
         checked = self._checked
         if checked is None or self.revoked or list(self.shares) != checked[0]:
@@ -123,13 +124,15 @@ class ClusterLedger:
             checked = self._checked = (holders, xs)
         holders, xs = checked
         live = [self.shares[nid] for nid in holders]
-        epoch = _common_epoch(live) + 1
-        ys = _blind(xs, [s.y for s in live], self.k, rng.randrange(2**62), self.prime)
-        shares = {}
-        for nid, x, y in zip(holders, xs, ys):
-            shares[nid] = new = Share(x, y, epoch)
-            if nid in compromised:
-                self.leaked[nid] = new
+        epoch = live[0].epoch
+        for share in live:
+            if share.epoch != epoch:
+                _common_epoch(live)  # raises MixedEpoch, naming the epochs
+        shares = _blind(holders, xs, [s.y for s in live], self.k, rng.randrange(2**62), self.prime, epoch + 1)
+        if not compromised.isdisjoint(shares):
+            for nid in holders:
+                if nid in compromised:
+                    self.leaked[nid] = shares[nid]
         self.shares = shares
         self.revoked = set()
         self.epoch += 1

@@ -139,12 +139,12 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         if pos is None and not static:
             fail(f"node {nid}: 'pos' is required unless an explicit edge list is given")
         if pos is not None:
-            pos = _obeying(_checked_position, nid, pos, msg=f"node {nid}: {_NOT_A_POSITION}")
+            pos = _obeying(_checked_position, nid, pos, msg=f"{source}: node {nid}: {_NOT_A_POSITION}")
         waypoints_raw = entry.get("waypoints", [])
         if not isinstance(waypoints_raw, list):
             fail(f"node {nid}: 'waypoints' must be a list of positions")
         waypoints = tuple(
-            _obeying(_checked_position, nid, wp, msg=f"node {nid} waypoint {j}: {_NOT_A_POSITION}")
+            _obeying(_checked_position, nid, wp, msg=f"{source}: node {nid} waypoint {j}: {_NOT_A_POSITION}")
             for j, wp in enumerate(waypoints_raw)
         )
         speed = _real(entry.get("speed", NodeSpec.speed))

@@ -6,11 +6,14 @@ Lagrange interpolation, fewer than k reveal nothing.  Shares carry an epoch
 counter so that proactive refreshes (adding a random zero-constant
 polynomial) invalidate stale material.  Each share-input rule is written
 once, here; a modulus is tested for primality where it enters the program.
+Splits and refreshes share one draw rule, ``_draws``, and one kernel, ``_blind``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+import threading
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -101,14 +104,49 @@ def choose_threshold(n: int) -> ThresholdPolicy:
     return ThresholdPolicy(n=n, k=n // 2 + 1)
 
 
-def _eval_poly(coeffs: Sequence[int], x: int) -> int:
-    # Horner's rule over exact integers; coeffs[0] is the constant term.
-    # Callers reduce the result once: its residue mod p is the one that
-    # reducing at every step would give.
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+class _Scratch(threading.local):
+    # One generator per thread, reseeded in place for every draw: cheaper than a new
+    # ``random.Random``, and no thread can reseed another's between its seed and draws.
+    def __init__(self) -> None:
+        self.rng = random.Random()
+
+
+_scratch = _Scratch()
+
+
+def _draws(seed: int, count: int, prime: int) -> list[int]:
+    """The first ``count`` values of ``random.Random(seed).randrange(prime)``, drawn as
+    ``randrange`` does, by ``getrandbits`` of the prime's bit length with rejection."""
+    if count == 0:
+        return []
+    rng = _scratch.rng
+    rng.seed(seed)
+    getrandbits, bits = rng.getrandbits, prime.bit_length()
+    draws = []
+    while len(draws) < count:
+        r = getrandbits(bits)
+        if r < prime:
+            draws.append(r)
+    return draws
+
+
+def _blind(
+    keys: Iterable, xs: Sequence[int], ys: Iterable[int], k: int, seed: int, prime: int, epoch: int
+) -> dict:
+    """The share (x, y + x * h(x), epoch) under each key, h holding the k - 1 coefficients
+    drawn from the seed: a refresh adds the zero-constant blind x * h(x) to checked
+    shares of one epoch, a split adds it to the secret.  Horner's rule runs over exact
+    integers, reduced once per share; ``tuple.__new__`` skips ``Share``'s Python ``__new__``.
+    """
+    blind = _draws(seed, k - 1, prime)[::-1]
+    new = tuple.__new__
+    shares = {}
+    for key, x, y in zip(keys, xs, ys):
+        acc = 0
+        for c in blind:
+            acc = acc * x + c
+        shares[key] = new(Share, (x, (y + x * acc) % prime, epoch))
+    return shares
 
 
 def _check_xs(xs: Sequence[int], prime: int) -> None:
@@ -142,9 +180,8 @@ def split_secret(
     if len(xs) != policy.n:
         raise ValidationError(f"expected {policy.n} x coordinates, got {len(xs)}")
     _check_xs(xs, prime)
-    rng = random.Random(seed)
-    coeffs = [secret] + [rng.randrange(prime) for _ in range(policy.k - 1)]
-    return tuple(Share(x % prime, _eval_poly(coeffs, x % prime) % prime, 0) for x in xs)
+    xs = [x % prime for x in xs]
+    return tuple(_blind(xs, xs, itertools.repeat(secret), policy.k, seed, prime, 0).values())
 
 
 def _common_epoch(shares: Sequence[Share]) -> int:
@@ -201,16 +238,6 @@ def issue_share(
     return Share(new_x, _lagrange_at(quorum_list, new_x, prime), epoch)
 
 
-def _blind(xs: Sequence[int], ys: Sequence[int], k: int, seed: int, prime: int) -> list[int]:
-    # The refresh arithmetic, for checked shares of one epoch: each y plus
-    # x * h(x), where h holds the k - 1 coefficients drawn from the seed and
-    # the blind polynomial x * h(x) has a zero constant term.  Evaluated by
-    # Horner's rule over exact integers and reduced once per share.
-    rng = random.Random(seed)
-    blind = [rng.randrange(prime) for _ in range(k - 1)]
-    return [(y + x * _eval_poly(blind, x)) % prime for x, y in zip(xs, ys)]
-
-
 def refresh_shares(
     shares: Iterable[Share],
     k: int,
@@ -233,5 +260,4 @@ def refresh_shares(
     epoch = _common_epoch(share_list) + 1
     xs = [s.x for s in share_list]
     _check_xs(xs, prime)
-    ys = _blind(xs, [s.y for s in share_list], k, seed, prime)
-    return tuple(Share(x, y, epoch) for x, y in zip(xs, ys))
+    return tuple(_blind(xs, xs, [s.y for s in share_list], k, seed, prime, epoch).values())

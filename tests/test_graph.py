@@ -320,8 +320,8 @@ class TestBuildTopology:
         # the scenario loader refuses it too, as a position or a waypoint
         for fields in ({"pos": pos}, {"pos": [0.0, 0.0], "waypoints": [pos], "speed": 1.0}):
             nodes = [{"nid": 1, "pos": [0.0, 0.0]}, {"nid": 2, **fields}]
-            with pytest.raises(ValidationError, match="^node 2"):
-                scenario_from_dict({"radius": 1.0, "nodes": nodes})
+            with pytest.raises(ValidationError, match=r"^bad\.json: node 2"):
+                scenario_from_dict({"radius": 1.0, "nodes": nodes}, source="bad.json")
 
     @pytest.mark.parametrize("nid", [1.5, True, "a", 0, -1])
     def test_bad_node_id_rejected(self, nid):

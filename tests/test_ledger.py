@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from councilnet.errors import DuplicateX, MixedEpoch
 from councilnet.ledger import ClusterLedger
 from councilnet.phase2 import Cluster, Council
-from councilnet.shamir import Share
+from councilnet.shamir import DEFAULT_PRIME, Share
 from ledger_oracle import OracleLedger
 
 P = 17
@@ -115,19 +115,25 @@ class TestLeakRuleUnderRefresh:
 
 
 class TestRefreshAgainstOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 8), st.integers(0, 2**32), st.frozensets(NIDS, max_size=3), LEDGER_STEPS)
-    @example(n=3, seed=1, compromised=frozenset({2}), steps=[REFRESH, ("revoke", 2), ("issue", 2), REFRESH, REFRESH])
-    @example(n=3, seed=2, compromised=frozenset({1}), steps=[REFRESH, ("revoke", 1), ("revoke", 2), ("revoke", 3), REFRESH, ("issue", 1), REFRESH])
-    @example(n=4, seed=3, compromised=frozenset({4}), steps=[REFRESH, ("revoke", 4), REFRESH, ("issue", 4), REFRESH, REFRESH])
-    def test_refresh_matches_the_oracle_ledger(self, n, seed, compromised, steps):
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.sampled_from([P, DEFAULT_PRIME, 2**64 - 59]),
+        st.integers(1, 8),
+        st.integers(0, 2**32),
+        st.frozensets(NIDS, max_size=3),
+        LEDGER_STEPS,
+    )
+    @example(prime=P, n=3, seed=1, compromised=frozenset({2}), steps=[REFRESH, ("revoke", 2), ("issue", 2), REFRESH, REFRESH])
+    @example(prime=P, n=3, seed=2, compromised=frozenset({1}), steps=[REFRESH, ("revoke", 1), ("revoke", 2), ("revoke", 3), REFRESH, ("issue", 1), REFRESH])
+    @example(prime=P, n=4, seed=3, compromised=frozenset({4}), steps=[REFRESH, ("revoke", 4), REFRESH, ("issue", 4), REFRESH, REFRESH])
+    def test_refresh_matches_the_oracle_ledger(self, prime, n, seed, compromised, steps):
         # The same splits, issues, revocations, leaks and refreshes on the
         # ledger and on the oracle, whose refresh lists and checks the live
         # holders anew every time; both draw from equally seeded rngs.
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         compromised = set(compromised)
-        ledger = ClusterLedger.split(council_of(n), P, rng, compromised)
-        oracle = OracleLedger.split(council_of(n), P, oracle_rng, compromised)
+        ledger = ClusterLedger.split(council_of(n), prime, rng, compromised)
+        oracle = OracleLedger.split(council_of(n), prime, oracle_rng, compromised)
         for i, (op, arg) in enumerate(steps):
             if op == "issue":
                 assert ledger.issue(arg, compromised) == oracle.issue(arg, compromised)
@@ -151,11 +157,17 @@ class TestRefreshAgainstOracle:
 
 class TestRefreshChecksAfterTheFirst:
     def test_planted_share_of_another_epoch_is_refused(self):
-        ledger = ClusterLedger.split(council_of(3), P, random.Random(6), set())
-        ledger.refresh(random.Random(7), set())
+        ledger = ClusterLedger.split(council_of(3), P, random.Random(6), {1})
+        ledger.refresh(random.Random(7), {1})
         ledger.shares[2] = ledger.shares[2]._replace(epoch=0)
-        with pytest.raises(MixedEpoch):
-            ledger.refresh(random.Random(8), set())
+        shares, leaked, epoch = dict(ledger.shares), dict(ledger.leaked), ledger.epoch
+        rng = random.Random(8)
+        state = rng.getstate()
+        with pytest.raises(MixedEpoch, match=r"^shares span epochs \[0, 1\]$"):
+            ledger.refresh(rng, {1})
+        # refused before any draw or write
+        assert (ledger.shares, ledger.leaked, ledger.epoch) == (shares, leaked, epoch)
+        assert rng.getstate() == state
 
     def test_planted_holder_on_a_taken_coordinate_is_refused(self):
         # Node 18's x is 1 mod 17, holder 1's coordinate.

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from councilnet.shamir import (
     DEFAULT_PRIME,
     Share,
     ThresholdPolicy,
+    _draws,
     choose_threshold,
     is_prime,
     issue_share,
@@ -278,7 +281,52 @@ class TestShare:
         assert repr(Share(1, 2)) == "Share(x=1, y=2, epoch=0)"
 
 
-ORACLE_PRIMES = (2, 3, 5, 17, DEFAULT_PRIME)
+ORACLE_PRIMES = (2, 3, 5, 17, DEFAULT_PRIME, 2**64 - 59)
+
+
+class TestDrawRule:
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    @given(st.integers(0, 2**62))
+    @settings(max_examples=60, deadline=None)
+    def test_draws_are_the_stdlib_randrange_stream(self, p, seed):
+        # Splits and refreshes draw through ``_draws``; a CPython whose
+        # randrange drew otherwise would fail here by name.
+        for count in range(8):
+            rng = random.Random(seed)
+            assert _draws(seed, count, p) == [rng.randrange(p) for _ in range(count)]
+
+    def test_threads_draw_as_a_serial_run_does(self):
+        # Each thread reseeds its own scratch generator; one generator shared
+        # by the threads would let a switch between one thread's seed and
+        # its draws hand it another's coefficients.
+        def work(t):
+            shares = split_secret(t, ThresholdPolicy(7, 4), range(1, 8), t)
+            out = [shares]
+            for i in range(3000):
+                shares = refresh_shares(shares, 4, 4 * i + t)
+                out.append(shares)
+                if i % 100 == 0:
+                    out.append(split_secret(i, ThresholdPolicy(5, 3), range(1, 6), 4 * i + t))
+            return out
+
+        serial = [work(t) for t in range(4)]
+        results = [None] * 4
+
+        def run(t):
+            results[t] = work(t)
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
 
 
 @st.composite
