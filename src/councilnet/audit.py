@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from .errors import CouncilNetError, ValidationError
 from .phase1 import ClusterId
 from .shamir import (
-    Share, _check_element, _check_epoch, _check_read_shares, _check_threshold, _lagrange_at, is_prime, reconstruct
+    Share, _check_element, _check_epoch, _check_prime, _check_read_shares, _check_threshold, _lagrange_at, reconstruct
 )
 
 if TYPE_CHECKING:
@@ -127,8 +127,7 @@ def audit_dump(payload: Mapping) -> AuditResult:
     where = "malformed state dump"
     try:
         prime = payload["prime"]
-        if not is_prime(prime):
-            raise ValidationError(f"prime {prime!r} is not a prime below 2**64")
+        _check_prime(prime, "prime")
         for cluster in payload["clusters"]:
             cid, k, epoch, secret = cluster["cluster_id"], cluster["k"], cluster["epoch"], cluster.get("secret")
             where = f"malformed state dump: cluster {cid}"

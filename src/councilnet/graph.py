@@ -289,9 +289,7 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     r = _checked_radius(radius)
     positions: dict[NodeId, Position] = {}
     for nid, pos in node_specs:
-        _check_nid(nid)
-        if nid in positions:
-            raise DuplicateNid(f"node id {nid} appears more than once")
+        _check_nid(nid, positions)
         positions[nid] = _checked_position(nid, pos)
     span = _span_of(positions)
     cell = _cell_width(r, span)
@@ -381,10 +379,14 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_nid(nid) -> None:
-    """``ValueError`` naming ``nid`` unless it is an int >= 1, not a bool."""
+def _check_nid(nid, seen: Container[NodeId] = ()) -> None:
+    """The id rule, ``ValueError`` naming ``nid`` unless it is an int >= 1,
+    not a bool; then the distinct-id rule, ``DuplicateNid`` if ``seen``
+    already holds it."""
     if not _is_int(nid) or nid < 1:
         raise ValueError(f"node ids must be ints >= 1, got {nid!r}")
+    if nid in seen:
+        raise DuplicateNid(f"node id {nid} appears more than once")
 
 
 def _check_link(nodes: Container[NodeId], u, v) -> None:
@@ -474,19 +476,18 @@ def topology_from_edges(
     Each edge is appended to both endpoints' neighbour lists, and each list
     is frozen once at the end: O(n + m) for n nodes and m listed edges, with
     no per-edge set insert.  Repeated and reversed edges collapse when the
-    lists are frozen.  A repeated id raises ``DuplicateNid``, then the first
-    id that is no int >= 1 a ``ValueError`` naming it.  The first edge in
-    list order that breaks the link rule raises its error: an endpoint that
-    is no node id, then one outside the node list, then a self-loop.  The
-    rule runs only for an edge that fails a plain-int, distinct and known
-    test, so a good edge costs two type tests beyond its appends.
+    lists are frozen.  Each id, in list order, is checked by the id rule
+    and then the distinct-id rule, as ``build_topology`` checks them.  The
+    first edge in list order that breaks the link rule raises its error: an
+    endpoint that is no node id, then one outside the node list, then a
+    self-loop.  The rule runs only for an edge that fails a plain-int,
+    distinct and known test, so a good edge costs two type tests beyond its
+    appends.
     """
-    node_list = list(nodes)
-    adj: dict[NodeId, list[NodeId]] = {u: [] for u in node_list}
-    if len(adj) != len(node_list):
-        raise DuplicateNid("node list contains repeated ids")
-    for u in adj:
-        _check_nid(u)
+    adj: dict[NodeId, list[NodeId]] = {}
+    for u in nodes:
+        _check_nid(u, adj)
+        adj[u] = []
     for u, v in edges:
         if type(u) is not int or type(v) is not int or u == v:
             _check_link(adj, u, v)  # returns only for an int subclass's good edge

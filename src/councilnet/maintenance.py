@@ -6,13 +6,18 @@ gateways, forces the whole network to re-form.  Smaller changes are applied
 locally: departed nodes are dropped from their host cluster and visitors are
 attached to the cluster they wandered into, joining its council only when
 fully connected to every sitting head.
+
+The whole policy of one HELLO pass is ``plan_pass``, a pure function of the
+topology, the partition and the pass's bookkeeping: who departed, where they
+went, which clusters changed and how, and whether the network re-forms.
+The round engine only applies the ``PassPlan`` it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import UnknownCluster, UnknownNode, ValidationError
 from .graph import NodeId, Topology, neighbors
@@ -23,7 +28,7 @@ from .phase1 import (
     elect_heads,
     identify_gateways,
 )
-from .phase2 import Cluster, Council, Partition, cluster_form
+from .phase2 import Cluster, Council, Partition, cluster_form, verify_partition
 
 
 class MaintenanceAction(str, Enum):
@@ -146,13 +151,9 @@ class _WorkingPartition:
         return Partition([c for c in self.clusters.values() if c.all_nodes])
 
 
-def _first_change(health: Optional[ClusterHealth], before: Cluster) -> ClusterHealth:
-    """``health``, or the baseline of ``before``, the cluster just before its first change."""
-    return baseline_health(before) if health is None else health
-
-
 def _count_departure(health: Optional[ClusterHealth], before: Cluster, node: NodeId) -> ClusterHealth:
-    h = _first_change(health, before)
+    # Before its first change a cluster has no health: its baseline is ``before``.
+    h = health or baseline_health(before)
     role = before.role_of(node)
     if role is Role.HEAD:
         return ClusterHealth(h.n0, h.gateways0, h.heads_departed + 1, h.gateways_lost, h.arrivals)
@@ -199,23 +200,22 @@ def handle_visitor(
 
 
 def apply_departures(
-    t: Topology,
-    partition: Partition,
-    departed: Sequence[NodeId],
-    healths: dict[ClusterId, ClusterHealth],
-) -> tuple[Partition, dict[ClusterId, ClusterHealth], bool, list[tuple[ClusterId, NodeId]]]:
+    t: Topology, partition: Partition, departed: Sequence[NodeId], healths: Mapping[ClusterId, ClusterHealth]
+) -> tuple[Partition, Mapping[ClusterId, ClusterHealth], bool, list[tuple[ClusterId, NodeId]]]:
     """Apply one maintenance pass's departures, in order, to one working copy.
 
     Each node leaves its cluster as in ``handle_departure``, and then visits
     the lowest-id other cluster with a head it hears, as in
     ``handle_visitor``, which counts an arrival there.  A later departure
     sees the heads that joined earlier: the heads a node hears come from
-    one ``neighbor_index`` of the working heads, kept for the whole pass.  ``healths`` may hold only the
-    clusters changed since formation; a cluster's first change adds its
-    entry, with the baseline read just before that change.  Returns the new
-    partition, the updated healths, whether a node heard no other cluster's
-    head, and the ``(cluster, node)`` joins whose new heads need shares;
-    without departures, ``partition`` and ``healths`` themselves, uncopied.
+    one ``neighbor_index`` of the working heads, kept for the whole pass.
+    ``healths`` may hold only the clusters changed since formation; a
+    cluster's first change adds its entry, with the baseline read just
+    before that change.  Returns the new partition, the updated healths,
+    whether a node heard no other cluster's head, and the ``(cluster,
+    node)`` joins whose new heads need shares; without departures,
+    ``partition`` and ``healths`` themselves, uncopied.  No argument is
+    modified.
     """
     if not departed:
         return partition, healths, False, []
@@ -236,12 +236,90 @@ def apply_departures(
         if dest is None:
             stranded = True
             continue
-        h = _first_change(healths.get(dest), work.clusters[dest])
+        h = healths.get(dest) or baseline_health(work.clusters[dest])
         if work.visit(near, nid, dest, before.role_of(nid)) == "issue_new_share":
             heads.add(nid)
             joined.append((dest, nid))
         healths[dest] = ClusterHealth(h.n0, h.gateways0, h.heads_departed, h.gateways_lost, h.arrivals + 1)
     return work.freeze(), healths, stranded, joined
+
+
+def _departures(t: Topology, p: Partition, miss_counts: Mapping[NodeId, int]) -> tuple[list[NodeId], dict[NodeId, int]]:
+    """The nodes out of touch with their cluster for a second pass running,
+    in ascending id order, and the new miss counts: a count of one for each
+    node out of touch for the first time, by id.
+
+    A head is in touch when it hears another node of its cluster, or is its
+    cluster's only node; any other node is in touch when it hears a head.
+    The tests ask ``t.hearing_none``, which builds no links.  A council's
+    heads are tested against each other first (in a council formed as a
+    clique, each hears the rest), and only a head that hears no other head
+    is tested against the cluster's members and gateways."""
+    out: list[NodeId] = []
+    for c in p.clusters:
+        heads, others = c.council.heads, c.members | c.gateways
+        # A lone head never hears itself: with no other node it is in touch.
+        if others or len(heads) > 1:
+            lonely = t.hearing_none(heads, heads)
+            out += t.hearing_none(lonely, others) if lonely and others else lonely
+        out += t.hearing_none(others, heads)
+    missed = sorted(set(out))
+    counts = {u: miss_counts.get(u, 0) + 1 for u in missed}
+    return [u for u in missed if counts[u] >= 2], {u: m for u, m in counts.items() if m < 2}
+
+
+class PassPlan(NamedTuple):
+    """One pass's decisions.  ``log`` holds its decision-log entries without
+    the round number; on a re-form the partition, healths and joins are void.
+    A clean pass found every node in touch and the partition valid."""
+
+    departed: list[NodeId]
+    partition: Partition
+    healths: Mapping[ClusterId, ClusterHealth]
+    miss_counts: Mapping[NodeId, int]
+    joined: list[tuple[ClusterId, NodeId]]
+    log: list[tuple[ClusterId, str, int, float]]
+    reforms: bool
+    clean: bool
+
+
+def plan_pass(
+    t: Topology, p: Partition, healths: Mapping[ClusterId, ClusterHealth], miss_counts: Mapping[NodeId, int],
+    gateway_threshold: float, quiet: bool,
+) -> PassPlan:
+    """Decide one HELLO pass over ``t`` and ``p``, modifying no argument.
+
+    A node out of touch with its cluster for two passes running departs, as
+    ``apply_departures`` applies it.  The health entries that name a
+    cluster of the new partition (changed since the last re-form) are
+    classified in id order, and each decision but ``none`` is logged.  Only
+    a settled pass (nothing stranded, no cluster re-forming, no miss
+    pending) checks the partition; damage that departures do not explain,
+    like heads drifting into range, then forces a re-form, logged as
+    cluster -1 like a stranded node.  A ``quiet`` pass, over the very
+    topology and partition of the last clean pass with no miss pending,
+    skips the scan and the check: both would pass again on those objects.
+    """
+    departed, misses = ([], miss_counts) if quiet else _departures(t, p, miss_counts)
+    p, healths, stranded, joined = apply_departures(t, p, departed, healths)
+    log = []
+    cluster_reform = False
+    for cid in sorted(healths):
+        try:
+            k = p.cluster(cid).k
+        except KeyError:  # every node of the cluster departed
+            continue
+        h = healths[cid]
+        action = classify_change(h, k, gateway_threshold)
+        if action is not MaintenanceAction.NONE:
+            log.append((cid, action.value, h.heads_departed, h.gateways_lost_fraction))
+            cluster_reform |= action is MaintenanceAction.REFORM
+    settled = not (stranded or cluster_reform or misses)
+    damaged = settled and not quiet and bool(verify_partition(t, p))
+    if stranded or damaged:
+        log.append((-1, "reform", 0, 0.0))
+    clean = settled and not (damaged or departed)
+    return PassPlan(departed, p, healths, misses, joined, log, stranded or cluster_reform or damaged, clean)
 
 
 def reform(t: Topology) -> Partition:

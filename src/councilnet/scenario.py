@@ -16,11 +16,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .errors import ParseError, UnknownNode, ValidationError
+from .errors import DuplicateNid, ParseError, UnknownNode, ValidationError
 from .graph import (
     MAX_COORDINATE, NodeId, Position, _check_link, _check_nid, _checked_position, _checked_radius, _is_int, _real
 )
-from .shamir import DEFAULT_PRIME, is_prime
+from .shamir import DEFAULT_PRIME, _check_prime
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,13 @@ class Scenario:
 
 
 def check_field_prime(prime, max_nid: NodeId, name: str) -> None:
-    """Raise ``ValidationError`` unless ``is_prime`` accepts ``prime`` and it exceeds every node id.
+    """Raise ``ValidationError`` unless ``prime`` obeys ``shamir``'s prime rule and exceeds every node id.
 
     A share's x coordinate is its holder's id, so an id at or above the
     prime would alias another holder or the secret itself at x = 0.
     ``name`` labels the setting in the message.
     """
-    if not is_prime(prime):
-        raise ValidationError(f"{name} must be a prime number below 2**64, got {prime!r}")
+    _check_prime(prime, name)
     if prime <= max_nid:
         raise ValidationError(f"{name} must exceed every node id, but {prime} <= node id {max_nid}")
 
@@ -132,8 +131,10 @@ def scenario_from_dict(data: Mapping, source: str = "scenario") -> Scenario:
         nid = entry["nid"]
         _obeying(_check_nid, nid, msg=f"{source}: nodes[{i}]: nid must be a positive integer")
         refuse_unknown(entry, NodeSpec, f"in node {nid}")
-        if nid in seen:
-            fail(f"node id {nid} appears more than once")
+        try:
+            _check_nid(nid, seen)
+        except DuplicateNid as exc:
+            fail(str(exc))
         seen.add(nid)
         pos = entry.get("pos")
         if pos is None and not static:

@@ -57,6 +57,11 @@ def is_prime(n) -> bool:
     return True
 
 
+def _check_prime(prime, name: str) -> None:
+    if not is_prime(prime):
+        raise ValidationError(f"{name} must be a prime number below 2**64, got {prime!r}")
+
+
 def _check_element(value, prime: int, name: str) -> None:
     if not (_is_int(value) and 0 <= value < prime):
         raise ValidationError(f"{name} {value!r} is not an integer in 0..{prime - 1}")

@@ -2,9 +2,9 @@
 
 Each round: nodes move along their waypoints, a HELLO round (every
 ``hello_interval_rounds``) counts one broadcast per node and runs the
-maintenance pass, which classifies the accumulated changes into local
-updates or a full re-formation, shares are refreshed or re-split as needed,
-any scheduled compromise fires, and one metrics row is recorded.  Runs are
+maintenance pass, shares are refreshed or re-split as needed, any scheduled
+compromise fires, and one metrics row is recorded.  ``maintenance.plan_pass``
+decides each pass, and this module only applies its plan.  Runs are
 deterministic for a given scenario and seed.
 
 A round in which nodes moved hands only the movers to ``move_nodes``, whose
@@ -41,15 +41,9 @@ from .graph import (
     topology_from_edges,
 )
 from .ledger import ClusterLedger
-from .maintenance import (
-    ClusterHealth,
-    MaintenanceAction,
-    apply_departures,
-    classify_change,
-    reform,
-)
+from .maintenance import ClusterHealth, plan_pass, reform
 from .phase1 import ClusterId
-from .phase2 import Partition, verify_partition
+from .phase2 import Partition
 # scenario_from_dict is re-exported for callers that build scenarios via sim.
 from .scenario import Scenario, load_scenario, scenario_from_dict
 
@@ -205,106 +199,27 @@ def _move_nodes(state: SimState) -> dict[NodeId, Position]:
     return moved
 
 
-def _departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> list[NodeId]:
-    """Count one more miss for each node that is out of touch with its
-    cluster, and clear the misses of each one in touch; return, in ascending
-    id order, the nodes whose misses reached two.
-
-    A head is in touch when it hears another node of its cluster, or is its
-    cluster's only node; any other node is in touch when it hears a head.
-    The tests ask ``t.hearing_none``, which builds no links.  A council's
-    heads are tested against each other first (in a council formed as a
-    clique, each hears the rest), and only a head that hears no other head
-    is tested against the cluster's members and gateways.  Every partition
-    the engine installs assigns exactly the nodes of ``t``, and
-    ``miss_counts`` names only those nodes.
-    """
-    out: list[NodeId] = []
-    for c in p.clusters:
-        heads, others = c.council.heads, c.members | c.gateways
-        # A lone head never hears itself: with no other node it is in touch.
-        if others or len(heads) > 1:
-            lonely = t.hearing_none(heads, heads)
-            out += t.hearing_none(lonely, others) if lonely and others else lonely
-        out += t.hearing_none(others, heads)
-    missed = set(out)
-    for u in [u for u in miss_counts if u not in missed]:
-        del miss_counts[u]
-    departed = []
-    for u in sorted(missed):
-        misses = miss_counts[u] = miss_counts.get(u, 0) + 1
-        if misses >= 2:
-            departed.append(u)
-    return departed
-
-
 def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
-    """Detect departures and visitors, then classify the changed clusters.
-
-    Returns (local updates applied, reform performed).  A node counts as
-    departed once it has been out of touch with its cluster for two
-    consecutive HELLO exchanges.  A visitor that joins a council gets its
-    share only once the pass has decided not to re-form.  It classifies only
-    the partition's clusters with a health entry, those changed since the
-    last re-form; any other one would classify as no change.
-
-    The pass is settled when nothing strands, no cluster must re-form and no
-    miss is left pending after departures.  Only a settled pass checks the
-    partition, and damage that departures do not explain (e.g. heads
-    drifting into each other's range) then forces a re-form; a stale
-    partition is tolerated while a miss is pending.
-
-    A quiet pass, over the very topology and partition objects of the last
-    clean pass and with no miss pending, skips the in-touch scan and the
-    partition check: both are pure functions of those frozen objects, so
-    they would find everyone in touch and the partition valid again.
-    """
-    sc = state.scenario
-    t = state.topology
-    p = state.partition
-    last = state.last_clean
+    """Apply ``plan_pass``'s plan for this HELLO pass, quiet over the very
+    topology and partition of the last clean pass with no miss pending;
+    returns (local updates applied, reform performed)."""
+    t, p, last = state.topology, state.partition, state.last_clean
     quiet = last is not None and last[0] is t and last[1] is p and not state.miss_counts
-    state.last_clean = None
-
-    departed = [] if quiet else _departures(t, p, state.miss_counts)
-
-    p, state.healths, stranded, joined = apply_departures(t, p, departed, state.healths)
-    for nid in departed:
+    plan = plan_pass(t, p, state.healths, state.miss_counts, state.scenario.gateway_threshold, quiet)
+    for nid in plan.departed:
         # Its share, if any, is in the ledger of its cluster before the pass.
-        state.share_ledger[state.partition.node_index[nid]].revoke(nid)
-        del state.miss_counts[nid]
-    state.partition = p
-
-    decisions = {
-        c.cluster_id: classify_change(state.healths[c.cluster_id], c.k, sc.gateway_threshold)
-        for c in p.clusters
-        if c.cluster_id in state.healths
-    }
-    for cid in sorted(decisions):
-        action = decisions[cid]
-        if action is not MaintenanceAction.NONE:
-            health = state.healths[cid]
-            state.decision_log.append(
-                (round_no, cid, action.value, health.heads_departed, health.gateways_lost_fraction)
-            )
-
-    cluster_reform = MaintenanceAction.REFORM in decisions.values()
-    settled = not (stranded or cluster_reform or state.miss_counts)
-    # The round's only partition check; a quiet pass reuses the last clean verdict.
-    damaged = settled and not quiet and bool(verify_partition(t, p))
-    if stranded or cluster_reform or damaged:
-        if stranded or not cluster_reform:
-            state.decision_log.append((round_no, -1, "reform", 0, 0.0))
+        state.share_ledger[p.node_index[nid]].revoke(nid)
+    state.partition, state.healths, state.miss_counts = plan.partition, plan.healths, plan.miss_counts
+    state.decision_log += [(round_no, *entry) for entry in plan.log]
+    state.last_clean = (t, plan.partition) if plan.clean else None
+    if plan.reforms:
         _install(state, reform(t))
         return False, True
-    # Every node a settled pass missed has departed: with none, all were in touch.
-    if settled and not departed:
-        state.last_clean = (t, p)
-    for dest, nid in joined:
+    for dest, nid in plan.joined:
         problem = state.share_ledger[dest].issue(nid, state.compromised)
         if problem:
             state.violations.append(problem)
-    return bool(departed), False
+    return bool(plan.departed), False
 
 
 def compromise(state: SimState, nodes) -> SimState:

@@ -6,8 +6,9 @@ with no strips or windows.  It takes the library build's arguments, so the twin 
 builds of moved topologies included.  ``topology_from_edges`` is a copy
 of the library's as it stood before the builders appended each link to a
 per-node list and froze the list once, with the library's node-id rule (an
-int >= 1, not a bool) and link rule (both endpoints node ids, then both
-listed, then distinct) written out in place.  It adds every edge to a
+int >= 1, not a bool), distinct-id rule (checked after each id's own rule,
+in list order) and link rule (both endpoints node ids, then both listed,
+then distinct) written out in place.  It adds every edge to a
 growing mutable set per node and copies each set into a frozenset, which
 is plainly the rule as stated.  The property tests in ``test_graph.py``
 compare the library against both, input errors included for edge lists.
@@ -45,12 +46,12 @@ def topology_from_edges(
     edges: Iterable[tuple[NodeId, NodeId]],
 ) -> Topology:
     """Build a topology from an explicit node and edge list."""
-    node_list = list(nodes)
-    adj: dict[NodeId, set[NodeId]] = {u: set() for u in node_list}
-    if len(adj) != len(node_list):
-        raise DuplicateNid("node list contains repeated ids")
-    for n in adj:
+    adj: dict[NodeId, set[NodeId]] = {}
+    for n in nodes:
         check_nid(n)
+        if n in adj:
+            raise DuplicateNid(f"node id {n} appears more than once")
+        adj[n] = set()
     for u, v in edges:
         check_nid(u)
         check_nid(v)

@@ -1,30 +1,30 @@
-"""Maintenance-pass oracles: the per-node in-touch scan and a cache-free pass.
+"""Maintenance-pass oracles: the per-node in-touch scan and a cache-free planner.
 
 ``departures`` is a verbatim copy of the loop that opened
 ``sim._maintenance_pass`` before the scan walked clusters.  It visits every
 node of the topology in ascending id order, looks up its cluster, and tests
 that node alone, which is plainly the rule as stated; the property test in
-``test_sim.py`` compares ``sim._departures`` against it.
+``test_sim.py`` compares ``maintenance._departures`` against it.
 
-``maintenance_pass`` is the whole pass written from the rules, with none of
+``plan_pass`` is the pass's planner written from the rules, with none of
 the engine's shortcuts: a health for every cluster, one departure at a time
 through ``handle_departure`` and ``handle_visitor``, every cluster
 classified, and ``verify_partition`` run on every pass.  The twin run in
-``test_sim.py`` puts it in place of ``sim._maintenance_pass``.
+``test_sim.py`` puts it in place of ``maintenance.plan_pass``, the one
+name ``sim`` plans with, and compares the plans.
 """
 
 from dataclasses import replace
 
-from councilnet import sim
 from councilnet.graph import NodeId, Topology, neighbors
 from councilnet.maintenance import (
     ClusterHealth,
     MaintenanceAction,
+    PassPlan,
     baseline_health,
     classify_change,
     handle_departure,
     handle_visitor,
-    reform,
 )
 from councilnet.phase1 import ClusterId
 from councilnet.phase2 import Partition, verify_partition
@@ -57,29 +57,26 @@ def baselines(p: Partition) -> dict[ClusterId, ClusterHealth]:
     return {c.cluster_id: baseline_health(c) for c in p.clusters}
 
 
-def maintenance_pass(state: "sim.SimState", round_no: int) -> tuple[bool, bool]:
-    """``sim._maintenance_pass`` with no sparse health, no quiet pass and no
-    skipped partition check; ``state.healths`` must hold a health for every
-    cluster of ``state.partition``, and keeps one after the pass.
+def plan_pass(t, p, healths, miss_counts, gateway_threshold, quiet) -> PassPlan:
+    """``maintenance.plan_pass`` with no sparse health, no quiet pass and no
+    skipped partition check: ``quiet`` is ignored, and ``healths`` must
+    hold a health for every cluster of ``p``, as the plan's do.  No argument
+    is modified.
 
-    Each departed node, in ascending id order, has its share revoked, leaves
-    its cluster and visits the lowest-id other cluster with a head it hears;
-    a node that hears none strands.  Every cluster is classified.  The
-    partition is checked on every pass, and its verdict forces a re-form
-    only on a settled pass: nothing stranded, no cluster re-forming and no
-    miss pending.  A re-form re-baselines every new cluster here.
+    Each departed node, in ascending id order, leaves its cluster and visits
+    the lowest-id other cluster with a head it hears; a node that hears none
+    strands.  Every cluster is classified.  The partition is checked on
+    every pass, and its verdict forces a re-form only on a settled pass:
+    nothing stranded, no cluster re-forming and no miss pending.
     """
-    sc = state.scenario
-    t, p = state.topology, state.partition
-    healths = dict(state.healths)
-    departed = departures(t, p, state.miss_counts)
+    healths, misses = dict(healths), dict(miss_counts)
+    departed = departures(t, p, misses)
     stranded = False
     joined: list[tuple[ClusterId, NodeId]] = []
     for nid in departed:
-        del state.miss_counts[nid]
+        del misses[nid]
         cid = p.node_index[nid]
         role = p.cluster(cid).role_of(nid)
-        state.share_ledger[cid].revoke(nid)
         p, healths[cid] = handle_departure(p, nid, healths[cid])
         near = neighbors(t, nid)
         visits = {c.cluster_id for c in p.clusters if c.council.heads & near} - {cid}
@@ -91,31 +88,21 @@ def maintenance_pass(state: "sim.SimState", round_no: int) -> tuple[bool, bool]:
         if tag == "issue_new_share":
             joined.append((dest, nid))
         healths[dest] = replace(healths[dest], arrivals=healths[dest].arrivals + 1)
-    state.partition = p
 
     decisions = {
-        c.cluster_id: classify_change(healths[c.cluster_id], c.k, sc.gateway_threshold)
+        c.cluster_id: classify_change(healths[c.cluster_id], c.k, gateway_threshold)
         for c in p.clusters
     }
-    for cid, action in sorted(decisions.items()):
-        if action is not MaintenanceAction.NONE:
-            health = healths[cid]
-            state.decision_log.append(
-                (round_no, cid, action.value, health.heads_departed, health.gateways_lost_fraction)
-            )
-
+    log = [
+        (cid, action.value, healths[cid].heads_departed, healths[cid].gateways_lost_fraction)
+        for cid, action in sorted(decisions.items())
+        if action is not MaintenanceAction.NONE
+    ]
     cluster_reform = MaintenanceAction.REFORM in decisions.values()
-    settled = not (stranded or cluster_reform or state.miss_counts)
+    settled = not (stranded or cluster_reform or misses)
     damaged = bool(verify_partition(t, p)) and settled
-    if stranded or cluster_reform or damaged:
-        if stranded or not cluster_reform:
-            state.decision_log.append((round_no, -1, "reform", 0, 0.0))
-        sim._install(state, reform(t))
-        state.healths = baselines(state.partition)
-        return False, True
-    state.healths = healths
-    for dest, nid in joined:
-        problem = state.share_ledger[dest].issue(nid, state.compromised)
-        if problem:
-            state.violations.append(problem)
-    return bool(departed), False
+    reforms = stranded or cluster_reform or damaged
+    if reforms and (stranded or not cluster_reform):
+        log.append((-1, "reform", 0, 0.0))
+    clean = not reforms and settled and not departed
+    return PassPlan(departed, p, healths, misses, joined, log, reforms, clean)

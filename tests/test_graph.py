@@ -453,8 +453,11 @@ class TestBuildTopology:
     # an endpoint equal to a listed id but no int is refused, not stored
     @example(([1, 2, 3], [(2, True)]))
     @example(([1, 2, 3], [(3, 1.0)]))
-    # repeated ids are reported before ids < 1
+    # ids are checked in list order, each by the id rule and then the
+    # distinct-id rule: an id < 1 before a later repeat, a repeat before a
+    # later id < 1
     @example(([2, 0, 2], [(2, 0)]))
+    @example(([2, 2, 0], [(2, 0)]))
     # an id that is no int, or a bool, is refused like one < 1
     @example(([1.5, 2], []))
     @example(([True, 2], [(True, 2)]))

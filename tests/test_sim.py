@@ -23,10 +23,10 @@ from councilnet.errors import (
     UnknownNode,
     ValidationError,
 )
-from councilnet import graph, phase2, sim
+from councilnet import graph, maintenance, phase2, sim
 from councilnet.graph import Topology, topology_from_edges
 from councilnet.ledger import ClusterLedger
-from councilnet.maintenance import apply_departures, reform
+from councilnet.maintenance import ClusterHealth, apply_departures, reform
 from councilnet.phase2 import Cluster, Council, Partition, verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
 from councilnet.shamir import DEFAULT_PRIME
@@ -191,21 +191,35 @@ def assert_same_outputs(a, b, where, tmp):
     assert dumps[0].read_bytes() == dumps[1].read_bytes(), where
 
 
-def step_uncached(state, toggle=None):
+def recording(planner, plans):
+    """``planner``, appending each plan it returns to ``plans``."""
+
+    def plan_pass(*args):
+        plans.append(planner(*args))
+        return plans[-1]
+
+    return plan_pass
+
+
+def step_uncached(state, toggle=None, plans=None):
     """Step ``state`` with every cache defeated and three layers run by the
     tests' oracles: no refresh memo in any ledger; each link build the
-    all-pairs one (``graph_oracle``), the maintenance pass the reference one
-    (``sim_oracle``: the per-node in-touch scan, a health for every cluster,
-    no quiet pass and the partition checked on every pass) and each refresh
-    the ledger oracle's.  ``state.healths`` must hold a health for every
-    cluster.  ``toggle``, None or a pair of nodes, is applied with
-    ``toggled`` inside the same patch, so a deferred build it reads is the
-    oracle's too."""
+    all-pairs one (``graph_oracle``), each maintenance pass planned by the
+    reference planner (``sim_oracle``: the per-node in-touch scan, a health
+    for every cluster, no quiet pass and the partition checked on every
+    pass) and each refresh the ledger oracle's.  A state with no health,
+    fresh from a formation, gets every cluster's baseline first.  Each plan
+    is appended to ``plans`` when it is given.  ``toggle``, None or a pair
+    of nodes, is applied with ``toggled`` inside the same patch, so a
+    deferred build it reads is the oracle's too."""
     for ledger in state.share_ledger.values():
         ledger._checked = None
+    if not state.healths:
+        state.healths = oracle.baselines(state.partition)
+    planner = oracle.plan_pass if plans is None else recording(oracle.plan_pass, plans)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(graph, "build_topology", graph_oracle.build_topology)
-        m.setattr(sim, "_maintenance_pass", oracle.maintenance_pass)
+        m.setattr(sim, "plan_pass", planner)
         m.setattr(ClusterLedger, "refresh", ledger_oracle.OracleLedger.refresh)
         if toggle is not None:
             state.topology = toggled(state.topology, *toggle)
@@ -214,23 +228,36 @@ def step_uncached(state, toggle=None):
 
 def assert_twins_agree(sc, toggles=()):
     """Run ``sc`` twice, the second copy from the all-pairs build and
-    through ``step_uncached``, and compare the copies after every round.
-    ``toggles`` gives, for each of the first rounds, None or a pair of nodes
-    whose link both copies toggle before it, in edge-list and position mode
-    alike."""
+    through ``step_uncached``, and compare the copies after every round:
+    their outputs, and each HELLO pass's plan but for its healths and miss
+    counts (a plan's departed nodes, partition, joins, log entries, re-form
+    flag and clean flag).  ``toggles`` gives, for each of the first rounds, None or
+    a pair of nodes whose link both copies toggle before it, in edge-list
+    and position mode alike."""
     cached = initialize(sc)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sim, "build_topology", graph_oracle.build_topology)
         uncached = initialize(sc)
-    uncached.healths = oracle.baselines(uncached.partition)
     with tempfile.TemporaryDirectory() as tmp:
         while cached.round < sc.rounds and not cached.halted:
             toggle = toggles[cached.round] if cached.round < len(toggles) else None
             if toggle is not None:
                 cached.topology = toggled(cached.topology, *toggle)
-            step(cached)
-            step_uncached(uncached, toggle)
-            assert_same_outputs(cached, uncached, f"round {cached.round}", Path(tmp))
+            plans = [], []
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(sim, "plan_pass", recording(sim.plan_pass, plans[0]))
+                step(cached)
+            step_uncached(uncached, toggle, plans[1])
+            where = f"round {cached.round}"
+            assert [plan_decisions(p) for p in plans[0]] == [plan_decisions(p) for p in plans[1]], where
+            assert_same_outputs(cached, uncached, where, Path(tmp))
+
+
+def plan_decisions(plan):
+    """What the twins' plans must agree on: all but the healths, which only
+    the reference keeps for every cluster, and the miss counts, which the
+    outputs compare."""
+    return plan.departed, plan.partition, plan.joined, plan.log, plan.reforms, plan.clean
 
 
 def count_verify_calls(monkeypatch):
@@ -338,6 +365,37 @@ def cluster(cid, heads, members=(), gateways=()):
     return Cluster(Council(frozenset(heads), cid), frozenset(members), frozenset(gateways), 1)
 
 
+@st.composite
+def plan_inputs(draw):
+    """``scan_inputs`` and healths for some of the partition's clusters,
+    and maybe for a cluster id the partition lacks, as after a cluster
+    whose every node departed."""
+    t, p, misses = draw(scan_inputs())
+    counts = st.integers(0, 3)
+    cids = [c.cluster_id for c in p.clusters] + [max(t.nodes, default=0) + 1]
+    healths = {
+        cid: ClusterHealth(draw(st.integers(1, 4)), draw(counts), draw(counts), draw(counts), draw(counts))
+        for cid in draw(st.lists(st.sampled_from(cids), unique=True))
+    }
+    return t, p, misses, healths
+
+
+class TestPlanPass:
+    @given(plan_inputs(), st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_plan_pass_modifies_no_argument(self, inputs, threshold, quiet):
+        t, p, misses, healths = inputs
+        clusters, index = p.clusters, dict(p.node_index)
+        before = dict(misses), dict(healths)
+        plan = maintenance.plan_pass(t, p, healths, misses, threshold, quiet)
+        assert (misses, healths) == before
+        assert p.clusters is clusters and p.node_index == index
+        # without departures the plan hands back the very objects it was
+        # given, so that the next pass can be quiet
+        if not plan.departed:
+            assert plan.partition is p and plan.healths is healths
+
+
 class TestDepartureScan:
     @given(scan_inputs())
     # a lone head is in touch though it hears nobody, and its miss clears
@@ -347,9 +405,12 @@ class TestDepartureScan:
     @settings(max_examples=300, deadline=None)
     def test_cluster_walk_matches_per_node_oracle(self, inputs):
         t, p, misses = inputs
-        expected, got = dict(misses), dict(misses)
-        assert sim._departures(t, p, got) == oracle.departures(t, p, expected)
-        assert list(got.items()) == list(expected.items())
+        given_misses, expected = dict(misses), dict(misses)
+        departed, got = maintenance._departures(t, p, misses)
+        assert departed == oracle.departures(t, p, expected)
+        # the oracle keeps each departed node's count; the scan drops it
+        assert list(got.items()) == [(u, m) for u, m in expected.items() if u not in departed]
+        assert misses == given_misses
 
     @pytest.mark.parametrize(
         "positions, clusters",
@@ -379,8 +440,7 @@ class TestDepartureScan:
         built = graph.build_topology(sorted(positions.items()), 5.0)
         p = Partition(tuple(clusters))
         for t in (built, graph.move_nodes(built, {})):
-            misses = dict.fromkeys(positions, 1)
-            assert sim._departures(t, p, misses) == [] and misses == {}
+            assert maintenance._departures(t, p, dict.fromkeys(positions, 1)) == ([], {})
             assert oracle.departures(t, p, {}) == []
 
 
@@ -661,13 +721,13 @@ class TestStep:
 
     def test_a_pass_classifies_only_changed_clusters(self, monkeypatch):
         calls = []
-        classify = sim.classify_change
+        classify = maintenance.classify_change
 
         def counted(health, k, gateway_threshold):
             calls.append(health)
             return classify(health, k, gateway_threshold)
 
-        monkeypatch.setattr(sim, "classify_change", counted)
+        monkeypatch.setattr(maintenance, "classify_change", counted)
         state = initialize(scenario_from_dict(STATIC_SEVEN))
         step(state)
         step(state)
