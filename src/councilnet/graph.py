@@ -433,9 +433,10 @@ def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology
     A radius is required: ``t.radius`` is checked as ``build_topology``
     checks its radius, so a hand-assembled topology without one raises
     ``ValueError``, as does an edge-list topology, which has no positions.
-    The moved positions are checked here, as ``build_topology`` checks
-    them; a moved id outside ``t`` raises ``UnknownNode``.  All checks run
-    before anything is built.  The links are built in full on the first
+    The moved ids and positions are checked here, as ``build_topology``
+    checks them (the id rule runs only for a mover that is no plain int or
+    not in ``t``); an id outside ``t`` raises ``UnknownNode``.  All checks
+    run before anything is built.  The links are built in full on the first
     read of ``adj``, by ``build_topology`` from the moved positions, so they
     agree with the lookups whatever ``t`` was: no link of a hand-assembled
     ``t`` is carried.  ``t`` is not modified.
@@ -453,8 +454,10 @@ def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology
     positions = dict(t.positions)
     span = t._span if isinstance(t, _DiskTopology) else math.inf
     for nid, pos in updates.items():
-        if nid not in positions:
-            raise UnknownNode(f"node {nid} is not in the topology")
+        if type(nid) is not int or nid not in positions:
+            _check_nid(nid)  # a non-id raises the id rule's error
+            if nid not in positions:
+                raise UnknownNode(f"node {nid} is not in the topology")
         x, y = positions[nid] = _checked_position(nid, pos)
         if abs(x) > span or abs(y) > span:
             span = max(abs(x), abs(y))

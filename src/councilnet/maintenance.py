@@ -8,15 +8,16 @@ attached to the cluster they wandered into, joining its council only when
 fully connected to every sitting head.
 
 The whole policy of one HELLO pass is ``plan_pass``, a pure function of the
-topology, the partition and the pass's bookkeeping: who departed, where they
-went, which clusters changed and how, and whether the network re-forms.
-The round engine only applies the ``PassPlan`` it returns.
+topology, the partition and the ``PassMemory`` the last pass handed on:
+who departed, where they went, which clusters changed and how, and whether
+the network re-forms.  The round engine only applies the ``PassPlan``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import UnknownCluster, UnknownNode, ValidationError
@@ -244,10 +245,10 @@ def apply_departures(
     return work.freeze(), healths, stranded, joined
 
 
-def _departures(t: Topology, p: Partition, miss_counts: Mapping[NodeId, int]) -> tuple[list[NodeId], dict[NodeId, int]]:
+def _departures(t: Topology, p: Partition, missed: frozenset[NodeId]) -> tuple[list[NodeId], frozenset[NodeId]]:
     """The nodes out of touch with their cluster for a second pass running,
-    in ascending id order, and the new miss counts: a count of one for each
-    node out of touch for the first time, by id.
+    in ascending id order, and the new pending misses: the nodes out of
+    touch for the first time.
 
     A head is in touch when it hears another node of its cluster, or is its
     cluster's only node; any other node is in touch when it hears a head.
@@ -263,30 +264,35 @@ def _departures(t: Topology, p: Partition, miss_counts: Mapping[NodeId, int]) ->
             lonely = t.hearing_none(heads, heads)
             out += t.hearing_none(lonely, others) if lonely and others else lonely
         out += t.hearing_none(others, heads)
-    missed = sorted(set(out))
-    counts = {u: miss_counts.get(u, 0) + 1 for u in missed}
-    return [u for u in missed if counts[u] >= 2], {u: m for u, m in counts.items() if m < 2}
+    out = set(out)
+    return sorted(out & missed), frozenset(out - missed)
+
+
+class PassMemory(NamedTuple):
+    """What one HELLO pass hands the next, a fresh formation's by default:
+    the healths of the clusters changed since the last re-form, the nodes
+    with a miss pending, and the topology and partition of the last clean
+    pass (every node in touch, nobody departed, the partition verified)."""
+
+    healths: Mapping[ClusterId, ClusterHealth] = MappingProxyType({})
+    missed: frozenset[NodeId] = frozenset()
+    clean: Optional[tuple[Topology, Partition]] = None
 
 
 class PassPlan(NamedTuple):
-    """One pass's decisions.  ``log`` holds its decision-log entries without
-    the round number; on a re-form the partition, healths and joins are void.
-    A clean pass found every node in touch and the partition valid."""
+    """One pass's decisions and the memory it hands the next pass.  ``log``
+    holds its decision-log entries without the round number; on a re-form
+    the partition, memory and joins are void."""
 
     departed: list[NodeId]
     partition: Partition
-    healths: Mapping[ClusterId, ClusterHealth]
-    miss_counts: Mapping[NodeId, int]
+    memory: PassMemory
     joined: list[tuple[ClusterId, NodeId]]
     log: list[tuple[ClusterId, str, int, float]]
     reforms: bool
-    clean: bool
 
 
-def plan_pass(
-    t: Topology, p: Partition, healths: Mapping[ClusterId, ClusterHealth], miss_counts: Mapping[NodeId, int],
-    gateway_threshold: float, quiet: bool,
-) -> PassPlan:
+def plan_pass(t: Topology, p: Partition, memory: PassMemory, gateway_threshold: float) -> PassPlan:
     """Decide one HELLO pass over ``t`` and ``p``, modifying no argument.
 
     A node out of touch with its cluster for two passes running departs, as
@@ -296,14 +302,15 @@ def plan_pass(
     a settled pass (nothing stranded, no cluster re-forming, no miss
     pending) checks the partition; damage that departures do not explain,
     like heads drifting into range, then forces a re-form, logged as
-    cluster -1 like a stranded node.  A ``quiet`` pass, over the very
-    topology and partition of the last clean pass with no miss pending,
-    skips the scan and the check: both would pass again on those objects.
+    cluster -1 like a stranded node.  A quiet pass, over the very topology
+    and partition of ``memory``'s clean pass with no miss pending, skips the
+    scan and the check, since both would pass again on those objects, and
+    hands back ``memory`` itself.
     """
-    departed, misses = ([], miss_counts) if quiet else _departures(t, p, miss_counts)
-    p, healths, stranded, joined = apply_departures(t, p, departed, healths)
+    quiet = memory.clean is not None and memory.clean[0] is t and memory.clean[1] is p and not memory.missed
+    departed, missed = ([], memory.missed) if quiet else _departures(t, p, memory.missed)
+    p, healths, stranded, joined = apply_departures(t, p, departed, memory.healths)
     log = []
-    cluster_reform = False
     for cid in sorted(healths):
         try:
             k = p.cluster(cid).k
@@ -313,13 +320,14 @@ def plan_pass(
         action = classify_change(h, k, gateway_threshold)
         if action is not MaintenanceAction.NONE:
             log.append((cid, action.value, h.heads_departed, h.gateways_lost_fraction))
-            cluster_reform |= action is MaintenanceAction.REFORM
-    settled = not (stranded or cluster_reform or misses)
+    cluster_reform = any(entry[1] == MaintenanceAction.REFORM for entry in log)
+    settled = not (stranded or cluster_reform or missed)
     damaged = settled and not quiet and bool(verify_partition(t, p))
     if stranded or damaged:
         log.append((-1, "reform", 0, 0.0))
-    clean = settled and not (damaged or departed)
-    return PassPlan(departed, p, healths, misses, joined, log, stranded or cluster_reform or damaged, clean)
+    if not quiet:
+        memory = PassMemory(healths, missed, (t, p) if settled and not (damaged or departed) else None)
+    return PassPlan(departed, p, memory, joined, log, stranded or cluster_reform or damaged)
 
 
 def reform(t: Topology) -> Partition:

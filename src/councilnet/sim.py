@@ -4,8 +4,8 @@ Each round: nodes move along their waypoints, a HELLO round (every
 ``hello_interval_rounds``) counts one broadcast per node and runs the
 maintenance pass, shares are refreshed or re-split as needed, any scheduled
 compromise fires, and one metrics row is recorded.  ``maintenance.plan_pass``
-decides each pass, and this module only applies its plan.  Runs are
-deterministic for a given scenario and seed.
+decides each pass from the last pass's memory, and this module only applies
+its plan.  Runs are deterministic for a given scenario and seed.
 
 A round in which nodes moved hands only the movers to ``move_nodes``, whose
 topology builds its links under the disk rule when a layer first reads
@@ -26,7 +26,7 @@ import os
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .audit import audit_secrecy
 from .errors import DisconnectedTopology, UnknownNode
@@ -41,7 +41,7 @@ from .graph import (
     topology_from_edges,
 )
 from .ledger import ClusterLedger
-from .maintenance import ClusterHealth, plan_pass, reform
+from .maintenance import PassMemory, plan_pass, reform
 from .phase1 import ClusterId
 from .phase2 import Partition
 # scenario_from_dict is re-exported for callers that build scenarios via sim.
@@ -101,29 +101,21 @@ class SimState:
     topology: Topology
     partition: Partition
     share_ledger: dict[ClusterId, ClusterLedger]
-    # Kept only for clusters changed since the last re-form; any other
-    # cluster is the very object that re-form installed.
-    healths: dict[ClusterId, ClusterHealth]
     rng: random.Random
     compromised: set[NodeId] = field(default_factory=set)
-    # Consecutive missed HELLO exchanges, kept only for nodes with a miss
-    # pending; a node back in touch or departed is removed.
-    miss_counts: dict[NodeId, int] = field(default_factory=dict)
+    # A cluster without a health is the very object the last re-form installed.
+    memory: PassMemory = PassMemory()
     decision_log: list[tuple[int, ClusterId, str, int, float]] = field(default_factory=list)
     metrics: list[MetricsRow] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     halted: bool = False
-    # The topology and partition of the last maintenance pass that found
-    # every node in touch, departed nobody and verified the partition clean.
-    last_clean: Optional[tuple[Topology, Partition]] = None
 
 
 def _install(state: SimState, partition: Partition) -> None:
-    """Install a freshly formed partition, with no change recorded (no
-    health, no pending miss) and a fresh secret split across each council."""
+    """Install a freshly formed partition, with a fresh pass memory and a
+    fresh secret split across each council."""
     state.partition = partition
-    state.healths = {}
-    state.miss_counts = {}
+    state.memory = PassMemory()
     state.share_ledger = {
         c.cluster_id: ClusterLedger.split(c, state.scenario.field_prime, state.rng, state.compromised)
         for c in partition.clusters
@@ -157,7 +149,6 @@ def initialize(sc: Scenario) -> SimState:
         topology=topology,
         partition=partition,
         share_ledger={},
-        healths={},
         rng=random.Random(sc.seed),
     )
     _install(state, partition)
@@ -200,18 +191,15 @@ def _move_nodes(state: SimState) -> dict[NodeId, Position]:
 
 
 def _maintenance_pass(state: SimState, round_no: int) -> tuple[bool, bool]:
-    """Apply ``plan_pass``'s plan for this HELLO pass, quiet over the very
-    topology and partition of the last clean pass with no miss pending;
-    returns (local updates applied, reform performed)."""
-    t, p, last = state.topology, state.partition, state.last_clean
-    quiet = last is not None and last[0] is t and last[1] is p and not state.miss_counts
-    plan = plan_pass(t, p, state.healths, state.miss_counts, state.scenario.gateway_threshold, quiet)
+    """Apply ``plan_pass``'s plan for this HELLO pass; returns (local
+    updates applied, reform performed)."""
+    t, p = state.topology, state.partition
+    plan = plan_pass(t, p, state.memory, state.scenario.gateway_threshold)
     for nid in plan.departed:
         # Its share, if any, is in the ledger of its cluster before the pass.
         state.share_ledger[p.node_index[nid]].revoke(nid)
-    state.partition, state.healths, state.miss_counts = plan.partition, plan.healths, plan.miss_counts
+    state.partition, state.memory = plan.partition, plan.memory
     state.decision_log += [(round_no, *entry) for entry in plan.log]
-    state.last_clean = (t, plan.partition) if plan.clean else None
     if plan.reforms:
         _install(state, reform(t))
         return False, True

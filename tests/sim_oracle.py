@@ -1,10 +1,12 @@
 """Maintenance-pass oracles: the per-node in-touch scan and a cache-free planner.
 
-``departures`` is a verbatim copy of the loop that opened
-``sim._maintenance_pass`` before the scan walked clusters.  It visits every
-node of the topology in ascending id order, looks up its cluster, and tests
-that node alone, which is plainly the rule as stated; the property test in
-``test_sim.py`` compares ``maintenance._departures`` against it.
+``departures`` is the loop that opened ``sim._maintenance_pass`` before
+the scan walked clusters, with its miss counts kept as a set of the nodes
+with a miss pending.  It visits every node of the topology in ascending id
+order, looks up its cluster, and tests that node alone, which is plainly
+the rule as stated: a node out of touch departs if it has a miss pending,
+else its miss becomes pending.  The property test in ``test_sim.py``
+compares ``maintenance._departures`` against it.
 
 ``plan_pass`` is the pass's planner written from the rules, with none of
 the engine's shortcuts: a health for every cluster, one departure at a time
@@ -20,6 +22,7 @@ from councilnet.graph import NodeId, Topology, neighbors
 from councilnet.maintenance import (
     ClusterHealth,
     MaintenanceAction,
+    PassMemory,
     PassPlan,
     baseline_health,
     classify_change,
@@ -30,8 +33,9 @@ from councilnet.phase1 import ClusterId
 from councilnet.phase2 import Partition, verify_partition
 
 
-def departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> list[NodeId]:
+def departures(t: Topology, p: Partition, missed: frozenset[NodeId]) -> tuple[list[NodeId], frozenset[NodeId]]:
     departed: list[NodeId] = []
+    pending: set[NodeId] = set()
     for nid in sorted(t.nodes):
         cid = p.node_index.get(nid)
         if cid is None:
@@ -44,12 +48,12 @@ def departures(t: Topology, p: Partition, miss_counts: dict[NodeId, int]) -> lis
         else:
             in_touch = not neighbors(t, nid).isdisjoint(cluster.council.heads)
         if in_touch:
-            miss_counts.pop(nid, None)
+            continue
+        if nid in missed:
+            departed.append(nid)
         else:
-            misses = miss_counts[nid] = miss_counts.get(nid, 0) + 1
-            if misses >= 2:
-                departed.append(nid)
-    return departed
+            pending.add(nid)
+    return departed, frozenset(pending)
 
 
 def baselines(p: Partition) -> dict[ClusterId, ClusterHealth]:
@@ -57,11 +61,11 @@ def baselines(p: Partition) -> dict[ClusterId, ClusterHealth]:
     return {c.cluster_id: baseline_health(c) for c in p.clusters}
 
 
-def plan_pass(t, p, healths, miss_counts, gateway_threshold, quiet) -> PassPlan:
+def plan_pass(t, p, memory: PassMemory, gateway_threshold) -> PassPlan:
     """``maintenance.plan_pass`` with no sparse health, no quiet pass and no
-    skipped partition check: ``quiet`` is ignored, and ``healths`` must
-    hold a health for every cluster of ``p``, as the plan's do.  No argument
-    is modified.
+    skipped partition check: ``memory.clean`` is ignored, and
+    ``memory.healths`` must hold a health for every cluster of ``p``, as
+    the plan's memory does.  No argument is modified.
 
     Each departed node, in ascending id order, leaves its cluster and visits
     the lowest-id other cluster with a head it hears; a node that hears none
@@ -69,12 +73,11 @@ def plan_pass(t, p, healths, miss_counts, gateway_threshold, quiet) -> PassPlan:
     every pass, and its verdict forces a re-form only on a settled pass:
     nothing stranded, no cluster re-forming and no miss pending.
     """
-    healths, misses = dict(healths), dict(miss_counts)
-    departed = departures(t, p, misses)
+    healths = dict(memory.healths)
+    departed, missed = departures(t, p, memory.missed)
     stranded = False
     joined: list[tuple[ClusterId, NodeId]] = []
     for nid in departed:
-        del misses[nid]
         cid = p.node_index[nid]
         role = p.cluster(cid).role_of(nid)
         p, healths[cid] = handle_departure(p, nid, healths[cid])
@@ -99,10 +102,10 @@ def plan_pass(t, p, healths, miss_counts, gateway_threshold, quiet) -> PassPlan:
         if action is not MaintenanceAction.NONE
     ]
     cluster_reform = MaintenanceAction.REFORM in decisions.values()
-    settled = not (stranded or cluster_reform or misses)
+    settled = not (stranded or cluster_reform or missed)
     damaged = bool(verify_partition(t, p)) and settled
     reforms = stranded or cluster_reform or damaged
     if reforms and (stranded or not cluster_reform):
         log.append((-1, "reform", 0, 0.0))
-    clean = not reforms and settled and not departed
-    return PassPlan(departed, p, healths, misses, joined, log, reforms, clean)
+    clean = (t, p) if not reforms and settled and not departed else None
+    return PassPlan(departed, p, PassMemory(healths, missed, clean), joined, log, reforms)

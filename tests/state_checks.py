@@ -2,7 +2,7 @@
 
 ``check_state`` is called after each ``step`` by the property runs and the
 benchmark-scale run in ``test_sim``: the partition's indexes, the in-touch
-scan's preconditions, the change bookkeeping, and the share ledgers'
+scan's preconditions, the pass memory, and the share ledgers'
 agreement with their councils and secrets.
 """
 
@@ -36,16 +36,20 @@ def check_state(state, formed):
     # the in-touch scan's precondition: the partition assigns exactly the
     # topology's nodes, and misses name only those
     nodes = state.topology.nodes
+    memory = state.memory
     assert p.node_index.keys() == nodes, where
-    assert state.miss_counts.keys() <= nodes, where
+    assert memory.missed <= nodes, where
+    # a clean pass left no miss pending, and its partition is still the state's
+    assert memory.clean is None or not memory.missed, where
+    assert memory.clean is None or memory.clean[1] is p, where
     if state.metrics[-1].reforms == 1:
         formed = formed_clusters(state)
     # a cluster without a health entry is the one the last re-form
     # installed, and an entry's baseline is that cluster's
     for c in p.clusters:
-        if c.cluster_id not in state.healths:
+        if c.cluster_id not in memory.healths:
             assert c is formed[c.cluster_id], f"{where}, cluster {c.cluster_id}"
-    for cid, h in state.healths.items():
+    for cid, h in memory.healths.items():
         assert (h.n0, h.gateways0) == (formed[cid].n, len(formed[cid].gateways)), f"{where}, cluster {cid}"
     # below k every secret stays possible, at k exactly one does
     for entry in audit_secrecy(state).entries:

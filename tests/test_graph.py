@@ -621,6 +621,11 @@ class TestMoveNodes:
         t = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0))], 2.0)
         with pytest.raises(UnknownNode):
             move_nodes(t, {3: (0.0, 0.0)})
+        # True and 2.0 hash as nodes 1 and 2, and 0 is an int: the id rule
+        # refuses each before anything is built
+        for nid in (True, 2.0, 0):
+            with pytest.raises(ValueError, match="node ids must be ints"):
+                move_nodes(t, {nid: (0.0, 0.0)})
         with pytest.raises(ValueError, match="edge-list"):
             move_nodes(path3(), {1: (0.0, 0.0)})
         with pytest.raises(ValueError, match="radius must be"):

@@ -26,7 +26,7 @@ from councilnet.errors import (
 from councilnet import graph, maintenance, phase2, sim
 from councilnet.graph import Topology, topology_from_edges
 from councilnet.ledger import ClusterLedger
-from councilnet.maintenance import ClusterHealth, apply_departures, reform
+from councilnet.maintenance import ClusterHealth, PassMemory, apply_departures, reform
 from councilnet.phase2 import Cluster, Council, Partition, verify_partition
 from councilnet.scenario import load_scenario, scenario_from_dict
 from councilnet.shamir import DEFAULT_PRIME
@@ -181,7 +181,7 @@ def assert_same_outputs(a, b, where, tmp):
     """Two copies of one run agree on every output, the dump's bytes included."""
     assert a.metrics == b.metrics, where
     assert a.decision_log == b.decision_log, where
-    assert a.miss_counts == b.miss_counts, where
+    assert a.memory.missed == b.memory.missed, where
     assert a.violations == b.violations, where
     assert a.halted == b.halted, where
     assert a.partition == b.partition, where
@@ -214,8 +214,8 @@ def step_uncached(state, toggle=None, plans=None):
     deferred build it reads is the oracle's too."""
     for ledger in state.share_ledger.values():
         ledger._checked = None
-    if not state.healths:
-        state.healths = oracle.baselines(state.partition)
+    if not state.memory.healths:
+        state.memory = state.memory._replace(healths=oracle.baselines(state.partition))
     planner = oracle.plan_pass if plans is None else recording(oracle.plan_pass, plans)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(graph, "build_topology", graph_oracle.build_topology)
@@ -229,11 +229,11 @@ def step_uncached(state, toggle=None, plans=None):
 def assert_twins_agree(sc, toggles=()):
     """Run ``sc`` twice, the second copy from the all-pairs build and
     through ``step_uncached``, and compare the copies after every round:
-    their outputs, and each HELLO pass's plan but for its healths and miss
-    counts (a plan's departed nodes, partition, joins, log entries, re-form
-    flag and clean flag).  ``toggles`` gives, for each of the first rounds, None or
-    a pair of nodes whose link both copies toggle before it, in edge-list
-    and position mode alike."""
+    their outputs, and each HELLO pass's plan but for its healths and
+    pending misses (a plan's departed nodes, partition, joins, log entries,
+    re-form flag and whether it kept a clean pass).  ``toggles`` gives, for
+    each of the first rounds, None or a pair of nodes whose link both copies
+    toggle before it, in edge-list and position mode alike."""
     cached = initialize(sc)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sim, "build_topology", graph_oracle.build_topology)
@@ -255,9 +255,10 @@ def assert_twins_agree(sc, toggles=()):
 
 def plan_decisions(plan):
     """What the twins' plans must agree on: all but the healths, which only
-    the reference keeps for every cluster, and the miss counts, which the
-    outputs compare."""
-    return plan.departed, plan.partition, plan.joined, plan.log, plan.reforms, plan.clean
+    the reference keeps for every cluster, the pending misses, which the
+    outputs compare, and the clean pass's objects, of which only whether
+    there is one."""
+    return plan.departed, plan.partition, plan.joined, plan.log, plan.reforms, plan.memory.clean is not None
 
 
 def count_verify_calls(monkeypatch):
@@ -357,7 +358,7 @@ def scan_inputs(draw):
             if not movers:
                 break
             p = apply_departures(t, p, [draw(st.sampled_from(movers))], {})[0]
-    misses = draw(st.dictionaries(st.sampled_from(nids), st.integers(1, 3), max_size=6))
+    misses = draw(st.frozensets(st.sampled_from(nids), max_size=6))
     return t, p, misses
 
 
@@ -367,9 +368,11 @@ def cluster(cid, heads, members=(), gateways=()):
 
 @st.composite
 def plan_inputs(draw):
-    """``scan_inputs`` and healths for some of the partition's clusters,
-    and maybe for a cluster id the partition lacks, as after a cluster
-    whose every node departed."""
+    """``scan_inputs`` and a pass memory: healths for some of the
+    partition's clusters, and maybe for a cluster id the partition lacks,
+    as after a cluster whose every node departed; and a clean pass that is
+    none, the very topology and partition, or the topology and a partition
+    equal to ``p`` in a new object."""
     t, p, misses = draw(scan_inputs())
     counts = st.integers(0, 3)
     cids = [c.cluster_id for c in p.clusters] + [max(t.nodes, default=0) + 1]
@@ -377,39 +380,49 @@ def plan_inputs(draw):
         cid: ClusterHealth(draw(st.integers(1, 4)), draw(counts), draw(counts), draw(counts), draw(counts))
         for cid in draw(st.lists(st.sampled_from(cids), unique=True))
     }
-    return t, p, misses, healths
+    clean = draw(st.sampled_from([None, (t, p), (t, Partition(p.clusters))]))
+    return t, p, PassMemory(healths, misses, clean)
 
 
 class TestPlanPass:
-    @given(plan_inputs(), st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
+    @given(plan_inputs(), st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=300, deadline=None)
-    def test_plan_pass_modifies_no_argument(self, inputs, threshold, quiet):
-        t, p, misses, healths = inputs
+    def test_plan_pass_modifies_no_argument(self, inputs, threshold):
+        t, p, memory = inputs
         clusters, index = p.clusters, dict(p.node_index)
-        before = dict(misses), dict(healths)
-        plan = maintenance.plan_pass(t, p, healths, misses, threshold, quiet)
-        assert (misses, healths) == before
+        before = memory._replace(healths=dict(memory.healths))
+        plan = maintenance.plan_pass(t, p, memory, threshold)
+        assert memory == before
         assert p.clusters is clusters and p.node_index == index
         # without departures the plan hands back the very objects it was
         # given, so that the next pass can be quiet
         if not plan.departed:
-            assert plan.partition is p and plan.healths is healths
+            assert plan.partition is p and plan.memory.healths is memory.healths
+        # a quiet pass meets the very objects of the clean pass with no miss
+        # pending, and hands back the memory itself; where the full pass
+        # over the same inputs is clean, it decides what the quiet one does
+        quiet = memory.clean is not None and memory.clean[1] is p and not memory.missed
+        assert (plan.memory is memory) == quiet
+        full = maintenance.plan_pass(t, p, memory._replace(clean=None), threshold)
+        if quiet and full.memory.clean is not None:
+            decisions = plan.departed, plan.partition, plan.joined, plan.log, plan.reforms
+            assert decisions == (full.departed, full.partition, full.joined, full.log, full.reforms)
 
 
 class TestDepartureScan:
     @given(scan_inputs())
     # a lone head is in touch though it hears nobody, and its miss clears
-    @example((topology_from_edges([1, 2, 3], [(2, 3)]), Partition((cluster(1, [1]), cluster(2, [2], [3]))), {1: 1}))
+    @example((topology_from_edges([1, 2, 3], [(2, 3)]), Partition((cluster(1, [1]), cluster(2, [2], [3]))), frozenset({1})))
     # head 1 hears only member 3 and is in touch; head 2 hears nobody and departs
-    @example((topology_from_edges([1, 2, 3], [(1, 3)]), Partition((cluster(1, [1, 2], [3]),)), {2: 1}))
+    @example((topology_from_edges([1, 2, 3], [(1, 3)]), Partition((cluster(1, [1, 2], [3]),)), frozenset({2})))
     @settings(max_examples=300, deadline=None)
     def test_cluster_walk_matches_per_node_oracle(self, inputs):
         t, p, misses = inputs
-        given_misses, expected = dict(misses), dict(misses)
+        given_misses = set(misses)
         departed, got = maintenance._departures(t, p, misses)
-        assert departed == oracle.departures(t, p, expected)
-        # the oracle keeps each departed node's count; the scan drops it
-        assert list(got.items()) == [(u, m) for u, m in expected.items() if u not in departed]
+        assert (departed, got) == oracle.departures(t, p, misses)
+        # a departed node's miss is no longer pending
+        assert got.isdisjoint(departed)
         assert misses == given_misses
 
     @pytest.mark.parametrize(
@@ -440,8 +453,8 @@ class TestDepartureScan:
         built = graph.build_topology(sorted(positions.items()), 5.0)
         p = Partition(tuple(clusters))
         for t in (built, graph.move_nodes(built, {})):
-            assert maintenance._departures(t, p, dict.fromkeys(positions, 1)) == ([], {})
-            assert oracle.departures(t, p, {}) == []
+            assert maintenance._departures(t, p, frozenset(positions)) == ([], frozenset())
+            assert oracle.departures(t, p, frozenset()) == ([], frozenset())
 
 
 class TestLoadScenario:
@@ -733,13 +746,13 @@ class TestStep:
         step(state)
         # Equal healths and an equal partition in new objects: the passes
         # run in full, and still nothing has changed.
-        state.healths = dict(state.healths)
+        state.memory = state.memory._replace(healths=dict(state.memory.healths))
         step(state)
         state.partition = phase2.Partition(state.partition.clusters)
         step(state)
         step(state)
         step(state)
-        assert calls == [] and state.healths == {}
+        assert calls == [] and state.memory.healths == {}
         assert [r.updates + r.reforms for r in state.metrics] == [0] * 6
 
         # node 2 leaves its cluster in round 2 and joins another: the
@@ -751,7 +764,7 @@ class TestStep:
         step(state)
         joined = state.partition.node_index[2]
         assert [(r.updates, r.reforms) for r in state.metrics] == [(0, 0), (1, 0)]
-        classified = {cid for cid, h in state.healths.items() if any(h is c for c in calls)}
+        classified = {cid for cid, h in state.memory.healths.items() if any(h is c for c in calls)}
         assert len(calls) == 2 and classified == {left, joined} and left != joined
 
     def test_quiet_passes_keep_the_partition_and_healths_objects(self):
@@ -759,11 +772,11 @@ class TestStep:
         # object of the last clean one, so a pass without departures must
         # hand back the objects it was given.
         state = initialize(scenario_from_dict(STATIC_SEVEN))
-        partition, healths = state.partition, state.healths
+        partition, healths = state.partition, state.memory.healths
         for _ in range(3):
             step(state)
-            assert state.partition is partition and state.healths is healths
-            assert state.last_clean[0] is state.topology and state.last_clean[1] is partition
+            assert state.partition is partition and state.memory.healths is healths
+            assert state.memory.clean[0] is state.topology and state.memory.clean[1] is partition
 
     def test_swapped_topology_is_verified_on_the_next_hello_round(self, monkeypatch):
         state = initialize(scenario_from_dict(dict(STATIC_SEVEN, hello_interval_rounds=2)))
@@ -787,20 +800,20 @@ class TestStep:
         if change == "partition":
             state.partition = phase2.Partition(state.partition.clusters)  # equal, not the same
         else:
-            state.miss_counts[2] = 1
+            state.memory = state.memory._replace(missed=frozenset({2}))
         step(state)
         step(state)
         assert calls == [7]
-        assert 2 not in state.miss_counts
+        assert 2 not in state.memory.missed
 
     def test_pass_with_a_pending_miss_skips_the_partition_check(self, monkeypatch):
         # node 2 walks out of its cluster's reach: one miss, not yet departed
         state = initialize(mobile_scenario(walkers=("2",)))
         calls = count_verify_calls(monkeypatch)
         step(state)
-        assert state.miss_counts == {2: 1}
+        assert state.memory.missed == {2}
         assert calls == []
-        assert state.last_clean is None
+        assert state.memory.clean is None
 
     def test_pass_whose_pending_misses_all_depart_checks_the_partition(self, monkeypatch):
         # node 2, the only node with a miss pending, departs in round 2 and
@@ -809,11 +822,11 @@ class TestStep:
         step(state)
         calls = count_verify_calls(monkeypatch)
         step(state)
-        assert state.miss_counts == {}
+        assert state.memory.missed == set()
         assert calls == [6]
         assert [(r.updates, r.reforms) for r in state.metrics] == [(0, 0), (1, 0)]
         # a pass that departed a node is not a clean one
-        assert state.last_clean is None
+        assert state.memory.clean is None
 
     @settings(max_examples=120, deadline=None)
     @given(quiet_pass_runs())
@@ -832,13 +845,13 @@ class TestStep:
                 if toggle is not None:
                     quiet.topology = toggled(quiet.topology, *toggle)
                     full.topology = toggled(full.topology, *toggle)
-                last = quiet.last_clean
+                last = quiet.memory.clean
                 can_be_quiet = (
                     quiet.round % sc.hello_interval_rounds == 0
                     and last is not None
-                    and not any(quiet.miss_counts.values())
+                    and not quiet.memory.missed
                 )
-                full.last_clean = None
+                full.memory = full.memory._replace(clean=None)
                 step(quiet)
                 step(full)
                 where = f"round {quiet.round}"
