@@ -4,7 +4,6 @@ from .audit import AuditResult, audit_secrecy
 from .errors import (
     CouncilNetError,
     DisconnectedTopology,
-    DominationViolated,
     DuplicateNid,
     DuplicateX,
     IncompleteShareSet,

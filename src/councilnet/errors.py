@@ -21,10 +21,6 @@ class DisconnectedTopology(CouncilNetError):
     """Clustering requires a connected topology."""
 
 
-class DominationViolated(CouncilNetError):
-    """Internal consistency failure: heads plus gateways did not dominate."""
-
-
 class InvalidDominatingSet(CouncilNetError):
     """Cluster formation was handed a set that does not dominate the graph."""
 

@@ -51,6 +51,11 @@ Position = tuple[float, float]
 MAX_COORDINATE = 1e150
 
 
+def _unknown_node(u) -> UnknownNode:
+    """The one error every lookup raises for an id ``u`` the topology lacks."""
+    return UnknownNode(f"node {u} is not in the topology")
+
+
 @dataclass(frozen=True)
 class Topology:
     """A graph stored as its adjacency map, symmetric and loop-free.  ``nodes``
@@ -78,7 +83,7 @@ class Topology:
         try:
             return [u for u in us if adj[u].isdisjoint(nodes)]
         except KeyError as missing:
-            raise UnknownNode(f"node {missing.args[0]} is not in the topology") from None
+            raise _unknown_node(missing.args[0]) from None
 
     def neighbor_index(self, nodes: Iterable[NodeId]) -> "NeighborIndex":
         """An index of ``nodes`` that answers, as they are added and
@@ -127,7 +132,7 @@ class _DiskTopology(Topology):
             try:
                 ux, uy = positions[u]
             except KeyError:
-                raise UnknownNode(f"node {u} is not in the topology") from None
+                raise _unknown_node(u) from None
             for v, (vx, vy) in near:
                 dx = ux - vx
                 dy = uy - vy
@@ -221,7 +226,7 @@ class _CellIndex:
         try:
             ux, uy = pos = self._t.positions[u]
         except KeyError:
-            raise UnknownNode(f"node {u} is not in the topology") from None
+            raise _unknown_node(u) from None
         cx, cy = self._key(pos)
         cells = self._cells
         r2 = self._r2
@@ -457,7 +462,7 @@ def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology
         if type(nid) is not int or nid not in positions:
             _check_nid(nid)  # a non-id raises the id rule's error
             if nid not in positions:
-                raise UnknownNode(f"node {nid} is not in the topology")
+                raise _unknown_node(nid)
         x, y = positions[nid] = _checked_position(nid, pos)
         if abs(x) > span or abs(y) > span:
             span = max(abs(x), abs(y))
@@ -507,7 +512,7 @@ def neighbors(t: Topology, u: NodeId) -> frozenset[NodeId]:
     try:
         return t.adj[u]
     except KeyError:
-        raise UnknownNode(f"node {u} is not in the topology") from None
+        raise _unknown_node(u) from None
 
 
 def two_hop_view(t: Topology, u: NodeId) -> TwoHopView:
@@ -553,7 +558,7 @@ def is_dominating_set(t: Topology, d: Iterable[NodeId]) -> bool:
     dom = set(d)
     adj = t.adj
     if not dom <= adj.keys():
-        neighbors(t, next(u for u in dom if u not in adj))  # raises UnknownNode
+        raise _unknown_node(next(u for u in dom if u not in adj))
     return not any(dom.isdisjoint(vs) for u, vs in adj.items() if u not in dom)
 
 

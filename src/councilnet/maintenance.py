@@ -324,7 +324,7 @@ def plan_pass(t: Topology, p: Partition, memory: PassMemory, gateway_threshold: 
     settled = not (stranded or cluster_reform or missed)
     damaged = settled and not quiet and bool(verify_partition(t, p))
     if stranded or damaged:
-        log.append((-1, "reform", 0, 0.0))
+        log.append((-1, MaintenanceAction.REFORM.value, 0, 0.0))
     if not quiet:
         memory = PassMemory(healths, missed, (t, p) if settled and not (damaged or departed) else None)
     return PassPlan(departed, p, memory, joined, log, stranded or cluster_reform or damaged)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import DisconnectedTopology, DominationViolated, ValidationError
-from .graph import NodeId, Topology, is_connected, is_dominating_set, neighbors
+from .errors import DisconnectedTopology, ValidationError
+from .graph import NodeId, Topology, is_connected, neighbors
 
 ClusterId = int
 
@@ -117,14 +117,12 @@ def identify_gateways(t: Topology, ra: RoleAssignment) -> RoleAssignment:
 
 
 def build_dominating_set(t: Topology, ra: RoleAssignment) -> DominatingSet:
-    """Heads and gateways, found in one pass over the entries and checked
-    against the domination property."""
+    """Heads and gateways in id order, found in one pass over the entries;
+    ``phase2.cluster_form`` checks that they dominate ``t``."""
     if not ra.gateways_identified:
         raise ValidationError("dominating set needs gateways identified first")
     head_role, gateway_role = Role.HEAD, Role.GATEWAY
     members = tuple(
         sorted([nid for nid, (role, _) in ra.entries.items() if role is head_role or role is gateway_role])
     )
-    if not is_dominating_set(t, members):
-        raise DominationViolated(f"heads and gateways {members} do not dominate the topology")
     return DominatingSet(members)

@@ -152,6 +152,7 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
     as members, and pick at most one backbone gateway to continue from.
     Candidate heads must avoid marked gateways and anything adjacent to an
     existing council, which keeps heads of different clusters non-adjacent.
+    Any backbone that does not dominate ``t`` raises ``InvalidDominatingSet``.
     A council absorbs every unassigned neighbour of its heads, and its
     gateway is one of those, so every node the walk has marked or placed
     next to a council is already assigned: the assigned nodes are the whole

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import formation_oracle as oracle
-from councilnet.errors import CouncilNetError, DisconnectedTopology
+from councilnet import graph
+from councilnet.errors import CouncilNetError, DisconnectedTopology, InvalidDominatingSet
 from councilnet.graph import is_connected, is_dominating_set, neighbors, topology_from_edges
 from councilnet.maintenance import reform
 from councilnet.phase1 import (
@@ -34,6 +35,9 @@ FALLBACK = ([1, 2, 3, 5, 6, 7], [(1, 2), (1, 3), (2, 3), (1, 5), (5, 6), (5, 7)]
 EMPTY = ([], [], set())
 # The smallest disconnected scenario: node 3 hears no one.
 SPLIT = ([1, 2, 3], [(1, 2)], {3})
+# Star 1-{2, 3} with head 1 demoted: no gateway hears another cluster, so
+# the backbone is empty and dominates nothing.
+DEMOTED = ([1, 2, 3], [(1, 2), (1, 3)], {1})
 # Ids above 60, which ``formation_inputs`` never draws, lie outside every
 # topology it builds.
 OUTSIDE = st.sets(st.integers(61, 64), max_size=2)
@@ -112,6 +116,7 @@ def test_is_dominating_set_matches_the_oracle(inputs, outside):
 @example(EMPTY)
 @example(SPLIT)
 @example(HANDOFF)
+@example(DEMOTED)
 @settings(max_examples=300, deadline=None)
 def test_identify_gateways_and_backbone_match_the_oracle(inputs):
     ids, edges, extra = inputs
@@ -121,10 +126,18 @@ def test_identify_gateways_and_backbone_match_the_oracle(inputs):
         assert got == expected
         assert list(got.entries.items()) == list(expected.entries.items())
         # Without gateways identified ``ra`` is refused (ValidationError),
-        # and demoted heads can leave nodes undominated (DominationViolated):
-        # the same error and message on both sides.
-        assert outcome(build_dominating_set, t, expected) == outcome(oracle.build_dominating_set, t, expected)
-        assert outcome(build_dominating_set, t, ra) == outcome(oracle.build_dominating_set, t, ra)
+        # and demoted heads can leave nodes undominated, which
+        # ``cluster_form`` refuses (InvalidDominatingSet): the same error and
+        # message on both sides.
+        for roles in (expected, ra):
+            backbone = outcome(build_dominating_set, t, roles)
+            assert backbone == outcome(oracle.build_dominating_set, t, roles)
+            if not isinstance(backbone, DominatingSet):
+                continue
+            formed = outcome(cluster_form, t, backbone)
+            assert formed == outcome(oracle.cluster_form, t, backbone)
+            if not oracle.is_dominating_set(t, backbone.members):
+                assert formed == (InvalidDominatingSet, f"{list(backbone.members)} does not dominate the topology")
 
 
 @given(formation_inputs(), OUTSIDE)
@@ -188,6 +201,23 @@ def test_reform_matches_the_oracle_chain_at_benchmark_scale(seed):
     t = random_connected(1000, seed)
     roles = oracle.identify_gateways(t, oracle.elect_heads(t))
     assert reform(t) == oracle.cluster_form(t, oracle.build_dominating_set(t, roles))
+
+
+def test_reform_checks_domination_once(monkeypatch):
+    calls = []
+    check = graph.is_dominating_set
+
+    def counted(t, d):
+        calls.append(len(t.nodes))
+        return check(t, d)
+
+    # Every module attribute bound to the function, however it was
+    # imported, as the benchmark tracer patches its layers.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "councilnet" and vars(module).get("is_dominating_set") is check:
+            monkeypatch.setattr(module, "is_dominating_set", counted)
+    reform(random_connected(50, 1))
+    assert calls == [50]
 
 
 def oracle_head_choices(inputs):

@@ -690,6 +690,17 @@ class TestMoveNodes:
         assert [ref() is not None for ref in refs] == [False, False, False, True]
 
 
+# Each lookup that meets node 99, which no topology below holds.
+UNKNOWN_99 = {
+    "neighbors": lambda t: neighbors(t, 99),
+    "hearing_none": lambda t: t.hearing_none([99], {1}),
+    "near": lambda t: t.neighbor_index([]).near(99),
+    "is_dominating_set": lambda t: is_dominating_set(t, [99]),
+    "is_clique": lambda t: is_clique(t, [99]),
+    "move_nodes": lambda t: move_nodes(t, {99: (0.5, 0.0)}),
+}
+
+
 class TestNeighbors:
     def test_triangle(self):
         assert neighbors(triangle(), 1) == frozenset({2, 3})
@@ -723,6 +734,30 @@ class TestNeighbors:
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):
             neighbors(path3(), 9)
+
+    @pytest.mark.parametrize(
+        "kind, lookup",
+        [
+            (kind, lookup)
+            for kind in ("edges", "built", "moved")
+            for lookup in UNKNOWN_99
+            if (kind, lookup) != ("edges", "move_nodes")
+        ],
+    )
+    def test_unknown_node_text(self, kind, lookup):
+        # One text for an id the topology lacks, whichever lookup meets it,
+        # on the path 1-2-3 as an edge list (which has nothing to move) and
+        # as a disk topology built or moved, whose lookups read positions
+        line = [(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (2.0, 0.0))]
+        if kind == "edges":
+            t = path3()
+        elif kind == "built":
+            t = build_topology(line, 1.0)
+        else:
+            t = move_nodes(build_topology(line[:2] + [(3, (9.0, 0.0))], 1.0), {3: (2.0, 0.0)})
+        with pytest.raises(UnknownNode) as raised:
+            UNKNOWN_99[lookup](t)
+        assert str(raised.value) == "node 99 is not in the topology"
 
     @given(st.integers(2, 7), st.integers(0, 2**21 - 1))
     @settings(max_examples=60, deadline=None)

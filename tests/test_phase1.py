@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from councilnet.errors import DisconnectedTopology, DominationViolated, ValidationError
+from councilnet.errors import DisconnectedTopology, InvalidDominatingSet, ValidationError
 from councilnet.graph import is_dominating_set, neighbors, topology_from_edges
 from councilnet.phase1 import (
     Role,
@@ -12,6 +12,7 @@ from councilnet.phase1 import (
     identify_gateways,
     node_states,
 )
+from councilnet.phase2 import cluster_form
 from councilnet.topologies import random_connected, triangle, two_cluster_seven
 from formation_oracle import tagged
 
@@ -120,13 +121,14 @@ class TestDominatingSet:
             build_dominating_set(t, elect_heads(t))
 
     def test_violation_is_detected(self):
-        # hand-built assignment with no heads at all cannot dominate
+        # hand-built assignment with no heads at all cannot dominate, which
+        # cluster_form, the one domination check, refuses
         t = path3()
         broken = RoleAssignment(
             {n: (Role.MEMBER, 1) for n in t.nodes}, gateways_identified=True
         )
-        with pytest.raises(DominationViolated):
-            build_dominating_set(t, broken)
+        with pytest.raises(InvalidDominatingSet):
+            cluster_form(t, build_dominating_set(t, broken))
 
     def test_proposition_on_random_graphs(self):
         for seed in range(25):
