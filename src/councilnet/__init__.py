@@ -43,7 +43,6 @@ from .maintenance import (
 from .phase1 import (
     DominatingSet,
     Role,
-    RoleAssignment,
     build_dominating_set,
     elect_heads,
     identify_gateways,

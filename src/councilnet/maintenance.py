@@ -335,5 +335,5 @@ def reform(t: Topology) -> Partition:
 
     Secrets must be re-split by the caller afterwards; old shares are void.
     """
-    roles = identify_gateways(t, elect_heads(t))
-    return cluster_form(t, build_dominating_set(t, roles))
+    head_of = elect_heads(t)
+    return cluster_form(t, build_dominating_set(head_of, identify_gateways(t, head_of)))

@@ -3,9 +3,10 @@ and assembly of the head/gateway backbone.
 
 The election is the classic iterative lowest-id rule: repeatedly, the
 undecided node with the lowest id in its closed undecided neighbourhood
-becomes a head and claims its undecided neighbours as members.  Members that
-can hear another cluster are then re-tagged as gateways, and heads plus
-gateways together form a dominating backbone of the network.
+becomes a head and claims its undecided neighbours as members.  It maps each
+node to its head, a head to itself.  The members that can hear another
+cluster are the gateways, and heads plus gateways together form a
+dominating backbone of the network.
 
 ``node_states`` gives each node's neighbour-role map, the table a CBRP HELLO
 broadcast carries.  The simulator never builds it: a HELLO round only counts
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import DisconnectedTopology, ValidationError
+from .errors import DisconnectedTopology
 from .graph import NodeId, Topology, is_connected, neighbors
 
 ClusterId = int
@@ -32,17 +33,6 @@ class Role(str, Enum):
 
 
 @dataclass(frozen=True)
-class RoleAssignment:
-    """Role tag and cluster identity for every node of a topology."""
-
-    entries: Mapping[NodeId, tuple[Role, ClusterId]]
-    gateways_identified: bool = False
-
-    def role_of(self, nid: NodeId) -> Role:
-        return self.entries[nid][0]
-
-
-@dataclass(frozen=True)
 class DominatingSet:
     """The head/gateway backbone, kept in ascending id order."""
 
@@ -53,20 +43,21 @@ class DominatingSet:
         return len(self.members)
 
 
-def node_states(t: Topology, ra: Optional[RoleAssignment] = None) -> dict[NodeId, dict[NodeId, Role]]:
+def node_states(t: Topology, roles: Optional[Mapping[NodeId, Role]] = None) -> dict[NodeId, dict[NodeId, Role]]:
     """Each node's neighbour-role map, ``{node: {neighbour: role}}``, in id
     order; roles are ``Role.UNDECIDED`` before election."""
     return {
-        u: {v: ra.role_of(v) if ra is not None else Role.UNDECIDED for v in sorted(neighbors(t, u))}
+        u: {v: roles[v] if roles is not None else Role.UNDECIDED for v in sorted(neighbors(t, u))}
         for u in sorted(t.nodes)
     }
 
 
-def elect_heads(t: Topology) -> RoleAssignment:
-    """Iterative lowest-id election over a connected topology.
+def elect_heads(t: Topology) -> dict[NodeId, ClusterId]:
+    """Iterative lowest-id election over a connected topology: each node
+    mapped to its head, a head to itself, each head before its members.
 
     The produced heads are pairwise non-adjacent and every member sits one
-    hop from its head.  Gateways are not identified yet.
+    hop from its head.
 
     One ascending pass over the nodes, skipping the decided ones, costs
     O(Σdeg + n log n).  It elects the same heads as taking the lowest
@@ -78,51 +69,42 @@ def elect_heads(t: Topology) -> RoleAssignment:
     if not is_connected(t):
         raise DisconnectedTopology("head election requires a connected topology")
     adj = t.adj
-    head_role, member_role = Role.HEAD, Role.MEMBER
     undecided = set(adj)
-    entries: dict[NodeId, tuple[Role, ClusterId]] = {}
+    head_of: dict[NodeId, ClusterId] = {}
     for head in sorted(adj):
         if head not in undecided:
             continue
         members = adj[head] & undecided
         undecided -= members
         undecided.discard(head)
-        entries[head] = (head_role, head)
-        entries.update(dict.fromkeys(sorted(members), (member_role, head)))
-    return RoleAssignment(entries)
+        head_of[head] = head
+        head_of.update(dict.fromkeys(sorted(members), head))
+    return head_of
 
 
-def identify_gateways(t: Topology, ra: RoleAssignment) -> RoleAssignment:
-    """Re-tag every member that can hear a node of a different cluster.
+def identify_gateways(t: Topology, head_of: Mapping[NodeId, ClusterId]) -> frozenset[NodeId]:
+    """The members (nodes not mapped to themselves) that can hear a node of
+    a different cluster.
 
-    Heads are never re-tagged; gateways keep the cluster that elected them.
-    ``ra`` tags every node of ``t``, as an election does, so a member hears
-    another cluster exactly when its adjacency is not a subset of its own
-    cluster's nodes: one C-level subset test per member after one pass that
-    groups the nodes by cluster, O(n + Σdeg) in all, with no Python-level
-    step per neighbour.  A member outside ``t`` raises ``UnknownNode``.
+    ``head_of`` maps every node of ``t``, as an election does, so a member
+    hears another cluster exactly when its adjacency is not a subset of its
+    own cluster's nodes: one C-level subset test per member after one pass
+    that groups the nodes by cluster, O(n + Σdeg) in all, with no
+    Python-level step per neighbour.  A member outside ``t`` raises
+    ``UnknownNode``.
     """
     clusters: dict[ClusterId, set[NodeId]] = {}
-    for nid, (_, cid) in ra.entries.items():
+    for nid, cid in head_of.items():
         nodes = clusters.get(cid)
         if nodes is None:
             nodes = clusters[cid] = set()
         nodes.add(nid)
-    member_role, gateway_role = Role.MEMBER, Role.GATEWAY
-    entries = dict(ra.entries)
-    for nid, (role, cid) in ra.entries.items():
-        if role is member_role and not neighbors(t, nid) <= clusters[cid]:
-            entries[nid] = (gateway_role, cid)
-    return RoleAssignment(entries, gateways_identified=True)
-
-
-def build_dominating_set(t: Topology, ra: RoleAssignment) -> DominatingSet:
-    """Heads and gateways in id order, found in one pass over the entries;
-    ``phase2.cluster_form`` checks that they dominate ``t``."""
-    if not ra.gateways_identified:
-        raise ValidationError("dominating set needs gateways identified first")
-    head_role, gateway_role = Role.HEAD, Role.GATEWAY
-    members = tuple(
-        sorted([nid for nid, (role, _) in ra.entries.items() if role is head_role or role is gateway_role])
+    return frozenset(
+        [nid for nid, cid in head_of.items() if nid != cid and not neighbors(t, nid) <= clusters[cid]]
     )
-    return DominatingSet(members)
+
+
+def build_dominating_set(head_of: Mapping[NodeId, ClusterId], gateways: frozenset[NodeId]) -> DominatingSet:
+    """The heads plus ``gateways``, in id order; ``phase2.cluster_form``
+    checks that they dominate the topology."""
+    return DominatingSet(tuple(sorted(gateways.union([nid for nid, cid in head_of.items() if nid == cid]))))

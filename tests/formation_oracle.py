@@ -12,32 +12,37 @@ tests in ``test_formation.py`` compare the library against them.
 before the formation chain read the adjacency map directly: a deque BFS, a
 union over the set's neighbourhoods, a cluster-id lookup per neighbour and
 the heads and gateways rescans.  The oracle's chain calls only these
-copies, so it never checks the library against itself.  Since
-``RoleAssignment`` lost its ``cid_of``, ``heads`` and ``gateways`` views, the
-copies read the same values from ``entries``, the last two through
+copies, so it never checks the library against itself.
+
+The oracle keeps the role tags the library dropped: its election and
+gateway step return ``{node: (role, cluster id)}`` maps, read through
 ``tagged``, the rescan the tests also use for heads, gateways and cluster
-nodes.  Like the library's, ``build_dominating_set`` checks no domination:
-``cluster_form`` checks every backbone it is handed.
+nodes.  The library's plain values are projections of these maps: its
+``head_of`` is each node's cluster id, and its gateway set is the nodes
+tagged ``Role.GATEWAY``.  Like the library's, ``build_dominating_set``
+checks no domination: ``cluster_form`` checks every backbone it is handed.
 """
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
-from councilnet.errors import DisconnectedTopology, InvalidDominatingSet, ValidationError
+from councilnet.errors import DisconnectedTopology, InvalidDominatingSet
 from councilnet.graph import NodeId, Topology, neighbors
-from councilnet.phase1 import ClusterId, DominatingSet, Role, RoleAssignment
+from councilnet.phase1 import ClusterId, DominatingSet, Role
+
+Roles = Mapping[NodeId, tuple[Role, ClusterId]]
 from councilnet.phase2 import Cluster, Council, Partition
 from councilnet.shamir import choose_threshold
 
 
 def tagged(
-    ra: RoleAssignment, role: Optional[Role] = None, cid: Optional[ClusterId] = None
+    roles: Roles, role: Optional[Role] = None, cid: Optional[ClusterId] = None
 ) -> frozenset[NodeId]:
-    """The nodes of ``ra`` with role ``role`` in cluster ``cid``; either
+    """The nodes of ``roles`` with role ``role`` in cluster ``cid``; either
     left as None matches every node."""
     return frozenset(
         n
-        for n, (r, c) in ra.entries.items()
+        for n, (r, c) in roles.items()
         if (role is None or r is role) and (cid is None or c == cid)
     )
 
@@ -64,7 +69,7 @@ def is_connected(t: Topology) -> bool:
     return len(seen) == len(t.nodes)
 
 
-def elect_heads(t: Topology) -> RoleAssignment:
+def elect_heads(t: Topology) -> dict[NodeId, tuple[Role, ClusterId]]:
     """Iterative lowest-id election over a connected topology.
 
     The produced heads are pairwise non-adjacent and every member sits one
@@ -81,28 +86,26 @@ def elect_heads(t: Topology) -> RoleAssignment:
         for member in sorted(neighbors(t, head) & undecided):
             undecided.discard(member)
             entries[member] = (Role.MEMBER, head)
-    return RoleAssignment(entries)
+    return entries
 
 
-def identify_gateways(t: Topology, ra: RoleAssignment) -> RoleAssignment:
+def identify_gateways(t: Topology, roles: Roles) -> dict[NodeId, tuple[Role, ClusterId]]:
     """Re-tag every member that can hear a node of a different cluster.
 
     Heads are never re-tagged; gateways keep the cluster that elected them.
     """
-    entries = dict(ra.entries)
-    for nid, (role, cid) in ra.entries.items():
+    entries = dict(roles)
+    for nid, (role, cid) in roles.items():
         if role is not Role.MEMBER:
             continue
-        if any(ra.entries[v][1] != cid for v in neighbors(t, nid)):
+        if any(roles[v][1] != cid for v in neighbors(t, nid)):
             entries[nid] = (Role.GATEWAY, cid)
-    return RoleAssignment(entries, gateways_identified=True)
+    return entries
 
 
-def build_dominating_set(t: Topology, ra: RoleAssignment) -> DominatingSet:
+def build_dominating_set(roles: Roles) -> DominatingSet:
     """Union of heads and gateways; ``cluster_form`` checks that they dominate."""
-    if not ra.gateways_identified:
-        raise ValidationError("dominating set needs gateways identified first")
-    return DominatingSet(tuple(sorted(tagged(ra, Role.HEAD) | tagged(ra, Role.GATEWAY))))
+    return DominatingSet(tuple(sorted(tagged(roles, Role.HEAD) | tagged(roles, Role.GATEWAY))))
 
 
 def find_council_clique(

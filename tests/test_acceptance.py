@@ -20,7 +20,7 @@ from councilnet.maintenance import (
     handle_departure,
     reform,
 )
-from councilnet.phase1 import Role, build_dominating_set, elect_heads, identify_gateways
+from councilnet.phase1 import build_dominating_set, elect_heads, identify_gateways
 from councilnet.phase2 import cluster_form, verify_partition
 from councilnet.shamir import (
     Share,
@@ -39,7 +39,6 @@ from councilnet.topologies import (
     triangle,
     two_cluster_seven,
 )
-from formation_oracle import tagged
 from secrecy_oracle import consistent_secrets, poly_eval
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -59,10 +58,11 @@ def test_criterion_1_two_cluster_fixture_reproduction():
     with criterion(1, "canonical 7-node fixture: exact roles in both phases, < 1 s"):
         started = time.monotonic()
         t = two_cluster_seven()
-        roles = identify_gateways(t, elect_heads(t))
-        assert sorted(tagged(roles, Role.HEAD)) == [1, 4]
-        assert sorted(tagged(roles, Role.GATEWAY)) == [5]
-        ds = build_dominating_set(t, roles)
+        head_of = elect_heads(t)
+        gateways = identify_gateways(t, head_of)
+        assert sorted(u for u, c in head_of.items() if u == c) == [1, 4]
+        assert sorted(gateways) == [5]
+        ds = build_dominating_set(head_of, gateways)
         assert ds.members == (1, 4, 5)
         partition = cluster_form(t, ds)
         councils = sorted(sorted(c.council.heads) for c in partition.clusters)
@@ -109,8 +109,8 @@ def test_criterion_4_domination_and_coverage_on_random_graphs():
             n = rng.randrange(10, 51)
             t = random_connected(n, seed=i)
             assert len(t.nodes) == n
-            roles = identify_gateways(t, elect_heads(t))
-            ds = build_dominating_set(t, roles)
+            head_of = elect_heads(t)
+            ds = build_dominating_set(head_of, identify_gateways(t, head_of))
             assert is_dominating_set(t, ds.members)
             partition = cluster_form(t, ds)
             assert set(partition.node_index) == set(t.nodes)

@@ -13,14 +13,7 @@ from councilnet import graph
 from councilnet.errors import CouncilNetError, DisconnectedTopology, InvalidDominatingSet
 from councilnet.graph import is_connected, is_dominating_set, neighbors, topology_from_edges
 from councilnet.maintenance import reform
-from councilnet.phase1 import (
-    DominatingSet,
-    Role,
-    RoleAssignment,
-    build_dominating_set,
-    elect_heads,
-    identify_gateways,
-)
+from councilnet.phase1 import DominatingSet, Role, build_dominating_set, elect_heads, identify_gateways
 from councilnet.phase2 import cluster_form, find_council_clique
 from councilnet.topologies import random_connected
 
@@ -35,8 +28,9 @@ FALLBACK = ([1, 2, 3, 5, 6, 7], [(1, 2), (1, 3), (2, 3), (1, 5), (5, 6), (5, 7)]
 EMPTY = ([], [], set())
 # The smallest disconnected scenario: node 3 hears no one.
 SPLIT = ([1, 2, 3], [(1, 2)], {3})
-# Star 1-{2, 3} with head 1 demoted: no gateway hears another cluster, so
-# the backbone is empty and dominates nothing.
+# Star 1-{2, 3} with head 1 demoted, which leaves its cluster headless: no
+# gateway hears another cluster, so the backbone is empty and dominates
+# nothing.
 DEMOTED = ([1, 2, 3], [(1, 2), (1, 3)], {1})
 # Ids above 60, which ``formation_inputs`` never draws, lie outside every
 # topology it builds.
@@ -62,7 +56,8 @@ def dominating_sets(t, extra):
     covered = set(extra).union(*(neighbors(t, u) for u in extra))
     found = [tuple(extra) + tuple(t.nodes - covered)]
     if is_connected(t):
-        backbone = build_dominating_set(t, identify_gateways(t, elect_heads(t))).members
+        head_of = elect_heads(t)
+        backbone = build_dominating_set(head_of, identify_gateways(t, head_of)).members
         found += [backbone, tuple(set(backbone) | extra)]
     return [DominatingSet(members) for members in found]
 
@@ -76,16 +71,27 @@ def outcome(f, *args, **kwargs):
 
 
 def role_assignments(t, demoted):
-    """Role maps over every node of ``t``, connected or not: each node joins
-    the cluster of the lowest id in its closed neighbourhood, heading it when
-    that is itself; the same map with the ``demoted`` heads tagged members;
-    and on a connected graph the election and its demoted form."""
+    """The oracle's role maps, ``{node: (role, cluster id)}``, over every
+    node of ``t``, connected or not: each node joins the cluster of the
+    lowest id in its closed neighbourhood, heading it when that is itself;
+    the same map with the clusters of the ``demoted`` heads left headless,
+    all their nodes tagged members under the id ``-head``, which no node
+    has; and on a connected graph the election and its demoted form."""
     lowest = {u: min(vs | {u}) for u, vs in t.adj.items()}
     found = [{u: (Role.HEAD if c == u else Role.MEMBER, c) for u, c in lowest.items()}]
     if is_connected(t):
-        found.append(dict(oracle.elect_heads(t).entries))
-    found += [{u: (Role.MEMBER, c) if u in demoted else (r, c) for u, (r, c) in e.items()} for e in found]
-    return [RoleAssignment(entries) for entries in found]
+        found.append(oracle.elect_heads(t))
+    found += [{u: (Role.MEMBER, -c) if c in demoted else (r, c) for u, (r, c) in e.items()} for e in found]
+    return found
+
+
+def head_of(roles):
+    """The library's view of an oracle role map: each node's cluster id.
+    It loses no head, because a node heads its cluster exactly when it is
+    the cluster's id."""
+    projected = {u: c for u, (_, c) in roles.items()}
+    assert oracle.tagged(roles, Role.HEAD) == {u for u, c in projected.items() if u == c}
+    return projected
 
 
 @given(formation_inputs())
@@ -121,19 +127,15 @@ def test_is_dominating_set_matches_the_oracle(inputs, outside):
 def test_identify_gateways_and_backbone_match_the_oracle(inputs):
     ids, edges, extra = inputs
     t = topology_from_edges(ids, edges)
-    for ra in role_assignments(t, extra):
-        got, expected = identify_gateways(t, ra), oracle.identify_gateways(t, ra)
-        assert got == expected
-        assert list(got.entries.items()) == list(expected.entries.items())
-        # Without gateways identified ``ra`` is refused (ValidationError),
-        # and demoted heads can leave nodes undominated, which
-        # ``cluster_form`` refuses (InvalidDominatingSet): the same error and
-        # message on both sides.
-        for roles in (expected, ra):
-            backbone = outcome(build_dominating_set, t, roles)
-            assert backbone == outcome(oracle.build_dominating_set, t, roles)
-            if not isinstance(backbone, DominatingSet):
-                continue
+    for roles in role_assignments(t, extra):
+        expected = oracle.identify_gateways(t, roles)
+        assert identify_gateways(t, head_of(roles)) == oracle.tagged(expected, Role.GATEWAY)
+        # The backbone of the map before and after the gateway step: demoted
+        # heads can leave nodes undominated, which ``cluster_form`` refuses
+        # (InvalidDominatingSet), the same error and message on both sides.
+        for tags in (expected, roles):
+            backbone = build_dominating_set(head_of(tags), oracle.tagged(tags, Role.GATEWAY))
+            assert backbone == oracle.build_dominating_set(tags)
             formed = outcome(cluster_form, t, backbone)
             assert formed == outcome(oracle.cluster_form, t, backbone)
             if not oracle.is_dominating_set(t, backbone.members):
@@ -171,9 +173,7 @@ def test_elect_heads_matches_the_oracle(inputs):
         with pytest.raises(DisconnectedTopology):
             elect_heads(t)
         return
-    got = elect_heads(t)
-    assert got == expected
-    assert list(got.entries.items()) == list(expected.entries.items())
+    assert list(elect_heads(t).items()) == list(head_of(expected).items())
 
 
 @given(formation_inputs(), OUTSIDE)
@@ -200,7 +200,7 @@ def test_reform_matches_the_oracle_chain_at_benchmark_scale(seed):
     # The Hypothesis graphs stop at 18 nodes; this is the benchmark's 1k.
     t = random_connected(1000, seed)
     roles = oracle.identify_gateways(t, oracle.elect_heads(t))
-    assert reform(t) == oracle.cluster_form(t, oracle.build_dominating_set(t, roles))
+    assert reform(t) == oracle.cluster_form(t, oracle.build_dominating_set(roles))
 
 
 def test_reform_checks_domination_once(monkeypatch):
