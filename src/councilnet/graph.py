@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import AbstractSet, Container, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Collection, Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateNid, UnknownNode
 
@@ -61,9 +61,16 @@ class Topology:
     """A graph stored as its adjacency map, symmetric and loop-free.  ``nodes``
     and ``edges`` (each link once, as ``(min, max)``) are derived from it.
     An edge-list or hand-assembled graph answers every lookup from ``adj``;
-    a disk topology is a ``_DiskTopology``."""
+    a disk topology is a ``_DiskTopology``.
 
-    adj: Mapping[NodeId, frozenset[NodeId]]
+    Each ``adj`` value is a read-only collection of distinct neighbour ids.
+    Both builders store a tuple, which the cyclic collector stops tracking
+    once it has seen that the tuple holds only ints; a hand-assembled graph
+    may use frozensets.  Every reader passes a value to a set method as an
+    iterable, so either kind gives the same answers; ``neighbors`` returns
+    a node's links as a frozenset."""
+
+    adj: Mapping[NodeId, Collection[NodeId]]
     positions: Optional[Mapping[NodeId, Position]] = None
     radius: Optional[float] = None
 
@@ -81,7 +88,7 @@ class Topology:
         adjacent to none; an id of ``us`` outside it raises ``UnknownNode``."""
         adj = self.adj
         try:
-            return [u for u in us if adj[u].isdisjoint(nodes)]
+            return [u for u in us if nodes.isdisjoint(adj[u])]
         except KeyError as missing:
             raise _unknown_node(missing.args[0]) from None
 
@@ -113,7 +120,7 @@ class _DiskTopology(Topology):
     _last_built: Optional[Topology] = None
 
     @cached_property
-    def adj(self) -> Mapping[NodeId, frozenset[NodeId]]:
+    def adj(self) -> Mapping[NodeId, Collection[NodeId]]:
         links = build_topology(self.positions.items(), self.radius).adj
         object.__setattr__(self, "_last_built", None)
         return links
@@ -182,8 +189,11 @@ class _LinkIndex:
     def discard(self, v: NodeId) -> None:
         self._nodes.discard(v)
 
-    def near(self, u: NodeId) -> frozenset[NodeId]:
-        return neighbors(self._t, u) & self._nodes
+    def near(self, u: NodeId) -> AbstractSet[NodeId]:
+        try:
+            return self._nodes.intersection(self._t.adj[u])
+        except KeyError:
+            raise _unknown_node(u) from None
 
 
 class _CellIndex:
@@ -243,7 +253,7 @@ class _CellIndex:
 
 NeighborIndex = _LinkIndex | _CellIndex
 """A set of nodes of one topology, edited by ``add`` and ``discard``, whose
-``near(u)`` is the set of them adjacent to ``u``.  A node never hears
+``near(u)`` is a new set of them adjacent to ``u``.  A node never hears
 itself, ids outside the topology are adjacent to none, and ``near`` of one
 raises ``UnknownNode``."""
 
@@ -280,12 +290,14 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     ``vx``, and each window keeps its bounds.
 
     Each pair in range is appended to both endpoints' neighbour lists, and
-    each list is frozen in place once the strips are freed: O(n + m) beyond
-    the pair tests for m links, with no per-link set insert, and each list
-    is released as its frozenset is made, so freezing leaves the cyclic
-    collector nothing new to count.  A node is tested against the nodes
-    after it in its own strip, and the nodes of the strip above, so each
-    unordered pair is tested once and no list holds a repeat.
+    each list is copied into a tuple once the strips are freed: O(n + m)
+    beyond the pair tests for m links, with no per-link hash, and each list
+    is released as its tuple is made.  A tuple of ints is untracked by the
+    first collection that sees it, so the built links stop adding to every
+    later collection's walk, as frozensets would not.  A node is tested
+    against the nodes after it in its own strip, and the nodes of the strip
+    above, so each unordered pair is tested once and no list holds a
+    repeat.
 
     Each id, position and the radius are checked by the module's input
     rules (``ValueError`` naming the node or the radius), positions as
@@ -301,7 +313,7 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
     adj: dict[NodeId, list[NodeId]] = {nid: [] for nid in positions}
     _link_strips(positions, adj, cell, r * r)
     for u, vs in adj.items():
-        adj[u] = frozenset(vs)
+        adj[u] = tuple(vs)
     built = _DiskTopology(adj, positions, r)
     object.__setattr__(built, "_span", span)  # for every index built on it
     return built
@@ -482,15 +494,16 @@ def topology_from_edges(
     """Build a topology from an explicit node and edge list.
 
     Each edge is appended to both endpoints' neighbour lists, and each list
-    is frozen once at the end: O(n + m) for n nodes and m listed edges, with
-    no per-edge set insert.  Repeated and reversed edges collapse when the
-    lists are frozen.  Each id, in list order, is checked by the id rule
-    and then the distinct-id rule, as ``build_topology`` checks them.  The
-    first edge in list order that breaks the link rule raises its error: an
-    endpoint that is no node id, then one outside the node list, then a
-    self-loop.  The rule runs only for an edge that fails a plain-int,
-    distinct and known test, so a good edge costs two type tests beyond its
-    appends.
+    becomes a tuple once at the end: O(n + m) for n nodes and m listed
+    edges, with no per-edge set insert.  Repeated and reversed edges
+    collapse then, and the tuples are untracked by the first collection, as
+    ``build_topology``'s are.  Each id, in list order, is checked by the id
+    rule and then the distinct-id rule, as ``build_topology`` checks them.
+    The first edge in list order that breaks the link rule raises its
+    error: an endpoint that is no node id, then one outside the node list,
+    then a self-loop.  The rule runs only for an edge that fails a
+    plain-int, distinct and known test, so a good edge costs two type tests
+    beyond its appends.
     """
     adj: dict[NodeId, list[NodeId]] = {}
     for u in nodes:
@@ -504,13 +517,15 @@ def topology_from_edges(
             adj[v].append(u)
         except KeyError:
             _check_link(adj, u, v)  # raises UnknownNode
-    return Topology({u: frozenset(vs) for u, vs in adj.items()})
+    # The frozenset only dedupes: it is made and dropped at once, faster
+    # than a ``dict.fromkeys`` pass, and the tuple is what is kept.
+    return Topology({u: tuple(frozenset(vs)) for u, vs in adj.items()})
 
 
 def neighbors(t: Topology, u: NodeId) -> frozenset[NodeId]:
     """Nodes adjacent to u; never contains u itself."""
     try:
-        return t.adj[u]
+        return frozenset(t.adj[u])
     except KeyError:
         raise _unknown_node(u) from None
 
@@ -565,18 +580,17 @@ def is_dominating_set(t: Topology, d: Iterable[NodeId]) -> bool:
 def is_connected(t: Topology) -> bool:
     """True iff the graph has one component; an empty graph counts connected.
 
-    A depth-first walk that adds each visited node's unseen neighbours with
-    one C-level set difference: O(n + Σdeg), no Python-level step per
-    neighbour.
+    A breadth-first walk: each frontier is the C-level union of the last
+    frontier's links, less the nodes already seen, O(n + Σdeg) with no
+    Python-level step per neighbour.
     """
     adj = t.adj
     if not adj:
         return True
     start = next(iter(adj))
     seen = {start}
-    stack = [start]
-    while stack:
-        fresh = adj[stack.pop()] - seen
-        seen |= fresh
-        stack += fresh
+    frontier = [start]
+    while frontier:
+        frontier = set().union(*map(adj.__getitem__, frontier)) - seen
+        seen |= frontier
     return len(seen) == len(adj)

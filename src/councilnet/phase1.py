@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .errors import DisconnectedTopology
-from .graph import NodeId, Topology, is_connected, neighbors
+from .graph import NodeId, Topology, _unknown_node, is_connected, neighbors
 
 ClusterId = int
 
@@ -63,8 +63,8 @@ def elect_heads(t: Topology) -> dict[NodeId, ClusterId]:
     O(Σdeg + n log n).  It elects the same heads as taking the lowest
     undecided node once per head, because a node never becomes undecided
     again: the lowest undecided node is the first undecided one in the pass.
-    A head's members are one C-level intersection of its adjacency with the
-    undecided set, with no Python-level step per neighbour.
+    A head's members are one C-level intersection of the undecided set with
+    its adjacency, with no Python-level step per neighbour.
     """
     if not is_connected(t):
         raise DisconnectedTopology("head election requires a connected topology")
@@ -74,7 +74,7 @@ def elect_heads(t: Topology) -> dict[NodeId, ClusterId]:
     for head in sorted(adj):
         if head not in undecided:
             continue
-        members = adj[head] & undecided
+        members = undecided.intersection(adj[head])
         undecided -= members
         undecided.discard(head)
         head_of[head] = head
@@ -88,8 +88,8 @@ def identify_gateways(t: Topology, head_of: Mapping[NodeId, ClusterId]) -> froze
 
     ``head_of`` maps every node of ``t``, as an election does, so a member
     hears another cluster exactly when its adjacency is not a subset of its
-    own cluster's nodes: one C-level subset test per member after one pass
-    that groups the nodes by cluster, O(n + Σdeg) in all, with no
+    own cluster's nodes: one C-level superset test per member after one
+    pass that groups the nodes by cluster, O(n + Σdeg) in all, with no
     Python-level step per neighbour.  A member outside ``t`` raises
     ``UnknownNode``.
     """
@@ -99,9 +99,13 @@ def identify_gateways(t: Topology, head_of: Mapping[NodeId, ClusterId]) -> froze
         if nodes is None:
             nodes = clusters[cid] = set()
         nodes.add(nid)
-    return frozenset(
-        [nid for nid, cid in head_of.items() if nid != cid and not neighbors(t, nid) <= clusters[cid]]
-    )
+    adj = t.adj
+    try:
+        return frozenset(
+            [nid for nid, cid in head_of.items() if nid != cid and not clusters[cid].issuperset(adj[nid])]
+        )
+    except KeyError as missing:  # every cid keys ``clusters``, so only ``adj`` can miss
+        raise _unknown_node(missing.args[0]) from None
 
 
 def build_dominating_set(head_of: Mapping[NodeId, ClusterId], gateways: frozenset[NodeId]) -> DominatingSet:

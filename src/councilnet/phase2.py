@@ -115,27 +115,32 @@ def find_council_clique(
 
     ``forbidden`` and ``core`` may be any read-only sets; neither is copied,
     and subtracting ``forbidden`` costs O(deg h) when it is a ``set`` or
-    ``frozenset``.  Every adjacency test is a C-level set operation on
-    ``t.adj``: the seed is the first candidate whose adjacency meets the
-    candidates, paired with the lowest candidate in it (a lower one adjacent
-    to it would have seeded the triangle first), and a candidate adjacent to
-    both seeds joins when the council is a subset of its adjacency.
+    ``frozenset``.  Every adjacency test is a C-level set method that takes
+    a value of ``t.adj`` as an iterable: the seed is the first candidate
+    whose adjacency meets the candidates, paired with the lowest candidate
+    in it (a lower one adjacent to it would have seeded the triangle
+    first), and a candidate adjacent to both seeds joins when it is still
+    among the candidates adjacent to every admitted node, a set that each
+    joiner's adjacency narrows.
     """
     if h in forbidden:
         raise ValueError(f"head {h} may not be in the forbidden set")
     adj = t.adj
-    candidates = sorted(neighbors(t, h) - forbidden)
-    candidate_set = frozenset(candidates)
+    candidate_set = neighbors(t, h) - forbidden
+    candidates = sorted(candidate_set)
     council = {h}
     for u in candidates:
-        hits = adj[u] & candidate_set
+        hits = candidate_set.intersection(adj[u])
         if hits:
             v = min(hits)
             council.update((u, v))
-            # A later joiner is adjacent to the whole seed triangle.
-            for w in sorted(candidate_set & adj[u] & adj[v]):
-                if council <= adj[w]:
+            # The candidates adjacent to every admitted node: each is
+            # adjacent to h, and starts adjacent to both seeds.
+            common = hits.intersection(adj[v])
+            for w in sorted(common):
+                if w in common:
                     council.add(w)
+                    common = common.intersection(adj[w])
             return frozenset(council)
     pool = [c for c in candidates if c in core] if core else candidates
     if pool:
@@ -198,7 +203,7 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
         next_head = None
         if gateway is not None:
             members.discard(gateway)
-            next_head = min((adj[gateway] & backbone) - assigned, default=None)
+            next_head = min(backbone.intersection(adj[gateway]) - assigned, default=None)
 
         clusters.append(
             Cluster(

@@ -12,6 +12,10 @@ then distinct) written out in place.  It adds every edge to a
 growing mutable set per node and copies each set into a frozenset, which
 is plainly the rule as stated.  The property tests in ``test_graph.py``
 compare the library against both, input errors included for edge lists.
+
+The library stores each node's links as a tuple, in build order; ``links``
+gives any topology's links as frozensets, the one form in which tests
+compare the links of two topologies, or of one and a literal.
 """
 
 import itertools
@@ -34,6 +38,11 @@ def build_topology(node_specs, radius) -> _DiskTopology:
             adj[u].add(v)
             adj[v].add(u)
     return _DiskTopology({u: frozenset(vs) for u, vs in adj.items()}, positions, r)
+
+
+def links(t: Topology) -> dict[NodeId, frozenset[NodeId]]:
+    """Each node of ``t`` mapped to its links as a frozenset, in ``t.adj``'s order."""
+    return {u: frozenset(vs) for u, vs in t.adj.items()}
 
 
 def check_nid(n) -> None:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import formation_oracle as oracle
+from graph_oracle import links
 from councilnet import graph
 from councilnet.errors import CouncilNetError, DisconnectedTopology, InvalidDominatingSet
 from councilnet.graph import is_connected, is_dominating_set, neighbors, topology_from_edges
@@ -77,7 +78,7 @@ def role_assignments(t, demoted):
     the same map with the clusters of the ``demoted`` heads left headless,
     all their nodes tagged members under the id ``-head``, which no node
     has; and on a connected graph the election and its demoted form."""
-    lowest = {u: min(vs | {u}) for u, vs in t.adj.items()}
+    lowest = {u: min(vs | {u}) for u, vs in links(t).items()}
     found = [{u: (Role.HEAD if c == u else Role.MEMBER, c) for u, c in lowest.items()}]
     if is_connected(t):
         found.append(oracle.elect_heads(t))

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graph_oracle as oracle
+from graph_oracle import links
 from councilnet import graph
 from councilnet.errors import CouncilNetError, DuplicateNid, UnknownNode, ValidationError
 from councilnet.graph import (
@@ -45,7 +46,7 @@ def outcome(build, nodes, edges):
     """What ``build`` gives: the adjacency map's items in key order, or the
     type and message of what it raised."""
     try:
-        return list(build(nodes, edges).adj.items())
+        return list(links(build(nodes, edges)).items())
     except (CouncilNetError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -66,8 +67,8 @@ def edge_lists(draw):
     else:
         nodes = draw(st.lists(st.integers(-1, 12), max_size=12))
     pairs = list(itertools.combinations(sorted(set(nodes)), 2))
-    links = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=30)) if pairs else []
-    edges = [(v, u) if flip else (u, v) for (u, v), flip in links]
+    picks = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=30)) if pairs else []
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in picks]
     ids = st.sampled_from(nodes) if nodes else st.integers(1, 3)
     bad = st.one_of(
         st.integers(-1, 15).map(lambda u: (u, u)),
@@ -78,6 +79,18 @@ def edge_lists(draw):
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         edges.insert(draw(st.integers(0, len(edges))), draw(bad))
     return list(nodes), edges
+
+
+@st.composite
+def repeated_edge_lists(draw):
+    """A permutation of 1..n and a valid edge list over it in which, when it
+    has any edge, some edge repeats; each edge is listed either way round."""
+    nodes = draw(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    pairs = list(itertools.combinations(sorted(nodes), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    if edges:
+        edges = draw(st.permutations(edges + draw(st.lists(st.sampled_from(edges), min_size=1, max_size=10))))
+    return nodes, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
 
 
 RADII = [0.25, 1.0, 3.0, 5.0, 7.5]
@@ -281,7 +294,7 @@ class TestBuildTopology:
     def test_single_node_has_no_edges(self):
         t = build_topology([(1, (2.0, 3.0))], radius=1.0)
         assert t.edges == frozenset()
-        assert t.adj == {1: frozenset()}
+        assert links(t) == {1: frozenset()}
 
     def test_no_nodes_build_an_empty_topology(self):
         t = build_topology([], 1.0)
@@ -375,7 +388,8 @@ class TestBuildTopology:
     def test_grid_build_matches_pairwise_oracle(self, layout):
         specs, radius = layout
         t = build_topology(specs, radius)
-        assert t == oracle.build_topology(specs, radius)
+        o = oracle.build_topology(specs, radius)
+        assert (links(t), t.positions, t.radius) == (links(o), o.positions, o.radius)
         for u, vs in t.adj.items():
             assert u not in vs
             assert all(u in t.adj[v] for v in vs)
@@ -404,7 +418,8 @@ class TestBuildTopology:
     @settings(max_examples=300, deadline=None)
     def test_strip_sweep_is_exact_on_radius_lattices(self, layout):
         specs, radius = layout
-        assert build_topology(specs, radius) == oracle.build_topology(specs, radius)
+        t, o = build_topology(specs, radius), oracle.build_topology(specs, radius)
+        assert (links(t), t.positions, t.radius) == (links(o), o.positions, o.radius)
 
     def test_a_plain_float_pair_is_stored_as_given(self):
         pos = (0.5, -1.5)
@@ -437,7 +452,37 @@ class TestBuildTopology:
         assert moved.positions == {1: (0.0, 0.0), 2: (1.0, 1.0), 3: (0.5, 1.0)}
         for pos in [*t.positions.values(), *moved.positions.values()]:
             assert type(pos) is tuple and {type(c) for c in pos} == {float}
-        assert t.adj == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
+        assert links(t) == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
+
+    @given(
+        st.one_of(
+            st.one_of(disk_layouts(), strip_lattices()).map(lambda layout: build_topology(*layout)),
+            repeated_edge_lists().map(lambda inputs: topology_from_edges(*inputs)),
+        )
+    )
+    @example(topology_from_edges([1, 2, 3], [(1, 2), (2, 1), (3, 2), (1, 2), (2, 3)]))
+    @example(build_topology([(1, (0.0, 0.0)), (2, (3.0, 4.0)), (3, (0.0, 0.0))], 5.0))
+    @settings(max_examples=300, deadline=None)
+    def test_both_builders_store_distinct_symmetric_tuples(self, t):
+        # Repeated and reversed edges collapse: each neighbour once, never
+        # the node itself, and each link seen from both ends.
+        for u, vs in t.adj.items():
+            assert type(vs) is tuple
+            assert u not in vs and len(set(vs)) == len(vs)
+            assert all(u in t.adj[v] for v in vs)
+
+    def test_the_collector_untracks_every_adjacency_value(self):
+        # A tuple of ints is untracked by the first collection that sees it,
+        # so the links of a live topology add nothing to later walks.
+        built = random_connected(200, seed=3)
+        moved = move_nodes(built, {1: (0.5, 0.5), 2: (0.25, 0.75)})
+        edges = topology_from_edges(sorted(built.nodes), built.edges)
+        topologies = {"built": built, "moved": moved, "edge list": edges}
+        for t in topologies.values():
+            assert t.adj  # a moved topology builds its links here
+        gc.collect()
+        tracked = {name: [u for u, vs in t.adj.items() if gc.is_tracked(vs)] for name, t in topologies.items()}
+        assert tracked == {name: [] for name in topologies}
 
     def test_random_connected_matches_pairwise_oracle(self):
         t = random_connected(1500, seed=11)
@@ -538,15 +583,16 @@ class TestMoveNodes:
             assert (dict(previous.positions), vars(previous).get("adj")) == before
             positions.update((nid, (float(x), float(y))) for nid, (x, y) in updates.items())
             full = build_topology(sorted(positions.items()), radius)
+            expected = links(full)
             assert t.positions == full.positions and t.nodes == full.nodes
             for built in (False, True):
                 if built:
                     if not read:
                         break
-                    assert t.adj == full.adj and t == full and full == t
+                    assert links(t) == expected and (t.positions, t.radius) == (full.positions, full.radius)
                     assert t.edges == oracle.build_topology(positions.items(), radius).edges
                     for u in positions:
-                        assert neighbors(t, u) == full.adj[u]
+                        assert neighbors(t, u) == expected[u]
                     with pytest.raises(UnknownNode):
                         neighbors(t, unknown)
                 # Both lookups read positions, built or not, so the expected
@@ -556,11 +602,11 @@ class TestMoveNodes:
                 assert everyone._cell == graph._cell_width(full.radius, graph._span_of(positions))
                 indexes = [(t.neighbor_index(probe), probe) for probe in probes]
                 for u in positions:
-                    assert everyone.near(u) == full.adj[u]
+                    assert everyone.near(u) == expected[u]
                     for index, probe in indexes:
-                        assert index.near(u) == full.adj[u] & probe
+                        assert index.near(u) == expected[u] & probe
                 for probe in probes:
-                    deaf = [u for u in positions if full.adj[u].isdisjoint(probe)]
+                    deaf = [u for u in positions if expected[u].isdisjoint(probe)]
                     assert t.hearing_none(positions, probe) == deaf
                 assert ("adj" in vars(t)) == built  # the lookups build nothing
                 with pytest.raises(UnknownNode, match=f"node {unknown} "):
@@ -572,7 +618,7 @@ class TestMoveNodes:
         # A topology left unread builds its own positions' links, whatever
         # moved since.
         for t, full in reversed(moved):
-            assert t.adj == full.adj
+            assert links(t) == links(full)
 
     @given(mover_runs())
     @settings(max_examples=50, deadline=None)
@@ -600,9 +646,9 @@ class TestMoveNodes:
                 t = move_nodes(first, updates)
                 seen = []
 
-                def read(links):
-                    if links:
-                        seen.append(dict(t.adj))
+                def read(from_links):
+                    if from_links:
+                        seen.append(links(t))
                     else:
                         index = t.neighbor_index(full.adj)
                         seen.append({u: index.near(u) for u in sorted(full.adj)})
@@ -613,7 +659,7 @@ class TestMoveNodes:
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                assert len(seen) == 6 and all(adj == full.adj for adj in seen)
+                assert len(seen) == 6 and all(adj == links(full) for adj in seen)
         finally:
             sys.setswitchinterval(interval)
 
@@ -647,8 +693,9 @@ class TestMoveNodes:
             return moved.hearing_none([1], {2}), moved.neighbor_index({2, 3}).near(1)
 
         assert lookups() == ([1], {3})
-        assert moved.adj == full.adj and moved.adj[1] == {3}
-        assert lookups() == ([1], {3}) and moved == full
+        assert links(moved) == links(full) and links(moved)[1] == {3}
+        assert lookups() == ([1], {3})
+        assert (links(moved), moved.positions, moved.radius) == (links(full), full.positions, full.radius)
 
     def test_a_moved_topology_builds_once_in_full_when_read(self, monkeypatch):
         # Neither moved topology is read until the second: reading it makes
@@ -666,7 +713,7 @@ class TestMoveNodes:
         last = move_nodes(middle, {3: (7.0, 0.0)})
         assert last.neighbor_index({2, 3}).near(1) == {2} and last.hearing_none([1, 3], {1, 2}) == [3]
         assert calls == []
-        assert last.adj == {1: {2}, 2: {1}, 3: set()}
+        assert links(last) == {1: {2}, 2: {1}, 3: set()}
         assert calls == [((), {})]
         assert "adj" not in vars(middle)
 
@@ -685,7 +732,7 @@ class TestMoveNodes:
         del first, read
         gc.collect()
         assert [ref() is not None for ref in refs] == [False, True, False, True]
-        assert t.adj == {1: {2}, 2: {1}, 3: set()}
+        assert links(t) == {1: {2}, 2: {1}, 3: set()}
         gc.collect()
         assert [ref() is not None for ref in refs] == [False, False, False, True]
 

@@ -348,12 +348,13 @@ def scan_inputs(draw):
         edges = sorted(formed.edges)
         cut = draw(st.sets(st.sampled_from(edges), max_size=4)) if edges else set()
         t = topology_from_edges(nids, [e for e in edges if e not in cut])
+        linked = graph_oracle.links(t)
         for _ in range(draw(st.integers(0, 4)) if kind == "departed" else 0):
             # Only a node that hears another cluster's head can move there;
             # any other departure strands it, and the pass re-forms instead.
             movers = [
                 u for u in nids
-                if any(c.council.heads & t.adj[u] for c in p.clusters if c.cluster_id != p.node_index[u])
+                if any(c.council.heads & linked[u] for c in p.clusters if c.cluster_id != p.node_index[u])
             ]
             if not movers:
                 break
