@@ -60,7 +60,6 @@ from .scenario import Scenario, load_scenario
 from .shamir import (
     DEFAULT_PRIME,
     Share,
-    ThresholdPolicy,
     choose_threshold,
     issue_share,
     reconstruct,

@@ -21,7 +21,6 @@ from .phase2 import verify_partition
 from .shamir import (
     DEFAULT_PRIME,
     Share,
-    ThresholdPolicy,
     _check_read_shares,
     choose_threshold,
     reconstruct,
@@ -97,9 +96,9 @@ def _cmd_shares(args) -> int:
     prime = args.prime
     check_field_prime(prime, 0, "--prime")  # these shares name no node, so no id bounds the prime
     if args.shares_cmd == "split":
-        policy = choose_threshold(args.n) if args.k is None else ThresholdPolicy(args.n, args.k)
-        shares = split_secret(args.secret, policy, range(1, args.n + 1), args.seed, prime)
-        print(f"k={policy.k} prime={prime}")
+        k = choose_threshold(args.n) if args.k is None else args.k
+        shares = split_secret(args.secret, k, range(1, args.n + 1), args.seed, prime)
+        print(f"k={k} prime={prime}")
         for share in shares:
             print(f"{share.x}:{share.y}")
         return 0

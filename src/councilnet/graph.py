@@ -532,9 +532,10 @@ def neighbors(t: Topology, u: NodeId) -> frozenset[NodeId]:
 
 def two_hop_view(t: Topology, u: NodeId) -> TwoHopView:
     direct = neighbors(t, u)
+    adj = t.adj
     via: dict[NodeId, set[NodeId]] = {}
     for relay in direct:
-        for w in neighbors(t, relay):
+        for w in adj[relay]:
             if w != u:
                 via.setdefault(w, set()).add(relay)
     return TwoHopView(u, direct, {w: frozenset(rs) for w, rs in via.items()})
@@ -557,8 +558,10 @@ def triangles(view: TwoHopView) -> frozenset[frozenset[NodeId]]:
 def is_clique(t: Topology, s: Iterable[NodeId]) -> bool:
     """True iff every unordered pair in s is an edge; true for |s| <= 1."""
     members = set(s)
-    adjacent = {u: neighbors(t, u) for u in members}  # raises for any unknown member
-    return all(members - {u} <= vs for u, vs in adjacent.items())
+    adj = t.adj
+    if not members <= adj.keys():
+        raise _unknown_node(next(u for u in members if u not in adj))
+    return all((members - {u}).issubset(adj[u]) for u in members)
 
 
 def is_dominating_set(t: Topology, d: Iterable[NodeId]) -> bool:

@@ -25,7 +25,6 @@ from .phase1 import ClusterId
 from .phase2 import Cluster
 from .shamir import (
     Share,
-    ThresholdPolicy,
     _blind,
     _check_threshold,
     _check_xs,
@@ -60,9 +59,7 @@ class ClusterLedger:
         """Draw a fresh secret and split it across the council at the cluster's k."""
         heads = sorted(cluster.council.heads)
         secret = rng.randrange(prime)
-        shares = split_secret(
-            secret, ThresholdPolicy(cluster.n, cluster.k), heads, rng.randrange(2**62), prime
-        )
+        shares = split_secret(secret, cluster.k, heads, rng.randrange(2**62), prime)
         ledger = cls(cluster.cluster_id, secret, cluster.k, prime, shares=dict(zip(heads, shares)))
         ledger.leak(compromised)
         return ledger

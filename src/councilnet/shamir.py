@@ -1,5 +1,7 @@
 """Threshold secret sharing over a prime field.
 
+A (k, n) threshold is one int k: the n holders are the x coordinates a secret
+is split over, and ``choose_threshold(n)`` picks k as a strict majority.
 A secret s is hidden as the constant term of a random polynomial f of degree
 k-1; share i is the point (x_i, f(x_i)).  Any k shares reconstruct f(0) by
 Lagrange interpolation, fewer than k reveal nothing.  Shares carry an epoch
@@ -14,7 +16,6 @@ from __future__ import annotations
 import itertools
 import random
 import threading
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -68,27 +69,13 @@ def _check_element(value, prime: int, name: str) -> None:
 
 
 def _check_threshold(k, n: Optional[int] = None) -> None:
-    if not (_is_int(k) and k >= 1 and (n is None or _is_int(n) and k <= n)):
+    if not (_is_int(k) and k >= 1 and (n is None or k <= n)):
         raise ValidationError(f"threshold k={k!r} must be an integer in 1..{'n' if n is None else repr(n)}")
 
 
 def _check_epoch(epoch) -> None:
     if not (_is_int(epoch) and epoch >= 0):
         raise ValidationError(f"epoch {epoch!r} is not an integer >= 0")
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Council size n and reconstruction threshold 1 <= k <= n.
-
-    ``choose_threshold`` picks k as a strict majority.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        _check_threshold(self.k, self.n)
 
 
 class Share(NamedTuple):
@@ -99,14 +86,14 @@ class Share(NamedTuple):
     epoch: int = 0
 
 
-def choose_threshold(n: int) -> ThresholdPolicy:
+def choose_threshold(n: int) -> int:
     """Smallest k with k >= (n+1)/2: a majority of holders must cooperate.
 
     The single-head council degenerates to k = 1.
     """
     if not _is_int(n) or n < 1:
         raise InvalidCouncilSize(f"council size must be an integer >= 1, got {n!r}")
-    return ThresholdPolicy(n=n, k=n // 2 + 1)
+    return n // 2 + 1
 
 
 class _Scratch(threading.local):
@@ -175,18 +162,18 @@ def _check_read_shares(shares: Sequence[Share], prime: int) -> None:
 
 def split_secret(
     secret: int,
-    policy: ThresholdPolicy,
+    k: int,
     xs: Sequence[int],
     seed: int,
     prime: int = DEFAULT_PRIME,
 ) -> tuple[Share, ...]:
-    """Split a secret into one share per x coordinate, deterministically per seed."""
+    """Split a secret into one share per x coordinate, deterministically per seed, so that
+    any k of the n = ``len(xs)`` shares rebuild it; k is checked first, then the inputs."""
+    _check_threshold(k, len(xs))
     _check_element(secret, prime, "secret")
-    if len(xs) != policy.n:
-        raise ValidationError(f"expected {policy.n} x coordinates, got {len(xs)}")
     _check_xs(xs, prime)
     xs = [x % prime for x in xs]
-    return tuple(_blind(xs, xs, itertools.repeat(secret), policy.k, seed, prime, 0).values())
+    return tuple(_blind(xs, xs, itertools.repeat(secret), k, seed, prime, 0).values())
 
 
 def _common_epoch(shares: Sequence[Share]) -> int:

@@ -228,7 +228,7 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
                 council=Council(heads=heads, cluster_id=cid),
                 members=frozenset(members),
                 gateways=frozenset() if gateway is None else frozenset({gateway}),
-                k=choose_threshold(len(heads)).k,
+                k=choose_threshold(len(heads)),
             )
         )
 

@@ -24,7 +24,6 @@ from councilnet.phase1 import build_dominating_set, elect_heads, identify_gatewa
 from councilnet.phase2 import cluster_form, verify_partition
 from councilnet.shamir import (
     Share,
-    ThresholdPolicy,
     choose_threshold,
     issue_share,
     reconstruct,
@@ -142,7 +141,7 @@ def test_criterion_5_exhaustive_threshold_scheme():
         for n in range(1, 7):
             for k in range(1, n + 1):
                 secret = rng.randrange(p)
-                shares = split_secret(secret, ThresholdPolicy(n, k), range(1, n + 1), rng.randrange(10**6), p)
+                shares = split_secret(secret, k, range(1, n + 1), rng.randrange(10**6), p)
                 for quorum in itertools.combinations(shares, k):
                     assert reconstruct(quorum, k, p) == secret
                 for sub in itertools.combinations(shares, k - 1):
@@ -164,11 +163,11 @@ def test_criterion_5_exhaustive_threshold_scheme():
 
 def test_criterion_6_threshold_table():
     with criterion(6, "council sizes 1..5 map to thresholds 1,2,2,3,3 with majority rule"):
-        ks = [choose_threshold(n).k for n in (1, 2, 3, 4, 5)]
+        ks = [choose_threshold(n) for n in (1, 2, 3, 4, 5)]
         assert ks == [1, 2, 2, 3, 3]
         for n, k in zip((1, 2, 3, 4, 5), ks):
             assert 2 * k >= n + 1
-        assert (choose_threshold(3).n, choose_threshold(3).k) == (3, 2)
+        assert choose_threshold(3) == 2
 
 
 def test_criterion_7_maintenance_trigger_boundaries():
@@ -210,7 +209,7 @@ def test_criterion_8_share_lifecycle():
             issued = issue_share(quorum, xs[-1], k, p)
             assert issued.y == poly_eval(coeffs, xs[-1], p)
 
-        shares = split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), 9, p)
+        shares = split_secret(6, 2, (1, 2, 3), 9, p)
         refreshed = refresh_shares(shares, 2, seed=4, prime=p)
         assert all(s.epoch == 1 for s in refreshed)
         for pair in itertools.combinations(refreshed, 2):

@@ -341,6 +341,13 @@ def test_split_secret_outside_the_field_is_an_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_split_reports_a_bad_threshold_before_a_bad_secret(capsys):
+    assert main(["shares", "split", "--secret", "20", "--n", "3", "--k", "5", "--prime", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: threshold k=5 must be an integer in 1..3\n"
+
+
 def test_reconstruct_rejects_a_composite_modulus(capsys):
     args = ["shares", "reconstruct", "--share", "1:2", "--share", "2:3", "--k", "2", "--prime", "15"]
     assert main(args) == 2

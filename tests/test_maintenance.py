@@ -25,7 +25,7 @@ from councilnet.maintenance import (
 )
 from councilnet.phase1 import Role
 from councilnet.phase2 import Cluster, Council, Partition, verify_partition
-from councilnet.shamir import ThresholdPolicy, issue_share, reconstruct, split_secret
+from councilnet.shamir import issue_share, reconstruct, split_secret
 from councilnet.topologies import random_connected, size_ladder, two_cluster_seven
 
 
@@ -195,7 +195,7 @@ class TestHandleVisitor:
 
     def test_enlarged_share_set_keeps_the_secret(self):
         secret, k, prime = 6, 2, 13
-        shares = split_secret(secret, ThresholdPolicy(3, k), (1, 3, 5), 9, prime)
+        shares = split_secret(secret, k, (1, 3, 5), 9, prime)
         new = issue_share(shares[:k], 8, k, prime)
         enlarged = list(shares) + [new]
         for subset in itertools.combinations(enlarged, k):

@@ -63,7 +63,7 @@ def test_every_result_count_reads_its_layer_result():
         # through their wrappers, in a round of their own.
         tracer.round = extra = sc.rounds + 1
         phase1.node_states(state.topology)
-        shares = shamir.split_secret(6, shamir.ThresholdPolicy(3, 2), [1, 2, 3], seed=9, prime=13)
+        shares = shamir.split_secret(6, 2, [1, 2, 3], seed=9, prime=13)
         shamir.refresh_shares(shares, 2, seed=4, prime=13)
     assert list(topologies) == list(range(sc.rounds + 1))
     assert tracer.counts[extra]["phase1.hello_messages"] == len(state.topology.nodes)

@@ -21,7 +21,6 @@ from councilnet.errors import (
 from councilnet.shamir import (
     DEFAULT_PRIME,
     Share,
-    ThresholdPolicy,
     _draws,
     choose_threshold,
     is_prime,
@@ -42,19 +41,18 @@ SEED_ZERO_BLIND = 2
 
 class TestChooseThreshold:
     def test_table(self):
-        assert [choose_threshold(n).k for n in (1, 2, 3, 4, 5)] == [1, 2, 2, 3, 3]
+        assert [choose_threshold(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 2, 3, 3]
 
     def test_three_heads_need_two(self):
-        policy = choose_threshold(3)
-        assert (policy.n, policy.k) == (3, 2)
+        assert choose_threshold(3) == 2
 
     def test_degenerate_single_head(self):
-        assert choose_threshold(1) == ThresholdPolicy(1, 1)
+        assert choose_threshold(1) == 1
 
-    @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 0), (2, -1), (3, 2.5), (3, True), (1.5, 1), (True, 1)])
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 0), (2, -1), (3, 2.5), (3, True)])
     def test_policy_requires_k_within_one_to_n(self, n, k):
-        with pytest.raises(ValidationError):
-            ThresholdPolicy(n, k)
+        with pytest.raises(ValidationError, match="^threshold k="):
+            split_secret(0, k, range(1, n + 1), 0, P)
 
     def test_rejects_empty_council(self):
         with pytest.raises(InvalidCouncilSize):
@@ -62,13 +60,13 @@ class TestChooseThreshold:
 
     @pytest.mark.parametrize("n", [1.5, True])
     def test_rejects_a_council_size_that_is_not_an_int(self, n):
-        # 1.5 would give ThresholdPolicy(n=1.5, k=1.0), and True a policy of size 1
+        # 1.5 would give k = 1.0, and True a council of size 1
         with pytest.raises(InvalidCouncilSize):
             choose_threshold(n)
 
     @given(st.integers(1, 500))
     def test_majority_rule(self, n):
-        k = choose_threshold(n).k
+        k = choose_threshold(n)
         assert 1 <= k <= n
         assert 2 * k >= n + 1
 
@@ -76,40 +74,46 @@ class TestChooseThreshold:
 class TestSplitSecret:
     def test_known_linear_polynomial(self):
         # seed forces f(x) = 6 + 7x over GF(13)
-        shares = split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), SEED_A1_IS_7, P)
+        shares = split_secret(6, 2, (1, 2, 3), SEED_A1_IS_7, P)
         assert [(s.x, s.y) for s in shares] == [(1, 0), (2, 7), (3, 1)]
         oracle = [poly_eval((6, 7), x, P) for x in (1, 2, 3)]
         assert [s.y for s in shares] == oracle
 
     def test_k1_shares_equal_secret(self):
-        shares = split_secret(6, ThresholdPolicy(3, 1), (1, 2, 3), 0, P)
+        shares = split_secret(6, 1, (1, 2, 3), 0, P)
         assert all(s.y == 6 for s in shares)
 
     def test_k_equals_n(self):
-        shares = split_secret(6, ThresholdPolicy(3, 3), (1, 2, 3), 5, P)
+        shares = split_secret(6, 3, (1, 2, 3), 5, P)
         assert reconstruct(shares, 3, P) == 6
         # two points under-determine a quadratic: at least one pair misleads
         pair_values = {reconstruct(pair, 2, P) for pair in itertools.combinations(shares, 2)}
         assert pair_values != {6}
 
     def test_share_metadata(self):
-        shares = split_secret(6, ThresholdPolicy(2, 2), (1, 2), 0, P)
+        shares = split_secret(6, 2, (1, 2), 0, P)
         assert all(s.epoch == 0 and not hasattr(s, "k") for s in shares)
 
     def test_deterministic_per_seed(self):
-        a = split_secret(11, ThresholdPolicy(4, 3), (1, 2, 3, 4), 42, P)
-        b = split_secret(11, ThresholdPolicy(4, 3), (1, 2, 3, 4), 42, P)
+        a = split_secret(11, 3, (1, 2, 3, 4), 42, P)
+        b = split_secret(11, 3, (1, 2, 3, 4), 42, P)
         assert a == b
 
     def test_bad_inputs(self):
         with pytest.raises(ValidationError):
-            split_secret(13, ThresholdPolicy(2, 2), (1, 2), 0, P)
+            split_secret(13, 2, (1, 2), 0, P)
         with pytest.raises(DuplicateX):
-            split_secret(6, ThresholdPolicy(2, 2), (1, 1), 0, P)
+            split_secret(6, 2, (1, 1), 0, P)
         with pytest.raises(ZeroX):
-            split_secret(6, ThresholdPolicy(2, 2), (0, 1), 0, P)
+            split_secret(6, 2, (0, 1), 0, P)
         with pytest.raises(ZeroX):
-            split_secret(6, ThresholdPolicy(2, 2), (13, 1), 0, P)
+            split_secret(6, 2, (13, 1), 0, P)
+
+    def test_threshold_above_the_holder_count_is_named_before_a_bad_secret(self):
+        # n is len(xs), so k = 3 over two holders breaks the threshold rule,
+        # and a bad k is named before the bad secret 13
+        with pytest.raises(ValidationError, match=r"^threshold k=3 must be an integer in 1\.\.2$"):
+            split_secret(13, 3, (1, 2), 0, P)
 
 
 class TestReconstruct:
@@ -144,7 +148,7 @@ class TestReconstruct:
         for n in range(1, 7):
             for k in range(1, n + 1):
                 secret = rng.randrange(P)
-                shares = split_secret(secret, ThresholdPolicy(n, k), range(1, n + 1), rng.randrange(10**6), P)
+                shares = split_secret(secret, k, range(1, n + 1), rng.randrange(10**6), P)
                 for subset in itertools.combinations(shares, k):
                     assert reconstruct(subset, k, P) == secret
 
@@ -200,7 +204,7 @@ class TestShareInputRules:
     @pytest.mark.parametrize("secret", BAD_SECRETS)
     def test_secret_must_be_a_field_element(self, secret):
         with pytest.raises(ValidationError):
-            split_secret(secret, ThresholdPolicy(3, 2), (1, 2, 3), 0, P)
+            split_secret(secret, 2, (1, 2, 3), 0, P)
 
     @pytest.mark.parametrize("k", BAD_KS)
     @pytest.mark.parametrize("call", ["reconstruct", "issue_share", "refresh_shares"])
@@ -219,7 +223,7 @@ class TestShareInputRules:
     def test_x_must_be_an_int_nonzero_mod_p(self, call, x):
         shares = [Share(x, 5), Share(2, 7)]
         calls = {
-            "split_secret": lambda: split_secret(6, ThresholdPolicy(2, 2), (x, 2), 0, P),
+            "split_secret": lambda: split_secret(6, 2, (x, 2), 0, P),
             "reconstruct": lambda: reconstruct(shares, 2, P),
             "issue_share": lambda: issue_share([Share(2, 7), Share(3, 1)], x, 2, P),
             "refresh_shares": lambda: refresh_shares(shares, 2, 5, P),
@@ -300,13 +304,13 @@ class TestDrawRule:
         # by the threads would let a switch between one thread's seed and
         # its draws hand it another's coefficients.
         def work(t):
-            shares = split_secret(t, ThresholdPolicy(7, 4), range(1, 8), t)
+            shares = split_secret(t, 4, range(1, 8), t)
             out = [shares]
             for i in range(3000):
                 shares = refresh_shares(shares, 4, 4 * i + t)
                 out.append(shares)
                 if i % 100 == 0:
-                    out.append(split_secret(i, ThresholdPolicy(5, 3), range(1, 6), 4 * i + t))
+                    out.append(split_secret(i, 3, range(1, 6), 4 * i + t))
             return out
 
         serial = [work(t) for t in range(4)]
@@ -347,7 +351,7 @@ class TestArithmeticMatchesOracle:
         p, secret, xs, split_seed, refresh_seed = case
         n = len(xs)
         for k in range(1, n + 1):
-            shares = split_secret(secret, ThresholdPolicy(n, k), xs, split_seed, p)
+            shares = split_secret(secret, k, xs, split_seed, p)
             assert list(shares) == shamir_oracle.split_secret(secret, k, xs, split_seed, p)
             refreshed = refresh_shares(shares, k, refresh_seed, p)
             assert list(refreshed) == shamir_oracle.refresh_shares(shares, k, refresh_seed, p)
@@ -361,7 +365,7 @@ class TestArithmeticMatchesOracle:
 
 class TestRefreshShares:
     def make_shares(self):
-        return split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), SEED_A1_IS_7, P)
+        return split_secret(6, 2, (1, 2, 3), SEED_A1_IS_7, P)
 
     def test_identity_refresh_only_bumps_epoch(self):
         refreshed = refresh_shares(self.make_shares(), 2, SEED_ZERO_BLIND, P)
@@ -417,17 +421,17 @@ def held_points(draw):
 
 class TestSecrecy:
     def test_single_share_reveals_nothing(self):
-        shares = split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), SEED_A1_IS_7, P)
+        shares = split_secret(6, 2, (1, 2, 3), SEED_A1_IS_7, P)
         for s in shares:
             assert consistent_secrets([(s.x, s.y)], 2, P) == set(range(P))
 
     def test_below_threshold_pairs_reveal_nothing_k3(self):
-        shares = split_secret(9, ThresholdPolicy(4, 3), (1, 2, 3, 4), 31, P)
+        shares = split_secret(9, 3, (1, 2, 3, 4), 31, P)
         for a, b in itertools.combinations(shares, 2):
             assert consistent_secrets([(a.x, a.y), (b.x, b.y)], 3, P) == set(range(P))
 
     def test_threshold_quorum_pins_the_secret(self):
-        shares = split_secret(6, ThresholdPolicy(3, 2), (1, 2, 3), SEED_A1_IS_7, P)
+        shares = split_secret(6, 2, (1, 2, 3), SEED_A1_IS_7, P)
         held = [(s.x, s.y) for s in shares[:2]]
         assert consistent_secrets(held, 2, P) == {6}
 
@@ -484,6 +488,6 @@ class TestSecrecy:
 )
 @settings(max_examples=40, deadline=None)
 def test_default_field_round_trip(secret, n, seed):
-    policy = choose_threshold(n)
-    shares = split_secret(secret, policy, range(1, n + 1), seed)
-    assert reconstruct(shares[: policy.k], policy.k) == secret
+    k = choose_threshold(n)
+    shares = split_secret(secret, k, range(1, n + 1), seed)
+    assert reconstruct(shares[:k], k) == secret

@@ -1,4 +1,4 @@
-"""Formation on every connected labelled graph on 1 to 5 nodes.
+"""Formation and the maintenance planner on every labelled graph on a few nodes.
 
 Small-scope checking: exhaustive over all small inputs rather than sampled.
 ``check_every_graph(n)`` forms each connected graph on nodes ``1..n`` and
@@ -7,11 +7,28 @@ checks the formation properties the paper states:
 - the head/gateway backbone dominates and induces a connected subgraph;
 - ``verify_partition`` finds nothing wrong;
 - every council is a clique;
-- each cluster's k is ``choose_threshold(n).k`` for its council size n;
+- each cluster's k is ``choose_threshold(n)`` for its council size n;
 - every cluster id is a node.
 
 Tier-1 runs it up to 5 nodes (772 graphs); CI also runs it at 6 nodes
 (26,704 graphs).
+
+``check_every_pass_pair(n, passes)`` takes every connected t with its
+formation p = ``reform(t)`` and every labelled t' on the same nodes,
+connected or not, and plans up to ``passes`` HELLO passes over t' from a
+fresh ``PassMemory()``, stopping at a re-form.  It collects the witnesses
+against four properties of the paper's maintenance rules:
+
+- (a) a node departs only with a miss pending, after two passes running out
+  of touch with its cluster;
+- (b) no cluster vanishes unless the pass re-forms;
+- (c) a clean memory's partition verifies, with every node in touch;
+- (d) a cluster logs a decision only in a pass that changed its health.
+
+Tier-1 runs it on 4 nodes (2,432 pairs) for two and three passes; CI runs
+(a) and (c) on 5 nodes (745,472 pairs) for three passes.  (b) and (d) fail
+today, through ROADMAP item 19's two defects, so their tests are strict
+xfails.
 """
 
 import itertools
@@ -19,19 +36,24 @@ import itertools
 import pytest
 
 from councilnet.graph import is_clique, is_connected, is_dominating_set, topology_from_edges
+from councilnet.maintenance import PassMemory, plan_pass, reform
 from councilnet.phase1 import build_dominating_set, elect_heads, identify_gateways
 from councilnet.phase2 import cluster_form, verify_partition
+from councilnet.scenario import Scenario
 from councilnet.shamir import choose_threshold
+
+
+def labelled_graphs(n):
+    """Every graph on nodes ``1..n``, one per edge set."""
+    nodes = range(1, n + 1)
+    pairs = list(itertools.combinations(nodes, 2))
+    for mask in range(1 << len(pairs)):
+        yield topology_from_edges(nodes, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
 
 
 def connected_graphs(n):
     """Every connected graph on nodes ``1..n``, one per edge set."""
-    nodes = range(1, n + 1)
-    pairs = list(itertools.combinations(nodes, 2))
-    for mask in range(1 << len(pairs)):
-        t = topology_from_edges(nodes, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
-        if is_connected(t):
-            yield t
+    return filter(is_connected, labelled_graphs(n))
 
 
 def check_formation(t):
@@ -45,7 +67,7 @@ def check_formation(t):
     assert verify_partition(t, partition) == [], t.edges
     for c in partition.clusters:
         assert is_clique(t, c.council.heads), t.edges
-        assert c.k == choose_threshold(c.n).k, t.edges
+        assert c.k == choose_threshold(c.n), t.edges
         assert c.cluster_id in t.nodes, t.edges
 
 
@@ -63,3 +85,74 @@ def check_every_graph(n):
 @pytest.mark.parametrize("n, graphs", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728)])
 def test_formation_on_every_connected_graph(n, graphs):
     assert check_every_graph(n) == graphs
+
+
+def out_of_touch(t, p):
+    """The nodes out of touch with their cluster, by the paper's rule: a head
+    is in touch when it hears another node of its cluster or is its only
+    node, and any other node when it hears a head of its cluster."""
+    out = set()
+    for c in p.clusters:
+        heads, nodes = c.council.heads, c.all_nodes
+        for u in nodes:
+            heard = nodes if u in heads else heads
+            if heard != {u} and heard.isdisjoint(t.adj[u]):
+                out.add(u)
+    return out
+
+
+def check_every_pass_pair(n, passes):
+    """Plan up to ``passes`` passes over every pair (t, t') on ``n`` nodes,
+    at a scenario's default gateway threshold; return the number of pairs
+    and the witnesses against each property, keyed ``"a"`` to ``"d"``."""
+    later = [(t2, sorted(t2.edges)) for t2 in labelled_graphs(n)]
+    witnesses = {"a": [], "b": [], "c": [], "d": []}
+    pairs = 0
+    for t in connected_graphs(n):
+        formed, edges = reform(t), sorted(t.edges)
+        for t2, edges2 in later:
+            pairs += 1
+            p, memory, was_out = formed, PassMemory(), set()
+            for i in range(passes):
+                plan = plan_pass(t2, p, memory, Scenario.gateway_threshold)
+                where = (edges, edges2, i)
+                now_out = out_of_touch(t2, p)
+                if not set(plan.departed) <= memory.missed & was_out & now_out:
+                    witnesses["a"].append((where, plan.departed))
+                if not plan.reforms and not {c.cluster_id for c in p.clusters} <= {
+                    c.cluster_id for c in plan.partition.clusters
+                }:
+                    witnesses["b"].append(where)
+                if plan.memory.clean is not None:
+                    clean_t, clean_p = plan.memory.clean
+                    if clean_t is not t2 or verify_partition(clean_t, clean_p) or out_of_touch(clean_t, clean_p):
+                        witnesses["c"].append(where)
+                for cid, *_ in plan.log:
+                    if cid != -1 and plan.memory.healths.get(cid) == memory.healths.get(cid):
+                        witnesses["d"].append((where, cid))
+                if plan.reforms:
+                    break
+                p, memory, was_out = plan.partition, plan.memory, now_out
+    return pairs, witnesses
+
+
+# 38 connected graphs on 4 nodes, each against the 2**6 labelled graphs.
+@pytest.mark.parametrize("passes", [2, 3])
+def test_planner_on_every_pass_pair(passes):
+    pairs, witnesses = check_every_pass_pair(4, passes)
+    assert pairs == 2432
+    assert witnesses["a"] == []
+    assert witnesses["c"] == []
+
+
+ITEM_19 = "known defect, ROADMAP item 19: "
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_19 + "a cluster whose every node departs in one pass is dropped unclassified")
+def test_no_cluster_vanishes_without_a_reform():
+    assert check_every_pass_pair(4, 2)[1]["b"] == []
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_19 + "a changed cluster logs local_update again on every later pass")
+def test_a_cluster_logs_only_when_its_health_changed():
+    assert check_every_pass_pair(4, 3)[1]["d"] == []
