@@ -96,7 +96,8 @@ def _cmd_shares(args) -> int:
     prime = args.prime
     check_field_prime(prime, 0, "--prime")  # these shares name no node, so no id bounds the prime
     if args.shares_cmd == "split":
-        k = choose_threshold(args.n) if args.k is None else args.k
+        majority = choose_threshold(args.n)  # the council-size rule, before any --k
+        k = majority if args.k is None else args.k
         shares = split_secret(args.secret, k, range(1, args.n + 1), args.seed, prime)
         print(f"k={k} prime={prime}")
         for share in shares:

@@ -494,29 +494,46 @@ def topology_from_edges(
     """Build a topology from an explicit node and edge list.
 
     Each edge is appended to both endpoints' neighbour lists, and each list
-    becomes a tuple once at the end: O(n + m) for n nodes and m listed
-    edges, with no per-edge set insert.  Repeated and reversed edges
-    collapse then, and the tuples are untracked by the first collection, as
+    becomes a tuple once at the end, untracked by the first collection, as
     ``build_topology``'s are.  Each id, in list order, is checked by the id
     rule and then the distinct-id rule, as ``build_topology`` checks them.
     The first edge in list order that breaks the link rule raises its
     error: an endpoint that is no node id, then one outside the node list,
     then a self-loop.  The rule runs only for an edge that fails a
-    plain-int, distinct and known test, so a good edge costs two type tests
-    beyond its appends.
+    plain-int, ascending and known test, so a good edge costs three type
+    tests beyond its appends.
+
+    Repeated and reversed edges collapse.  When ``edges`` is a list or
+    tuple of distinct plain tuples ``(u, v)`` of plain ints u < v, as a
+    scenario file's edges are when it lists each link once, low id first,
+    no list holds a repeat and each is kept as appended: O(n + m) for n
+    nodes and m listed edges, plus one set of the edges that shows no two
+    are equal.  Any other edge list (a reversed or repeated pair, an int
+    subclass, a pair that is no tuple, or an iterator, which cannot be read
+    twice) may repeat a link, and each list is deduplicated through a
+    frozenset, one hash per listed link.  The tuples hold the same ids
+    either way; only their order differs, which no reader of ``adj``
+    depends on.
     """
     adj: dict[NodeId, list[NodeId]] = {}
     for u in nodes:
         _check_nid(u, adj)
         adj[u] = []
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int or u == v:
-            _check_link(adj, u, v)  # returns only for an int subclass's good edge
+    # Whether every edge so far is a plain tuple of plain ints u < v, whose
+    # equality is that of its link, so a set of the edges finds any repeat.
+    ascending = True
+    for edge in edges:
+        u, v = edge
+        if type(u) is not int or type(v) is not int or u >= v or type(edge) is not tuple:
+            _check_link(adj, u, v)  # returns only for a good edge
+            ascending = False
         try:
             adj[u].append(v)
             adj[v].append(u)
         except KeyError:
             _check_link(adj, u, v)  # raises UnknownNode
+    if ascending and type(edges) in (list, tuple) and len(set(edges)) == len(edges):
+        return Topology({u: tuple(vs) for u, vs in adj.items()})
     # The frozenset only dedupes: it is made and dropped at once, faster
     # than a ``dict.fromkeys`` pass, and the tuple is what is kept.
     return Topology({u: tuple(frozenset(vs)) for u, vs in adj.items()})

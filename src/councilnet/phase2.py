@@ -164,15 +164,17 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
     forbidden set, and "unassigned" is the whole test for a next head.
 
     Cost: O(Σdeg + n log n) plus the council searches; outside them no
-    Python-level step runs per neighbour.  A cluster's members are the union
-    of its heads' adjacency less the assigned nodes; its gateway is the
-    lowest member on the backbone next to a backbone head, and the handoff
-    the lowest unassigned backbone neighbour of the gateway, each a few
-    C-level set operations.  Each fallback is a cursor that only moves
-    forward over one sorted list (the backbone, then all nodes), skipping
-    assigned nodes.  The cursors are exact because a node never leaves
-    ``assigned``: a node a cursor has passed can never again be the lowest
-    unassigned one.
+    Python-level step runs per neighbour.  The union of the council's
+    adjacency is taken once: a cluster's members are that union less the
+    assigned nodes, and its gateway is the lowest member on the backbone
+    next to a backbone head, read from the same union when every head is on
+    the backbone and from a second union over the backbone heads otherwise.
+    The handoff is the lowest unassigned backbone neighbour of the gateway.
+    Each is a few C-level set operations.  Each fallback is a cursor that
+    only moves forward over one sorted list (the backbone, then all nodes),
+    skipping assigned nodes.  The cursors are exact because a node never
+    leaves ``assigned``: a node a cursor has passed can never again be the
+    lowest unassigned one.
     """
     backbone = frozenset(dominating.members)
     if not is_dominating_set(t, backbone):
@@ -194,11 +196,13 @@ def cluster_form(t: Topology, dominating: DominatingSet) -> Partition:
         heads = find_council_clique(t, h, forbidden=assigned, core=backbone)
         cid = min(heads)
         assigned |= heads
-        members = set().union(*[adj[n] for n in heads]) - assigned
+        near = set().union(*[adj[n] for n in heads])
+        members = near - assigned
         assigned |= members
 
-        # A backbone neighbour of a backbone head, absorbed by this cluster.
-        reach = set().union(*[adj[s] for s in heads & backbone])
+        # A backbone neighbour of a backbone head, absorbed by this cluster;
+        # when every head is on the backbone, that is any of ``near``.
+        reach = near if heads <= backbone else set().union(*[adj[s] for s in heads & backbone])
         gateway = min(members & backbone & reach, default=None)
         next_head = None
         if gateway is not None:

@@ -348,6 +348,16 @@ def test_split_reports_a_bad_threshold_before_a_bad_secret(capsys):
     assert captured.err == "error: threshold k=5 must be an integer in 1..3\n"
 
 
+# a council size below 1 is named before any --k is read
+@pytest.mark.parametrize("n, k", [("-3", None), ("0", "1"), ("-3", "2")])
+def test_split_reports_a_bad_council_size_before_its_threshold(n, k, capsys):
+    argv = ["shares", "split", "--secret", "6", "--n", n, "--prime", "13"]
+    assert main(argv if k is None else [*argv, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: council size must be an integer >= 1, got {n}\n"
+
+
 def test_reconstruct_rejects_a_composite_modulus(capsys):
     args = ["shares", "reconstruct", "--share", "1:2", "--share", "2:3", "--k", "2", "--prime", "15"]
     assert main(args) == 2

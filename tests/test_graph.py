@@ -93,6 +93,27 @@ def repeated_edge_lists(draw):
     return nodes, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
 
 
+@st.composite
+def canonical_edge_lists(draw):
+    """A permutation of 1..n and a repeat-free edge list over it, each edge
+    ``(u, v)`` with u < v and the edges in any order, as ``(nodes, edges,
+    given)``.  ``given`` is that list as a tuple of tuples, whose links are
+    kept as listed, or as a list of lists or a generator, which the build
+    deduplicates."""
+    nodes = draw(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    pairs = list(itertools.combinations(sorted(nodes), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    form = draw(st.sampled_from([tuple, lambda es: [list(e) for e in es], lambda es: (e for e in es)]))
+    return nodes, edges, form(edges)
+
+
+def built_from_edges(nodes, edges, given=None):
+    """The topology built from ``nodes`` and ``given``, by default ``edges``,
+    and the oracle's links for ``nodes`` and ``edges``."""
+    t = topology_from_edges(nodes, edges if given is None else given)
+    return t, links(oracle.topology_from_edges(nodes, edges))
+
+
 RADII = [0.25, 1.0, 3.0, 5.0, 7.5]
 
 
@@ -456,16 +477,27 @@ class TestBuildTopology:
 
     @given(
         st.one_of(
-            st.one_of(disk_layouts(), strip_lattices()).map(lambda layout: build_topology(*layout)),
-            repeated_edge_lists().map(lambda inputs: topology_from_edges(*inputs)),
+            st.one_of(disk_layouts(), strip_lattices()).map(
+                lambda layout: (build_topology(*layout), links(oracle.build_topology(*layout)))
+            ),
+            repeated_edge_lists().map(lambda inputs: built_from_edges(*inputs)),
+            canonical_edge_lists().map(lambda inputs: built_from_edges(*inputs)),
         )
     )
-    @example(topology_from_edges([1, 2, 3], [(1, 2), (2, 1), (3, 2), (1, 2), (2, 3)]))
-    @example(build_topology([(1, (0.0, 0.0)), (2, (3.0, 4.0)), (3, (0.0, 0.0))], 5.0))
+    @example(built_from_edges([1, 2, 3], [(1, 2), (2, 1), (3, 2), (1, 2), (2, 3)]))
+    # a repeated pair, and a pair listed both ways round, is one link
+    @example(built_from_edges([1, 2], [(1, 2), (1, 2)]))
+    @example(built_from_edges([1, 2], [(1, 2), (2, 1)]))
+    # so is a pair and another hashable edge that unpacks to the same ids
+    @example(built_from_edges([1, 2], [(1, 2), range(1, 3)]))
+    @example((build_topology([(1, (0.0, 0.0)), (2, (3.0, 4.0)), (3, (0.0, 0.0))], 5.0), {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}))
     @settings(max_examples=300, deadline=None)
-    def test_both_builders_store_distinct_symmetric_tuples(self, t):
-        # Repeated and reversed edges collapse: each neighbour once, never
-        # the node itself, and each link seen from both ends.
+    def test_both_builders_store_distinct_symmetric_tuples(self, case):
+        # The oracle's links, with repeated and reversed edges collapsed:
+        # each neighbour once, never the node itself, and each link seen
+        # from both ends.
+        t, want = case
+        assert links(t) == want
         for u, vs in t.adj.items():
             assert type(vs) is tuple
             assert u not in vs and len(set(vs)) == len(vs)
@@ -511,6 +543,12 @@ class TestBuildTopology:
     def test_edge_list_build_matches_set_per_node_oracle(self, inputs):
         nodes, edges = inputs
         assert outcome(topology_from_edges, nodes, edges) == outcome(oracle.topology_from_edges, nodes, edges)
+
+    def test_canonical_edges_keep_their_links_as_listed(self):
+        # A tuple of distinct ascending pairs needs no dedupe: each node's
+        # links stay in list order, as in a scenario file's edges.
+        edges = ((2, 3), (1, 3), (1, 2))
+        assert topology_from_edges([1, 2, 3], edges).adj == {1: (3, 2), 2: (3, 1), 3: (2, 1)}
 
     def test_edge_list_constructor_normalises(self):
         t = topology_from_edges([1, 2, 3], [(3, 1)])

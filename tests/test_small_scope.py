@@ -11,7 +11,8 @@ checks the formation properties the paper states:
 - every cluster id is a node.
 
 Tier-1 runs it up to 5 nodes (772 graphs); CI also runs it at 6 nodes
-(26,704 graphs).
+(26,704 graphs).  Tier-1 also forms and verifies each of those graphs with
+every node's neighbour tuple reversed, which must change nothing.
 
 ``check_every_pass_pair(n, passes)`` takes every connected t with its
 formation p = ``reform(t)`` and every labelled t' on the same nodes,
@@ -35,7 +36,7 @@ import itertools
 
 import pytest
 
-from councilnet.graph import is_clique, is_connected, is_dominating_set, topology_from_edges
+from councilnet.graph import Topology, is_clique, is_connected, is_dominating_set, topology_from_edges
 from councilnet.maintenance import PassMemory, plan_pass, reform
 from councilnet.phase1 import build_dominating_set, elect_heads, identify_gateways
 from councilnet.phase2 import cluster_form, verify_partition
@@ -85,6 +86,28 @@ def check_every_graph(n):
 @pytest.mark.parametrize("n, graphs", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728)])
 def test_formation_on_every_connected_graph(n, graphs):
     assert check_every_graph(n) == graphs
+
+
+def reversed_links(t):
+    """``t`` with each node's neighbour tuple reversed."""
+    return Topology({u: tuple(reversed(vs)) for u, vs in t.adj.items()})
+
+
+# The edge-list build keeps each node's links in list order when no link
+# repeats, and in hash order otherwise, so no output may read that order.
+# The verdicts are on each graph's own partition and on the last graph's,
+# which breaks the rules for about two in three graphs, so the order of
+# the messages counts too.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_formation_and_verdicts_ignore_the_order_of_each_nodes_links(n):
+    last = None
+    for t in connected_graphs(n):
+        flipped = reversed_links(t)
+        p = reform(t)
+        assert reform(flipped) == p, t.edges
+        for q in [p] if last is None else [p, last]:
+            assert verify_partition(flipped, q) == verify_partition(t, q), t.edges
+        last = p
 
 
 def out_of_touch(t, p):
