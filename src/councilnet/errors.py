@@ -18,7 +18,7 @@ class UnknownCluster(CouncilNetError):
 
 
 class DisconnectedTopology(CouncilNetError):
-    """Clustering requires a connected topology."""
+    """A re-form (``maintenance.reform``) requires a connected topology."""
 
 
 class InvalidDominatingSet(CouncilNetError):

@@ -20,8 +20,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import UnknownCluster, UnknownNode, ValidationError
-from .graph import NodeId, Topology, neighbors
+from .errors import DisconnectedTopology, UnknownCluster, UnknownNode, ValidationError
+from .graph import NodeId, Topology, is_connected, neighbors
 from .phase1 import (
     ClusterId,
     Role,
@@ -54,7 +54,7 @@ class ClusterHealth:
     def gateways_lost_fraction(self) -> float:
         if self.gateways0 == 0:
             return 0.0
-        return min(1.0, self.gateways_lost / self.gateways0)
+        return self.gateways_lost / self.gateways0
 
     @property
     def changed(self) -> bool:
@@ -221,15 +221,14 @@ def apply_departures(
     if not departed:
         return partition, healths, False, []
     work = _WorkingPartition(partition)
-    # Edited with the partition (a departure discards its node, a join adds
-    # it), so every node it holds heads the cluster ``work.node_index`` gives.
+    # A join adds its node; a departed node stays, and ``head_clusters``
+    # drops it with any other node that heads no cluster.
     heads = t.neighbor_index(work.heads())
     healths = dict(healths)
     stranded = False
     joined: list[tuple[ClusterId, NodeId]] = []
     for nid in departed:
         before = work.depart(nid)
-        heads.discard(nid)
         cid = before.cluster_id
         healths[cid] = _count_departure(healths.get(cid), before, nid)
         near = heads.near(nid)
@@ -331,9 +330,12 @@ def plan_pass(t: Topology, p: Partition, memory: PassMemory, gateway_threshold: 
 
 
 def reform(t: Topology) -> Partition:
-    """Run the full two-phase pipeline from scratch on the current topology.
+    """Run the full two-phase pipeline from scratch on the current topology,
+    which must be connected (formation's one connectivity check).
 
     Secrets must be re-split by the caller afterwards; old shares are void.
     """
+    if not is_connected(t):
+        raise DisconnectedTopology("head election requires a connected topology")
     head_of = elect_heads(t)
     return cluster_form(t, build_dominating_set(head_of, identify_gateways(t, head_of)))

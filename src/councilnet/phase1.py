@@ -4,9 +4,9 @@ and assembly of the head/gateway backbone.
 The election is the classic iterative lowest-id rule: repeatedly, the
 undecided node with the lowest id in its closed undecided neighbourhood
 becomes a head and claims its undecided neighbours as members.  It maps each
-node to its head, a head to itself.  The members that can hear another
-cluster are the gateways, and heads plus gateways together form a
-dominating backbone of the network.
+node to its head, a head to itself, and runs on any graph, each component
+on its own.  The members that can hear another cluster are the gateways,
+and heads plus gateways together form a dominating backbone of the network.
 
 ``node_states`` gives each node's neighbour-role map, the table a CBRP HELLO
 broadcast carries.  The simulator never builds it: a HELLO round only counts
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import DisconnectedTopology
-from .graph import NodeId, Topology, _unknown_node, is_connected, neighbors
+from .graph import NodeId, Topology, _unknown_node, neighbors
 
 ClusterId = int
 
@@ -53,11 +52,11 @@ def node_states(t: Topology, roles: Optional[Mapping[NodeId, Role]] = None) -> d
 
 
 def elect_heads(t: Topology) -> dict[NodeId, ClusterId]:
-    """Iterative lowest-id election over a connected topology: each node
-    mapped to its head, a head to itself, each head before its members.
+    """Iterative lowest-id election over any topology: each node mapped to
+    its head, a head to itself, each head before its members.
 
     The produced heads are pairwise non-adjacent and every member sits one
-    hop from its head.
+    hop from its head.  A node's head is read from its own component only.
 
     One ascending pass over the nodes, skipping the decided ones, costs
     O(Σdeg + n log n).  It elects the same heads as taking the lowest
@@ -66,8 +65,6 @@ def elect_heads(t: Topology) -> dict[NodeId, ClusterId]:
     A head's members are one C-level intersection of the undecided set with
     its adjacency, with no Python-level step per neighbour.
     """
-    if not is_connected(t):
-        raise DisconnectedTopology("head election requires a connected topology")
     adj = t.adj
     undecided = set(adj)
     head_of: dict[NodeId, ClusterId] = {}

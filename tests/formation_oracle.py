@@ -5,7 +5,9 @@ Verbatim copies of ``elect_heads``, ``find_council_clique`` and
 sweep.  They take ``min`` over the undecided nodes once per head, re-sort the
 remaining backbone once per cluster and rebuild the forbidden set per
 cluster, which makes them slow but plainly the rule as stated; the property
-tests in ``test_formation.py`` compare the library against them.
+tests in ``test_formation.py`` compare the library against them.  Like the
+library's, the election refuses no graph and elects each component on its
+own: the connectivity check is ``maintenance.reform``'s alone.
 
 ``is_connected``, ``is_dominating_set``, ``identify_gateways`` and
 ``build_dominating_set`` are verbatim copies of the library's as they stood
@@ -26,7 +28,7 @@ checks no domination: ``cluster_form`` checks every backbone it is handed.
 from collections import deque
 from typing import Iterable, Mapping, Optional
 
-from councilnet.errors import DisconnectedTopology, InvalidDominatingSet
+from councilnet.errors import InvalidDominatingSet
 from councilnet.graph import NodeId, Topology, neighbors
 from councilnet.phase1 import ClusterId, DominatingSet, Role
 
@@ -70,13 +72,12 @@ def is_connected(t: Topology) -> bool:
 
 
 def elect_heads(t: Topology) -> dict[NodeId, tuple[Role, ClusterId]]:
-    """Iterative lowest-id election over a connected topology.
+    """Iterative lowest-id election over any topology, each component on
+    its own.
 
     The produced heads are pairwise non-adjacent and every member sits one
     hop from its head.  Gateways are not identified yet.
     """
-    if not is_connected(t):
-        raise DisconnectedTopology("head election requires a connected topology")
     undecided = set(t.nodes)
     entries: dict[NodeId, tuple[Role, ClusterId]] = {}
     while undecided:

@@ -51,6 +51,8 @@ def check_state(state, formed):
             assert c is formed[c.cluster_id], f"{where}, cluster {c.cluster_id}"
     for cid, h in memory.healths.items():
         assert (h.n0, h.gateways0) == (formed[cid].n, len(formed[cid].gateways)), f"{where}, cluster {cid}"
+        # maintenance never adds a gateway, so no more are lost than formed
+        assert h.gateways_lost <= h.gateways0, f"{where}, cluster {cid}"
     # below k every secret stays possible, at k exactly one does
     for entry in audit_secrecy(state).entries:
         expected = state.scenario.field_prime if entry.compromised_head_count < entry.k else 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import formation_oracle as oracle
 from graph_oracle import links
 from councilnet import graph
-from councilnet.errors import CouncilNetError, DisconnectedTopology, InvalidDominatingSet
+from councilnet.errors import CouncilNetError, InvalidDominatingSet
 from councilnet.graph import is_connected, is_dominating_set, neighbors, topology_from_edges
 from councilnet.maintenance import reform
 from councilnet.phase1 import DominatingSet, Role, build_dominating_set, elect_heads, identify_gateways
@@ -52,14 +52,12 @@ def formation_inputs(draw):
 
 
 def dominating_sets(t, extra):
-    """The reform backbone and its superset with ``extra`` on a connected
-    graph; on any graph, ``extra`` plus every node it leaves undominated."""
+    """``extra`` plus every node it leaves undominated, the election's
+    backbone and that backbone's superset with ``extra``."""
     covered = set(extra).union(*(neighbors(t, u) for u in extra))
-    found = [tuple(extra) + tuple(t.nodes - covered)]
-    if is_connected(t):
-        head_of = elect_heads(t)
-        backbone = build_dominating_set(head_of, identify_gateways(t, head_of)).members
-        found += [backbone, tuple(set(backbone) | extra)]
+    head_of = elect_heads(t)
+    backbone = build_dominating_set(head_of, identify_gateways(t, head_of)).members
+    found = [tuple(extra) + tuple(t.nodes - covered), backbone, tuple(set(backbone) | extra)]
     return [DominatingSet(members) for members in found]
 
 
@@ -75,13 +73,11 @@ def role_assignments(t, demoted):
     """The oracle's role maps, ``{node: (role, cluster id)}``, over every
     node of ``t``, connected or not: each node joins the cluster of the
     lowest id in its closed neighbourhood, heading it when that is itself;
-    the same map with the clusters of the ``demoted`` heads left headless,
-    all their nodes tagged members under the id ``-head``, which no node
-    has; and on a connected graph the election and its demoted form."""
+    the election; and each of these with the clusters of the ``demoted``
+    heads left headless, all their nodes tagged members under the id
+    ``-head``, which no node has."""
     lowest = {u: min(vs | {u}) for u, vs in links(t).items()}
-    found = [{u: (Role.HEAD if c == u else Role.MEMBER, c) for u, c in lowest.items()}]
-    if is_connected(t):
-        found.append(oracle.elect_heads(t))
+    found = [{u: (Role.HEAD if c == u else Role.MEMBER, c) for u, c in lowest.items()}, oracle.elect_heads(t)]
     found += [{u: (Role.MEMBER, -c) if c in demoted else (r, c) for u, (r, c) in e.items()} for e in found]
     return found
 
@@ -162,19 +158,14 @@ def test_find_council_clique_matches_the_oracle(inputs, outside):
 
 @given(formation_inputs())
 @example(EMPTY)
+@example(SPLIT)
 @example(HANDOFF)
 @example(FALLBACK)
 @settings(max_examples=300, deadline=None)
 def test_elect_heads_matches_the_oracle(inputs):
     ids, edges, _ = inputs
     t = topology_from_edges(ids, edges)
-    try:
-        expected = oracle.elect_heads(t)
-    except DisconnectedTopology:
-        with pytest.raises(DisconnectedTopology):
-            elect_heads(t)
-        return
-    assert list(elect_heads(t).items()) == list(head_of(expected).items())
+    assert list(elect_heads(t).items()) == list(head_of(oracle.elect_heads(t)).items())
 
 
 @given(formation_inputs(), OUTSIDE)

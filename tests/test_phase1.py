@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from councilnet.errors import DisconnectedTopology, InvalidDominatingSet
+from councilnet.errors import InvalidDominatingSet
 from councilnet.graph import is_dominating_set, neighbors, topology_from_edges
 from councilnet.phase1 import Role, build_dominating_set, elect_heads, identify_gateways, node_states
 from councilnet.phase2 import cluster_form
@@ -47,10 +47,9 @@ class TestElectHeads:
         assert cluster(head_of, 1) == frozenset({1, 2, 3, 5})
         assert cluster(head_of, 4) == frozenset({4, 6, 7})
 
-    def test_disconnected_rejected(self):
+    def test_disconnected_elects_per_component(self):
         t = topology_from_edges([1, 2, 3, 4], [(1, 2), (3, 4)])
-        with pytest.raises(DisconnectedTopology):
-            elect_heads(t)
+        assert elect_heads(t) == {1: 1, 2: 1, 3: 3, 4: 3}
 
     def test_no_two_heads_adjacent(self):
         for seed in range(12):

@@ -281,6 +281,13 @@ class TestVerifyPartition:
         )
         assert verify_partition(t, bad) == ["cluster 1: gateway 4 is not adjacent to any head"]
 
+    def test_empty_council_flagged(self):
+        # a cluster of members with no head: its members hear no head by
+        # definition, so the empty council is its one violation
+        t = topology_from_edges([1, 2], [(1, 2)])
+        c = Cluster(Council(frozenset(), 1), frozenset({1, 2}), frozenset(), k=1)
+        assert verify_partition(t, Partition([c])) == ["cluster 1 has an empty council"]
+
     def test_bad_threshold_flagged(self):
         t = triangle()
         bad = Partition(

@@ -14,6 +14,12 @@ Tier-1 runs it up to 5 nodes (772 graphs); CI also runs it at 6 nodes
 (26,704 graphs).  Tier-1 also forms and verifies each of those graphs with
 every node's neighbour tuple reversed, which must change nothing.
 
+``check_every_disconnected_graph(n)`` takes every disconnected graph on
+``1..n``: ``reform`` refuses it, while the formation chain under it forms
+each component as it forms that component alone, cluster by cluster, into
+a partition ``verify_partition`` accepts.  Tier-1 runs it on 2 to 6 nodes
+(6,391 graphs); CI also runs it at 7 nodes (230,896 graphs).
+
 ``check_every_pass_pair(n, passes)`` takes every connected t with its
 formation p = ``reform(t)`` and every labelled t' on the same nodes,
 connected or not, and plans up to ``passes`` HELLO passes over t' from a
@@ -36,6 +42,7 @@ import itertools
 
 import pytest
 
+from councilnet.errors import DisconnectedTopology
 from councilnet.graph import Topology, is_clique, is_connected, is_dominating_set, topology_from_edges
 from councilnet.maintenance import PassMemory, plan_pass, reform
 from councilnet.phase1 import build_dominating_set, elect_heads, identify_gateways
@@ -86,6 +93,50 @@ def check_every_graph(n):
 @pytest.mark.parametrize("n, graphs", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728)])
 def test_formation_on_every_connected_graph(n, graphs):
     assert check_every_graph(n) == graphs
+
+
+def components(t):
+    """The node sets of ``t``'s components."""
+    found, seen = [], set()
+    for u in sorted(t.nodes):
+        if u in seen:
+            continue
+        component, frontier = {u}, [u]
+        while frontier:
+            fresh = set(t.adj[frontier.pop()]) - component
+            component |= fresh
+            frontier += fresh
+        seen |= component
+        found.append(component)
+    return found
+
+
+def check_every_disconnected_graph(n):
+    """Check formation on every disconnected graph on ``n`` nodes against
+    the union of its components' partitions; return how many there are."""
+    count = 0
+    for t in labelled_graphs(n):
+        parts = components(t)
+        if len(parts) == 1:
+            continue
+        count += 1
+        with pytest.raises(DisconnectedTopology, match="^head election requires a connected topology$"):
+            reform(t)
+        head_of = elect_heads(t)
+        partition = cluster_form(t, build_dominating_set(head_of, identify_gateways(t, head_of)))
+        alone = {}
+        for nodes in parts:
+            sub = topology_from_edges(sorted(nodes), [(u, v) for u, v in t.edges if u in nodes])
+            alone.update((c.cluster_id, c) for c in reform(sub).clusters)
+        assert {c.cluster_id: c for c in partition.clusters} == alone, t.edges
+        assert verify_partition(t, partition) == [], t.edges
+    return count
+
+
+# Disconnected labelled graphs on n nodes: 2**(n(n-1)/2) less OEIS A001187.
+@pytest.mark.parametrize("n, graphs", [(2, 1), (3, 4), (4, 26), (5, 296), (6, 6064)])
+def test_formation_on_every_disconnected_graph(n, graphs):
+    assert check_every_disconnected_graph(n) == graphs
 
 
 def reversed_links(t):
