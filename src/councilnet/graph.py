@@ -496,43 +496,51 @@ def topology_from_edges(
     Each edge is appended to both endpoints' neighbour lists, and each list
     becomes a tuple once at the end, untracked by the first collection, as
     ``build_topology``'s are.  Each id, in list order, is checked by the id
-    rule and then the distinct-id rule, as ``build_topology`` checks them.
-    The first edge in list order that breaks the link rule raises its
-    error: an endpoint that is no node id, then one outside the node list,
-    then a self-loop.  The rule runs only for an edge that fails a
-    plain-int, ascending and known test, so a good edge costs three type
-    tests beyond its appends.
+    rule and then the distinct-id rule, as ``build_topology`` checks them,
+    but only if it fails a plain-int, >= 1 and unseen test.  The first edge
+    in list order that breaks the link rule raises its error: an endpoint
+    that is no node id, then one outside the node list, then a self-loop.
+    The rule runs only for an edge that fails a plain-int, ascending and
+    known test, so a good edge costs three type tests beyond its appends.
 
-    Repeated and reversed edges collapse.  When ``edges`` is a list or
-    tuple of distinct plain tuples ``(u, v)`` of plain ints u < v, as a
-    scenario file's edges are when it lists each link once, low id first,
-    no list holds a repeat and each is kept as appended: O(n + m) for n
-    nodes and m listed edges, plus one set of the edges that shows no two
-    are equal.  Any other edge list (a reversed or repeated pair, an int
-    subclass, a pair that is no tuple, or an iterator, which cannot be read
-    twice) may repeat a link, and each list is deduplicated through a
-    frozenset, one hash per listed link.  The tuples hold the same ids
-    either way; only their order differs, which no reader of ``adj``
-    depends on.
+    Repeated and reversed edges collapse.  A plain tuple ``(u, v)`` of plain
+    ints u < v spells its link one way, so such edges repeat no link when no
+    two are equal, and each list is then kept as appended.  Edges in
+    strictly increasing order, as ``itertools.combinations`` yields pairs
+    and a sorted scenario file lists them, show that in the same pass, one
+    tuple comparison each, an iterator's too: O(n + m) for n nodes and m
+    listed edges.  A list or tuple of them in any other order shows it by
+    one set of the edges, one hash per edge.  Any other edge list (a
+    reversed or repeated pair, an int subclass, a pair that is no tuple, or
+    an unsorted iterator, which cannot be read twice) may repeat a link,
+    and each list is deduplicated through a frozenset, one hash per listed
+    link.  The tuples hold the same ids either way; only their order
+    differs, which no reader of ``adj`` depends on.
     """
     adj: dict[NodeId, list[NodeId]] = {}
     for u in nodes:
-        _check_nid(u, adj)
+        if type(u) is not int or u < 1 or u in adj:
+            _check_nid(u, adj)  # returns only for an unseen int subclass >= 1
         adj[u] = []
     # Whether every edge so far is a plain tuple of plain ints u < v, whose
-    # equality is that of its link, so a set of the edges finds any repeat.
-    ascending = True
+    # equality is that of its link, so a set of the edges finds any repeat;
+    # and whether each is greater than the last, so that none can repeat.
+    ascending = increasing = True
+    last = ()
     for edge in edges:
         u, v = edge
         if type(u) is not int or type(v) is not int or u >= v or type(edge) is not tuple:
             _check_link(adj, u, v)  # returns only for a good edge
-            ascending = False
+            ascending = increasing = False
+        elif increasing:
+            increasing = edge > last
+            last = edge
         try:
             adj[u].append(v)
             adj[v].append(u)
         except KeyError:
             _check_link(adj, u, v)  # raises UnknownNode
-    if ascending and type(edges) in (list, tuple) and len(set(edges)) == len(edges):
+    if increasing or ascending and type(edges) in (list, tuple) and len(set(edges)) == len(edges):
         return Topology({u: tuple(vs) for u, vs in adj.items()})
     # The frozenset only dedupes: it is made and dropped at once, faster
     # than a ``dict.fromkeys`` pass, and the tuple is what is kept.

@@ -68,7 +68,10 @@ class ClusterLedger:
         return [(nid, s) for nid, s in sorted(self.shares.items()) if nid not in self.revoked]
 
     def leak(self, compromised: AbstractSet[NodeId]) -> None:
-        """Hand the adversary the current share of each compromised live holder."""
+        """Hand the adversary the current share of each compromised live
+        holder; with none compromised, as at every set-up split, scan nothing."""
+        if compromised.isdisjoint(self.shares):
+            return
         for nid, share in self.live_shares():
             if nid in compromised:
                 self.leaked[nid] = share

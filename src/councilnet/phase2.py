@@ -73,9 +73,12 @@ class Partition:
     def __post_init__(self) -> None:
         clusters = tuple(self.clusters)
         by_id = {c.cluster_id: c for c in clusters}
+        # A node listed twice, in two groups or clusters, shortens the index.
         index: dict[NodeId, ClusterId] = {}
         for c in clusters:
-            index.update(dict.fromkeys(c.all_nodes, c.cluster_id))
+            index.update(dict.fromkeys(c.council.heads, c.cluster_id))
+            index.update(dict.fromkeys(c.members, c.cluster_id))
+            index.update(dict.fromkeys(c.gateways, c.cluster_id))
         listed = sum(c.n + len(c.members) + len(c.gateways) for c in clusters)
         if len(by_id) < len(clusters) or len(index) < listed:
             raise ValidationError(_repeats(clusters))

@@ -69,9 +69,37 @@ MUTANTS = [
     Mutant(
         "edge-list-without-its-set-test",
         "src/councilnet/graph.py",
-        "if ascending and type(edges) in (list, tuple) and len(set(edges)) == len(edges):",
-        "if ascending and type(edges) in (list, tuple):",
+        "if increasing or ascending and type(edges) in (list, tuple) and len(set(edges)) == len(edges):",
+        "if increasing or ascending and type(edges) in (list, tuple):",
         ("tests/test_graph.py::TestBuildTopology::test_both_builders_store_distinct_symmetric_tuples",),
+    ),
+    Mutant(
+        "edge-list-order-test-not-strict",
+        "src/councilnet/graph.py",
+        "increasing = edge > last",
+        "increasing = edge >= last",
+        ("tests/test_graph.py::TestBuildTopology::test_both_builders_store_distinct_symmetric_tuples",),
+    ),
+    Mutant(
+        "node-list-without-its-repeat-test",
+        "src/councilnet/graph.py",
+        "if type(u) is not int or u < 1 or u in adj:",
+        "if type(u) is not int or u < 1:",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "leak-tests-the-leaked-shares",
+        "src/councilnet/ledger.py",
+        "if compromised.isdisjoint(self.shares):",
+        "if compromised.isdisjoint(self.leaked):",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "partition-index-without-gateways",
+        "src/councilnet/phase2.py",
+        "            index.update(dict.fromkeys(c.gateways, c.cluster_id))\n",
+        "",
+        ("tests/test_phase2.py",),
     ),
     Mutant(
         "council-clique-without-its-narrowing",

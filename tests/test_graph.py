@@ -98,12 +98,23 @@ def canonical_edge_lists(draw):
     """A permutation of 1..n and a repeat-free edge list over it, each edge
     ``(u, v)`` with u < v and the edges in any order, as ``(nodes, edges,
     given)``.  ``given`` is that list as a tuple of tuples, whose links are
-    kept as listed, or as a list of lists or a generator, which the build
-    deduplicates."""
+    kept as listed; or sorted, as a tuple or a generator, whose order shows
+    that no link repeats; or as a list of lists or an unsorted generator,
+    which the build deduplicates."""
     nodes = draw(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
     pairs = list(itertools.combinations(sorted(nodes), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
-    form = draw(st.sampled_from([tuple, lambda es: [list(e) for e in es], lambda es: (e for e in es)]))
+    form = draw(
+        st.sampled_from(
+            [
+                tuple,
+                lambda es: tuple(sorted(es)),
+                lambda es: (e for e in sorted(es)),
+                lambda es: [list(e) for e in es],
+                lambda es: (e for e in es),
+            ]
+        )
+    )
     return nodes, edges, form(edges)
 
 
@@ -488,6 +499,10 @@ class TestBuildTopology:
     # a repeated pair, and a pair listed both ways round, is one link
     @example(built_from_edges([1, 2], [(1, 2), (1, 2)]))
     @example(built_from_edges([1, 2], [(1, 2), (2, 1)]))
+    # a repeat ends the increasing order, next to its twin or after the
+    # order has already broken
+    @example(built_from_edges([1, 2, 3], ((1, 2), (1, 2), (2, 3))))
+    @example(built_from_edges([1, 2, 3], ((1, 2), (2, 3), (1, 2))))
     # so is a pair and another hashable edge that unpacks to the same ids
     @example(built_from_edges([1, 2], [(1, 2), range(1, 3)]))
     @example((build_topology([(1, (0.0, 0.0)), (2, (3.0, 4.0)), (3, (0.0, 0.0))], 5.0), {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}))
@@ -549,6 +564,17 @@ class TestBuildTopology:
         # links stay in list order, as in a scenario file's edges.
         edges = ((2, 3), (1, 3), (1, 2))
         assert topology_from_edges([1, 2, 3], edges).adj == {1: (3, 2), 2: (3, 1), 3: (2, 1)}
+
+    def test_increasing_edges_keep_their_links_as_listed(self):
+        # Edges in strictly increasing order repeat no link, whether a tuple
+        # lists them or an iterator yields them once, so each node's links
+        # stay in list order: node 9's stay (1, 8), which a frozenset of
+        # them would turn round.
+        for nodes in (range(1, 5), (1, 8, 9)):
+            pairs = tuple(itertools.combinations(nodes, 2))
+            want = {u: tuple(w for e in pairs if u in e for w in e if w != u) for u in nodes}
+            for given in (itertools.combinations(nodes, 2), pairs):
+                assert topology_from_edges(nodes, given).adj == want
 
     def test_edge_list_constructor_normalises(self):
         t = topology_from_edges([1, 2, 3], [(3, 1)])
