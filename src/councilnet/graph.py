@@ -503,35 +503,33 @@ def topology_from_edges(
     The rule runs only for an edge that fails a plain-int, ascending and
     known test, so a good edge costs three type tests beyond its appends.
 
-    Repeated and reversed edges collapse.  A plain tuple ``(u, v)`` of plain
-    ints u < v spells its link one way, so such edges repeat no link when no
-    two are equal, and each list is then kept as appended.  Edges in
-    strictly increasing order, as ``itertools.combinations`` yields pairs
-    and a sorted scenario file lists them, show that in the same pass, one
-    tuple comparison each, an iterator's too: O(n + m) for n nodes and m
-    listed edges.  A list or tuple of them in any other order shows it by
-    one set of the edges, one hash per edge.  Any other edge list (a
-    reversed or repeated pair, an int subclass, a pair that is no tuple, or
-    an unsorted iterator, which cannot be read twice) may repeat a link,
-    and each list is deduplicated through a frozenset, one hash per listed
-    link.  The tuples hold the same ids either way; only their order
-    differs, which no reader of ``adj`` depends on.
+    Repeated and reversed edges collapse.  Edges in strictly increasing
+    order, each a plain tuple ``(u, v)`` of plain ints u < v, as
+    ``itertools.combinations`` yields pairs and a sorted scenario file lists
+    them, repeat no link, and each list is then kept as appended.  The same
+    pass shows that order, one tuple comparison per edge, an iterator's
+    too: O(n + m) for n nodes and m listed edges.  Any other edge list (one
+    out of order, a reversed or repeated pair, an int subclass or a pair
+    that is no tuple) may repeat a link, and each list is deduplicated
+    through a frozenset, one hash per listed link.  The tuples hold the same
+    ids either way; only their order differs, which no reader of ``adj``
+    depends on.
     """
     adj: dict[NodeId, list[NodeId]] = {}
     for u in nodes:
         if type(u) is not int or u < 1 or u in adj:
             _check_nid(u, adj)  # returns only for an unseen int subclass >= 1
         adj[u] = []
-    # Whether every edge so far is a plain tuple of plain ints u < v, whose
-    # equality is that of its link, so a set of the edges finds any repeat;
-    # and whether each is greater than the last, so that none can repeat.
-    ascending = increasing = True
+    # Whether every edge so far is a plain tuple of plain ints u < v, each
+    # greater than the last: such edges spell each link one way, in order,
+    # so none can repeat.
+    increasing = True
     last = ()
     for edge in edges:
         u, v = edge
         if type(u) is not int or type(v) is not int or u >= v or type(edge) is not tuple:
             _check_link(adj, u, v)  # returns only for a good edge
-            ascending = increasing = False
+            increasing = False
         elif increasing:
             increasing = edge > last
             last = edge
@@ -540,7 +538,7 @@ def topology_from_edges(
             adj[v].append(u)
         except KeyError:
             _check_link(adj, u, v)  # raises UnknownNode
-    if increasing or ascending and type(edges) in (list, tuple) and len(set(edges)) == len(edges):
+    if increasing:
         return Topology({u: tuple(vs) for u, vs in adj.items()})
     # The frozenset only dedupes: it is made and dropped at once, faster
     # than a ``dict.fromkeys`` pass, and the tuple is what is kept.

@@ -3,9 +3,9 @@
 The ledger holds the cluster's secret, its shares by holder, the holders
 revoked since the last refresh, and what leaked.  One rule decides what
 leaks: the adversary holds the current share of every compromised holder
-whose share is live.  Splitting, issuing and compromising apply it through
-``leak``, and a refresh over the live holders when one is compromised; a
-revoked share stops leaking, but a copy the adversary already took is kept.
+whose share is live.  Splitting, issuing, refreshing and compromising all
+apply it through ``leak``; a revoked share stops leaking, but a copy the
+adversary already took is kept.
 
 A refresh checks the threshold and the holders' x coordinates once per
 membership: the verdicts are kept with the live holders until ``issue`` or
@@ -68,12 +68,9 @@ class ClusterLedger:
         return [(nid, s) for nid, s in sorted(self.shares.items()) if nid not in self.revoked]
 
     def leak(self, compromised: AbstractSet[NodeId]) -> None:
-        """Hand the adversary the current share of each compromised live
-        holder; with none compromised, as at every set-up split, scan nothing."""
-        if compromised.isdisjoint(self.shares):
-            return
-        for nid, share in self.live_shares():
-            if nid in compromised:
+        """Hand the adversary the current share of each compromised live holder."""
+        for nid, share in self.shares.items():
+            if nid in compromised and nid not in self.revoked:
                 self.leaked[nid] = share
 
     def issue(self, nid: NodeId, compromised: AbstractSet[NodeId]) -> Optional[str]:
@@ -110,8 +107,8 @@ class ClusterLedger:
         coordinates are kept from the last refresh unless a holder was
         revoked or issued since, or the keys of ``shares`` changed; the
         epoch check runs every time, before any draw.  The kernel's dict of
-        new shares becomes ``shares``, then the leak rule runs if a holder is
-        compromised: its new share leaks, a revoked holder's old copy stays.
+        new shares becomes ``shares``, then ``leak`` runs: a compromised
+        holder's new share leaks, a revoked holder's old copy stays.
         """
         checked = self._checked
         if checked is None or self.revoked or list(self.shares) != checked[0]:
@@ -129,10 +126,7 @@ class ClusterLedger:
             if share.epoch != epoch:
                 _common_epoch(live)  # raises MixedEpoch, naming the epochs
         shares = _blind(holders, xs, [s.y for s in live], self.k, rng.randrange(2**62), self.prime, epoch + 1)
-        if not compromised.isdisjoint(shares):
-            for nid in holders:
-                if nid in compromised:
-                    self.leaked[nid] = shares[nid]
         self.shares = shares
         self.revoked = set()
         self.epoch += 1
+        self.leak(compromised)

@@ -149,7 +149,7 @@ class _WorkingPartition:
         return "issue_new_share" if joins else "member_only"
 
     def freeze(self) -> Partition:
-        return Partition([c for c in self.clusters.values() if c.all_nodes])
+        return Partition([c for c in self.clusters.values() if c.council.heads or c.members or c.gateways])
 
 
 def _count_departure(health: Optional[ClusterHealth], before: Cluster, node: NodeId) -> ClusterHealth:

@@ -63,7 +63,8 @@ def elect_heads(t: Topology) -> dict[NodeId, ClusterId]:
     undecided node once per head, because a node never becomes undecided
     again: the lowest undecided node is the first undecided one in the pass.
     A head's members are one C-level intersection of the undecided set with
-    its adjacency, with no Python-level step per neighbour.
+    its adjacency, with no Python-level step per neighbour.  A head stays in
+    the set, never met again: a later head that heard it would be its member.
     """
     adj = t.adj
     undecided = set(adj)
@@ -73,7 +74,6 @@ def elect_heads(t: Topology) -> dict[NodeId, ClusterId]:
             continue
         members = undecided.intersection(adj[head])
         undecided -= members
-        undecided.discard(head)
         head_of[head] = head
         head_of.update(dict.fromkeys(sorted(members), head))
     return head_of

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import AbstractSet, Mapping, Optional
 
 from .errors import InvalidDominatingSet, ValidationError
@@ -45,10 +44,6 @@ class Cluster:
     @property
     def n(self) -> int:
         return len(self.council.heads)
-
-    @cached_property
-    def all_nodes(self) -> frozenset[NodeId]:
-        return self.council.heads | self.members | self.gateways
 
     def role_of(self, node: NodeId) -> Role:
         if node in self.council.heads:

@@ -2,18 +2,22 @@
 
 Each entry names one small edit to the source: a file, a text that must
 occur in it exactly once, the text that replaces it, and the pytest
-selection that must catch it.  For each entry the runner copies the tree to
+selection that must catch it.  The runner first runs each selection once on
+an unmutated copy of the tree.  Then, for each entry, it copies the tree to
 a temporary directory, applies the edit there and runs the selection with
 ``pytest -x``; the mutant is killed when that run reports a failing test.
-The checkout itself is never edited.
+Every run draws Hypothesis examples from seed 0, so a verdict does not
+change from one run to the next.  The checkout itself is never edited.
 
 Run from the repository root, stdlib only (pytest runs in a subprocess)::
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py NAME ...   # the named ones
 
-It prints one line per mutant and exits 1 if any survived or its text no
-longer occurs exactly once, which means the entry is stale.
+It prints one line per mutant and exits 1 unless every one is killed.  A
+mutant SURVIVED when its selection passed; it is STALE when its text no
+longer occurs exactly once; it is BROKEN when its selection already fails
+on the unmutated tree, where a failure would kill any mutant.
 """
 
 from __future__ import annotations
@@ -67,11 +71,11 @@ MUTANTS = [
         ("tests/test_small_scope.py::test_planner_on_every_pass_pair",),
     ),
     Mutant(
-        "edge-list-without-its-set-test",
+        "edge-order-kept-after-a-bad-edge",
         "src/councilnet/graph.py",
-        "if increasing or ascending and type(edges) in (list, tuple) and len(set(edges)) == len(edges):",
-        "if increasing or ascending and type(edges) in (list, tuple):",
-        ("tests/test_graph.py::TestBuildTopology::test_both_builders_store_distinct_symmetric_tuples",),
+        "            increasing = False\n",
+        "            pass\n",
+        ("tests/test_graph.py",),
     ),
     Mutant(
         "edge-list-order-test-not-strict",
@@ -88,10 +92,38 @@ MUTANTS = [
         ("tests/test_graph.py",),
     ),
     Mutant(
-        "leak-tests-the-leaked-shares",
+        "hearing-none-misses-a-link-at-the-radius",
+        "src/councilnet/graph.py",
+        "                if dx * dx + dy * dy <= r2 and v != u:\n                    break\n",
+        "                if dx * dx + dy * dy < r2 and v != u:\n                    break\n",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "cell-index-misses-a-link-at-the-radius",
+        "src/councilnet/graph.py",
+        "                    if dx * dx + dy * dy <= r2 and v != u:\n                        found.append(v)\n",
+        "                    if dx * dx + dy * dy < r2 and v != u:\n                        found.append(v)\n",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "strip-window-stops-short",
+        "src/councilnet/graph.py",
+        "near = us[i + 1:bisect_right(xs, ux + cell, i + 1)]",
+        "near = us[i + 1:bisect_left(xs, ux + cell, i + 1)]",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "leak-ignores-revocation",
         "src/councilnet/ledger.py",
-        "if compromised.isdisjoint(self.shares):",
-        "if compromised.isdisjoint(self.leaked):",
+        "if nid in compromised and nid not in self.revoked:",
+        "if nid in compromised:",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "refresh-skips-the-leak",
+        "src/councilnet/ledger.py",
+        "        self.epoch += 1\n        self.leak(compromised)\n",
+        "        self.epoch += 1\n",
         ("tests/test_ledger.py",),
     ),
     Mutant(
@@ -102,38 +134,119 @@ MUTANTS = [
         ("tests/test_phase2.py",),
     ),
     Mutant(
+        "adjacent-heads-reported-both-ways",
+        "src/councilnet/phase2.py",
+        "                if j > i:\n",
+        "                if j != i:\n",
+        ("tests/test_phase2.py",),
+    ),
+    Mutant(
         "council-clique-without-its-narrowing",
         "src/councilnet/phase2.py",
         "                    common = common.intersection(adj[w])\n",
         "",
         ("tests/test_formation.py",),
     ),
+    Mutant(
+        "gateways-include-heads",
+        "src/councilnet/phase1.py",
+        "if nid != cid and not clusters[cid].issuperset(adj[nid])",
+        "if not clusters[cid].issuperset(adj[nid])",
+        ("tests/test_phase1.py",),
+    ),
+    Mutant(
+        "freeze-drops-a-gateway-only-cluster",
+        "src/councilnet/maintenance.py",
+        "if c.council.heads or c.members or c.gateways]",
+        "if c.council.heads or c.members]",
+        ("tests/test_maintenance.py",),
+    ),
+    Mutant(
+        "heads-trigger-not-strict",
+        "src/councilnet/maintenance.py",
+        "if health.heads_departed > health.n0 - k:",
+        "if health.heads_departed >= health.n0 - k:",
+        ("tests/test_maintenance.py",),
+    ),
+    Mutant(
+        "gateway-trigger-not-strict",
+        "src/councilnet/maintenance.py",
+        "if health.gateways_lost_fraction > gateway_threshold:",
+        "if health.gateways_lost_fraction >= gateway_threshold:",
+        ("tests/test_maintenance.py",),
+    ),
+    Mutant(
+        "lone-head-scanned-for-company",
+        "src/councilnet/maintenance.py",
+        "if others or len(heads) > 1:",
+        "if True:",
+        ("tests/test_sim.py",),
+    ),
+    Mutant(
+        "quiet-pass-with-a-miss-pending",
+        "src/councilnet/maintenance.py",
+        "memory.clean[1] is p and not memory.missed",
+        "memory.clean[1] is p",
+        ("tests/test_sim.py",),
+    ),
+    Mutant(
+        "breach-needs-more-than-k",
+        "src/councilnet/audit.py",
+        "breached = count >= k",
+        "breached = count > k",
+        ("tests/test_sim.py",),
+    ),
+    Mutant(
+        "audit-ignores-a-held-zero-point",
+        "src/councilnet/audit.py",
+        "return 1 if 0 in points else prime",
+        "return prime",
+        ("tests/test_shamir.py",),
+    ),
 ]
+
+
+SKIPPED = (".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info", "out")
+
+
+def copy_tree(tmp: str) -> Path:
+    tree = Path(tmp) / "tree"
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(*SKIPPED))
+    return tree
+
+
+def run_selection(tree: Path, selection: tuple[str, ...]) -> int:
+    """Run ``selection`` in ``tree`` at Hypothesis seed 0; pytest's exit code."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *selection],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def passing(selections: set[tuple[str, ...]]) -> set[tuple[str, ...]]:
+    """The selections that pass on an unmutated copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="councilnet-mutant-") as tmp:
+        tree = copy_tree(tmp)
+        return {selection for selection in selections if run_selection(tree, selection) == 0}
 
 
 def run(mutant: Mutant) -> str:
     """``killed``, ``SURVIVED`` or ``STALE`` (the old text does not occur
     exactly once)."""
+    source = (ROOT / mutant.file).read_text()
+    if source.count(mutant.old) != 1:
+        return "STALE"
     with tempfile.TemporaryDirectory(prefix="councilnet-mutant-") as tmp:
-        tree = Path(tmp) / "tree"
-        skipped = (".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info", "out")
-        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(*skipped))
-        path = tree / mutant.file
-        source = path.read_text()
-        if source.count(mutant.old) != 1:
-            return "STALE"
-        path.write_text(source.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.selection],
-            cwd=tree,
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        tree = copy_tree(tmp)
+        (tree / mutant.file).write_text(source.replace(mutant.old, mutant.new))
+        code = run_selection(tree, mutant.selection)
     # pytest exits 1 when a test failed; 2-5 mean the run itself went wrong
     # (an interruption, a usage error or nothing collected), which kills nothing.
-    return "killed" if result.returncode == 1 else "SURVIVED"
+    return "killed" if code == 1 else "SURVIVED"
 
 
 def main(names: list[str]) -> int:
@@ -142,9 +255,11 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    mutants = [known[n] for n in names] if names else MUTANTS
+    sound = passing({m.selection for m in mutants})
     bad = 0
-    for mutant in [known[n] for n in names] if names else MUTANTS:
-        verdict = run(mutant)
+    for mutant in mutants:
+        verdict = run(mutant) if mutant.selection in sound else "BROKEN"
         bad += verdict != "killed"
         print(f"{verdict:8} {mutant.name}", flush=True)
     return 1 if bad else 0

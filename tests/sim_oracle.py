@@ -43,7 +43,7 @@ def departures(t: Topology, p: Partition, missed: frozenset[NodeId]) -> tuple[li
         cluster = p.cluster(cid)
         if nid in cluster.council.heads:
             # A topology has no self-loops, so nid never hears itself.
-            nodes = cluster.all_nodes
+            nodes = cluster.council.heads | cluster.members | cluster.gateways
             in_touch = len(nodes) == 1 or not neighbors(t, nid).isdisjoint(nodes)
         else:
             in_touch = not neighbors(t, nid).isdisjoint(cluster.council.heads)

@@ -110,6 +110,16 @@ class TestHandleDeparture:
         assert h2.heads_departed == 2
         assert classify_change(h2, self.p.cluster(1).k) is MaintenanceAction.REFORM
 
+    def test_only_head_leaves_a_cluster_holding_its_gateway(self):
+        # A cluster that loses its only head still holds its gateway, so it
+        # is kept, with no council, for the pass to re-form.
+        p = Partition([Cluster(Council(frozenset({1}), 1), frozenset(), frozenset({2}), 1)])
+        p2, h = handle_departure(p, 1)
+        c = p2.cluster(1)
+        assert (c.council.heads, c.members, c.gateways) == (frozenset(), frozenset(), frozenset({2}))
+        assert dict(p2.node_index) == {2: 1}
+        assert h.heads_departed == 1
+
 
 class TestHandleVisitor:
     def make_topology_with_visitor(self, links):
@@ -158,7 +168,8 @@ class TestHandleVisitor:
         p2, tag = handle_visitor(t, p, 7, 1)
         assert tag == "member_only"
         assert p2.node_index[7] == 1
-        assert 7 not in p2.cluster(6).all_nodes
+        c = p2.cluster(6)
+        assert 7 not in c.council.heads | c.members | c.gateways
 
     @pytest.mark.parametrize(
         "node, tag, heads, members, gateways",
@@ -273,7 +284,7 @@ def fold_without_node(cluster, node):
 
 def fold_swap_cluster(p, new_cluster):
     clusters = [new_cluster if c.cluster_id == new_cluster.cluster_id else c for c in p.clusters]
-    return Partition(c for c in clusters if c.all_nodes)
+    return Partition(c for c in clusters if c.council.heads | c.members | c.gateways)
 
 
 def fold_departure(p, node, health):

@@ -167,7 +167,8 @@ def out_of_touch(t, p):
     node, and any other node when it hears a head of its cluster."""
     out = set()
     for c in p.clusters:
-        heads, nodes = c.council.heads, c.all_nodes
+        heads = c.council.heads
+        nodes = heads | c.members | c.gateways
         for u in nodes:
             heard = nodes if u in heads else heads
             if heard != {u} and heard.isdisjoint(t.adj[u]):
