@@ -10,8 +10,10 @@ adversary already took is kept.
 A refresh checks the threshold and the holders' x coordinates once per
 membership: the verdicts are kept with the live holders until ``issue`` or
 ``revoke`` changes who holds a share, since a pure check over unchanged
-inputs keeps its verdict.  The epochs are checked on every refresh, and
-``shamir``'s one kernel, which splits use too, writes the new shares in one pass.
+inputs keeps its verdict.  A refresh adds its blind's coefficients, mod p, to
+a pending blind and evaluates only the shares that leak; reading ``shares``
+writes the pending blind into every share with ``shamir``'s one kernel.  The
+epochs are checked by the refresh that starts a pending blind.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .shamir import (
     _check_threshold,
     _check_xs,
     _common_epoch,
+    _draws,
     issue_share,
     split_secret,
 )
@@ -46,11 +49,12 @@ class ClusterLedger:
     shares: dict[NodeId, Share] = field(default_factory=dict)
     revoked: set[NodeId] = field(default_factory=set)
     leaked: dict[NodeId, Share] = field(default_factory=dict)
-    # The live holders in id order and their x's, as ``refresh`` last checked
-    # them; ``issue`` and ``revoke`` drop it.
-    _checked: Optional[tuple[list[NodeId], list[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # The live holders in id order, as ``refresh`` last checked them and their
+    # x's; ``issue`` and ``revoke`` drop it.
+    _checked: Optional[list[NodeId]] = field(default=None, init=False, repr=False, compare=False)
+    # The blind ``_shares`` still owes: the coefficients of the refreshes since
+    # it was last written, summed mod p, and how many refreshes they fold in.
+    _pending: Optional[tuple[list[int], int]] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def split(
@@ -64,14 +68,33 @@ class ClusterLedger:
         ledger.leak(compromised)
         return ledger
 
+    def _current(self, nids: list[NodeId]) -> dict[NodeId, Share]:
+        """The share each of ``nids`` holds now: the stored one plus any pending blind."""
+        stored = [self._shares[nid] for nid in nids]
+        if self._pending is None:
+            return dict(zip(nids, stored))
+        blind, count = self._pending
+        return _blind(nids, [s.x for s in stored], [s.y for s in stored], blind, self.prime, stored[0].epoch + count)
+
+    def _read(self) -> dict[NodeId, Share]:
+        """``shares``, with the pending blind written into it in place."""
+        if self._pending is not None:
+            self._shares.update(self._current(list(self._shares)))
+            self._pending = None
+        return self._shares
+
+    def _write(self, shares: dict[NodeId, Share]) -> None:
+        self._shares = shares
+        self._pending = None
+
     def live_shares(self) -> list[tuple[NodeId, Share]]:
         return [(nid, s) for nid, s in sorted(self.shares.items()) if nid not in self.revoked]
 
     def leak(self, compromised: AbstractSet[NodeId]) -> None:
         """Hand the adversary the current share of each compromised live holder."""
-        for nid, share in self.shares.items():
-            if nid in compromised and nid not in self.revoked:
-                self.leaked[nid] = share
+        held = [nid for nid in self._shares if nid in compromised and nid not in self.revoked]
+        if held:
+            self.leaked.update(self._current(held))
 
     def issue(self, nid: NodeId, compromised: AbstractSet[NodeId]) -> Optional[str]:
         """Derive a share for a new head from a live quorum; returns why it
@@ -96,7 +119,7 @@ class ClusterLedger:
 
     def revoke(self, nid: NodeId) -> None:
         """Exclude a departed holder's share from quorums until the next refresh."""
-        if nid in self.shares:
+        if nid in self._shares:
             self.revoked.add(nid)
             self._checked = None
 
@@ -105,28 +128,38 @@ class ClusterLedger:
 
         The live holders, sorted by id, and the checks of k and of their x
         coordinates are kept from the last refresh unless a holder was
-        revoked or issued since, or the keys of ``shares`` changed; the
-        epoch check runs every time, before any draw.  The kernel's dict of
-        new shares becomes ``shares``, then ``leak`` runs: a compromised
-        holder's new share leaks, a revoked holder's old copy stays.
+        revoked or issued since, or the keys of ``shares`` changed.  With no
+        blind pending the epochs are checked, before any draw, and the live
+        shares move to a dict of their own, which no reader holds.  The draws
+        are added to the pending blind and only the shares ``leak`` hands
+        over are evaluated: a compromised holder's new share leaks, a
+        revoked holder's old copy stays.
         """
-        checked = self._checked
-        if checked is None or self.revoked or list(self.shares) != checked[0]:
-            holders = sorted(self.shares.keys() - self.revoked)
+        shares, holders = self._shares, self._checked
+        if holders is None or self.revoked or list(shares) != holders:
+            holders = sorted(shares.keys() - self.revoked)
             if not holders:
                 return
-            xs = [self.shares[nid].x for nid in holders]
             _check_threshold(self.k)
-            _check_xs(xs, self.prime)
-            checked = self._checked = (holders, xs)
-        holders, xs = checked
-        live = [self.shares[nid] for nid in holders]
-        epoch = live[0].epoch
-        for share in live:
-            if share.epoch != epoch:
-                _common_epoch(live)  # raises MixedEpoch, naming the epochs
-        shares = _blind(holders, xs, [s.y for s in live], self.k, rng.randrange(2**62), self.prime, epoch + 1)
-        self.shares = shares
+            _check_xs([shares[nid].x for nid in holders], self.prime)
+            self._checked = holders
+        if self._pending is None:
+            live = [shares[nid] for nid in holders]
+            epoch = live[0].epoch
+            for share in live:
+                if share.epoch != epoch:
+                    _common_epoch(live)  # raises MixedEpoch, naming the epochs
+            self._shares = dict(zip(holders, live))
+            self._pending = ([0] * (self.k - 1), 0)
+        elif self.revoked:
+            self._shares = {nid: shares[nid] for nid in holders}
+        blind, count = self._pending
+        draws = _draws(rng.randrange(2**62), self.k - 1, self.prime)
+        self._pending = ([(a + b) % self.prime for a, b in zip(blind, draws)], count + 1)
         self.revoked = set()
         self.epoch += 1
         self.leak(compromised)
+
+
+# A dataclass field, so ``split``, equality and repr go through the property.
+ClusterLedger.shares = property(ClusterLedger._read, ClusterLedger._write)

@@ -8,7 +8,8 @@ Lagrange interpolation, fewer than k reveal nothing.  Shares carry an epoch
 counter so that proactive refreshes (adding a random zero-constant
 polynomial) invalidate stale material.  Each share-input rule is written
 once, here; a modulus is tested for primality where it enters the program.
-Splits and refreshes share one draw rule, ``_draws``, and one kernel, ``_blind``.
+Splits and refreshes share one draw rule, ``_draws``, and one kernel, ``_blind``,
+which a ledger also runs once on the summed coefficients of several refreshes.
 """
 
 from __future__ import annotations
@@ -123,14 +124,14 @@ def _draws(seed: int, count: int, prime: int) -> list[int]:
 
 
 def _blind(
-    keys: Iterable, xs: Sequence[int], ys: Iterable[int], k: int, seed: int, prime: int, epoch: int
+    keys: Iterable, xs: Sequence[int], ys: Iterable[int], coefficients: Sequence[int], prime: int, epoch: int
 ) -> dict:
-    """The share (x, y + x * h(x), epoch) under each key, h holding the k - 1 coefficients
-    drawn from the seed: a refresh adds the zero-constant blind x * h(x) to checked
-    shares of one epoch, a split adds it to the secret.  Horner's rule runs over exact
-    integers, reduced once per share; ``tuple.__new__`` skips ``Share``'s Python ``__new__``.
+    """The share (x, y + x * h(x), epoch) under each key, h(x) = c_1 + c_2 x + ...: a refresh
+    adds the zero-constant blind x * h(x) to checked shares of one epoch (or, h summed mod p,
+    of several refreshes at once), a split adds it to the secret.  Horner's rule runs over
+    exact integers, reduced once per share; ``tuple.__new__`` skips ``Share``'s ``__new__``.
     """
-    blind = _draws(seed, k - 1, prime)[::-1]
+    blind = coefficients[::-1]
     new = tuple.__new__
     shares = {}
     for key, x, y in zip(keys, xs, ys):
@@ -173,7 +174,7 @@ def split_secret(
     _check_element(secret, prime, "secret")
     _check_xs(xs, prime)
     xs = [x % prime for x in xs]
-    return tuple(_blind(xs, xs, itertools.repeat(secret), k, seed, prime, 0).values())
+    return tuple(_blind(xs, xs, itertools.repeat(secret), _draws(seed, k - 1, prime), prime, 0).values())
 
 
 def _common_epoch(shares: Sequence[Share]) -> int:
@@ -240,10 +241,10 @@ def refresh_shares(
 
     Adds a random degree-(k-1) polynomial with zero constant term and bumps
     the epoch, so old and new shares can no longer be mixed.  Every call
-    checks k, the epochs and the x coordinates, then blinds the shares
-    through the one kernel that ``ClusterLedger.refresh`` also calls; each
-    new y depends only on its own x and the seed.  The new shares come in
-    ascending x.
+    checks k, the epochs and the x coordinates, then blinds every share
+    through ``_blind``, which ``ClusterLedger`` runs on its pending blinds
+    too; each new y depends only on its own x and the seed.  The new shares
+    come in ascending x.
     """
     _check_threshold(k)
     share_list = sorted(shares, key=lambda s: s.x)
@@ -252,4 +253,4 @@ def refresh_shares(
     epoch = _common_epoch(share_list) + 1
     xs = [s.x for s in share_list]
     _check_xs(xs, prime)
-    return tuple(_blind(xs, xs, [s.y for s in share_list], k, seed, prime, epoch).values())
+    return tuple(_blind(xs, xs, [s.y for s in share_list], _draws(seed, k - 1, prime), prime, epoch).values())

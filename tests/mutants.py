@@ -115,8 +115,8 @@ MUTANTS = [
     Mutant(
         "leak-ignores-revocation",
         "src/councilnet/ledger.py",
-        "if nid in compromised and nid not in self.revoked:",
-        "if nid in compromised:",
+        "if nid in compromised and nid not in self.revoked]",
+        "if nid in compromised]",
         ("tests/test_ledger.py",),
     ),
     Mutant(
@@ -124,6 +124,34 @@ MUTANTS = [
         "src/councilnet/ledger.py",
         "        self.epoch += 1\n        self.leak(compromised)\n",
         "        self.epoch += 1\n",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "pending-blind-keeps-only-the-newest-draw",
+        "src/councilnet/ledger.py",
+        "self._pending = ([(a + b) % self.prime for a, b in zip(blind, draws)], count + 1)",
+        "self._pending = (draws, count + 1)",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "pending-blind-count-not-advanced",
+        "src/councilnet/ledger.py",
+        "zip(blind, draws)], count + 1)",
+        "zip(blind, draws)], count)",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "epoch-check-skipped-with-nothing-pending",
+        "src/councilnet/ledger.py",
+        "            for share in live:\n                if share.epoch != epoch:\n",
+        "            for share in ():\n                if share.epoch != epoch:\n",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "first-deferral-keeps-the-dict-a-caller-read",
+        "src/councilnet/ledger.py",
+        "            self._shares = dict(zip(holders, live))\n",
+        "            if self.revoked:\n                self._shares = dict(zip(holders, live))\n",
         ("tests/test_ledger.py",),
     ),
     Mutant(

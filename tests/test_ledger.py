@@ -25,11 +25,35 @@ LEDGER_STEPS = st.lists(
     max_size=14,
 )
 REFRESH = ("refresh", None)
+# Runs of one to six refreshes, each after up to two other steps; nothing
+# reads ``shares`` inside a run but ``issue``, which needs the current shares.
+OTHER_STEP = st.one_of(
+    st.tuples(st.just("issue"), NIDS),
+    st.tuples(st.just("revoke"), NIDS),
+    st.tuples(st.just("compromise"), st.frozensets(NIDS, max_size=3)),
+)
+UNREAD_RUN = st.lists(st.tuples(st.lists(OTHER_STEP, max_size=2), st.just(REFRESH)), min_size=1, max_size=6).map(
+    lambda slots: [step for others, refresh in slots for step in [*others, refresh]]
+)
 
 
 def council_of(n):
     heads = frozenset(range(1, n + 1))
     return Cluster(Council(heads, 1), frozenset(), frozenset(), n // 2 + 1)
+
+
+def apply_step(ledger, rng, compromised, op, arg):
+    """One step on ``ledger``; ``issue`` returns why it was refused, or None."""
+    if op == "issue":
+        return ledger.issue(arg, compromised)
+    if op == "revoke":
+        ledger.revoke(arg)
+    elif op == "compromise":
+        compromised |= arg
+        ledger.leak(arg)
+    else:
+        ledger.refresh(rng, compromised)
+    return None
 
 
 class TestIssue:
@@ -135,24 +159,92 @@ class TestRefreshAgainstOracle:
         ledger = ClusterLedger.split(council_of(n), prime, rng, compromised)
         oracle = OracleLedger.split(council_of(n), prime, oracle_rng, compromised)
         for i, (op, arg) in enumerate(steps):
-            if op == "issue":
-                assert ledger.issue(arg, compromised) == oracle.issue(arg, compromised)
-            elif op == "revoke":
-                ledger.revoke(arg)
-                oracle.revoke(arg)
-            elif op == "compromise":
-                compromised |= arg
-                ledger.leak(arg)
-                oracle.leak(arg)
-            else:
-                ledger.refresh(rng, compromised)
-                oracle.refresh(oracle_rng, compromised)
             where = f"step {i}: {op} {arg}"
+            refused = apply_step(ledger, rng, compromised, op, arg)
+            assert refused == apply_step(oracle, oracle_rng, compromised, op, arg), where
             assert ledger.shares == oracle.shares, where
             assert ledger.leaked == oracle.leaked, where
             assert ledger.revoked == oracle.revoked, where
             assert ledger.epoch == oracle.epoch, where
             assert rng.getstate() == oracle_rng.getstate(), where
+
+
+class TestUnreadRefreshes:
+    # A refresh folds its blind into a pending one and evaluates only the
+    # leaked shares; reading ``shares`` writes the pending blind.  These tests
+    # let the blind span several refreshes before anything reads it.
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([P, DEFAULT_PRIME, 2**64 - 59]),
+        st.integers(1, 8),
+        st.integers(0, 2**32),
+        st.frozensets(NIDS, max_size=3),
+        st.lists(UNREAD_RUN, min_size=1, max_size=4),
+    )
+    @example(prime=P, n=5, seed=4, compromised=frozenset({1, 3}), runs=[[REFRESH] * 6])
+    @example(prime=P, n=5, seed=5, compromised=frozenset({2}), runs=[[REFRESH, REFRESH, ("revoke", 2), REFRESH]])
+    def test_unread_refreshes_match_the_oracle_ledger(self, prime, n, seed, compromised, runs):
+        # The oracle rewrites every share on every refresh; the ledger under
+        # test is read only at the end of each run.
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        compromised = set(compromised)
+        ledger = ClusterLedger.split(council_of(n), prime, rng, compromised)
+        oracle = OracleLedger.split(council_of(n), prime, oracle_rng, compromised)
+        for r, run in enumerate(runs):
+            for i, (op, arg) in enumerate(run):
+                where = f"run {r} step {i}: {op} {arg}"
+                refused = apply_step(ledger, rng, compromised, op, arg)
+                assert refused == apply_step(oracle, oracle_rng, compromised, op, arg), where
+                if op == "refresh":
+                    assert ledger.leaked == oracle.leaked, where
+                    assert ledger.epoch == oracle.epoch, where
+                    assert rng.getstate() == oracle_rng.getstate(), where
+            assert ledger.shares == oracle.shares, f"end of run {r}"
+            assert ledger.revoked == oracle.revoked, f"end of run {r}"
+
+    def test_a_dict_read_from_shares_never_changes(self):
+        ledger = ClusterLedger.split(council_of(5), P, random.Random(3), {1})
+        rng = random.Random(4)
+        read = ledger.shares
+        kept = dict(read)
+        ledger.refresh(rng, {1})
+        ledger.refresh(rng, {1})
+        current = ledger.shares
+        assert read == kept
+        assert {s.epoch for s in current.values()} == {2}
+        ledger.refresh(rng, {1})
+        assert ledger.shares != current
+        assert read == kept and {s.epoch for s in current.values()} == {2}
+
+    def test_planted_epoch_after_unread_refreshes_is_refused(self):
+        ledger = ClusterLedger.split(council_of(3), P, random.Random(6), {1})
+        ledger.refresh(random.Random(7), {1})
+        ledger.refresh(random.Random(9), {1})
+        ledger.shares[2] = ledger.shares[2]._replace(epoch=0)
+        shares, leaked, epoch = dict(ledger.shares), dict(ledger.leaked), ledger.epoch
+        rng = random.Random(8)
+        state = rng.getstate()
+        with pytest.raises(MixedEpoch, match=r"^shares span epochs \[0, 2\]$"):
+            ledger.refresh(rng, {1})
+        # refused before any draw or write
+        assert (ledger.shares, ledger.leaked, ledger.epoch) == (shares, leaked, epoch)
+        assert rng.getstate() == state
+
+    def test_revoke_then_refresh_after_unread_refreshes_matches_the_oracle(self):
+        ledgers = [cls.split(council_of(5), P, random.Random(2), {1, 2}) for cls in (ClusterLedger, OracleLedger)]
+        rngs = [random.Random(5), random.Random(5)]
+        for ledger, rng in zip(ledgers, rngs):
+            ledger.refresh(rng, {1, 2})
+            ledger.refresh(rng, {1, 2})
+            ledger.revoke(2)
+            ledger.revoke(4)
+            ledger.refresh(rng, {1, 2})
+        ledger, oracle = ledgers
+        assert (ledger.leaked, ledger.epoch, ledger.revoked) == (oracle.leaked, oracle.epoch, oracle.revoked)
+        assert ledger.leaked[2].epoch == 2 and ledger.leaked[1].epoch == 3
+        assert ledger.shares == oracle.shares
+        assert sorted(ledger.shares) == [1, 3, 5]
 
 
 class TestRefreshChecksAfterTheFirst:

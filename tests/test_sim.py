@@ -211,7 +211,9 @@ def step_uncached(state, toggle=None, plans=None):
     fresh from a formation, gets every cluster's baseline first.  Each plan
     is appended to ``plans`` when it is given.  ``toggle``, None or a pair
     of nodes, is applied with ``toggled`` inside the same patch, so a
-    deferred build it reads is the oracle's too."""
+    deferred build it reads is the oracle's too.  The uncached copy never
+    defers a refresh's blind: the oracle's refresh reads ``live_shares()``
+    first, which writes any pending blind, and then assigns every share."""
     for ledger in state.share_ledger.values():
         ledger._checked = None
     if not state.memory.healths:
@@ -251,6 +253,62 @@ def assert_twins_agree(sc, toggles=()):
             where = f"round {cached.round}"
             assert [plan_decisions(p) for p in plans[0]] == [plan_decisions(p) for p in plans[1]], where
             assert_same_outputs(cached, uncached, where, Path(tmp))
+
+
+def assert_unread_twins_agree(sc, toggles=()):
+    """Run ``sc`` twice, the second copy through ``step_uncached``, and compare
+    after every round what a run reads without reading ``shares``: metrics,
+    the decision log and each ledger's leaked shares, epoch and revoked
+    holders.  The first copy's pending refresh blinds thus span rounds (a
+    dump reads ``shares`` and writes them), and the dumps are compared only
+    after the last round.  ``toggles`` is as for ``assert_twins_agree``."""
+    cached = initialize(sc)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "build_topology", graph_oracle.build_topology)
+        uncached = initialize(sc)
+
+    def ledgers(state):
+        return {cid: (l.leaked, l.epoch, l.revoked) for cid, l in state.share_ledger.items()}
+
+    while cached.round < sc.rounds and not cached.halted:
+        toggle = toggles[cached.round] if cached.round < len(toggles) else None
+        if toggle is not None:
+            cached.topology = toggled(cached.topology, *toggle)
+        step(cached)
+        step_uncached(uncached, toggle)
+        where = f"round {cached.round}"
+        assert cached.metrics == uncached.metrics, where
+        assert cached.decision_log == uncached.decision_log, where
+        assert ledgers(cached) == ledgers(uncached), where
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_outputs(cached, uncached, f"after round {cached.round}", Path(tmp))
+
+
+@st.composite
+def unread_refresh_runs(draw):
+    """An edge-list scenario that refreshes every round for 20 to 30 rounds
+    with an adversary, and at most two link toggles, each of which may
+    depart a holder and issue a share."""
+    n = draw(st.integers(2, 12))
+    t = random_connected(n, seed=draw(st.integers(0, 2**16)))
+    nids = sorted(t.nodes)
+    rounds = draw(st.integers(20, 30))
+    data = {
+        "seed": draw(st.integers(0, 3)),
+        "rounds": rounds,
+        "field_prime": draw(st.sampled_from([1009, DEFAULT_PRIME])),
+        "refresh_interval_rounds": 1,
+        "nodes": [{"nid": nid} for nid in nids],
+        "edges": sorted(t.edges),
+        "adversary": {
+            "compromise_round": draw(st.integers(1, 3)),
+            "nodes": draw(st.lists(st.sampled_from(nids), min_size=1, max_size=3)),
+        },
+    }
+    pairs = st.tuples(st.sampled_from(nids), st.sampled_from(nids)).filter(lambda uv: uv[0] != uv[1])
+    toggle_rounds = draw(st.sets(st.integers(0, rounds - 1), max_size=2))
+    toggles = [draw(pairs) if r in toggle_rounds else None for r in range(rounds)]
+    return scenario_from_dict(data), toggles
 
 
 def plan_decisions(plan):
@@ -894,6 +952,26 @@ class TestStep:
     @example((drifting_head_scenario(rounds=6), [None, (1, 2), None, None, None, None]))
     def test_small_runs_agree_with_every_cache_defeated(self, run_spec):
         assert_twins_agree(*run_spec)
+
+    @pytest.mark.parametrize("prime", [13, DEFAULT_PRIME])
+    @pytest.mark.parametrize(
+        "toggles", [[], [None, None, (2, 3), None, (6, 7), None, None]], ids=["still", "toggled"]
+    )
+    def test_unread_refreshes_agree_with_every_cache_defeated(self, prime, toggles):
+        # A refresh every round for 25 rounds, heads 1 and 6 (one in each
+        # council) held from round 2; the toggles move nodes between clusters.
+        adversary = {"compromise_round": 2, "nodes": [1, 6]}
+        data = {**STATIC_SEVEN, "rounds": 25, "field_prime": prime, "refresh_interval_rounds": 1, "adversary": adversary}
+        assert_unread_twins_agree(scenario_from_dict(data), toggles)
+
+    def test_benchmark_scale_unread_refreshes_agree_with_every_cache_defeated(self):
+        # static-5k refreshes its ~185 ledgers every round, every 7th node held
+        assert_unread_twins_agree(benchmark_scenario("static_5k", 1, rounds=20))
+
+    @settings(max_examples=25, deadline=None)
+    @given(unread_refresh_runs())
+    def test_small_unread_refresh_runs_agree_with_every_cache_defeated(self, run_spec):
+        assert_unread_twins_agree(*run_spec)
 
     def test_mobile_state_without_positions_is_refused(self):
         # node 5 needs more than one round to reach its waypoint
