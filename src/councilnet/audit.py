@@ -5,12 +5,14 @@ epoch.  Below k, every secret in GF(p) must stay consistent with the held
 shares; at k, exactly one must, and it must be the cluster's secret.  The
 count is computed in closed form, so the audit runs at every prime, over a
 live simulation or over a dumped state read through ``shamir``'s input rules.
+Each cluster's entry is a ``ClusterAudit`` named tuple, built once per cluster
+and round, and its anomalies go straight into the audit's one list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CouncilNetError, ValidationError
 from .phase1 import ClusterId
@@ -29,8 +31,7 @@ BRUTE_FORCE_LIMIT = 250_000
 SMALL_PRIME_LIMIT = 17
 
 
-@dataclass(frozen=True)
-class ClusterAudit:
+class ClusterAudit(NamedTuple):
     cluster_id: ClusterId
     compromised_head_count: int
     k: int
@@ -58,9 +59,9 @@ def _consistent_secret_count(held: Sequence[Share], k: int, prime: int) -> int:
     while fewer than k points are held.
     """
     points: dict[int, int] = {}
-    for s in held:
-        y = s.y % prime
-        if points.setdefault(s.x % prime, y) != y:
+    for x, y, _ in held:
+        y %= prime
+        if points.setdefault(x % prime, y) != y:
             return 0
     if len(points) < k:
         return 1 if 0 in points else prime
@@ -76,11 +77,12 @@ def _audit_cluster(
     epoch: int,
     secret: Optional[int],
     held: Sequence[Share],
-) -> tuple[ClusterAudit, list[str]]:
+    anomalies: list[str],
+) -> ClusterAudit:
+    """The cluster's entry; any anomaly is appended to ``anomalies``."""
     current = [s for s in held if s.epoch == epoch]
     count = len(current)
     breached = count >= k
-    anomalies: list[str] = []
     consistent = _consistent_secret_count(current, k, prime)
     if not breached:
         if consistent != prime:
@@ -95,7 +97,7 @@ def _audit_cluster(
             )
         if secret is not None and reconstruct(current[:k], k, prime) != secret:
             anomalies.append(f"cluster {cid}: breached reconstruction disagrees with the secret")
-    return ClusterAudit(cid, count, k, breached, consistent), anomalies
+    return ClusterAudit(cid, count, k, breached, consistent)
 
 
 def audit_secrecy(state: SimState) -> AuditResult:
@@ -105,9 +107,7 @@ def audit_secrecy(state: SimState) -> AuditResult:
     for cid, ledger in sorted(state.share_ledger.items()):
         leaked = ledger.leaked
         held = [leaked[nid] for nid in sorted(leaked)]
-        entry, extra = _audit_cluster(cid, ledger.k, ledger.prime, ledger.epoch, ledger.secret, held)
-        entries.append(entry)
-        anomalies.extend(extra)
+        entries.append(_audit_cluster(cid, ledger.k, ledger.prime, ledger.epoch, ledger.secret, held, anomalies))
     return AuditResult(tuple(entries), tuple(anomalies))
 
 
@@ -141,9 +141,7 @@ def audit_dump(payload: Mapping) -> AuditResult:
                     raise ValidationError(f"row (k, prime)=({row_k}, {row_prime}) != ({k}, {prime})")
                 held.append(Share(x, y, row_epoch))
             _check_read_shares(held, prime)
-            entry, extra = _audit_cluster(cid, k, prime, epoch, secret, held)
-            entries.append(entry)
-            anomalies.extend(extra)
+            entries.append(_audit_cluster(cid, k, prime, epoch, secret, held, anomalies))
     except (AttributeError, CouncilNetError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from None
     return AuditResult(tuple(entries), tuple(anomalies))

@@ -10,17 +10,21 @@ adversary already took is kept.
 A refresh checks the threshold and the holders' x coordinates once per
 membership: the verdicts are kept with the live holders until ``issue`` or
 ``revoke`` changes who holds a share, since a pure check over unchanged
-inputs keeps its verdict.  A refresh adds its blind's coefficients, mod p, to
-a pending blind and evaluates only the shares that leak; reading ``shares``
-writes the pending blind into every share with ``shamir``'s one kernel.  The
-epochs are checked by the refresh that starts a pending blind.
+inputs keeps its verdict.  A refresh adds its blind's coefficients, highest
+first and unreduced, to a pending blind and evaluates only the shares that
+leak; reading ``shares`` writes the pending blind into every share with
+``shamir``'s one kernel, which reduces each share once.  The epochs are checked
+by the refresh that starts a pending blind.  ``leak`` intersects the holders
+with the compromised nodes in one set operation, and takes out the revoked
+holders only when there are some.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import AbstractSet, Optional
+from operator import add
+from typing import AbstractSet, Collection, Optional
 
 from .graph import NodeId
 from .phase1 import ClusterId
@@ -53,7 +57,8 @@ class ClusterLedger:
     # x's; ``issue`` and ``revoke`` drop it.
     _checked: Optional[list[NodeId]] = field(default=None, init=False, repr=False, compare=False)
     # The blind ``_shares`` still owes: the coefficients of the refreshes since
-    # it was last written, summed mod p, and how many refreshes they fold in.
+    # it was last written, highest first and summed without reduction, and how
+    # many refreshes they fold in.
     _pending: Optional[tuple[list[int], int]] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -68,18 +73,18 @@ class ClusterLedger:
         ledger.leak(compromised)
         return ledger
 
-    def _current(self, nids: list[NodeId]) -> dict[NodeId, Share]:
+    def _current(self, nids: Collection[NodeId]) -> dict[NodeId, Share]:
         """The share each of ``nids`` holds now: the stored one plus any pending blind."""
-        stored = [self._shares[nid] for nid in nids]
+        shares = self._shares
         if self._pending is None:
-            return dict(zip(nids, stored))
-        blind, count = self._pending
-        return _blind(nids, [s.x for s in stored], [s.y for s in stored], blind, self.prime, stored[0].epoch + count)
+            return {nid: shares[nid] for nid in nids}
+        horner, count = self._pending
+        return _blind(nids, map(shares.__getitem__, nids), horner, self.prime, count)
 
     def _read(self) -> dict[NodeId, Share]:
         """``shares``, with the pending blind written into it in place."""
         if self._pending is not None:
-            self._shares.update(self._current(list(self._shares)))
+            self._shares.update(self._current(self._shares))
             self._pending = None
         return self._shares
 
@@ -92,7 +97,9 @@ class ClusterLedger:
 
     def leak(self, compromised: AbstractSet[NodeId]) -> None:
         """Hand the adversary the current share of each compromised live holder."""
-        held = [nid for nid in self._shares if nid in compromised and nid not in self.revoked]
+        held = self._shares.keys() & compromised
+        if held and self.revoked:
+            held -= self.revoked
         if held:
             self.leaked.update(self._current(held))
 
@@ -153,10 +160,11 @@ class ClusterLedger:
             self._pending = ([0] * (self.k - 1), 0)
         elif self.revoked:
             self._shares = {nid: shares[nid] for nid in holders}
-        blind, count = self._pending
+        horner, count = self._pending
         draws = _draws(rng.randrange(2**62), self.k - 1, self.prime)
-        self._pending = ([(a + b) % self.prime for a, b in zip(blind, draws)], count + 1)
-        self.revoked = set()
+        self._pending = (list(map(add, horner, reversed(draws))), count + 1)
+        if self.revoked:
+            self.revoked = set()
         self.epoch += 1
         self.leak(compromised)
 

@@ -8,8 +8,10 @@ Lagrange interpolation, fewer than k reveal nothing.  Shares carry an epoch
 counter so that proactive refreshes (adding a random zero-constant
 polynomial) invalidate stale material.  Each share-input rule is written
 once, here; a modulus is tested for primality where it enters the program.
-Splits and refreshes share one draw rule, ``_draws``, and one kernel, ``_blind``,
-which a ledger also runs once on the summed coefficients of several refreshes.
+Splits and refreshes share one draw rule, ``_draws``, which reseeds its scratch
+generator through the C base class, and one kernel, ``_blind``, which takes the
+shares as stored and the blind's coefficients highest first; a ledger also runs
+it on the unreduced sums of several refreshes' coefficients.
 """
 
 from __future__ import annotations
@@ -105,6 +107,9 @@ class _Scratch(threading.local):
 
 
 _scratch = _Scratch()
+# ``_random.Random.seed``: for an int seed ``random.Random.seed`` calls it and clears
+# ``gauss_next``, which ``getrandbits`` never reads.
+_seed = random.Random.__mro__[1].seed
 
 
 def _draws(seed: int, count: int, prime: int) -> list[int]:
@@ -113,7 +118,7 @@ def _draws(seed: int, count: int, prime: int) -> list[int]:
     if count == 0:
         return []
     rng = _scratch.rng
-    rng.seed(seed)
+    _seed(rng, seed)
     getrandbits, bits = rng.getrandbits, prime.bit_length()
     draws = []
     while len(draws) < count:
@@ -123,23 +128,22 @@ def _draws(seed: int, count: int, prime: int) -> list[int]:
     return draws
 
 
-def _blind(
-    keys: Iterable, xs: Sequence[int], ys: Iterable[int], coefficients: Sequence[int], prime: int, epoch: int
-) -> dict:
-    """The share (x, y + x * h(x), epoch) under each key, h(x) = c_1 + c_2 x + ...: a refresh
-    adds the zero-constant blind x * h(x) to checked shares of one epoch (or, h summed mod p,
-    of several refreshes at once), a split adds it to the secret.  Horner's rule runs over
-    exact integers, reduced once per share; ``tuple.__new__`` skips ``Share``'s ``__new__``.
+def _blind(keys: Iterable, shares: Iterable[Share], horner: Sequence[int], prime: int, bump: int) -> dict:
+    """The share (x, y + x * h(x), epoch + bump) under each key, for each (x, y, epoch) of
+    ``shares``, h(x) = c_1 + c_2 x + ... given highest first, as Horner's rule reads it: a
+    refresh adds the zero-constant blind x * h(x) to the shares of one epoch (or, with each
+    c summed, of several refreshes at once), a split adds it to the secret.  Horner's rule
+    runs over exact integers, reduced once per share, so unreduced sums give the same
+    shares; ``tuple.__new__`` skips ``Share``'s ``__new__``.
     """
-    blind = coefficients[::-1]
     new = tuple.__new__
-    shares = {}
-    for key, x, y in zip(keys, xs, ys):
+    blinded = {}
+    for key, (x, y, epoch) in zip(keys, shares):
         acc = 0
-        for c in blind:
+        for c in horner:
             acc = acc * x + c
-        shares[key] = new(Share, (x, (y + x * acc) % prime, epoch))
-    return shares
+        blinded[key] = new(Share, (x, (y + x * acc) % prime, epoch + bump))
+    return blinded
 
 
 def _check_xs(xs: Sequence[int], prime: int) -> None:
@@ -174,7 +178,8 @@ def split_secret(
     _check_element(secret, prime, "secret")
     _check_xs(xs, prime)
     xs = [x % prime for x in xs]
-    return tuple(_blind(xs, xs, itertools.repeat(secret), _draws(seed, k - 1, prime), prime, 0).values())
+    points = zip(xs, itertools.repeat(secret), itertools.repeat(0))
+    return tuple(_blind(xs, points, _draws(seed, k - 1, prime)[::-1], prime, 0).values())
 
 
 def _common_epoch(shares: Sequence[Share]) -> int:
@@ -250,7 +255,7 @@ def refresh_shares(
     share_list = sorted(shares, key=lambda s: s.x)
     if not share_list:
         raise IncompleteShareSet("refresh needs at least one share")
-    epoch = _common_epoch(share_list) + 1
+    _common_epoch(share_list)
     xs = [s.x for s in share_list]
     _check_xs(xs, prime)
-    return tuple(_blind(xs, xs, [s.y for s in share_list], _draws(seed, k - 1, prime), prime, epoch).values())
+    return tuple(_blind(xs, share_list, _draws(seed, k - 1, prime)[::-1], prime, 1).values())

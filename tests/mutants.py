@@ -115,8 +115,15 @@ MUTANTS = [
     Mutant(
         "leak-ignores-revocation",
         "src/councilnet/ledger.py",
-        "if nid in compromised and nid not in self.revoked]",
-        "if nid in compromised]",
+        "            held -= self.revoked\n",
+        "            pass\n",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "leak-shortcut-taken-while-one-holder-is-revoked",
+        "src/councilnet/ledger.py",
+        "if held and self.revoked:",
+        "if held and len(self.revoked) > 1:",
         ("tests/test_ledger.py",),
     ),
     Mutant(
@@ -129,15 +136,15 @@ MUTANTS = [
     Mutant(
         "pending-blind-keeps-only-the-newest-draw",
         "src/councilnet/ledger.py",
-        "self._pending = ([(a + b) % self.prime for a, b in zip(blind, draws)], count + 1)",
-        "self._pending = (draws, count + 1)",
+        "self._pending = (list(map(add, horner, reversed(draws))), count + 1)",
+        "self._pending = (draws[::-1], count + 1)",
         ("tests/test_ledger.py",),
     ),
     Mutant(
         "pending-blind-count-not-advanced",
         "src/councilnet/ledger.py",
-        "zip(blind, draws)], count + 1)",
-        "zip(blind, draws)], count)",
+        "reversed(draws))), count + 1)",
+        "reversed(draws))), count)",
         ("tests/test_ledger.py",),
     ),
     Mutant(
@@ -153,6 +160,20 @@ MUTANTS = [
         "            self._shares = dict(zip(holders, live))\n",
         "            if self.revoked:\n                self._shares = dict(zip(holders, live))\n",
         ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "kernel-drops-the-epoch-bump",
+        "src/councilnet/shamir.py",
+        "(y + x * acc) % prime, epoch + bump))",
+        "(y + x * acc) % prime, epoch))",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "singleton-refresh-reseeds",
+        "src/councilnet/shamir.py",
+        "    if count == 0:\n        return []\n",
+        "",
+        ("tests/test_ledger.py::TestFoldedBlinds",),
     ),
     Mutant(
         "partition-index-without-gateways",

@@ -86,6 +86,18 @@ def test_audit_reads_state_dump(tmp_path, capsys):
     assert "cluster 1: adversary holds 1 of k=2 shares -> safe" in captured.out
 
 
+def test_audit_of_the_mobile_demo_dump_prints_each_entry(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    argv = ["simulate", "--scenario", str(SCENARIOS / "mobile_demo.json"), "--out", str(tmp_path / "m.csv")]
+    assert main([*argv, "--state-out", str(state)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--state", str(state)]) == 0
+    assert capsys.readouterr().out == (
+        "cluster 1: adversary holds 1 of k=2 shares -> safe consistent_secrets=13\n"
+        "cluster 5: adversary holds 0 of k=1 shares -> safe consistent_secrets=13\n"
+    )
+
+
 def test_shares_split_and_reconstruct_round_trip(capsys):
     assert main(["shares", "split", "--secret", "6", "--n", "3", "--prime", "13", "--seed", "9"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from councilnet import shamir
 from councilnet.errors import DuplicateX, MixedEpoch
 from councilnet.ledger import ClusterLedger
 from councilnet.phase2 import Cluster, Council
@@ -245,6 +246,42 @@ class TestUnreadRefreshes:
         assert ledger.leaked[2].epoch == 2 and ledger.leaked[1].epoch == 3
         assert ledger.shares == oracle.shares
         assert sorted(ledger.shares) == [1, 3, 5]
+
+
+class TestFoldedBlinds:
+    # A refresh adds its coefficients, highest first and unreduced, to the
+    # pending blind, and the kernel reduces each share once; a k = 1 council
+    # has no coefficient to draw.
+
+    @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 2**64 - 59, P])
+    def test_three_hundred_unread_refreshes_match_the_oracle_ledger(self, prime):
+        rng, oracle_rng = random.Random(21), random.Random(21)
+        ledger = ClusterLedger.split(council_of(7), prime, rng, {2, 5})
+        oracle = OracleLedger.split(council_of(7), prime, oracle_rng, {2, 5})
+        for i in range(300):
+            ledger.refresh(rng, {2, 5})
+            oracle.refresh(oracle_rng, {2, 5})
+            assert ledger.leaked == oracle.leaked, f"refresh {i}"
+        assert rng.getstate() == oracle_rng.getstate()
+        assert ledger.epoch == oracle.epoch == 300
+        assert ledger.shares == oracle.shares
+        assert all(s.y < prime and s.epoch == 300 for s in ledger.shares.values())
+
+    def test_a_singleton_refresh_draws_one_seed_and_reseeds_nothing(self):
+        rng = random.Random(11)
+        ledger = ClusterLedger.split(council_of(1), DEFAULT_PRIME, rng, set())
+        (before,) = ledger.shares.values()
+        twin = random.Random()
+        for epoch in (1, 2, 3):
+            twin.setstate(rng.getstate())
+            scratch = shamir._scratch.rng.getstate()
+            ledger.refresh(rng, {1})
+            twin.randrange(2**62)
+            assert rng.getstate() == twin.getstate()
+            assert shamir._scratch.rng.getstate() == scratch
+            assert ledger.epoch == epoch
+            assert ledger.leaked == {1: Share(1, before.y, epoch)}
+        assert ledger.shares == {1: Share(1, before.y, 3)}
 
 
 class TestRefreshChecksAfterTheFirst:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from state_checks import check_state, formed_clusters
 
-from councilnet.audit import audit_dump, audit_secrecy
+from councilnet.audit import ClusterAudit, audit_dump, audit_secrecy
 from councilnet.errors import (
     DisconnectedTopology,
     ParseError,
@@ -1145,6 +1145,16 @@ class TestCompromiseAndAudit:
         assert not entry.breached
         assert entry.consistent_secrets == 13  # every candidate secret remains possible
         assert audit.ok
+
+    def test_audit_entries_keep_their_fields_and_refuse_writes(self):
+        state = initialize(scenario_from_dict(STATIC_SEVEN))
+        compromise(state, {1})
+        entry = {e.cluster_id: e for e in audit_secrecy(state).entries}[1]
+        assert ClusterAudit._fields == ("cluster_id", "compromised_head_count", "k", "breached", "consistent_secrets")
+        assert entry == ClusterAudit(1, 1, 2, False, 13)
+        with pytest.raises(AttributeError):
+            entry.breached = True
+        assert entry.breached is False
 
     def test_two_heads_reach_threshold(self):
         state = initialize(scenario_from_dict(STATIC_SEVEN))

@@ -36,14 +36,35 @@ Tier-1 runs it on 4 nodes (2,432 pairs) for two and three passes; CI runs
 (a) and (c) on 5 nodes (745,472 pairs) for three passes.  (b) and (d) fail
 today, through ROADMAP item 19's two defects, so their tests are strict
 xfails.
+
+``check_every_lattice_move(spacing, radius)`` runs the position path, which
+the edge-list graphs above never reach: it places nodes ``1..4`` on a 3×3
+lattice of the given spacing in every way (3,024 placements), keeps those
+connected under the radius and forms each with ``reform``.  Then it moves
+each node to each free lattice point and plans two HELLO passes over the
+moved disk topology, whose links stay unbuilt while it plans, and over an
+edge-list copy of its links; the plans and the ``verify_partition`` verdicts
+must agree.  Tier-1 runs it at spacing 0.1 and radius √0.02, the lattice's
+diagonal, which neither number gives exactly in binary (the rounded diagonal
+falls just outside the rounded radius); CI runs it at (1, 1), (0.1, 0.1),
+(0.3, 0.3·√2) and (1, 2).
 """
 
 import itertools
+import math
 
 import pytest
 
 from councilnet.errors import DisconnectedTopology
-from councilnet.graph import Topology, is_clique, is_connected, is_dominating_set, topology_from_edges
+from councilnet.graph import (
+    Topology,
+    build_topology,
+    is_clique,
+    is_connected,
+    is_dominating_set,
+    move_nodes,
+    topology_from_edges,
+)
 from councilnet.maintenance import PassMemory, plan_pass, reform
 from councilnet.phase1 import build_dominating_set, elect_heads, identify_gateways
 from councilnet.phase2 import cluster_form, verify_partition
@@ -231,3 +252,60 @@ def test_no_cluster_vanishes_without_a_reform():
 @pytest.mark.xfail(strict=True, reason=ITEM_19 + "a changed cluster logs local_update again on every later pass")
 def test_a_cluster_logs_only_when_its_health_changed():
     assert check_every_pass_pair(4, 3)[1]["d"] == []
+
+
+def plan_two_passes(t, p):
+    """The verdict on ``p`` over ``t``, then, for each of up to two HELLO
+    passes planned over ``t`` from a fresh memory, what the pass decided,
+    the memory it hands on and the verdict on its partition."""
+    seen = [verify_partition(t, p)]
+    memory = PassMemory()
+    for _ in range(2):
+        plan = plan_pass(t, p, memory, Scenario.gateway_threshold)
+        clean = plan.memory.clean
+        seen.append(
+            (
+                plan.departed,
+                plan.partition,
+                plan.joined,
+                plan.log,
+                plan.reforms,
+                plan.memory.healths,
+                plan.memory.missed,
+                None if clean is None else (clean[0] is t, clean[1]),
+                verify_partition(t, plan.partition),
+            )
+        )
+        if plan.reforms:
+            break
+        p, memory = plan.partition, plan.memory
+    return seen
+
+
+def check_every_lattice_move(spacing, radius):
+    """Check every single-node move of every connected placement of 4 nodes
+    on a 3×3 lattice; return the number of connected placements and of
+    passes planned over the moved disk topologies."""
+    lattice = [(i * spacing, j * spacing) for i in range(3) for j in range(3)]
+    placements = passes = 0
+    for spots in itertools.permutations(lattice, 4):
+        t = build_topology(list(enumerate(spots, 1)), radius)
+        if not is_connected(t):
+            continue
+        placements += 1
+        formed = reform(t)
+        for nid in range(1, 5):
+            for spot in lattice:
+                if spot in spots:
+                    continue
+                moved = move_nodes(t, {nid: spot})
+                on_disk = plan_two_passes(moved, formed)
+                assert "adj" not in vars(moved), (spots, nid, spot)  # planned from positions alone
+                twin = topology_from_edges(sorted(moved.nodes), sorted(moved.edges))
+                assert plan_two_passes(twin, formed) == on_disk, (spots, nid, spot)
+                passes += len(on_disk) - 1
+    return placements, passes
+
+
+def test_every_lattice_move_plans_alike_on_positions_and_links():
+    assert check_every_lattice_move(0.1, math.sqrt(0.02)) == (864, 32160)
