@@ -7,14 +7,14 @@ whose share is live.  Splitting, issuing, refreshing and compromising all
 apply it through ``leak``; a revoked share stops leaking, but a copy the
 adversary already took is kept.
 
-A refresh checks the threshold and the holders' x coordinates once per
-membership: the verdicts are kept with the live holders until ``issue`` or
-``revoke`` changes who holds a share, since a pure check over unchanged
-inputs keeps its verdict.  A refresh adds its blind's coefficients, highest
-first and unreduced, to a pending blind and evaluates only the shares that
-leak; reading ``shares`` writes the pending blind into every share with
-``shamir``'s one kernel, which reduces each share once.  The epochs are checked
-by the refresh that starts a pending blind.  ``leak`` intersects the holders
+A refresh adds its blind's coefficients, highest first and unreduced, to a
+pending blind and evaluates only the shares that leak; reading ``shares``
+writes the pending blind into every share, at the ledger's epoch, with
+``shamir``'s one kernel, which reduces each share once.  The pending blind is
+the ledger's one memo, under one rule: while a blind is pending, no reader
+holds the stored shares.  So a refresh checks k, the holders' x coordinates
+and their epoch, and moves the live shares to a dict of its own, only when
+no blind is pending or a holder is revoked.  ``leak`` intersects the holders
 with the compromised nodes in one set operation, and takes out the revoked
 holders only when there are some.
 """
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import AbstractSet, Collection, Optional
 
+from .errors import MixedEpoch
 from .graph import NodeId
 from .phase1 import ClusterId
 from .phase2 import Cluster
@@ -53,13 +54,9 @@ class ClusterLedger:
     shares: dict[NodeId, Share] = field(default_factory=dict)
     revoked: set[NodeId] = field(default_factory=set)
     leaked: dict[NodeId, Share] = field(default_factory=dict)
-    # The live holders in id order, as ``refresh`` last checked them and their
-    # x's; ``issue`` and ``revoke`` drop it.
-    _checked: Optional[list[NodeId]] = field(default=None, init=False, repr=False, compare=False)
     # The blind ``_shares`` still owes: the coefficients of the refreshes since
-    # it was last written, highest first and summed without reduction, and how
-    # many refreshes they fold in.
-    _pending: Optional[tuple[list[int], int]] = field(default=None, init=False, repr=False, compare=False)
+    # it was last written, highest first and summed without reduction.
+    _pending: Optional[list[int]] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def split(
@@ -78,13 +75,12 @@ class ClusterLedger:
         shares = self._shares
         if self._pending is None:
             return {nid: shares[nid] for nid in nids}
-        horner, count = self._pending
-        return _blind(nids, map(shares.__getitem__, nids), horner, self.prime, count)
+        return _blind(nids, map(shares.__getitem__, nids), self._pending, self.prime, self.epoch)
 
     def _read(self) -> dict[NodeId, Share]:
-        """``shares``, with the pending blind written into it in place."""
+        """``shares``, with the pending blind written into a new dict."""
         if self._pending is not None:
-            self._shares.update(self._current(self._shares))
+            self._shares = self._current(self._shares)
             self._pending = None
         return self._shares
 
@@ -120,7 +116,6 @@ class ClusterLedger:
             return f"{where}: cannot map node {nid} to a fresh share coordinate"
         self.shares[nid] = issue_share(live[: self.k], new_x, self.k, self.prime)
         self.revoked.discard(nid)
-        self._checked = None
         self.leak(compromised)
         return None
 
@@ -128,43 +123,35 @@ class ClusterLedger:
         """Exclude a departed holder's share from quorums until the next refresh."""
         if nid in self._shares:
             self.revoked.add(nid)
-            self._checked = None
 
     def refresh(self, rng: random.Random, compromised: AbstractSet[NodeId]) -> None:
         """Re-randomise the live shares into the next epoch; revoked ones die.
 
-        The live holders, sorted by id, and the checks of k and of their x
-        coordinates are kept from the last refresh unless a holder was
-        revoked or issued since, or the keys of ``shares`` changed.  With no
-        blind pending the epochs are checked, before any draw, and the live
-        shares move to a dict of their own, which no reader holds.  The draws
-        are added to the pending blind and only the shares ``leak`` hands
-        over are evaluated: a compromised holder's new share leaks, a
-        revoked holder's old copy stays.
+        With no blind pending, or a holder revoked, the live holders are
+        sorted by id, k, their x coordinates and their one epoch are checked
+        before any draw, and their shares move to a dict of their own, which
+        no reader holds; a blind starts only on shares at the ledger's epoch.
+        The draws are added to the pending blind and only the shares
+        ``leak`` hands over are evaluated: a compromised holder's new share
+        leaks, a revoked holder's old copy stays.
         """
-        shares, holders = self._shares, self._checked
-        if holders is None or self.revoked or list(shares) != holders:
+        if self._pending is None or self.revoked:
+            shares = self._shares
             holders = sorted(shares.keys() - self.revoked)
             if not holders:
                 return
             _check_threshold(self.k)
-            _check_xs([shares[nid].x for nid in holders], self.prime)
-            self._checked = holders
-        if self._pending is None:
             live = [shares[nid] for nid in holders]
-            epoch = live[0].epoch
-            for share in live:
-                if share.epoch != epoch:
-                    _common_epoch(live)  # raises MixedEpoch, naming the epochs
+            _check_xs([s.x for s in live], self.prime)
+            epoch = _common_epoch(live)
+            if self._pending is None:
+                if epoch != self.epoch:
+                    raise MixedEpoch(f"shares at epoch {epoch}, ledger at epoch {self.epoch}")
+                self._pending = [0] * (self.k - 1)
             self._shares = dict(zip(holders, live))
-            self._pending = ([0] * (self.k - 1), 0)
-        elif self.revoked:
-            self._shares = {nid: shares[nid] for nid in holders}
-        horner, count = self._pending
-        draws = _draws(rng.randrange(2**62), self.k - 1, self.prime)
-        self._pending = (list(map(add, horner, reversed(draws))), count + 1)
-        if self.revoked:
             self.revoked = set()
+        draws = _draws(rng.randrange(2**62), self.k - 1, self.prime)
+        self._pending = list(map(add, self._pending, reversed(draws)))
         self.epoch += 1
         self.leak(compromised)
 

@@ -10,8 +10,9 @@ polynomial) invalidate stale material.  Each share-input rule is written
 once, here; a modulus is tested for primality where it enters the program.
 Splits and refreshes share one draw rule, ``_draws``, which reseeds its scratch
 generator through the C base class, and one kernel, ``_blind``, which takes the
-shares as stored and the blind's coefficients highest first; a ledger also runs
-it on the unreduced sums of several refreshes' coefficients.
+shares as stored, the blind's coefficients highest first and the epoch it
+stamps; a ledger also runs it on the unreduced sums of several refreshes'
+coefficients, stamping its own epoch.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def _draws(seed: int, count: int, prime: int) -> list[int]:
     return draws
 
 
-def _blind(keys: Iterable, shares: Iterable[Share], horner: Sequence[int], prime: int, bump: int) -> dict:
-    """The share (x, y + x * h(x), epoch + bump) under each key, for each (x, y, epoch) of
+def _blind(keys: Iterable, shares: Iterable[Share], horner: Sequence[int], prime: int, epoch: int) -> dict:
+    """The share (x, y + x * h(x), ``epoch``) under each key, for each (x, y, old epoch) of
     ``shares``, h(x) = c_1 + c_2 x + ... given highest first, as Horner's rule reads it: a
     refresh adds the zero-constant blind x * h(x) to the shares of one epoch (or, with each
     c summed, of several refreshes at once), a split adds it to the secret.  Horner's rule
@@ -138,11 +139,11 @@ def _blind(keys: Iterable, shares: Iterable[Share], horner: Sequence[int], prime
     """
     new = tuple.__new__
     blinded = {}
-    for key, (x, y, epoch) in zip(keys, shares):
+    for key, (x, y, _) in zip(keys, shares):
         acc = 0
         for c in horner:
             acc = acc * x + c
-        blinded[key] = new(Share, (x, (y + x * acc) % prime, epoch + bump))
+        blinded[key] = new(Share, (x, (y + x * acc) % prime, epoch))
     return blinded
 
 
@@ -244,18 +245,19 @@ def refresh_shares(
 ) -> tuple[Share, ...]:
     """Proactively re-randomise the complete share set without moving the secret.
 
-    Adds a random degree-(k-1) polynomial with zero constant term and bumps
-    the epoch, so old and new shares can no longer be mixed.  Every call
-    checks k, the epochs and the x coordinates, then blinds every share
-    through ``_blind``, which ``ClusterLedger`` runs on its pending blinds
-    too; each new y depends only on its own x and the seed.  The new shares
-    come in ascending x.
+    Adds a random degree-(k-1) polynomial with zero constant term and moves
+    the shares to the next epoch, so old and new shares can no longer be
+    mixed.  Every call checks k, the epochs and the x coordinates, then
+    blinds every share through ``_blind``, stamping the common epoch + 1;
+    ``ClusterLedger`` runs that kernel on its pending blinds too, stamping
+    its own epoch.  Each new y depends only on its own x and the seed.  The
+    new shares come in ascending x.
     """
     _check_threshold(k)
     share_list = sorted(shares, key=lambda s: s.x)
     if not share_list:
         raise IncompleteShareSet("refresh needs at least one share")
-    _common_epoch(share_list)
+    epoch = _common_epoch(share_list)
     xs = [s.x for s in share_list]
     _check_xs(xs, prime)
-    return tuple(_blind(xs, share_list, _draws(seed, k - 1, prime)[::-1], prime, 1).values())
+    return tuple(_blind(xs, share_list, _draws(seed, k - 1, prime)[::-1], prime, epoch + 1).values())

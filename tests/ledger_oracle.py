@@ -1,16 +1,16 @@
-"""Ledger oracle: ``ClusterLedger.refresh`` as it stood before it kept its
-checked holders between refreshes, blinded the shares in one pass and
-deferred its blinds.
+"""Ledger oracle: ``ClusterLedger.refresh`` as it stood before it blinded the
+shares in one pass and deferred its blinds.
 
-``OracleLedger.refresh`` is that method verbatim: it lists the live holders
-on every call, re-randomises their shares through ``shamir_oracle``'s
-reference refresh, which reduces mod p at every Horner step, and maps each
-new share back to its holder by x.  It never defers a blind: it reads
-``live_shares()`` first, which writes any pending blind, and assigns every
-new share.  Splitting, issuing, revoking and leaking are the library's, so
-the property tests in ``test_ledger.py`` can run the same steps on both
-ledgers and require equal state, with or without reading ``shares`` between
-refreshes.
+``OracleLedger.refresh`` is that method verbatim: it lists and checks the
+live holders on every call, where the ledger checks them once per pending
+blind and again after a revocation, re-randomises their shares through
+``shamir_oracle``'s reference refresh, which reduces mod p at every Horner
+step, and maps each new share back to its holder by x.  It never defers a
+blind: it reads ``live_shares()`` first, which writes any pending blind, and
+assigns every new share.  Splitting, issuing, revoking and leaking are the
+library's, so the property tests in ``test_ledger.py`` can run the same
+steps on both ledgers and require equal state, with or without reading
+``shares`` between refreshes.
 """
 
 import random

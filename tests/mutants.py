@@ -136,22 +136,15 @@ MUTANTS = [
     Mutant(
         "pending-blind-keeps-only-the-newest-draw",
         "src/councilnet/ledger.py",
-        "self._pending = (list(map(add, horner, reversed(draws))), count + 1)",
-        "self._pending = (draws[::-1], count + 1)",
-        ("tests/test_ledger.py",),
-    ),
-    Mutant(
-        "pending-blind-count-not-advanced",
-        "src/councilnet/ledger.py",
-        "reversed(draws))), count + 1)",
-        "reversed(draws))), count)",
+        "self._pending = list(map(add, self._pending, reversed(draws)))",
+        "self._pending = draws[::-1]",
         ("tests/test_ledger.py",),
     ),
     Mutant(
         "epoch-check-skipped-with-nothing-pending",
         "src/councilnet/ledger.py",
-        "            for share in live:\n                if share.epoch != epoch:\n",
-        "            for share in ():\n                if share.epoch != epoch:\n",
+        "epoch = _common_epoch(live)",
+        "epoch = live[0].epoch",
         ("tests/test_ledger.py",),
     ),
     Mutant(
@@ -162,10 +155,17 @@ MUTANTS = [
         ("tests/test_ledger.py",),
     ),
     Mutant(
-        "kernel-drops-the-epoch-bump",
-        "src/councilnet/shamir.py",
-        "(y + x * acc) % prime, epoch + bump))",
-        "(y + x * acc) % prime, epoch))",
+        "revocation-under-a-pending-blind-skips-the-check-branch",
+        "src/councilnet/ledger.py",
+        "if self._pending is None or self.revoked:",
+        "if self._pending is None:",
+        ("tests/test_ledger.py",),
+    ),
+    Mutant(
+        "blind-starts-on-shares-at-another-epoch",
+        "src/councilnet/ledger.py",
+        "if epoch != self.epoch:",
+        "if False:",
         ("tests/test_ledger.py",),
     ),
     Mutant(

@@ -3,7 +3,7 @@
 ``check_state`` is called after each ``step`` by the property runs and the
 benchmark-scale run in ``test_sim``: the partition's indexes, the in-touch
 scan's preconditions, the pass memory, and the share ledgers'
-agreement with their councils and secrets.
+agreement with their councils, secrets, holders' ids and epochs.
 """
 
 from councilnet.audit import audit_secrecy
@@ -61,6 +61,11 @@ def check_state(state, formed):
         ledger = state.share_ledger[c.cluster_id]
         at = f"{where}, cluster {c.cluster_id}"
         assert c.k == ledger.k, at
+        # Every stored share, a revoked holder's too, lies at its holder's
+        # id (the loader and --prime put the prime above every id) and at
+        # the ledger's epoch.
+        for nid, share in ledger.shares.items():
+            assert (share.x, share.epoch) == (nid, ledger.epoch), f"{at}, holder {nid}"
         # Every live share lies on the polynomial through the first k,
         # which opens to the secret; so every k-subset of them does.
         # (Enumerating the subsets directly reaches C(19, 10) a round.)

@@ -217,6 +217,35 @@ class TestUnreadRefreshes:
         ledger.refresh(rng, {1})
         assert ledger.shares != current
         assert read == kept and {s.epoch for s in current.values()} == {2}
+        # nor does any later revocation, leak, refresh or issue
+        ledger.revoke(2)
+        ledger.leak({4})
+        ledger.refresh(rng, {1, 4})
+        assert ledger.issue(2, {1, 4}) is None
+        ledger.refresh(rng, {1, 4})
+        assert read == kept and {s.epoch for s in current.values()} == {2}
+
+    def test_writes_to_a_dict_read_before_a_refresh_reach_no_later_share(self):
+        # A twin ledger runs the same calls; only the first ledger's dict,
+        # read before its refresh, is written to after it.
+        ledgers = [ClusterLedger.split(council_of(5), P, random.Random(3), {1}) for _ in range(2)]
+        rngs = [random.Random(4), random.Random(4)]
+        read = ledgers[0].shares
+        for ledger, rng in zip(ledgers, rngs):
+            ledger.refresh(rng, {1})
+        read[1] = read[1]._replace(y=(read[1].y + 1) % P)
+        read[9] = Share(9, 0, 0)
+        del read[3]
+        for ledger, rng in zip(ledgers, rngs):
+            ledger.leak({5})
+            ledger.refresh(rng, {1, 5})
+            ledger.revoke(2)
+            ledger.refresh(rng, {1, 5})
+            assert ledger.issue(2, {1, 5}) is None
+        ledger, twin = ledgers
+        assert ledger.leaked == twin.leaked
+        assert ledger.shares == twin.shares
+        assert sorted(ledger.shares) == [1, 2, 3, 4, 5]
 
     def test_planted_epoch_after_unread_refreshes_is_refused(self):
         ledger = ClusterLedger.split(council_of(3), P, random.Random(6), {1})
@@ -293,6 +322,22 @@ class TestRefreshChecksAfterTheFirst:
         rng = random.Random(8)
         state = rng.getstate()
         with pytest.raises(MixedEpoch, match=r"^shares span epochs \[0, 1\]$"):
+            ledger.refresh(rng, {1})
+        # refused before any draw or write
+        assert (ledger.shares, ledger.leaked, ledger.epoch) == (shares, leaked, epoch)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("stored", [0, 2])
+    def test_shares_at_another_epoch_than_the_ledgers_are_refused(self, stored):
+        # A blind stamps the ledger's epoch, so it starts only on shares at
+        # that epoch, whether they lag behind it or run ahead.
+        ledger = ClusterLedger.split(council_of(3), P, random.Random(6), {1})
+        ledger.refresh(random.Random(7), {1})
+        ledger.shares = {nid: s._replace(epoch=stored) for nid, s in ledger.shares.items()}
+        shares, leaked, epoch = dict(ledger.shares), dict(ledger.leaked), ledger.epoch
+        rng = random.Random(8)
+        state = rng.getstate()
+        with pytest.raises(MixedEpoch, match=rf"^shares at epoch {stored}, ledger at epoch 1$"):
             ledger.refresh(rng, {1})
         # refused before any draw or write
         assert (ledger.shares, ledger.leaked, ledger.epoch) == (shares, leaked, epoch)

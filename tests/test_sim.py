@@ -203,19 +203,17 @@ def recording(planner, plans):
 
 def step_uncached(state, toggle=None, plans=None):
     """Step ``state`` with every cache defeated and three layers run by the
-    tests' oracles: no refresh memo in any ledger; each link build the
-    all-pairs one (``graph_oracle``), each maintenance pass planned by the
-    reference planner (``sim_oracle``: the per-node in-touch scan, a health
-    for every cluster, no quiet pass and the partition checked on every
-    pass) and each refresh the ledger oracle's.  A state with no health,
-    fresh from a formation, gets every cluster's baseline first.  Each plan
-    is appended to ``plans`` when it is given.  ``toggle``, None or a pair
-    of nodes, is applied with ``toggled`` inside the same patch, so a
-    deferred build it reads is the oracle's too.  The uncached copy never
-    defers a refresh's blind: the oracle's refresh reads ``live_shares()``
-    first, which writes any pending blind, and then assigns every share."""
-    for ledger in state.share_ledger.values():
-        ledger._checked = None
+    tests' oracles: each link build the all-pairs one (``graph_oracle``),
+    each maintenance pass planned by the reference planner (``sim_oracle``:
+    the per-node in-touch scan, a health for every cluster, no quiet pass
+    and the partition checked on every pass) and each refresh the ledger
+    oracle's.  A state with no health, fresh from a formation, gets every
+    cluster's baseline first.  Each plan is appended to ``plans`` when it
+    is given.  ``toggle``, None or a pair of nodes, is applied with
+    ``toggled`` inside the same patch, so a deferred build it reads is the
+    oracle's too.  The uncached copy keeps no refresh memo: the oracle's
+    refresh reads ``live_shares()`` first, which writes any pending blind,
+    then checks the live holders anew and assigns every share."""
     if not state.memory.healths:
         state.memory = state.memory._replace(healths=oracle.baselines(state.partition))
     planner = oracle.plan_pass if plans is None else recording(oracle.plan_pass, plans)
