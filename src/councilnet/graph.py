@@ -13,11 +13,16 @@ answers which of them a node is adjacent to.  It belongs to the caller
 that built it.
 
 Every disk topology is a ``_DiskTopology``.  ``build_topology`` returns one
-with its links built; ``move_nodes`` returns one whose links are built in
-full, by ``build_topology`` from its positions, on the first read of
-``adj``, which a formation, ``edges``, ``neighbors`` and the graph checks
-make.  That build is idempotent (two racing reads build equal links) and
-never touches the topology moved from.  A disk topology answers
+with its links built; ``move_nodes`` returns one whose links are built on
+the first read of ``adj``, which a formation, ``edges``, ``neighbors`` and
+the graph checks make.  That build starts from the last topology with
+built links that it was moved from, when the engine built that one: it
+tests only the pairs with a node whose position changed since, and takes
+every other link from there.  From a hand-assembled topology it is a full
+``build_topology``, with every check.  Either way it is idempotent (two
+racing reads build equal links), never touches the topology moved from,
+and may list a node's links in another order than a full build, which no
+reader of ``adj`` depends on.  A disk topology answers
 ``hearing_none`` and the lookups of a ``neighbor_index`` from its
 positions, with the build's distance test, built or not, so neither the
 in-touch scan nor a partition check builds neighbour sets.
@@ -37,7 +42,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import AbstractSet, Collection, Container, Iterable, Mapping, Optional, Sequence
 
@@ -101,7 +106,8 @@ class Topology:
 class _DiskTopology(Topology):
     """A topology whose links are its positions' disk links.  Those of one
     from ``build_topology`` are built; those of one from ``move_nodes`` are
-    built in full on the first read of ``adj``.  ``nodes``,
+    built on the first read of ``adj``, from the topology it was moved from
+    if the engine built that one, else in full.  ``nodes``,
     ``hearing_none`` and ``neighbor_index`` come from the positions alone,
     with the build's distance test, and build nothing; the links give the
     same answers, since the build applies that test to the same positions.
@@ -112,16 +118,30 @@ class _DiskTopology(Topology):
     """
 
     # Set only by ``move_nodes``: the last topology with built links that
-    # this one was moved from, held until this one's links are built.  Most
-    # mobile rounds move the topology and never read its links; were the old
-    # topology dropped at the move, each such round would pay to free its
-    # links and their cached ``edges``.  Held, they are freed in the round
-    # that builds the new links.
+    # this one was moved from, held until this one's links are built, and
+    # the base of that build if the engine built it.  Most mobile rounds
+    # move the topology and never read its links; were the old topology
+    # dropped at the move, each such round would pay to free its links and
+    # their cached ``edges``.  Held, they are freed in the round that builds
+    # the new links.
     _last_built: Optional[Topology] = None
+
+    # Set only where the engine sweeps the links, by ``build_topology`` and
+    # by a build from a base: what that sweep leaves for the next one.  A
+    # topology without it is never a base.
+    _swept: Optional[_Swept] = None
 
     @cached_property
     def adj(self) -> Mapping[NodeId, Collection[NodeId]]:
-        links = build_topology(self.positions.items(), self.radius).adj
+        base = self._last_built
+        if getattr(base, "_swept", None) is None:
+            # No base: a hand-assembled topology's positions may never have
+            # been checked, so the build checks every one.
+            links = build_topology(self.positions.items(), self.radius).adj
+        else:
+            # Racing reads keep the first sweep, so links and record agree.
+            swept = _link_strips(self.positions, self._cell, self.radius * self.radius, base)
+            links = vars(self).setdefault("_swept", swept)[0]
         object.__setattr__(self, "_last_built", None)
         return links
 
@@ -301,7 +321,8 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
 
     Each id, position and the radius are checked by the module's input
     rules (``ValueError`` naming the node or the radius), positions as
-    ``move_nodes`` checks its updates.
+    ``move_nodes`` checks its updates.  The topology returned keeps what
+    its sweep leaves, so a topology moved from it builds from its links.
     """
     r = _checked_radius(radius)
     positions: dict[NodeId, Position] = {}
@@ -309,60 +330,118 @@ def build_topology(node_specs: Sequence[tuple[NodeId, Position]], radius: float)
         _check_nid(nid, positions)
         positions[nid] = _checked_position(nid, pos)
     span = _span_of(positions)
-    cell = _cell_width(r, span)
-    adj: dict[NodeId, list[NodeId]] = {nid: [] for nid in positions}
-    _link_strips(positions, adj, cell, r * r)
-    for u, vs in adj.items():
-        adj[u] = tuple(vs)
-    built = _DiskTopology(adj, positions, r)
+    swept = _link_strips(positions, _cell_width(r, span), r * r)
+    built = _DiskTopology(swept[0], positions, r)
     object.__setattr__(built, "_span", span)  # for every index built on it
+    object.__setattr__(built, "_swept", swept)  # a base for its moved copies
     return built
+
+
+# What a sweep leaves for the next one: its links, its stale nodes at their
+# positions, and for each other node the number of links at the front of its
+# tuple that join it to other non-stale nodes.
+_Swept = tuple[dict[NodeId, tuple[NodeId, ...]], Mapping[NodeId, Position], dict[NodeId, int]]
 
 
 def _link_strips(
     positions: Mapping[NodeId, Position],
-    adj: Mapping[NodeId, list[NodeId]],
     cell: float,
     r2: float,
-) -> None:
-    """Append each pair of ``positions`` within the disk of squared radius
-    ``r2`` to both nodes' lists in ``adj``, sweeping strips of height
-    ``cell`` sorted by x.  The strips live only in this call, so the lists
-    are the last references to themselves once it returns."""
-    # Each strip lists its nodes as (x, y, nid, the node's neighbour list).
-    strips: dict[int, list[tuple[float, float, NodeId, list[NodeId]]]] = {}
-    for nid, (x, y) in positions.items():
-        key = math.floor(y / cell)
-        nodes = strips.get(key)
-        if nodes is None:
-            nodes = strips[key] = []
-        nodes.append((x, y, nid, adj[nid]))
-    xs_of: dict[int, list[float]] = {}
-    for key, nodes in strips.items():
-        nodes.sort(key=itemgetter(0))
-        xs_of[key] = [node[0] for node in nodes]
+    base: Optional[_DiskTopology] = None,
+) -> _Swept:
+    """The disk links of ``positions`` at squared radius ``r2``, each node
+    mapped, in ``positions``' order, to a tuple of its neighbours, with what
+    a later sweep from them reads.  Every disk build is this sweep.
+
+    With no ``base`` every node is stale: every pair is tested, as
+    ``build_topology`` describes.  ``base`` is a topology that the engine
+    built from the same nodes in the same order.  A node is stale when its
+    position object is not the base's, and every link between two other
+    nodes is the base's: each such node's tuple lists those links first.
+    If the base's stale nodes were the same, the base recorded how many
+    that is, and the front of its tuple is sliced off; otherwise the stale
+    ids are dropped from its whole tuple.  Then only the pairs with a stale
+    node are tested: the stale nodes sweep their own strips, and each tests
+    the other nodes' strips below, level with and above its own.  Nothing
+    here checks a position: a base's nodes were checked where they entered,
+    by its build or by ``move_nodes``."""
+    if base is None:
+        stale, front = positions, {}
+        found: dict[NodeId, list[NodeId]] = {nid: [] for nid in positions}
+    else:
+        old, old_stale, front = base._swept
+        stale = {u: pos for (u, pos), was in zip(positions.items(), base.positions.values()) if pos is not was}
+        if stale.keys() == old_stale.keys():
+            found = {u: [] if u in stale else list(old[u][: front[u]]) for u in positions}
+        else:
+            found = {u: [] if u in stale else list(filterfalse(stale.__contains__, old[u])) for u in positions}
+            front = {u: len(vs) for u, vs in found.items() if u not in stale}
+    # ``front``'s keys are now the non-stale nodes, each counting the links
+    # already in that node's list.
+    _sweep(
+        _strips(stale.items(), found, cell),
+        _strips(((u, positions[u]) for u in front), found, cell),
+        cell,
+        r2,
+    )
+    # The strips lived only in that call, so each list is freed as its tuple
+    # is made.
+    for u, vs in found.items():
+        found[u] = tuple(vs)
+    return found, stale, front
+
+
+def _sweep(strips: dict, kept: dict, cell: float, r2: float) -> None:
+    """Append each pair within the disk of squared radius ``r2`` that has a
+    node in ``strips`` to both nodes' lists: each such node is tested
+    against the nodes after it in its strip, those of the strip above, and
+    those of ``kept``'s strips below, level with and above its own, each
+    within a strip height of its x.  Both are ``_strips`` of height
+    ``cell``."""
     # Each window keeps the nodes at exactly ``ux ± cell`` (``bisect_right``
     # above, ``bisect_left`` below).  The bound is rounded, and where the
     # coordinates' ulps are coarse beside the radius it can round to a node
     # less than a cell from ``ux``, which may be linked: at 1e12 and radius
     # 1e-3, 1e12 + cell rounds to 8 ulps, 0.98 r, past 1e12.
-    for key, us in strips.items():
-        xs = xs_of[key]
-        above = strips.get(key + 1, ())
-        above_xs = xs_of.get(key + 1, ())
+    for key, (us, xs) in strips.items():
+        above, above_xs = strips.get(key + 1, ((), ()))
+        windows = [kept[k] for k in (key - 1, key, key + 1) if k in kept]
         lo = 0
         for i, (ux, uy, u, u_links) in enumerate(us):
-            # the nodes after u in its strip, then the strip above's window
+            # the nodes after u in its strip, the strip above's window, then
+            # the windows of the kept strips below, level and above
             near = us[i + 1:bisect_right(xs, ux + cell, i + 1)]
             if above:
                 lo = bisect_left(above_xs, ux - cell, lo)
                 near += above[lo:bisect_right(above_xs, ux + cell, lo)]
+            for vs, vxs in windows:
+                near += vs[bisect_left(vxs, ux - cell):bisect_right(vxs, ux + cell)]
             for vx, vy, v, v_links in near:
                 dx = ux - vx
                 dy = uy - vy
                 if dx * dx + dy * dy <= r2:
                     u_links.append(v)
                     v_links.append(u)
+
+
+def _strips(
+    nodes: Iterable[tuple[NodeId, Position]],
+    lists: Mapping[NodeId, list[NodeId]],
+    cell: float,
+) -> dict[int, tuple[list[tuple[float, float, NodeId, list[NodeId]]], list[float]]]:
+    """``nodes`` in horizontal strips ``cell`` tall: each strip's entries
+    ``(x, y, nid, the node's list in lists)``, sorted by x, and their xs."""
+    strips: dict = {}
+    for nid, (x, y) in nodes:
+        key = math.floor(y / cell)
+        entries = strips.get(key)
+        if entries is None:
+            entries = strips[key] = []
+        entries.append((x, y, nid, lists[nid]))
+    for key, entries in strips.items():
+        entries.sort(key=itemgetter(0))
+        strips[key] = entries, [entry[0] for entry in entries]
+    return strips
 
 
 def _span_of(positions: Mapping[NodeId, Position]) -> float:
@@ -453,10 +532,15 @@ def move_nodes(t: Topology, updates: Mapping[NodeId, Position]) -> _DiskTopology
     The moved ids and positions are checked here, as ``build_topology``
     checks them (the id rule runs only for a mover that is no plain int or
     not in ``t``); an id outside ``t`` raises ``UnknownNode``.  All checks
-    run before anything is built.  The links are built in full on the first
-    read of ``adj``, by ``build_topology`` from the moved positions, so they
-    agree with the lookups whatever ``t`` was: no link of a hand-assembled
-    ``t`` is carried.  ``t`` is not modified.
+    run before anything is built.  The links are built on the first read of
+    ``adj``.  When the engine built the links of ``t``, or of the topology
+    ``t`` was moved from, the build tests only the pairs with a node moved
+    since and takes every other link from those links; each position was
+    checked where it entered, and none is checked again.  From a
+    hand-assembled ``t``, and from any topology moved on from it, the links
+    are built in full, by ``build_topology`` from the moved positions with
+    every check, so they agree with the lookups whatever ``t`` was: no link
+    of such a ``t`` is carried.  ``t`` is not modified.
 
     The moved topology carries a bound on its span for the cell width of its
     indexes: the larger of ``t``'s span and the movers' new |coordinates|,

@@ -113,6 +113,34 @@ MUTANTS = [
         ("tests/test_graph.py",),
     ),
     Mutant(
+        "front-sliced-when-the-stale-sets-differ",
+        "src/councilnet/graph.py",
+        "if stale.keys() == old_stale.keys():",
+        "if len(stale) == len(old_stale):",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "hand-assembled-base-reused",
+        "src/councilnet/graph.py",
+        'if getattr(base, "_swept", None) is None:',
+        "if base is None:",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "kept-windows-skip-the-strip-below",
+        "src/councilnet/graph.py",
+        "for k in (key - 1, key, key + 1) if k in kept]",
+        "for k in (key, key + 1) if k in kept]",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "front-one-link-short",
+        "src/councilnet/graph.py",
+        "list(old[u][: front[u]])",
+        "list(old[u][: front[u] - 1])",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
         "leak-ignores-revocation",
         "src/councilnet/ledger.py",
         "            held -= self.revoked\n",

@@ -313,6 +313,34 @@ def strip_lattices(draw):
     return list(zip(nids, points)), radius
 
 
+def check_chained_moves(n, seed, steps=10):
+    """Place ``n`` nodes as ``random_connected(n, seed)`` does, at 1.3 times
+    its radius, and chain ``steps`` moves of the same 2% of them, ``steps``
+    of the same 30%, then one of another 30%, each node moving up to a
+    quarter radius along each axis.  Each moved topology's links are read as
+    it is made, and must be those of a fresh build of its positions.
+    Returns, for each build, whether it sliced the front the last build
+    recorded ("prefix") or dropped the stale ids from whole tuples
+    ("filter")."""
+    first = random_connected(n, seed=seed)
+    radius = 1.3 * first.radius
+    t = build_topology(list(first.positions.items()), radius)
+    rng = random.Random(seed)
+    nodes = sorted(t.nodes)
+    few, many = rng.sample(nodes, n // 50), rng.sample(nodes, n * 3 // 10)
+    step = radius / 4
+    paths = []
+    for movers in [few] * steps + [many] * steps + [rng.sample(nodes, len(many))]:
+        updates = {}
+        for nid in movers:
+            x, y = t.positions[nid]
+            updates[nid] = (x + rng.uniform(-step, step), y + rng.uniform(-step, step))
+        last, t = t, move_nodes(t, updates)
+        assert links(t) == links(build_topology(list(t.positions.items()), radius))
+        paths.append("prefix" if t._swept[2] is last._swept[2] else "filter")
+    return paths
+
+
 class TestBuildTopology:
     def test_boundary_distance_is_inclusive(self):
         t = build_topology([(1, (0.0, 0.0)), (2, (5.0, 0.0))], radius=5.0)
@@ -755,24 +783,52 @@ class TestMoveNodes:
         assert (links(moved), moved.positions, moved.radius) == (links(full), full.positions, full.radius)
 
     def test_a_moved_topology_builds_once_in_full_when_read(self, monkeypatch):
-        # Neither moved topology is read until the second: reading it makes
-        # one full build, from its positions and radius alone.
-        calls = []
-        build = build_topology
+        # Neither moved topology is read until the second: reading it sweeps
+        # once, from the built topology that it holds, and leaves that one's
+        # links and positions as they were.
+        builds, sweeps = [], []
+        build, sweep = build_topology, graph._link_strips
 
-        def counted(*args, **kwargs):
-            calls.append((args[2:], kwargs))
+        def counted_build(*args, **kwargs):
+            builds.append(args)
             return build(*args, **kwargs)
 
+        def counted_sweep(positions, cell, r2, base=None):
+            sweeps.append(base)
+            return sweep(positions, cell, r2, base)
+
         first = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (9.0, 0.0))], 2.0)
-        monkeypatch.setattr(graph, "build_topology", counted)
+        before = {u: tuple(vs) for u, vs in first.adj.items()}, dict(first.positions)
+        monkeypatch.setattr(graph, "build_topology", counted_build)
+        monkeypatch.setattr(graph, "_link_strips", counted_sweep)
         middle = move_nodes(first, {3: (8.0, 0.0)})
         last = move_nodes(middle, {3: (7.0, 0.0)})
         assert last.neighbor_index({2, 3}).near(1) == {2} and last.hearing_none([1, 3], {1, 2}) == [3]
-        assert calls == []
+        assert builds == sweeps == []
         assert links(last) == {1: {2}, 2: {1}, 3: set()}
-        assert calls == [((), {})]
+        assert builds == [] and len(sweeps) == 1 and sweeps[0] is first
         assert "adj" not in vars(middle)
+        assert (first.adj, first.positions) == before
+
+    def test_a_moved_hand_assembled_topology_checks_every_position_when_read(self):
+        # Node 2 never moves, and its position was never checked: a
+        # hand-assembled topology is no base, so reading a moved copy's links
+        # builds them in full and refuses node 2 by the position rule, as
+        # does reading the links of a copy moved on from that one.
+        built = build_topology([(1, (0.0, 0.0)), (2, (1.0, 0.0)), (3, (2.0, 0.0))], 1.5)
+        for bad in [("east", 0.0), (math.nan, 0.0), (10**400, 0), "12"]:
+            hand = Topology(built.adj, {**built.positions, 2: bad}, built.radius)
+            moved = move_nodes(hand, {3: (2.5, 0.0)})
+            again = move_nodes(moved, {1: (0.5, 0.0)})
+            for t in (again, moved):
+                with pytest.raises(ValueError, match="node 2 "):
+                    t.adj
+
+    def test_chains_of_moves_build_a_full_build_s_links(self):
+        # Each build reads the last one's links: the same movers again slice
+        # the front it recorded, and any other movers, the same number of
+        # them included, are dropped from whole tuples.
+        assert check_chained_moves(300, seed=3, steps=3) == ["filter", "prefix", "prefix"] * 2 + ["filter"]
 
     def test_a_chain_of_unread_moves_holds_one_built_topology(self):
         # Each moved topology holds the last topology with built links that

@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import itertools
 import json
@@ -201,6 +202,35 @@ def recording(planner, plans):
     return plan_pass
 
 
+def refused_sweep(*args):
+    raise AssertionError("the uncached copy entered the engine's disk sweep")
+
+
+def sweep_paths(paths):
+    """The engine's disk sweep, counting in ``paths`` each build by the path
+    it took: "full" with no base, "prefix" when it sliced the fronts its
+    base recorded, and "filter" when it dropped the stale ids from the
+    base's whole tuples."""
+    sweep = graph._link_strips
+
+    def counted(positions, cell, r2, base=None):
+        swept = sweep(positions, cell, r2, base)
+        paths["full" if base is None else "prefix" if swept[2] is base._swept[2] else "filter"] += 1
+        return swept
+
+    return counted
+
+
+def initialize_uncached(sc):
+    """``initialize(sc)`` with the all-pairs build in place of the engine's:
+    its topology carries no record of a sweep, so no move from it, or from
+    a topology moved from it, is ever built from a base."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "build_topology", graph_oracle.build_topology)
+        m.setattr(graph, "_link_strips", refused_sweep)
+        return initialize(sc)
+
+
 def step_uncached(state, toggle=None, plans=None):
     """Step ``state`` with every cache defeated and three layers run by the
     tests' oracles: each link build the all-pairs one (``graph_oracle``),
@@ -211,14 +241,16 @@ def step_uncached(state, toggle=None, plans=None):
     cluster's baseline first.  Each plan is appended to ``plans`` when it
     is given.  ``toggle``, None or a pair of nodes, is applied with
     ``toggled`` inside the same patch, so a deferred build it reads is the
-    oracle's too.  The uncached copy keeps no refresh memo: the oracle's
-    refresh reads ``live_shares()`` first, which writes any pending blind,
-    then checks the live holders anew and assigns every share."""
+    oracle's too.  Entering the engine's disk sweep fails the step.  The
+    uncached copy keeps no refresh memo: the oracle's refresh reads
+    ``live_shares()`` first, which writes any pending blind, then checks the
+    live holders anew and assigns every share."""
     if not state.memory.healths:
         state.memory = state.memory._replace(healths=oracle.baselines(state.partition))
     planner = oracle.plan_pass if plans is None else recording(oracle.plan_pass, plans)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(graph, "build_topology", graph_oracle.build_topology)
+        m.setattr(graph, "_link_strips", refused_sweep)
         m.setattr(sim, "plan_pass", planner)
         m.setattr(ClusterLedger, "refresh", ledger_oracle.OracleLedger.refresh)
         if toggle is not None:
@@ -233,11 +265,11 @@ def assert_twins_agree(sc, toggles=()):
     pending misses (a plan's departed nodes, partition, joins, log entries,
     re-form flag and whether it kept a clean pass).  ``toggles`` gives, for
     each of the first rounds, None or a pair of nodes whose link both copies
-    toggle before it, in edge-list and position mode alike."""
+    toggle before it, in edge-list and position mode alike.  Returns the
+    count of the first copy's deferred builds by path (``sweep_paths``)."""
     cached = initialize(sc)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(sim, "build_topology", graph_oracle.build_topology)
-        uncached = initialize(sc)
+    uncached = initialize_uncached(sc)
+    paths = collections.Counter()
     with tempfile.TemporaryDirectory() as tmp:
         while cached.round < sc.rounds and not cached.halted:
             toggle = toggles[cached.round] if cached.round < len(toggles) else None
@@ -246,11 +278,13 @@ def assert_twins_agree(sc, toggles=()):
             plans = [], []
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(sim, "plan_pass", recording(sim.plan_pass, plans[0]))
+                m.setattr(graph, "_link_strips", sweep_paths(paths))
                 step(cached)
             step_uncached(uncached, toggle, plans[1])
             where = f"round {cached.round}"
             assert [plan_decisions(p) for p in plans[0]] == [plan_decisions(p) for p in plans[1]], where
             assert_same_outputs(cached, uncached, where, Path(tmp))
+    return paths
 
 
 def assert_unread_twins_agree(sc, toggles=()):
@@ -261,9 +295,7 @@ def assert_unread_twins_agree(sc, toggles=()):
     dump reads ``shares`` and writes them), and the dumps are compared only
     after the last round.  ``toggles`` is as for ``assert_twins_agree``."""
     cached = initialize(sc)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(sim, "build_topology", graph_oracle.build_topology)
-        uncached = initialize(sc)
+    uncached = initialize_uncached(sc)
 
     def ledgers(state):
         return {cid: (l.leaked, l.epoch, l.revoked) for cid, l in state.share_ledger.items()}
@@ -922,12 +954,15 @@ class TestStep:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_engine_agrees_with_itself_with_every_cache_defeated(self, seed, parks):
         sc = small_mobile_scenario(seed)
-        assert_twins_agree(parking(sc) if parks else sc)
+        paths = assert_twins_agree(parking(sc) if parks else sc)
+        # builds start from the last links, and while the same nodes keep
+        # moving some build slices the fronts its base recorded
+        assert paths["filter"] > 0 and (paths["prefix"] > 0 or parks)
 
     def test_benchmark_scale_run_agrees_with_every_cache_defeated(self):
         # the waypoint-1k benchmark recipe: 1000 nodes, 30% movers, about 23
         # departures a local update, so every index edit meets the reference
-        assert_twins_agree(benchmark_scenario("waypoint_1k", 1, rounds=30))
+        assert assert_twins_agree(benchmark_scenario("waypoint_1k", 1, rounds=30))["prefix"] > 0
 
     @pytest.mark.parametrize(
         "recipe, parks",
@@ -941,7 +976,8 @@ class TestStep:
     )
     def test_benchmark_scale_traffic_agrees_with_every_cache_defeated(self, recipe, parks):
         sc = benchmark_scenario(recipe, 1, rounds=30)
-        assert_twins_agree(parking(sc) if parks else sc)
+        paths = assert_twins_agree(parking(sc) if parks else sc)
+        assert (paths["prefix"] > 0) == parks
 
     @settings(max_examples=60, deadline=None)
     @given(quiet_pass_runs())
@@ -1032,7 +1068,7 @@ class TestStep:
             step(state)
             fresh = graph.build_topology(sorted(state.topology.positions.items()), state.scenario.radius)
             # Reading the links builds them, if the round did not.
-            assert state.topology.adj == fresh.adj, f"round {state.round}"
+            assert graph_oracle.links(state.topology) == graph_oracle.links(fresh), f"round {state.round}"
         assert state.round == state.scenario.rounds
 
     @pytest.mark.parametrize(
@@ -1045,14 +1081,15 @@ class TestStep:
         ],
     )
     def test_round_without_reform_builds_no_links(self, seed, parks, monkeypatch):
-        build = graph.build_topology
+        build, sweep = graph.build_topology, graph._link_strips
         builds = []
 
         def counted(*args, **kwargs):
             builds.append(args)
-            return build(*args, **kwargs)
+            return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(graph, "build_topology", counted)
+        # Every disk build, fresh or from a base, is one sweep.
+        monkeypatch.setattr(graph, "_link_strips", counted)
         verified = count_verify_calls(monkeypatch)
         sc = small_mobile_scenario(seed, rounds=25)
         state = initialize(parking(sc) if parks else sc)
@@ -1072,7 +1109,7 @@ class TestStep:
             t = state.topology
             links = (t if "adj" in vars(t) else graph.move_nodes(t, {})).adj
             fresh = build(sorted(t.positions.items()), state.scenario.radius)
-            assert links == fresh.adj, f"round {state.round}"
+            assert graph_oracle.links(Topology(links)) == graph_oracle.links(fresh), f"round {state.round}"
         assert state.round == state.scenario.rounds
         # both kinds of round occur, and the counter sees the deferred
         # builds; once movers park, some round that does not re-form checks

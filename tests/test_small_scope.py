@@ -44,16 +44,21 @@ connected under the radius and forms each with ``reform``.  Then it moves
 each node to each free lattice point and plans two HELLO passes over the
 moved disk topology, whose links stay unbuilt while it plans, and over an
 edge-list copy of its links; the plans and the ``verify_partition`` verdicts
-must agree.  Tier-1 runs it at spacing 0.1 and radius √0.02, the lattice's
-diagonal, which neither number gives exactly in binary (the rounded diagonal
-falls just outside the rounded radius); CI runs it at (1, 1), (0.1, 0.1),
-(0.3, 0.3·√2) and (1, 2).
+must agree.  Each move then chains two more, whose builds start from the
+last one's links: the mover moves back, and another node takes the spot it
+left.  Every build's links must be the all-pairs build's.  Tier-1 runs it
+at spacing 0.1 and radius √0.02, the lattice's diagonal, which neither
+number gives exactly in binary (the rounded diagonal falls just outside the
+rounded radius); CI runs it at (1, 1), (0.1, 0.1), (0.3, 0.3·√2) and
+(1, 2).
 """
 
 import itertools
 import math
 
+import graph_oracle
 import pytest
+from graph_oracle import links
 
 from councilnet.errors import DisconnectedTopology
 from councilnet.graph import (
@@ -304,7 +309,21 @@ def check_every_lattice_move(spacing, radius):
                 twin = topology_from_edges(sorted(moved.nodes), sorted(moved.edges))
                 assert plan_two_passes(twin, formed) == on_disk, (spots, nid, spot)
                 passes += len(on_disk) - 1
+                check_chained_builds(moved, nid, spots[nid - 1], spot)
     return placements, passes
+
+
+def check_chained_builds(moved, nid, home, spot):
+    """Chain two more moves from ``moved``, whose links were built after
+    ``nid`` moved from ``home`` to ``spot``: ``nid`` moves back home, so the
+    build slices the fronts that ``moved``'s build recorded, and then
+    another node moves to ``spot``, so the build drops it from whole tuples.
+    Each build's links must be the all-pairs build's."""
+    back = move_nodes(moved, {nid: home})
+    on = move_nodes(back, {nid % 4 + 1: spot})
+    for t in (moved, back, on):
+        assert links(t) == links(graph_oracle.build_topology(t.positions.items(), t.radius)), (t.positions, nid)
+    assert back._swept[2] is moved._swept[2] and on._swept[2] is not back._swept[2]
 
 
 def test_every_lattice_move_plans_alike_on_positions_and_links():
